@@ -11,7 +11,7 @@ build:
 	$(CARGO) build --release
 
 test:
-	$(CARGO) test -q
+	$(CARGO) test -q --workspace
 
 fmt-check:
 	$(CARGO) fmt --all --check
@@ -25,8 +25,7 @@ serve-smoke: build
 	bash scripts/serve_smoke.sh
 
 # Reactor runtime check: >= 1k idle TCP connections parked on a bounded
-# thread population, request p99 parity with the thread-per-conn baseline
-# at 16 clients, and aligned writes taking the zero-copy wire-to-PM path.
+# thread population, and aligned writes taking the zero-copy wire-to-PM path.
 svcconn-smoke: build
 	bash scripts/svcconn_smoke.sh
 
@@ -41,8 +40,7 @@ repl-smoke: build
 	bash scripts/repl_smoke.sh
 
 # Foreground fast-path check: steady-state zero-copy writes issue <= 2
-# fences, aligned writes stage nothing, the DRAM FACT presence filter
-# answers absent-fingerprint lookups without PM probes.
+# fences, aligned writes stage nothing.
 fgpath-smoke: build
 	bash scripts/fgpath_smoke.sh
 
@@ -60,9 +58,8 @@ chaos-smoke: build
 	bash scripts/chaos_smoke.sh
 
 # Lock-free read path check: the contention experiment with a live writer
-# + 4 dedup workers must show >= 2x read throughput at 8 reader threads,
-# >= 95% of reads on the optimistic (no-inode-lock) seqlock path, and the
-# RCU/wait-free FACT read side actually serving lookups.
+# + 4 dedup workers must show >= 2x read throughput at 8 reader threads
+# and >= 95% of reads on the optimistic (no-inode-lock) seqlock path.
 contention-smoke: build
 	bash scripts/contention_smoke.sh
 

@@ -227,12 +227,10 @@ fn bench_fact_ops(c: &mut Criterion) {
             std::hint::black_box(fact.resolve_block(layout.data_start + (i % 512)));
         });
     });
-    g.bench_function("counter_commit_roundtrip", |b| {
+    g.bench_function("reserve_commit_roundtrip", |b| {
         let fp = Fingerprint::of(b"counter");
-        let (idx, _) = fact.reserve_or_insert(&fp, 99).unwrap();
-        fact.commit_uc_to_rfc(idx);
         b.iter(|| {
-            fact.inc_uc(idx);
+            let (idx, _) = fact.reserve_or_insert(&fp, 99).unwrap();
             fact.commit_uc_to_rfc(idx);
         });
     });
@@ -299,43 +297,6 @@ fn bench_fgpath_write(c: &mut Criterion) {
     g.finish();
 }
 
-/// FACT lookups for present vs absent fingerprints with the DRAM presence
-/// filter armed and disarmed: absent+filter should skip the PM probe.
-fn bench_fgpath_fact_lookup(c: &mut Criterion) {
-    use denova::{DedupStats, Fact};
-    use denova_fingerprint::Fingerprint;
-    let mut g = quick(c, "fgpath_fact_lookup");
-    let dev = raw_device(32 * 1024 * 1024);
-    let layout = Layout::compute(dev.size() as u64, 64, 2);
-    let fact = Fact::new(dev, layout, Arc::new(DedupStats::default()));
-    let present: Vec<Fingerprint> = (0..512u64)
-        .map(|i| {
-            let fp = Fingerprint::of(&i.to_le_bytes());
-            let (idx, _) = fact.reserve_or_insert(&fp, layout.data_start + i).unwrap();
-            fact.commit_uc_to_rfc(idx);
-            fp
-        })
-        .collect();
-    let absent: Vec<Fingerprint> = (0..512u64)
-        .map(|i| Fingerprint::of(&(i + 1_000_000).to_le_bytes()))
-        .collect();
-    for filter in [true, false] {
-        fact.set_filter_enabled(filter);
-        let tag = if filter { "filter" } else { "nofilter" };
-        for (case, fps) in [("present", &present), ("absent", &absent)] {
-            g.bench_function(format!("{case}_{tag}"), |b| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    i += 1;
-                    std::hint::black_box(fact.lookup(&fps[i % fps.len()]));
-                });
-            });
-        }
-    }
-    fact.set_filter_enabled(true);
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_table1_device_latency,
@@ -347,6 +308,5 @@ criterion_group!(
     bench_fact_ops,
     bench_dedup_transaction,
     bench_fgpath_write,
-    bench_fgpath_fact_lookup,
 );
 criterion_main!(benches);

@@ -65,13 +65,9 @@ denova_telemetry::impl_to_json!(ReorderAblation {
 });
 
 /// Hot entry at the rear of a chain of `chain_len`: lookup cost before and
-/// after reordering. Measures the PM chain walk itself, so the RCU stripe
-/// table (which answers any present fingerprint in one verifying PM read
-/// and would hide the chain order entirely) is switched off — reordering
-/// is what serves the fallback walk that every stale-table miss takes.
+/// after reordering.
 pub fn reorder(chain_len: usize, lookups: usize) -> ReorderAblation {
     let (dev, fact) = fresh_fact();
-    fact.set_rcu_enabled(false);
     let prefix = 17u64;
     // Cold entries first (RFC 1), hot entry last (RFC 100).
     for i in 0..chain_len - 1 {

@@ -1,24 +1,16 @@
-//! Lock-free read path under contention — seqlock'd inode reads, the RCU
-//! FACT stripe tables, and the wait-free presence filter.
+//! Lock-free read path under contention — seqlock'd inode reads.
 //!
 //! The experiment mounts one DeNova instance and keeps **one paced writer**
 //! (4 KiB CoW overwrites round-robining the shared files) and **four dedup
 //! workers** (daemon-style `reserve_or_insert`/commit loops against the
 //! shared FACT) running for its whole duration. Against that background it
-//! sweeps a reader ladder (1, 2, 4, 8 threads) twice:
-//!
-//! * **Reads** — 256 KiB contiguous (coalesced) reads through
-//!   `Nova::read`'s optimistic seqlock path. Device latency runs in
-//!   *blocking* mode with a bandwidth-heavy read profile, so concurrent
-//!   readers overlap their injected device time the way independent memory
-//!   channels would — scaling then measures software-side serialization
-//!   (locks), which is exactly what the lock-free read path removes. Even
-//!   a single-core host can resolve the scaling this way.
-//! * **Absent-fingerprint lookups** — answered wait-free by the DRAM
-//!   presence filter / RCU stripe tables with zero PM probes and zero
-//!   locks. Pure DRAM work cannot overlap on fewer cores than threads, so
-//!   this ladder is recorded but only the read ladder carries a scaling
-//!   acceptance bar.
+//! sweeps a reader ladder (1, 2, 4, 8 threads) of 256 KiB contiguous
+//! (coalesced) reads through `Nova::read`'s optimistic seqlock path. Device
+//! latency runs in *blocking* mode with a bandwidth-heavy read profile, so
+//! concurrent readers overlap their injected device time the way
+//! independent memory channels would — scaling then measures software-side
+//! serialization (locks), which is exactly what the lock-free read path
+//! removes. Even a single-core host can resolve the scaling this way.
 //!
 //! The result also reports the seqlock telemetry: the steady-state share
 //! of reads served without taking the inode lock must stay above 95%.
@@ -26,7 +18,6 @@
 use crate::report;
 use crate::Scale;
 use denova::{DedupMode, Denova};
-use denova_fingerprint::Fingerprint;
 use denova_nova::{NovaOptions, NovaStats};
 use denova_pmem::{LatencyProfile, PmemBuilder};
 use denova_workload::DataGenerator;
@@ -80,22 +71,6 @@ denova_telemetry::impl_to_json!(ReadThreadCell {
     speedup_x
 });
 
-/// One absent-fingerprint lookup-ladder step.
-#[derive(Debug, Clone)]
-pub struct LookupThreadCell {
-    /// Concurrent lookup threads.
-    pub threads: usize,
-    /// Absent-fingerprint lookups per second, all threads combined.
-    pub lookups_per_s: f64,
-    /// Throughput relative to the 1-thread step.
-    pub speedup_x: f64,
-}
-denova_telemetry::impl_to_json!(LookupThreadCell {
-    threads,
-    lookups_per_s,
-    speedup_x
-});
-
 /// The whole experiment.
 #[derive(Debug, Clone)]
 pub struct ContentionResult {
@@ -105,18 +80,12 @@ pub struct ContentionResult {
     pub files: usize,
     /// Reader ladder.
     pub reads: Vec<ReadThreadCell>,
-    /// Absent-fingerprint lookup ladder.
-    pub lookups: Vec<LookupThreadCell>,
     /// `nova.read.optimistic_hits` over the whole run.
     pub optimistic_hits: u64,
     /// `nova.read.seq_retries` over the whole run.
     pub seq_retries: u64,
     /// `optimistic_hits / (optimistic_hits + seq_retries)`.
     pub optimistic_rate: f64,
-    /// `denova.fact.rcu_reads` over the whole run.
-    pub rcu_reads: u64,
-    /// Absent lookups answered by the DRAM presence filter.
-    pub filter_skips: u64,
     /// Total writer CoW overwrites completed during the run.
     pub writer_writes: u64,
     /// Total background dedup-worker FACT transactions.
@@ -126,12 +95,9 @@ denova_telemetry::impl_to_json!(ContentionResult {
     read_chunk_bytes,
     files,
     reads,
-    lookups,
     optimistic_hits,
     seq_retries,
     optimistic_rate,
-    rcu_reads,
-    filter_skips,
     writer_writes,
     worker_ops
 });
@@ -212,8 +178,8 @@ fn start_background(fs: &Arc<Denova>, inos: &[u64], span_pages: usize) -> Backgr
         let stop = stop.clone();
         let ops = worker_ops.clone();
         handles.push(std::thread::spawn(move || {
-            // Half duplicates, half fresh fingerprints — exercises both the
-            // lock-free duplicate reservation and the locked insert path.
+            // Half duplicates, half fresh fingerprints — exercises both
+            // outcomes of the locked reserve.
             let mut gen = DataGenerator::new(1000 + w as u64, 0.5);
             while !stop.load(Ordering::Relaxed) {
                 let data = gen.next_file(4096);
@@ -279,39 +245,6 @@ fn fs_span_bytes(fs: &Arc<Denova>, ino: u64) -> usize {
         .unwrap_or(READ_CHUNK)
 }
 
-/// One lookup-ladder step: `n` threads probe absent fingerprints for `dur`.
-fn lookup_step(fs: &Arc<Denova>, absent: &Arc<Vec<Fingerprint>>, n: usize, dur: Duration) -> u64 {
-    let stop = Arc::new(AtomicBool::new(false));
-    let total = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..n)
-        .map(|r| {
-            let fs = fs.clone();
-            let absent = absent.clone();
-            let stop = stop.clone();
-            let total = total.clone();
-            std::thread::spawn(move || {
-                let mut i = r;
-                let mut local = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let fp = &absent[i % absent.len()];
-                    let hit = fs.fact().lookup(fp);
-                    debug_assert!(hit.is_none());
-                    let _ = hit;
-                    local += 1;
-                    i += 1;
-                }
-                total.fetch_add(local, Ordering::Relaxed);
-            })
-        })
-        .collect();
-    std::thread::sleep(dur);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-    total.load(Ordering::Relaxed)
-}
-
 /// Run the whole experiment at `scale`.
 pub fn run(scale: &Scale) -> ContentionResult {
     let per_file = (scale.read_file_bytes / FILES).clamp(2 * READ_CHUNK, 16 * READ_CHUNK);
@@ -338,18 +271,11 @@ pub fn run(scale: &Scale) -> ContentionResult {
         })
         .collect();
     fs.drain();
-    let absent: Arc<Vec<Fingerprint>> = Arc::new(
-        (0..4096)
-            .map(|_| fs.fact().fingerprint(&gen.next_file(4096)))
-            .collect(),
-    );
     dev.set_latency(CONTENTION_PROFILE);
     dev.set_blocking_latency(true);
 
     let hits0 = NovaStats::get(&nova.stats().read_optimistic_hits);
     let retries0 = NovaStats::get(&nova.stats().read_seq_retries);
-    let rcu0 = fs.fact().stats().rcu_reads();
-    let skips0 = fs.fact().stats().filter_skips();
 
     let bg = start_background(&fs, &inos, span_pages);
 
@@ -374,26 +300,6 @@ pub fn run(scale: &Scale) -> ContentionResult {
         });
     }
 
-    let mut lookups = Vec::new();
-    let mut base_lookup = 0.0f64;
-    for &n in LADDER {
-        let dur = Duration::from_millis(step_ms / 2);
-        let done = lookup_step(&fs, &absent, n, dur);
-        let rate = done as f64 / dur.as_secs_f64();
-        if n == 1 {
-            base_lookup = rate;
-        }
-        lookups.push(LookupThreadCell {
-            threads: n,
-            lookups_per_s: rate,
-            speedup_x: if base_lookup > 0.0 {
-                rate / base_lookup
-            } else {
-                0.0
-            },
-        });
-    }
-
     bg.stop.store(true, Ordering::Relaxed);
     for h in bg.handles {
         h.join().unwrap();
@@ -407,7 +313,6 @@ pub fn run(scale: &Scale) -> ContentionResult {
         read_chunk_bytes: READ_CHUNK,
         files: FILES,
         reads,
-        lookups,
         optimistic_hits: hits,
         seq_retries: retries,
         optimistic_rate: if attempts == 0 {
@@ -415,14 +320,12 @@ pub fn run(scale: &Scale) -> ContentionResult {
         } else {
             hits as f64 / attempts as f64
         },
-        rcu_reads: fs.fact().stats().rcu_reads() - rcu0,
-        filter_skips: fs.fact().stats().filter_skips() - skips0,
         writer_writes: bg.writer_writes.load(Ordering::Relaxed),
         worker_ops: bg.worker_ops.load(Ordering::Relaxed),
     }
 }
 
-/// Render the two ladders plus the smoke-parsable summary lines.
+/// Render the ladder plus the smoke-parsable summary lines.
 pub fn render(res: &ContentionResult) -> String {
     let mut out = report::table(
         &format!(
@@ -443,20 +346,6 @@ pub fn render(res: &ContentionResult) -> String {
             })
             .collect::<Vec<_>>(),
     );
-    out.push_str(&report::table(
-        "Contention — absent-fingerprint lookups (wait-free DRAM path)",
-        &["Threads", "lookups/s", "speedup"],
-        &res.lookups
-            .iter()
-            .map(|c| {
-                vec![
-                    format!("{}", c.threads),
-                    format!("{:.0}", c.lookups_per_s),
-                    format!("{:.2}x", c.speedup_x),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
     out.push_str(&format!(
         "contention-summary: read_speedup_max={:.2} threads={}\n",
         res.max_read_speedup(),
@@ -467,8 +356,8 @@ pub fn render(res: &ContentionResult) -> String {
         res.optimistic_rate, res.optimistic_hits, res.seq_retries
     ));
     out.push_str(&format!(
-        "contention-summary: rcu_reads={} filter_skips={} writer_writes={} worker_ops={}\n",
-        res.rcu_reads, res.filter_skips, res.writer_writes, res.worker_ops
+        "contention-summary: writer_writes={} worker_ops={}\n",
+        res.writer_writes, res.worker_ops
     ));
     out
 }
@@ -500,10 +389,6 @@ mod tests {
                 "8-thread read speedup {:.2}x < 1.5x",
                 res.max_read_speedup()
             );
-            // The RCU stripe tables and the presence filter both served
-            // the background dedup load.
-            assert!(res.rcu_reads > 0, "no RCU stripe-table reads recorded");
-            assert!(res.filter_skips > 0, "no filter-answered absent lookups");
             assert!(res.writer_writes > 0 && res.worker_ops > 0);
         });
     }

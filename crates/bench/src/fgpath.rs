@@ -1,7 +1,7 @@
-//! Foreground I/O fast path — zero-copy CoW writes, fence batching,
-//! coalesced reads, and the DRAM FACT presence filter.
+//! Foreground I/O fast path — zero-copy CoW writes, fence batching and
+//! coalesced reads.
 //!
-//! Three measurements, all under the Table I Optane latency profile:
+//! Two measurements, both under the Table I Optane latency profile:
 //!
 //! * **Writes** — the staged reference path (one bounce-buffer copy of the
 //!   whole span, per-extent flush + fence) against the zero-copy path
@@ -13,15 +13,10 @@
 //! * **Reads** — a physically contiguous file against a deliberately
 //!   fragmented one, showing the coalesced read path turning a 32-page read
 //!   into one device access per contiguous run.
-//! * **FACT lookups** — present vs absent fingerprints with the DRAM
-//!   presence filter on and off. Absent-fingerprint lookups should be
-//!   answered by the filter (no PM probe) essentially always; present
-//!   fingerprints are never filtered (counting Bloom, no false negatives).
 
 use crate::report;
 use crate::Scale;
 use denova::{DedupMode, Denova};
-use denova_fingerprint::Fingerprint;
 use denova_nova::NovaStats;
 use denova_workload::{DataGenerator, Summary};
 use std::sync::Arc;
@@ -92,25 +87,6 @@ denova_telemetry::impl_to_json!(ReadCell {
     device_reads_per_call
 });
 
-/// One FACT lookup configuration.
-#[derive(Debug, Clone)]
-pub struct LookupCell {
-    /// `present` (duplicate fingerprints in the table) or `absent` (unique).
-    pub case: String,
-    /// Whether the DRAM presence filter was armed.
-    pub filter: bool,
-    /// Mean lookup latency, nanoseconds.
-    pub mean_ns: u64,
-    /// Fraction of lookups answered by the filter without touching PM.
-    pub skip_rate: f64,
-}
-denova_telemetry::impl_to_json!(LookupCell {
-    case,
-    filter,
-    mean_ns,
-    skip_rate
-});
-
 /// The whole experiment.
 #[derive(Debug, Clone)]
 pub struct FgpathResult {
@@ -120,27 +96,17 @@ pub struct FgpathResult {
     pub writes: Vec<WriteCell>,
     /// Read-path cells.
     pub reads: Vec<ReadCell>,
-    /// FACT lookup cells.
-    pub lookups: Vec<LookupCell>,
 }
 denova_telemetry::impl_to_json!(FgpathResult {
     writes_per_pattern,
     writes,
-    reads,
-    lookups
+    reads
 });
 
 impl FgpathResult {
     /// The cell for a write pattern.
     pub fn write_cell(&self, pattern: &str) -> Option<&WriteCell> {
         self.writes.iter().find(|c| c.pattern == pattern)
-    }
-
-    /// The cell for a lookup configuration.
-    pub fn lookup_cell(&self, case: &str, filter: bool) -> Option<&LookupCell> {
-        self.lookups
-            .iter()
-            .find(|c| c.case == case && c.filter == filter)
     }
 }
 
@@ -313,27 +279,6 @@ fn read_pattern(fs: &Denova, layout: &str, fragmented: bool, reps: usize) -> Rea
     }
 }
 
-/// Measure FACT lookups for one fingerprint population and filter setting.
-fn lookup_cell(fs: &Denova, case: &str, filter: bool, fps: &[Fingerprint]) -> LookupCell {
-    let fact = fs.fact();
-    fact.set_filter_enabled(filter);
-    let skips_before = fact.stats().filter_skips();
-    let t0 = Instant::now();
-    for fp in fps {
-        let hit = fact.lookup(fp).is_some();
-        debug_assert_eq!(hit, case == "present");
-    }
-    let total_ns = t0.elapsed().as_nanos() as u64;
-    let skips = fact.stats().filter_skips() - skips_before;
-    fact.set_filter_enabled(true);
-    LookupCell {
-        case: case.to_string(),
-        filter,
-        mean_ns: total_ns / fps.len().max(1) as u64,
-        skip_rate: skips as f64 / fps.len().max(1) as f64,
-    }
-}
-
 /// Run the whole experiment at `scale`.
 pub fn run(scale: &Scale) -> FgpathResult {
     let count = (scale.small_files / 4).max(64);
@@ -354,43 +299,14 @@ pub fn run(scale: &Scale) -> FgpathResult {
     let contiguous = read_pattern(&fs, "contiguous", false, reps);
     let fragmented = read_pattern(&fs, "fragmented", true, reps);
 
-    // Lookups: populate the FACT by writing unique files under Immediate
-    // dedup, then probe present and absent fingerprints directly.
-    let pop = (scale.small_files / 8).max(128);
-    let fs = crate::mount(
-        DedupMode::Immediate,
-        crate::device_bytes_for(pop * 4096),
-        pop,
-    );
-    fs.fact().fp().clear(); // probe PM walk cost, not the modelled SHA-1 cost
-    let mut gen = DataGenerator::new(17, 0.0);
-    let mut present = Vec::with_capacity(pop);
-    for i in 0..pop {
-        let data = gen.next_file(4096);
-        let ino = fs.create(&format!("l-{i}")).unwrap();
-        fs.write(ino, 0, &data).unwrap();
-        present.push(fs.fact().fingerprint(&data));
-    }
-    fs.drain();
-    let absent: Vec<Fingerprint> = (0..pop)
-        .map(|_| fs.fact().fingerprint(&gen.next_file(4096)))
-        .collect();
-    let lookups = vec![
-        lookup_cell(&fs, "present", true, &present),
-        lookup_cell(&fs, "present", false, &present),
-        lookup_cell(&fs, "absent", true, &absent),
-        lookup_cell(&fs, "absent", false, &absent),
-    ];
-
     FgpathResult {
         writes_per_pattern: count,
         writes: vec![aligned, unaligned, stream],
         reads: vec![contiguous, fragmented],
-        lookups,
     }
 }
 
-/// Render all three tables plus the smoke-parsable summary lines.
+/// Render both tables plus the smoke-parsable summary line.
 pub fn render(res: &FgpathResult) -> String {
     let mut out = report::table(
         &format!(
@@ -443,34 +359,13 @@ pub fn render(res: &FgpathResult) -> String {
             })
             .collect::<Vec<_>>(),
     ));
-    out.push_str(&report::table(
-        "Foreground fast path — FACT lookups with/without the DRAM filter",
-        &["Fingerprints", "Filter", "mean (ns)", "filter skip rate"],
-        &res.lookups
-            .iter()
-            .map(|c| {
-                vec![
-                    c.case.clone(),
-                    if c.filter { "on" } else { "off" }.to_string(),
-                    format!("{}", c.mean_ns),
-                    format!("{:.1}%", c.skip_rate * 100.0),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
-    // Stable one-line summaries for scripts/fgpath_smoke.sh.
+    // Stable one-line summary for scripts/fgpath_smoke.sh.
     if let Some(a) = res.write_cell("aligned-4k") {
         out.push_str(&format!(
             "fgpath-summary: aligned-4k fences_per_write={} speedup_pct={:.1} staged_bytes={}\n",
             a.fences_per_write,
             a.speedup_pct(),
             a.staged_bytes_per_write
-        ));
-    }
-    if let Some(l) = res.lookup_cell("absent", true) {
-        out.push_str(&format!(
-            "fgpath-summary: absent-fp filter_skip_rate={:.4}\n",
-            l.skip_rate
         ));
     }
     out
@@ -513,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_and_filter_shapes() {
+    fn coalescing_shape() {
         let _serial = crate::timing_test_lock();
         crate::retry_timing(3, || {
             let res = run(&Scale::smoke());
@@ -528,12 +423,6 @@ mod tests {
                 cont.device_reads_per_call,
                 frag.device_reads_per_call
             );
-            // Absent fingerprints skip PM > 95% of the time with the filter
-            // on, never with it off; present fingerprints are never skipped.
-            let on = res.lookup_cell("absent", true).unwrap();
-            assert!(on.skip_rate > 0.95, "skip rate {}", on.skip_rate);
-            assert_eq!(res.lookup_cell("absent", false).unwrap().skip_rate, 0.0);
-            assert_eq!(res.lookup_cell("present", true).unwrap().skip_rate, 0.0);
         });
     }
 }

@@ -1,19 +1,13 @@
 //! Connection scaling: resident threads and request latency as the
 //! service holds 1 → thousands of TCP connections.
 //!
-//! Two server models host the same aligned-4 KiB write workload and then
-//! ride an idle-connection ramp:
-//!
-//! * **reactor** — connections register with the sharded epoll event
-//!   loops; the thread population is O(event loops + worker shards) no
-//!   matter how many sockets are parked;
-//! * **thread-per-conn** — the legacy model: every accepted socket costs a
-//!   reader thread plus a writer thread, so the population grows ~2x with
-//!   the connection count (ramped to far fewer connections for that
-//!   reason).
+//! The server hosts an aligned-4 KiB write workload and then rides an
+//! idle-connection ramp: connections register with the sharded epoll event
+//! loops, so the thread population is O(event loops + worker shards) no
+//! matter how many sockets are parked.
 //!
 //! The workload phase runs *first* (16 active clients writing whole-4 KiB
-//! files, which ride the zero-copy wire-to-PM path on the reactor), so the
+//! files, which ride the zero-copy wire-to-PM path), so the
 //! `svc.request.ns` percentiles reflect request service time, not the
 //! pings used to establish the ramp connections afterwards. Thread counts
 //! come from `/proc/self/status`; on non-Linux hosts the ramp records 0
@@ -41,11 +35,11 @@ denova_telemetry::impl_to_json!(RampPoint {
     resident_threads
 });
 
-/// One server model: workload numbers plus its idle-connection ramp.
+/// Workload numbers plus the idle-connection ramp.
 #[derive(Debug, Clone)]
-pub struct ConnModel {
-    /// `"reactor"` or `"thread-per-conn"`.
-    pub model: String,
+pub struct ConnResult {
+    /// Files written in the workload phase.
+    pub files: usize,
     /// Idle-connection ramp, ascending.
     pub ramp: Vec<RampPoint>,
     /// Concurrent clients in the workload phase.
@@ -61,8 +55,8 @@ pub struct ConnModel {
     /// Writes that went through the staging decode.
     pub staged_writes: u64,
 }
-denova_telemetry::impl_to_json!(ConnModel {
-    model,
+denova_telemetry::impl_to_json!(ConnResult {
+    files,
     ramp,
     active_clients,
     p50_us,
@@ -72,7 +66,7 @@ denova_telemetry::impl_to_json!(ConnModel {
     staged_writes
 });
 
-impl ConnModel {
+impl ConnResult {
     /// Thread count at the highest idle-connection level.
     pub fn threads_at_peak(&self) -> usize {
         self.ramp.last().map(|p| p.resident_threads).unwrap_or(0)
@@ -81,29 +75,6 @@ impl ConnModel {
     /// Highest idle-connection level reached.
     pub fn max_idle(&self) -> usize {
         self.ramp.last().map(|p| p.idle_conns).unwrap_or(0)
-    }
-}
-
-/// Both models for one workload.
-#[derive(Debug, Clone)]
-pub struct ConnResult {
-    /// Files written per model in the workload phase.
-    pub files: usize,
-    /// Concurrent workload clients.
-    pub active_clients: usize,
-    /// The measured models.
-    pub models: Vec<ConnModel>,
-}
-denova_telemetry::impl_to_json!(ConnResult {
-    files,
-    active_clients,
-    models
-});
-
-impl ConnResult {
-    /// The model labelled `name`.
-    pub fn model(&self, name: &str) -> Option<&ConnModel> {
-        self.models.iter().find(|m| m.model == name)
     }
 }
 
@@ -129,30 +100,22 @@ fn spec_for(scale: &Scale) -> JobSpec {
     JobSpec::small_files(files, 0.0).with_threads(ACTIVE_CLIENTS)
 }
 
-/// Idle-connection levels per model, sized to the scale. The thread-per-
-/// conn ramp stays far lower — each idle socket costs it two threads.
-fn idle_levels(scale: &Scale, thread_per_conn: bool) -> Vec<usize> {
+/// Idle-connection levels, sized to the scale.
+fn idle_levels(scale: &Scale) -> Vec<usize> {
     if scale.small_files >= 100_000 {
         // Paper scale; stay under the fd ceiling (each conn is two fds).
-        if thread_per_conn {
-            vec![0, 256]
-        } else {
-            vec![0, 1024, 8192]
-        }
+        vec![0, 1024, 8192]
     } else if scale.small_files <= 300 {
-        if thread_per_conn {
-            vec![0, 128]
-        } else {
-            vec![0, 128, 1024]
-        }
-    } else if thread_per_conn {
-        vec![0, 192]
+        vec![0, 128, 1024]
     } else {
         vec![0, 256, 2048]
     }
 }
 
-fn run_model(name: &str, thread_per_conn: bool, spec: &JobSpec, levels: &[usize]) -> ConnModel {
+/// Run the workload, then the ramp.
+pub fn run(scale: &Scale) -> ConnResult {
+    let spec = spec_for(scale);
+    let levels = idle_levels(scale);
     let fs = crate::mount(
         DedupMode::Baseline,
         crate::device_bytes_for(spec.total_bytes() as usize),
@@ -162,7 +125,6 @@ fn run_model(name: &str, thread_per_conn: bool, spec: &JobSpec, levels: &[usize]
         fs,
         SvcConfig {
             shards: 4,
-            thread_per_conn,
             ..SvcConfig::default()
         },
     ));
@@ -174,7 +136,7 @@ fn run_model(name: &str, thread_per_conn: bool, spec: &JobSpec, levels: &[usize]
     };
 
     // Active phase first: percentiles then cover real requests only.
-    let report = run_remote_write_job_tcp(&addr, spec);
+    let report = run_remote_write_job_tcp(&addr, &spec);
     assert_eq!(report.failures, 0, "svcconn workload saw failed requests");
     let snap = srv.service().metrics().snapshot();
     let req = snap
@@ -185,7 +147,7 @@ fn run_model(name: &str, thread_per_conn: bool, spec: &JobSpec, levels: &[usize]
     // Idle ramp: park connections, count resident threads at each level.
     let mut idle: Vec<Client> = Vec::with_capacity(*levels.last().unwrap_or(&0));
     let mut ramp = Vec::with_capacity(levels.len());
-    for &level in levels {
+    for &level in &levels {
         while idle.len() < level {
             let mut c = Client::connect_tcp(&addr).expect("idle connect");
             c.ping().expect("idle ping");
@@ -205,8 +167,8 @@ fn run_model(name: &str, thread_per_conn: bool, spec: &JobSpec, levels: &[usize]
         .expect("server still referenced at teardown");
     srv.shutdown();
 
-    ConnModel {
-        model: name.to_string(),
+    ConnResult {
+        files: spec.file_count,
         ramp,
         active_clients: spec.threads,
         p50_us: req.percentile(0.50) as f64 / 1000.0,
@@ -217,43 +179,28 @@ fn run_model(name: &str, thread_per_conn: bool, spec: &JobSpec, levels: &[usize]
     }
 }
 
-/// Measure both models.
-pub fn run(scale: &Scale) -> ConnResult {
-    let spec = spec_for(scale);
-    let models = vec![
-        run_model("reactor", false, &spec, &idle_levels(scale, false)),
-        run_model("thread-per-conn", true, &spec, &idle_levels(scale, true)),
-    ];
-    ConnResult {
-        files: spec.file_count,
-        active_clients: ACTIVE_CLIENTS,
-        models,
-    }
-}
-
-/// Render the ramp table plus the greppable summary lines.
+/// Render the ramp table plus the greppable summary line.
 pub fn render(res: &ConnResult) -> String {
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for m in &res.models {
-        for p in &m.ramp {
-            rows.push(vec![
-                m.model.clone(),
+    let rows: Vec<Vec<String>> = res
+        .ramp
+        .iter()
+        .map(|p| {
+            vec![
                 p.idle_conns.to_string(),
                 p.resident_threads.to_string(),
-                format!("{:.1}", m.p50_us),
-                format!("{:.1}", m.p99_us),
-                report::mbs(m.mbs),
-                m.zero_copy_writes.to_string(),
-            ]);
-        }
-    }
+                format!("{:.1}", res.p50_us),
+                format!("{:.1}", res.p99_us),
+                report::mbs(res.mbs),
+                res.zero_copy_writes.to_string(),
+            ]
+        })
+        .collect();
     let mut out = report::table(
         &format!(
             "Connection scaling — {} x 4 KB files, {} active clients, then idle ramp",
             res.files, res.active_clients
         ),
         &[
-            "Model",
             "idle conns",
             "threads",
             "p50 (us)",
@@ -263,20 +210,17 @@ pub fn render(res: &ConnResult) -> String {
         ],
         &rows,
     );
-    for m in &res.models {
-        out.push_str(&format!(
-            "svcconn-summary: model={} max_idle={} threads_at_peak={} p50_us={:.1} p99_us={:.1} \
-             mbs={:.1} zero_copy={} staged={}\n",
-            m.model,
-            m.max_idle(),
-            m.threads_at_peak(),
-            m.p50_us,
-            m.p99_us,
-            m.mbs,
-            m.zero_copy_writes,
-            m.staged_writes
-        ));
-    }
+    out.push_str(&format!(
+        "svcconn-summary: max_idle={} threads_at_peak={} p50_us={:.1} p99_us={:.1} \
+         mbs={:.1} zero_copy={} staged={}\n",
+        res.max_idle(),
+        res.threads_at_peak(),
+        res.p50_us,
+        res.p99_us,
+        res.mbs,
+        res.zero_copy_writes,
+        res.staged_writes
+    ));
     out
 }
 
@@ -285,41 +229,28 @@ mod tests {
     use super::*;
 
     /// The acceptance shape: parked connections are ~free on the reactor
-    /// (thread population stays bounded) and cost two threads each on the
-    /// legacy model; the aligned workload rides the zero-copy path.
+    /// (thread population stays bounded); the aligned workload rides the
+    /// zero-copy path.
     #[test]
     fn reactor_parks_idle_connections_without_threads() {
         let _serial = crate::timing_test_lock();
         crate::retry_timing(3, || {
-            let scale = Scale::smoke();
-            let res = run(&scale);
-
-            let reactor = res.model("reactor").expect("reactor model");
+            let res = run(&Scale::smoke());
             assert!(
-                reactor.zero_copy_writes > 0,
+                res.zero_copy_writes > 0,
                 "aligned 4 KiB writes should ride the zero-copy path"
             );
-            assert!(reactor.max_idle() >= 1024);
-
-            let threaded = res.model("thread-per-conn").expect("threaded model");
+            assert!(res.max_idle() >= 1024);
             if resident_threads() == 0 {
                 return; // no /proc; thread-shape assertions unavailable
             }
             // Parking 1k+ conns must not grow the reactor's threads with
             // the connection count (loops + shards + slack, not O(conns)).
             assert!(
-                reactor.threads_at_peak() < 64,
+                res.threads_at_peak() < 64,
                 "reactor held {} threads at {} idle conns",
-                reactor.threads_at_peak(),
-                reactor.max_idle()
-            );
-            // The legacy model pays ~2 threads per parked conn.
-            let base = threaded.ramp.first().unwrap().resident_threads;
-            let grown = threaded.threads_at_peak();
-            assert!(
-                grown >= base + threaded.max_idle(),
-                "thread-per-conn grew only {base} -> {grown} threads over {} conns",
-                threaded.max_idle()
+                res.threads_at_peak(),
+                res.max_idle()
             );
         });
     }

@@ -65,7 +65,7 @@
 //! per-block baseline).
 
 use crate::dwq::DwqNode;
-use crate::fact::Fact;
+use crate::fact::{Count, Fact, Released};
 use denova_fingerprint::Fingerprint;
 use denova_nova::{
     entry::{read_dedupe_flag, read_entry, write_dedupe_flag},
@@ -271,6 +271,15 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                 len,
             });
         };
+        // A reservation this transaction will not commit goes back through
+        // FACT's release; if every owner let go while it was out, the
+        // canonical block is left to us to free.
+        let give_back = |canonical: u64| {
+            if fact.release(canonical, Count::Uc) == Released::Removed {
+                nova.allocator().free_range(canonical, 1);
+                nova.stats().blocks_freed.add(1);
+            }
+        };
         let n_pages = target.num_pages as u64;
         let mut i = 0u64;
         while i < n_pages {
@@ -291,28 +300,20 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                 .map(|&(_, _, prep)| prep);
 
             // Growth fast path: the stage-1 memcmp predicted this page
-            // duplicates `canonical`. Pin the owning record with UC += 1,
-            // re-verify it under the lock (still per-page, still that
-            // block), and re-compare the bytes — the record could have been
+            // duplicates `canonical`. Reserve on the record that owns it —
+            // which verifies, under the record's lock, that it is still a
+            // per-page record for that block — and re-compare the bytes now
+            // that the reservation pins them: the record could have been
             // removed and a different chunk re-registered at the same block
             // in the window. Any mismatch falls back to the fingerprint
             // path below.
             if let Some(Prep::Grown { canonical }) = prep {
-                let shared = fact.resolve_block(canonical).is_some_and(|(cidx, ce)| {
-                    if ce.run_pages != 1 || ce.block != canonical {
-                        return false;
-                    }
-                    fact.inc_uc(cidx);
-                    let ver = fact.read_entry(cidx);
-                    if ver.is_occupied()
-                        && ver.block == canonical
-                        && ver.run_pages == 1
-                        && blocks_equal(&dev, &layout, block, canonical)
-                    {
+                let shared = fact.reserve_block(canonical).is_some_and(|(cidx, _)| {
+                    if blocks_equal(&dev, &layout, block, canonical) {
                         reservations.push(cidx);
                         true
                     } else {
-                        fact.abort_uc(cidx);
+                        give_back(canonical);
                         false
                     }
                 });
@@ -347,7 +348,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
             };
 
             let (idx, existing) = fact.reserve_or_insert(&fp, block)?;
-            if !existing.is_occupied() || existing.block == block {
+            if existing.block == block {
                 reservations.push(idx);
                 uniques += 1;
                 stats.record_page(false);
@@ -399,7 +400,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                 } else {
                     // Could not split (e.g. FACT full): give this page up
                     // rather than share a misaligned run.
-                    fact.abort_uc(idx);
+                    give_back(existing.block);
                     i += 1;
                     continue;
                 }

@@ -50,21 +50,57 @@
 //! persist and serves as the commit point for both directions;
 //! [`Fact::repair_runs`] finishes a half-done promotion after a crash by
 //! absorbing leftover per-page records into the range their anchor claims.
+//!
+//! **Anchor first.** Demotion and splitting re-create per-page records for
+//! blocks whose content may already be registered under another canonical
+//! block, so one chain can hold several records with the same fingerprint.
+//! A lookup stops at the first match, and only an anchor hit shares a run's
+//! tail wholesale (interior fingerprints are invisible), so the rule is:
+//! *when a run anchor and a per-page record share a fingerprint, a chain
+//! walk meets the anchor first*. It is enforced where anchors are made
+//! ([`Fact::merge_run`], and through it [`Fact::split_run`]): per-page
+//! records ahead of the anchor-to-be move to the chain tail before the run
+//! commits. Inserts append at the tail and the reorderer never sorts a
+//! per-page record ahead of an anchor with its fingerprint, so nothing else
+//! can break it; `fsck_fact` asserts it.
+//!
+//! **Concurrency: one reserve, one release.** `Fact` keeps no per-
+//! fingerprint DRAM state; [`Fact::lookup`] is the DAA read plus the IAA
+//! walk, takes no lock, and is advisory (it can race a chain mutation and
+//! miss). Everything that decides takes the fingerprint's stripe lock:
+//!
+//! * *reserve* ([`Fact::reserve_or_insert`], [`Fact::reserve_existing`],
+//!   [`Fact::reserve_block`]) walks the chain once under the lock and either
+//!   adds `UC += 1` to the record it finds or inserts a fresh one with
+//!   `UC = 1`;
+//! * *release* ([`Fact::release`]: an owner's RFC for reclaim, or the UC of
+//!   a reservation given back) re-resolves the block under the same lock,
+//!   drops one count, and removes the record when that leaves `(0, 0)`.
+//!
+//! A record seen at `(0, 0)` therefore cannot gain a sharer before it is
+//! cleared, and a record with a sharer in flight is never cleared. The
+//! UC → RFC commit stays a lock-free atomic on the slot the reservation
+//! returned.
 
 use crate::stats::DedupStats;
 use denova_fingerprint::Fingerprint;
 use denova_nova::{Layout, NovaError, Result};
 use denova_pmem::PmemDevice;
-use denova_sync::RcuCell;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Number of chain-lock stripes. Counter updates are lock-free atomics;
-/// stripes only serialize chain-structure mutations (insert/remove/reorder)
-/// per FP prefix.
+/// Number of chain-lock stripes, by FP prefix. A stripe serializes chain-
+/// structure mutations (insert/remove/reorder) and the reserve/release
+/// decisions on the records of its chains.
 const STRIPES: usize = 256;
+
+/// Section IV-E's dual-threshold reorder trigger: a reservation that walked
+/// past `REORDER_WALK` entries to reach one with `RFC >= REORDER_RFC` flags
+/// its chain for the daemon.
+const REORDER_WALK: u64 = 3;
+const REORDER_RFC: u32 = 2;
 
 const OFF_COUNTERS: u64 = 0;
 const OFF_PREV: u64 = 36;
@@ -108,6 +144,12 @@ impl FactEntry {
     pub fn is_occupied(&self) -> bool {
         !self.fp.is_zero()
     }
+
+    /// Whether this (occupied) record stands for `block`: its canonical
+    /// block, or any block of the run it anchors.
+    fn covers(&self, block: u64) -> bool {
+        self.is_occupied() && block >= self.block && block - self.block < self.run_pages as u64
+    }
 }
 
 /// Handle to the persistent FACT region of a formatted device.
@@ -122,26 +164,11 @@ pub struct Fact {
     /// Chain-structure locks, striped by FP prefix.
     stripes: Vec<Mutex<()>>,
     stats: Arc<DedupStats>,
-    /// Prefixes whose chains deserve reordering: a lookup walked past
-    /// `reorder_walk_threshold` entries to reach one with
-    /// `RFC >= reorder_rfc_threshold` (Section IV-E's dual-threshold
-    /// trigger). Drained by the daemon.
-    reorder_candidates: Mutex<std::collections::HashSet<u64>>,
-    reorder_walk_threshold: std::sync::atomic::AtomicU64,
-    reorder_rfc_threshold: std::sync::atomic::AtomicU32,
+    /// Prefixes whose chains deserve reordering (see [`REORDER_WALK`]).
+    /// Drained by the daemon.
+    reorder_candidates: Mutex<HashSet<u64>>,
     /// Calibrated fingerprint cost model shared by every dedup path.
     fp: crate::fp::FpThrottle,
-    /// DRAM presence filter so absent-fingerprint lookups skip the PM probe.
-    filter: PresenceFilter,
-    /// RCU-published per-stripe lookup tables (see [`StripeTable`]). Like
-    /// `iaa_free` and `filter` this is rebuildable *cache* state — the
-    /// persistent truth stays entirely in PM — so the paper's
-    /// DRAM-free-indexing property holds. Writers republish under the
-    /// stripe lock; readers pin an epoch and dereference without blocking.
-    stripe_tables: Vec<RcuCell<StripeTable>>,
-    /// Read-side toggle for the RCU fast path (on by default; the off
-    /// switch exists for benchmarks quantifying its effect).
-    rcu: AtomicBool,
     /// Duplicate runs at least this many pages long are promoted into one
     /// extent-run record ([`Fact::merge_run`]). 0 disables promotion — the
     /// per-block baseline the bench harness compares against.
@@ -152,23 +179,6 @@ pub struct Fact {
     run_lock: Mutex<()>,
 }
 
-/// One cached chain position: where `fp` lives in FACT and how many PM
-/// reads a chain walk would have spent reaching it (for the reorder
-/// trigger).
-#[derive(Debug, Clone, Copy)]
-struct StripeCacheEnt {
-    idx: u64,
-    walk_reads: u32,
-}
-
-/// DRAM snapshot of every fingerprint chained under one lock stripe,
-/// published wholesale through an [`RcuCell`] after each chain mutation.
-/// Readers resolve a fingerprint to its entry index with zero locks and
-/// verify the hit with a single PM entry read; a published table that lacks
-/// the fingerprint is authoritative for absence (every mutation republishes
-/// before releasing the stripe lock, and mount rebuilds all tables).
-type StripeTable = HashMap<Fingerprint, StripeCacheEnt>;
-
 #[derive(Debug)]
 struct IaaFree {
     /// Recycled IAA slots.
@@ -177,108 +187,25 @@ struct IaaFree {
     cursor: u64,
 }
 
-/// Hash functions per fingerprint in the presence filter.
-const FILTER_HASHES: usize = 4;
-
-/// Sticky saturation threshold for filter counters. Counters at or above
-/// this never move again; the headroom up to `u8::MAX` absorbs racy
-/// overshoot from the wait-free increment (see [`PresenceFilter`]).
-const FILTER_SAT: u8 = 192;
-
-/// Filter counters provisioned per FACT entry. At 8 counters/entry and 4
-/// hashes the false-positive rate is ~2.4% at full table load; typical loads
-/// sit far below that.
-const FILTER_COUNTERS_PER_ENTRY: u64 = 8;
-
-/// Per-stripe DRAM counting Bloom filter over the fingerprints present in
-/// FACT. Like `iaa_free` this is *cache* state, not index state — the
-/// persistent truth stays entirely in PM and the filter is rebuilt by the
-/// mount-time scan — so the paper's DRAM-free-indexing property holds. A
-/// negative answer is authoritative (no false negatives: a fingerprint is
-/// added before its entry becomes visible and cleared only after the entry
-/// is gone), so `lookup` of an absent fingerprint skips the PM probe.
-///
-/// Counters saturate sticky at [`FILTER_SAT`]: a saturated counter is never
-/// decremented, trading a permanent (vanishingly rare) false positive for
-/// never underflowing into a false negative.
-///
-/// Every operation is **wait-free**: one relaxed load plus at most one
-/// unconditional `fetch_add`/`fetch_sub` per slot — no CAS retry loop, so
-/// an update finishes in a bounded number of steps regardless of
-/// contention. The check-then-add race can overshoot `FILTER_SAT` by at
-/// most one per concurrently racing thread; the `255 - FILTER_SAT`
-/// headroom absorbs that without wrapping. A check-then-sub race can
-/// underflow a counter two removers both saw at 1 — the wrap lands at 255,
-/// i.e. *above* saturation, which reads as sticky-present: the error is
-/// always in the safe (false-positive) direction, never a false negative.
-struct PresenceFilter {
-    /// `STRIPES` banks of `bank_len` counters each, indexed by FP-prefix
-    /// stripe so concurrent dedup workers touch disjoint cache lines.
-    counters: Box<[AtomicU8]>,
-    /// `bank_len - 1`; bank length is a power of two.
-    bank_mask: u64,
-    enabled: AtomicBool,
+/// Which count a [`Fact::release`] drops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Count {
+    /// Reclaim: one owner of the block lets go (`RFC -= 1`).
+    Rfc,
+    /// A reservation is given back (`UC -= 1` without the RFC credit).
+    Uc,
 }
 
-impl PresenceFilter {
-    fn new(total_entries: u64) -> PresenceFilter {
-        let bank_len = ((total_entries / STRIPES as u64 + 1) * FILTER_COUNTERS_PER_ENTRY)
-            .next_power_of_two()
-            .max(64);
-        let counters: Box<[AtomicU8]> = (0..bank_len * STRIPES as u64)
-            .map(|_| AtomicU8::new(0))
-            .collect();
-        PresenceFilter {
-            counters,
-            bank_mask: bank_len - 1,
-            enabled: AtomicBool::new(true),
-        }
-    }
-
-    /// The `FILTER_HASHES` counter slots of `fp` in its stripe's bank. The
-    /// hashes are word-sized windows of the SHA-1 fingerprint past the
-    /// prefix bytes — SHA-1 output is uniform, so no rehashing is needed.
-    #[inline]
-    fn slots(&self, prefix: u64, fp: &Fingerprint) -> [usize; FILTER_HASHES] {
-        let b = fp.as_bytes();
-        let base = (prefix % STRIPES as u64) * (self.bank_mask + 1);
-        std::array::from_fn(|k| {
-            let o = 4 + 4 * k;
-            let h = u32::from_le_bytes(b[o..o + 4].try_into().unwrap()) as u64;
-            (base + (h & self.bank_mask)) as usize
-        })
-    }
-
-    fn add(&self, prefix: u64, fp: &Fingerprint) {
-        for slot in self.slots(prefix, fp) {
-            // Wait-free saturating increment: stick at FILTER_SAT rather
-            // than wrap (racy overshoot lands in the 255 - FILTER_SAT
-            // headroom and stays sticky).
-            if self.counters[slot].load(Ordering::Relaxed) < FILTER_SAT {
-                self.counters[slot].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn remove(&self, prefix: u64, fp: &Fingerprint) {
-        for slot in self.slots(prefix, fp) {
-            // Never decrement a saturated or zero counter (sticky / no
-            // underflow). A racy double-decrement at 1 wraps to 255 —
-            // above saturation, i.e. sticky-present, never falsely absent.
-            let c = self.counters[slot].load(Ordering::Relaxed);
-            if c > 0 && c < FILTER_SAT {
-                self.counters[slot].fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// False means *definitely absent*; true means "probably present".
-    #[inline]
-    fn maybe_contains(&self, prefix: u64, fp: &Fingerprint) -> bool {
-        self.slots(prefix, fp)
-            .iter()
-            .all(|&slot| self.counters[slot].load(Ordering::Relaxed) > 0)
-    }
+/// What a [`Fact::release`] decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Released {
+    /// FACT has no record covering the block.
+    Untracked,
+    /// The record still has owners or reservations in flight.
+    Kept,
+    /// The drop left `(0, 0)`: the record is gone and the block has no
+    /// owner — the caller frees it.
+    Removed,
 }
 
 impl Fact {
@@ -291,17 +218,8 @@ impl Fact {
                 cursor: layout.daa_entries(),
             }),
             stripes: (0..STRIPES).map(|_| Mutex::new(())).collect(),
-            reorder_candidates: Mutex::new(std::collections::HashSet::new()),
-            reorder_walk_threshold: std::sync::atomic::AtomicU64::new(3),
-            reorder_rfc_threshold: std::sync::atomic::AtomicU32::new(2),
+            reorder_candidates: Mutex::new(HashSet::new()),
             fp: crate::fp::FpThrottle::none(),
-            filter: PresenceFilter::new(layout.fact_entries()),
-            // Publish empty tables up front so an entry missing from a
-            // stripe's table authoritatively means "absent" from the start.
-            stripe_tables: (0..STRIPES)
-                .map(|_| RcuCell::new(StripeTable::new()))
-                .collect(),
-            rcu: AtomicBool::new(true),
             extent_threshold_pages: AtomicU32::new(DEFAULT_EXTENT_THRESHOLD_PAGES),
             run_lock: Mutex::new(()),
             dev,
@@ -310,74 +228,21 @@ impl Fact {
         }
     }
 
-    /// Attach to an existing FACT region, rebuilding the DRAM cache state —
-    /// the IAA free-slot stack and the presence filter — in a single table
-    /// scan (mount-time cost, like NOVA's log scan).
+    /// Attach to an existing FACT region, rebuilding the IAA free-slot stack
+    /// — the only DRAM state there is — in a single scan of the IAA
+    /// (mount-time cost, like NOVA's log scan).
     pub fn mount(dev: Arc<PmemDevice>, layout: Layout, stats: Arc<DedupStats>) -> Fact {
         let fact = Fact::new(dev, layout, stats);
-        let mut free = IaaFree {
-            stack: Vec::new(),
+        let free = IaaFree {
+            // Descending, so recycled slots are served in ascending order.
+            stack: (fact.daa_entries()..fact.entries())
+                .rev()
+                .filter(|&idx| !fact.read_entry(idx).is_occupied())
+                .collect(),
             cursor: fact.entries(),
         };
-        let mut live_prefixes = Vec::new();
-        for idx in 0..fact.entries() {
-            let e = fact.read_entry(idx);
-            if e.is_occupied() {
-                fact.filter.add(e.fp.prefix(fact.prefix_bits()), &e.fp);
-                if idx < fact.layout.daa_entries() {
-                    live_prefixes.push(idx);
-                }
-            } else if idx >= fact.layout.daa_entries() {
-                free.stack.push(idx);
-            }
-        }
-        // Serve recycled slots in ascending order for determinism.
-        free.stack.reverse();
         *fact.iaa_free.lock() = free;
-        // Rebuild the RCU stripe tables by walking each live chain (mount
-        // is single-threaded, so each table is built whole and published
-        // once).
-        let mut tables: Vec<StripeTable> = (0..STRIPES).map(|_| StripeTable::new()).collect();
-        for prefix in live_prefixes {
-            let bank = &mut tables[(prefix as usize) % STRIPES];
-            for (pos, (idx, e)) in fact.chain(prefix).into_iter().enumerate() {
-                bank.insert(
-                    e.fp,
-                    StripeCacheEnt {
-                        idx,
-                        walk_reads: pos as u32 + 1,
-                    },
-                );
-            }
-        }
-        for (sid, table) in tables.into_iter().enumerate() {
-            fact.stripe_tables[sid].publish(table);
-        }
         fact
-    }
-
-    /// Enable or disable the RCU stripe-table read path (enabled by
-    /// default; the off switch exists for benchmarks quantifying its
-    /// effect). Writers keep republishing either way, so re-enabling is
-    /// always safe.
-    pub fn set_rcu_enabled(&self, on: bool) {
-        self.rcu.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether lookups currently take the RCU stripe-table fast path.
-    pub fn rcu_enabled(&self) -> bool {
-        self.rcu.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable the DRAM presence filter (enabled by default; the
-    /// off switch exists for benchmarks quantifying its effect).
-    pub fn set_filter_enabled(&self, on: bool) {
-        self.filter.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the presence filter currently short-circuits absent lookups.
-    pub fn filter_enabled(&self) -> bool {
-        self.filter.enabled.load(Ordering::Relaxed)
     }
 
     /// Set the extent promotion threshold in pages (0 disables promotion).
@@ -431,14 +296,10 @@ impl Fact {
         self.layout.fact_entry_off(idx)
     }
 
-    fn stripe_for_prefix(&self, prefix: u64) -> &Mutex<()> {
-        &self.stripes[(prefix as usize) % STRIPES]
-    }
-
     /// The stripe lock guarding the chain of `fp`'s prefix. Exposed for the
     /// reorderer, which mutates chain links.
     pub(crate) fn lock_chain(&self, prefix: u64) -> parking_lot::MutexGuard<'_, ()> {
-        self.stripe_for_prefix(prefix).lock()
+        self.stripes[(prefix as usize) % STRIPES].lock()
     }
 
     // ------------------------------------------------------------------
@@ -552,23 +413,13 @@ impl Fact {
         self.stats.bump_flushes(1);
     }
 
-    /// Pages covered by the record at `idx` (1 = per-page record).
-    pub fn run_pages(&self, idx: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.dev.read_into(self.off(idx) + OFF_RUN_PAGES, &mut b);
-        u32::from_le_bytes(b).max(1)
-    }
-
     // ------------------------------------------------------------------
     // Counters (atomic, lock-free)
     // ------------------------------------------------------------------
 
-    fn counters_off(&self, idx: u64) -> u64 {
-        self.off(idx) + OFF_COUNTERS
-    }
-
-    fn load_counters(&self, idx: u64) -> (u32, u32) {
-        let v = self.dev.atomic_load_u64(self.counters_off(idx));
+    /// Current (RFC, UC) of slot `idx`.
+    pub fn counters(&self, idx: u64) -> (u32, u32) {
+        let v = self.dev.atomic_load_u64(self.off(idx) + OFF_COUNTERS);
         ((v & 0xFFFF_FFFF) as u32, (v >> 32) as u32)
     }
 
@@ -577,7 +428,7 @@ impl Fact {
         idx: u64,
         f: impl Fn(u32, u32) -> Option<(u32, u32)>,
     ) -> Option<(u32, u32)> {
-        let off = self.counters_off(idx);
+        let off = self.off(idx) + OFF_COUNTERS;
         let mut cur = self.dev.atomic_load_u64(off);
         loop {
             let rfc = (cur & 0xFFFF_FFFF) as u32;
@@ -596,8 +447,9 @@ impl Fact {
     }
 
     /// Step ③ of the dedup flow: register an in-flight transaction
-    /// (`UC += 1`).
-    pub fn inc_uc(&self, idx: u64) {
+    /// (`UC += 1`). Adding a sharer to a live record is only sound under
+    /// the record's stripe lock — the reserve calls are the way in.
+    pub(crate) fn inc_uc(&self, idx: u64) {
         self.cas_counters(idx, |rfc, uc| Some((rfc, uc + 1)));
     }
 
@@ -615,13 +467,13 @@ impl Fact {
         .is_some()
     }
 
-    /// Abandon an in-flight transaction (`UC -= 1` without the RFC credit).
-    pub fn abort_uc(&self, idx: u64) -> bool {
+    /// `UC -= 1` without the RFC credit. Returns the counters after the
+    /// decrement, or `None` if UC was already 0. Raw step of [`Fact::release`].
+    pub(crate) fn abort_uc(&self, idx: u64) -> Option<(u32, u32)> {
         self.cas_counters(
             idx,
             |rfc, uc| if uc == 0 { None } else { Some((rfc, uc - 1)) },
         )
-        .is_some()
     }
 
     /// Recovery: discard a stale update count ("these UCs are set to 0 at
@@ -630,10 +482,10 @@ impl Fact {
         self.cas_counters(idx, |rfc, uc| if uc == 0 { None } else { Some((rfc, 0)) });
     }
 
-    /// Decrement RFC (reclaim path). Returns the counters after the
-    /// decrement, or `None` if RFC was already 0 (left untouched; the
-    /// scrubber reconciles such over-decrements).
-    pub fn dec_rfc(&self, idx: u64) -> Option<(u32, u32)> {
+    /// `RFC -= 1`. Returns the counters after the decrement, or `None` if
+    /// RFC was already 0 (left untouched; the scrubber reconciles such
+    /// over-decrements). Raw step of [`Fact::release`].
+    pub(crate) fn dec_rfc(&self, idx: u64) -> Option<(u32, u32)> {
         self.cas_counters(
             idx,
             |rfc, uc| if rfc == 0 { None } else { Some((rfc - 1, uc)) },
@@ -645,308 +497,218 @@ impl Fact {
         self.cas_counters(idx, |_, uc| Some((rfc, uc)));
     }
 
-    /// Current (RFC, UC) of slot `idx`.
-    pub fn counters(&self, idx: u64) -> (u32, u32) {
-        self.load_counters(idx)
-    }
-
     // ------------------------------------------------------------------
     // Lookup / insert / remove
     // ------------------------------------------------------------------
 
-    /// Look up `fp`. Lock-free: the RCU stripe table resolves the entry
-    /// index with one DRAM map probe plus a single verifying PM read; a
-    /// stale table entry (or disabled RCU path) falls back to reading the
-    /// DAA entry at the prefix and walking the IAA chain in PM.
-    pub fn lookup(&self, fp: &Fingerprint) -> Option<(u64, FactEntry)> {
-        self.lookup_impl(fp, true)
-    }
-
-    /// `lookup` without the stats bumps — for locked re-checks that would
-    /// otherwise double-count a lookup the fast path already recorded.
-    fn lookup_quiet(&self, fp: &Fingerprint) -> Option<(u64, FactEntry)> {
-        self.lookup_impl(fp, false)
-    }
-
-    fn lookup_impl(&self, fp: &Fingerprint, record: bool) -> Option<(u64, FactEntry)> {
-        let prefix = fp.prefix(self.prefix_bits());
-        if record {
-            self.stats.bump_lookups();
-        }
-        let filter_armed = self.filter_enabled();
-        if filter_armed && !self.filter.maybe_contains(prefix, fp) {
-            // Definitely absent: answer from DRAM, zero PM reads.
-            if record {
-                self.stats.bump_filter_skips();
-            }
-            return None;
-        }
-        if self.rcu_enabled() {
-            let guard = denova_sync::pin();
-            if let Some(table) = self.stripe_tables[(prefix as usize) % STRIPES].load(&guard) {
-                match table.get(fp) {
-                    Some(ent) => {
-                        // One PM read verifies the cached position is
-                        // current; a concurrent remove/promote makes it
-                        // stale, in which case the PM walk below is
-                        // authoritative.
-                        let e = self.read_entry(ent.idx);
-                        if e.is_occupied() && e.fp == *fp {
-                            if record {
-                                self.stats.bump_rcu_reads();
-                                self.stats
-                                    .record_lookup_reads(1, ent.idx < self.daa_entries());
-                                // Section IV-E trigger, fed by the cached
-                                // walk depth the entry would have cost.
-                                if (ent.walk_reads as u64)
-                                    > self
-                                        .reorder_walk_threshold
-                                        .load(std::sync::atomic::Ordering::Relaxed)
-                                    && e.rfc
-                                        >= self
-                                            .reorder_rfc_threshold
-                                            .load(std::sync::atomic::Ordering::Relaxed)
-                                {
-                                    self.mark_reorder_candidate(prefix);
-                                }
-                            }
-                            return Some((ent.idx, e));
-                        }
-                    }
-                    None => {
-                        // A published table is authoritative for absence
-                        // in its stripe: every chain mutation republishes
-                        // before releasing the stripe lock.
-                        if record {
-                            self.stats.bump_rcu_reads();
-                            if filter_armed {
-                                self.stats.bump_filter_false_positives();
-                            }
-                        }
-                        return None;
-                    }
-                }
-            }
-        }
+    /// One lookup, counted: walk `fp`'s chain — the DAA entry at its prefix,
+    /// then the IAA list. `Ok` is the slot, the record and the entries read
+    /// to reach it; `Err` is where an insert would link — the chain's last
+    /// entry, or `None` when the DAA slot itself is free.
+    fn walk(
+        &self,
+        prefix: u64,
+        fp: &Fingerprint,
+    ) -> std::result::Result<(u64, FactEntry, u64), Option<u64>> {
+        self.stats.bump_lookups();
         let mut idx = prefix;
         let mut reads = 0u64;
-        loop {
-            let e = self.read_entry(idx);
+        let found = loop {
+            let entry = self.read_entry(idx);
             reads += 1;
-            if e.is_occupied() && e.fp == *fp {
-                if record {
-                    self.stats
-                        .record_lookup_reads(reads, idx < self.daa_entries());
-                    // Section IV-E trigger: a hot entry (high RFC) that took
-                    // a long chain walk to reach marks its chain for
-                    // reordering.
-                    if reads
-                        > self
-                            .reorder_walk_threshold
-                            .load(std::sync::atomic::Ordering::Relaxed)
-                        && e.rfc
-                            >= self
-                                .reorder_rfc_threshold
-                                .load(std::sync::atomic::Ordering::Relaxed)
-                    {
-                        self.mark_reorder_candidate(prefix);
-                    }
-                }
-                return Some((idx, e));
+            if entry.is_occupied() && entry.fp == *fp {
+                break Ok((idx, entry, reads));
             }
-            if !e.is_occupied() && idx == prefix {
-                // Empty DAA slot: nothing with this prefix exists.
-                if record {
-                    self.stats.record_lookup_reads(reads, true);
-                    if filter_armed {
-                        self.stats.bump_filter_false_positives();
-                    }
-                }
-                return None;
+            if !entry.is_occupied() && idx == prefix {
+                break Err(None); // nothing with this prefix exists
             }
-            match e.next {
-                NIL => {
-                    if record {
-                        self.stats.record_lookup_reads(reads, false);
-                        if filter_armed {
-                            self.stats.bump_filter_false_positives();
-                        }
-                    }
-                    return None;
-                }
-                next => idx = next as u64,
+            // The chain ends at NIL. An unlocked walk can also catch a link
+            // mid-store (the 8-byte field is not 8-byte aligned) or a cycle
+            // the reorderer's in-place relinking passes through; no chain
+            // outgrows the table, so an out-of-range link or that many reads
+            // end the walk the same way.
+            let linked = (0..self.entries() as i64).contains(&entry.next);
+            if !linked || reads >= self.entries() {
+                break Err(Some(idx));
             }
-        }
+            idx = entry.next as u64;
+        };
+        let direct = match found {
+            Ok((idx, ..)) => idx < self.daa_entries(),
+            Err(tail) => tail.is_none(),
+        };
+        self.stats.record_lookup_reads(reads, direct);
+        found
     }
 
-    /// Flag `prefix`'s chain for reordering without ever blocking the
-    /// lookup that noticed it: if the candidate set is busy, skip — a hot
-    /// chain will trip the trigger again on the next lookup.
-    fn mark_reorder_candidate(&self, prefix: u64) {
-        if let Some(mut set) = self.reorder_candidates.try_lock() {
-            set.insert(prefix);
-        }
+    /// Look up `fp`: one PM read of the DAA entry at its prefix, plus the IAA
+    /// walk on a prefix collision. Takes no lock, so it may race a chain
+    /// mutation and miss a present fingerprint; callers that act on the
+    /// answer go through a reserve call, which repeats the walk under the
+    /// stripe lock.
+    pub fn lookup(&self, fp: &Fingerprint) -> Option<(u64, FactEntry)> {
+        let hit = self.walk(fp.prefix(self.prefix_bits()), fp).ok();
+        hit.map(|(idx, entry, _)| (idx, entry))
     }
 
-    /// Look up `fp` and reserve a transaction against it (`UC += 1`), or
-    /// insert a fresh entry for `(fp, block)` with `UC = 1`. Returns the
-    /// entry index and whether an existing entry was found (i.e. `block` is
-    /// a duplicate of the entry's canonical block — unless it *is* the
-    /// canonical block, which callers detect via the returned entry).
-    ///
-    /// The duplicate path (fingerprint already present) reserves without
-    /// the stripe lock: resolve through the lock-free lookup, take the UC
-    /// reservation, then re-read the entry to verify the slot still holds
-    /// this fingerprint — a lost race (concurrent removal or slot reuse)
-    /// gives the reservation back with `abort_uc` and retries under the
-    /// lock. Only the insert path (and a fast-path miss) takes the chain
-    /// stripe lock, so two threads cannot insert the same fingerprint
-    /// twice.
+    /// The reserve step, with `prefix`'s stripe lock held: walk the chain
+    /// once and add `UC += 1` to the record holding `fp`. A miss hands back
+    /// where the walk ended (see [`Fact::walk`]), for the insert.
+    fn reserve_locked(
+        &self,
+        prefix: u64,
+        fp: &Fingerprint,
+    ) -> std::result::Result<(u64, FactEntry), Option<u64>> {
+        let (idx, entry, reads) = self.walk(prefix, fp)?;
+        if reads > REORDER_WALK && entry.rfc >= REORDER_RFC {
+            self.reorder_candidates.lock().insert(prefix);
+        }
+        self.inc_uc(idx);
+        self.stats.bump_hits();
+        self.dev
+            .metrics()
+            .event("fact.hit", &[("idx", idx), ("block", entry.block)]);
+        Ok((idx, entry))
+    }
+
+    /// Reserve a transaction against `fp`'s record (`UC += 1`), or insert a
+    /// fresh record for `(fp, block)` with `UC = 1`. Returns the slot and
+    /// the record as found (or as inserted); callers tell a duplicate from
+    /// their own fresh insert by the returned record's canonical block.
     pub fn reserve_or_insert(&self, fp: &Fingerprint, block: u64) -> Result<(u64, FactEntry)> {
         let prefix = fp.prefix(self.prefix_bits());
-        let fast_tried = self.rcu_enabled();
-        if fast_tried {
-            if let Some(hit) = self.try_reserve_existing(fp) {
-                return Ok(hit);
-            }
-        }
         let _guard = self.lock_chain(prefix);
-        // Quiet re-check when the fast path already recorded this lookup.
-        let locked_hit = if fast_tried {
-            self.lookup_quiet(fp)
-        } else {
-            self.lookup(fp)
+        let tail = match self.reserve_locked(prefix, fp) {
+            Ok(hit) => return Ok(hit),
+            Err(tail) => tail,
         };
-        if let Some((idx, e)) = locked_hit {
-            self.inc_uc(idx);
-            self.stats.bump_hits();
-            self.dev
-                .metrics()
-                .event("fact.hit", &[("idx", idx), ("block", e.block)]);
-            return Ok((idx, e));
-        }
-        let idx = self.insert_locked(prefix, fp, block, 0)?;
-        self.inc_uc(idx);
-        self.publish_prefix(prefix);
+        let inserted = self.insert_at(prefix, tail, fp, block, (0, 1))?;
         self.stats.bump_misses();
         self.stats.bump_inserts();
         self.dev
             .metrics()
-            .event("fact.miss", &[("idx", idx), ("block", block)]);
-        Ok((idx, self.read_entry(idx)))
+            .event("fact.miss", &[("idx", inserted.0), ("block", block)]);
+        Ok(inserted)
     }
 
-    /// Lock-free duplicate reservation: lookup, `UC += 1`, verify. The
-    /// verify read closes the race with a concurrent removal; the
-    /// remaining ABA window (the slot cleared *and* re-occupied by a
-    /// different fingerprint between the reservation and the verify, so
-    /// the abort returns a unit that was not ours) only perturbs counters
-    /// by one, in the direction the RFC scrubber already reconciles.
-    fn try_reserve_existing(&self, fp: &Fingerprint) -> Option<(u64, FactEntry)> {
-        let (idx, _) = self.lookup(fp)?;
+    /// Reserve against `fp`'s record if there is one — the peek of a writer
+    /// that has not yet stored the chunk and only allocates on a miss.
+    pub fn reserve_existing(&self, fp: &Fingerprint) -> Option<(u64, FactEntry)> {
+        let prefix = fp.prefix(self.prefix_bits());
+        let _guard = self.lock_chain(prefix);
+        self.reserve_locked(prefix, fp).ok()
+    }
+
+    /// Lock the stripe of the record covering `block` and hand the record
+    /// back as it is under the lock; `None` if FACT does not track the
+    /// block. The record's fingerprint names the stripe, so it takes an
+    /// unlocked peek first — and another round if the record moved slots or
+    /// went away before the lock was ours.
+    fn lock_record(&self, block: u64) -> Option<(parking_lot::MutexGuard<'_, ()>, u64, FactEntry)> {
+        loop {
+            let (idx, peek) = self.resolve_block(block)?;
+            let guard = self.lock_chain(peek.fp.prefix(self.prefix_bits()));
+            let e = self.read_entry(idx);
+            if e.fp == peek.fp && e.covers(block) {
+                return Some((guard, idx, e));
+            }
+        }
+    }
+
+    /// Reserve against the per-page record whose canonical block is `block`
+    /// — extent growth reaches its next record by block number, not by
+    /// fingerprint.
+    pub fn reserve_block(&self, block: u64) -> Option<(u64, FactEntry)> {
+        let (_guard, idx, e) = self.lock_record(block)?;
+        if e.run_pages > 1 {
+            return None;
+        }
         self.inc_uc(idx);
-        let e = self.read_entry(idx);
-        if e.is_occupied() && e.fp == *fp {
-            self.stats.bump_hits();
-            self.dev
-                .metrics()
-                .event("fact.hit", &[("idx", idx), ("block", e.block)]);
-            return Some((idx, e));
-        }
-        self.abort_uc(idx);
-        None
+        Some((idx, e))
     }
 
-    /// Rebuild and republish the RCU stripe-table entries for `prefix`
-    /// from the authoritative PM chain. Must be called with `prefix`'s
-    /// stripe lock held (publishes are serialized per cell).
-    pub(crate) fn publish_prefix(&self, prefix: u64) {
-        let cell = &self.stripe_tables[(prefix as usize) % STRIPES];
-        let guard = denova_sync::pin();
-        let mut table = cell.load(&guard).cloned().unwrap_or_default();
-        let bits = self.prefix_bits();
-        table.retain(|fp, _| fp.prefix(bits) != prefix);
-        for (pos, (idx, e)) in self.chain(prefix).into_iter().enumerate() {
-            table.insert(
-                e.fp,
-                StripeCacheEnt {
-                    idx,
-                    walk_reads: pos as u32 + 1,
-                },
-            );
+    /// Drop one count from the record covering `block` and remove the record
+    /// when that leaves `(0, 0)` — all under the record's stripe lock, where
+    /// every reserve also runs, so the decision cannot be overtaken.
+    /// `Removed` means no owner and no transaction is left — for a
+    /// reservation given back: every owner let go while it was out and their
+    /// reclaim answered `Keep` — so the block is the caller's to free.
+    pub fn release(&self, block: u64, count: Count) -> Released {
+        loop {
+            let Some((guard, idx, e)) = self.lock_record(block) else {
+                return Released::Untracked;
+            };
+            let dropped = match (count, e.run_pages > 1) {
+                (Count::Uc, _) => self.abort_uc(idx),
+                (Count::Rfc, false) => self.dec_rfc(idx),
+                // A run's single RFC counts owners of *every* covered block.
+                // Releasing one block must move one block's count only, so
+                // split the run back into per-page records first. If the
+                // split cannot register records (FACT full), keep the page
+                // — leaking a block beats corrupting shared counts.
+                (Count::Rfc, true) => {
+                    drop(guard); // run_lock comes before any stripe lock
+                    if self.demote_run(idx).is_err() {
+                        return Released::Kept;
+                    }
+                    continue;
+                }
+            };
+            // Nothing to drop (RFC or UC already 0 — recovery discarded it,
+            // or the scrubber owes a sweep): decide on what is there.
+            let left = dropped.unwrap_or_else(|| self.counters(idx));
+            if left != (0, 0) || e.run_pages > 1 {
+                return Released::Kept;
+            }
+            let _ = self.remove_locked(idx);
+            return Released::Removed;
         }
-        cell.publish(table);
     }
 
-    /// Insert `(fp, block)` with an initial `rfc`, assuming the chain lock
-    /// for `prefix` is held and the fingerprint is absent. (The demote path
-    /// passes a non-zero `rfc` — the run's count carries over; everyone else
-    /// passes 0 and reserves through UC.)
-    fn insert_locked(&self, prefix: u64, fp: &Fingerprint, block: u64, rfc: u32) -> Result<u64> {
-        let daa = self.read_entry(prefix);
-        if !daa.is_occupied() {
-            // Publish in the filter BEFORE the entry becomes visible so a
-            // concurrent lock-free lookup never sees a false negative. (A
-            // crash in between leaks one increment — a harmless false
-            // positive; the mount-time rebuild discards it.)
-            self.filter.add(prefix, fp);
+    /// Write a per-page record for `(fp, block)` with the given `(RFC, UC)`
+    /// and link it behind `tail` (`None`: into the free DAA slot). Caller
+    /// holds the stripe lock and has `tail` from a walk under it.
+    fn insert_at(
+        &self,
+        prefix: u64,
+        tail: Option<u64>,
+        fp: &Fingerprint,
+        block: u64,
+        (rfc, uc): (u32, u32),
+    ) -> Result<(u64, FactEntry)> {
+        let mut e = FactEntry {
+            rfc,
+            uc,
+            fp: *fp,
+            block,
+            prev: NIL,
+            next: NIL,
+            delete_ptr: NIL,
+            run_pages: 1,
+        };
+        let Some(tail) = tail else {
             // The DAA slot itself is free: one entry write, one delete-ptr
             // write.
-            self.write_metadata(
-                prefix,
-                &FactEntry {
-                    rfc,
-                    uc: 0,
-                    fp: *fp,
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                    delete_ptr: NIL,
-                    run_pages: 1,
-                },
-            );
+            self.write_metadata(prefix, &e);
             self.set_delete_ptr(block, prefix as i64);
-            return Ok(prefix);
-        }
+            return Ok((prefix, e));
+        };
         // Prefix collision: allocate an IAA slot and append at the chain
         // tail ("the new entry that generated the collision is allocated in
         // the IAA").
         let idx = self.alloc_iaa()?;
-        // Find the tail.
-        let mut tail = prefix;
-        loop {
-            match self.read_next(tail) {
-                NIL => break,
-                next => tail = next as u64,
-            }
-        }
         // prev: 0 is the "I am the IAA chain head" sentinel (the paper's
         // "prev field of a normal linked list head is always 0"); deeper
         // nodes point at their IAA predecessor.
-        let prev = if tail == prefix { 0 } else { tail as i64 };
-        // Filter first, entry second — same no-false-negative ordering as
-        // the DAA branch above.
-        self.filter.add(prefix, fp);
+        e.prev = if tail == prefix { 0 } else { tail as i64 };
         // Write the new entry completely before linking it: a crash between
         // the two leaves it unreachable (and the IAA scan reclaims it).
-        self.write_metadata(
-            idx,
-            &FactEntry {
-                rfc,
-                uc: 0,
-                fp: *fp,
-                block,
-                prev,
-                next: NIL,
-                delete_ptr: NIL,
-                run_pages: 1,
-            },
-        );
+        self.write_metadata(idx, &e);
         self.set_delete_ptr(block, idx as i64);
         self.dev.crash_point("denova::fact::before_chain_link");
         self.write_next(tail, idx as i64);
         self.stats.bump_iaa_inserts();
-        Ok(idx)
+        Ok((idx, e))
     }
 
     fn alloc_iaa(&self) -> Result<u64> {
@@ -979,11 +741,7 @@ impl Fact {
         // Read 2: the entry it points at. Stale pointers (left behind by
         // removals) are detected by the block-range check.
         let e = self.read_entry(ptr as u64);
-        if e.is_occupied() && block >= e.block && block - e.block < e.run_pages as u64 {
-            Some((ptr as u64, e))
-        } else {
-            None
-        }
+        e.covers(block).then_some((ptr as u64, e))
     }
 
     // ------------------------------------------------------------------
@@ -1004,10 +762,14 @@ impl Fact {
     /// 2. per interior block, left to right: point its reverse index at
     ///    the anchor (resolve_block never misses: before the store it
     ///    finds the per-page record, after it the anchor), then gate with
-    ///    a counter CAS `(R, 0) → (0, 0)` — a racing reservation makes the
-    ///    CAS fail and rolls the promotion back — and remove the absorbed
-    ///    per-page record (its fingerprint leaves the filter and the RCU
-    ///    tables: interior fps answer *absent* after promotion).
+    ///    a counter CAS `(R, 0) → (0, 0)` — a reservation taken since the
+    ///    sweep makes the CAS fail and rolls the promotion back — and remove
+    ///    the absorbed per-page record (interior fps answer *absent* after
+    ///    promotion).
+    ///
+    /// Before step 1, per-page records sharing the anchor's fingerprint
+    /// that sit ahead of it in its chain yield to it (the module's
+    /// anchor-first rule).
     ///
     /// The reference-count meaning is unchanged throughout: before, each
     /// of the N records held `RFC = R` for its block; after, the single
@@ -1027,7 +789,7 @@ impl Fact {
         if n < 2 {
             return false;
         }
-        let (anchor, a) = members[0];
+        let (mut anchor, a) = members[0];
         let b0 = a.block;
         // Records can be *relocated* between slots while keeping their
         // identity: removing a DAA entry promotes its IAA chain head into
@@ -1043,7 +805,7 @@ impl Fact {
         stripe_ids.sort_unstable();
         stripe_ids.dedup();
         let _guards: Vec<_> = stripe_ids.iter().map(|&s| self.stripes[s].lock()).collect();
-        let (rfc, _) = self.load_counters(anchor);
+        let (rfc, _) = self.counters(anchor);
         if rfc == 0 {
             return false; // mid-reclaim; not worth anchoring a run on
         }
@@ -1057,10 +819,14 @@ impl Fact {
                 || cur.block != b0 + k as u64
                 || cur.run_pages != 1
                 || self.read_delete_ptr(b0 + k as u64) != idx as i64
-                || self.load_counters(idx) != (rfc, 0)
+                || self.counters(idx) != (rfc, 0)
             {
                 return false;
             }
+        }
+        match self.yield_to_anchor(anchor, &a) {
+            Some(slot) => anchor = slot,
+            None => return false,
         }
         // Commit point: the anchor now claims the whole range.
         self.write_run_pages(anchor, n as u32);
@@ -1105,21 +871,45 @@ impl Fact {
     /// records already absorbed (blocks `b0+1 .. b0+upto`) and reset the
     /// anchor to per-page granularity. `members` still holds their
     /// fingerprints, so no data needs re-hashing. Runs with the caller
-    /// (`merge_run`) already holding every member's stripe lock, hence the
-    /// direct `insert_locked` calls.
+    /// (`merge_run`) already holding every member's stripe lock.
     fn unwind_merge(&self, anchor: u64, members: &[(u64, FactEntry)], upto: usize, rfc: u32) {
         let b0 = members[0].1.block;
         for (k, (_, snap)) in members.iter().enumerate().take(upto).skip(1) {
-            let prefix = snap.fp.prefix(self.prefix_bits());
-            if self
-                .insert_locked(prefix, &snap.fp, b0 + k as u64, rfc)
-                .is_ok()
-            {
-                self.publish_prefix(prefix);
-                self.stats.bump_inserts();
-            }
+            let _ = self.insert_with_rfc(&snap.fp, b0 + k as u64, rfc);
         }
         self.write_run_pages(anchor, 1);
+    }
+
+    /// Make room at the front for a record about to become a run anchor
+    /// (the module's anchor-first rule): every per-page record with the
+    /// anchor's fingerprint that a chain walk meets before `anchor` moves to
+    /// the chain tail — a copy is appended (the block's reverse cell follows
+    /// it), then the old slot is removed, so a crash in between leaves a
+    /// duplicate the reverse cell disowns, which [`Fact::repair_runs`]
+    /// drops. Returns the anchor's slot afterwards (removing a DAA entry
+    /// promotes the IAA head, possibly the anchor itself), or `None` —
+    /// decline the promotion — if such a record has a reservation in flight
+    /// (its holder addresses it by slot) or FACT is full. Caller holds the
+    /// stripe lock of the anchor's prefix.
+    fn yield_to_anchor(&self, mut anchor: u64, a: &FactEntry) -> Option<u64> {
+        let prefix = a.fp.prefix(self.prefix_bits());
+        loop {
+            let Some((idx, e)) = self
+                .chain(prefix)
+                .into_iter()
+                .take_while(|&(idx, _)| idx != anchor)
+                .find(|(_, e)| e.fp == a.fp && e.run_pages == 1)
+            else {
+                return Some(anchor);
+            };
+            if e.uc > 0 {
+                return None;
+            }
+            self.insert_with_rfc(&e.fp, e.block, e.rfc).ok()?;
+            self.dev.crash_point("denova::fact::merge::mid_yield");
+            let _ = self.remove_locked(idx);
+            anchor = self.resolve_block(a.block)?.0;
+        }
     }
 
     /// Split the extent run anchored at `anchor` back into per-page records
@@ -1139,45 +929,27 @@ impl Fact {
             return Ok(1);
         }
         let n = a.run_pages;
-        let (rfc, _) = self.load_counters(anchor);
+        let (rfc, _) = self.counters(anchor);
         for k in 1..n as u64 {
             let block = a.block + k;
-            let fp = self.dev.with_slice(
-                self.layout.block_off(block),
-                denova_nova::BLOCK_SIZE as usize,
-                |page| self.fingerprint(page),
-            );
-            self.insert_with_rfc(&fp, block, rfc)?;
+            self.respawn(block, rfc)?;
             self.dev.crash_point("denova::fact::demote::mid_split");
         }
         // Commit point: back to per-page granularity.
-        self.commit_run_pages(anchor, &a, 1);
+        self.commit_run_pages(a.block, 1);
         self.stats.record_demoted_run();
         Ok(n)
     }
 
-    /// Persist a new `run_pages` on the record last seen as `a` at `anchor`.
-    /// The record may have been relocated (DAA chain-head promotion in
-    /// `remove`) since the caller read it; its reverse cell tracks the
-    /// move, so resolve the current slot under the stripe lock that
-    /// serializes relocation and commit there.
-    fn commit_run_pages(&self, anchor: u64, a: &FactEntry, n: u32) {
-        let prefix = a.fp.prefix(self.prefix_bits());
-        let _guard = self.lock_chain(prefix);
-        self.write_run_pages(self.current_slot(anchor, a), n);
-    }
-
-    /// The slot currently holding the record last seen as `a` at `anchor`,
-    /// following its reverse cell through a possible relocation.
-    fn current_slot(&self, anchor: u64, a: &FactEntry) -> u64 {
-        let ptr = self.read_delete_ptr(a.block);
-        if ptr >= 0 && (ptr as u64) < self.entries() && ptr as u64 != anchor {
-            let cur = self.read_entry(ptr as u64);
-            if cur.is_occupied() && cur.fp == a.fp && cur.block == a.block {
-                return ptr as u64;
-            }
+    /// Persist a new `run_pages` on the run record whose first block is
+    /// `first_block`. The record may have been relocated (DAA chain-head
+    /// promotion in `remove`) since the caller read it; its reverse cell
+    /// tracks the move, so [`Fact::lock_record`] finds the current slot
+    /// under the stripe lock that serializes relocation.
+    fn commit_run_pages(&self, first_block: u64, n: u32) {
+        if let Some((_guard, slot, _)) = self.lock_record(first_block) {
+            self.write_run_pages(slot, n);
         }
-        anchor
     }
 
     /// Split the extent run anchored at `anchor` at relative page `at`
@@ -1200,25 +972,20 @@ impl Fact {
             return Ok(()); // caller's view was stale; nothing to split
         }
         let n = a.run_pages;
-        let (rfc, _) = self.load_counters(anchor);
+        let (rfc, _) = self.counters(anchor);
         // Tail blocks become per-page records first; each insert re-points
         // the block's reverse cell, so every block stays resolvable
         // throughout.
         let mut members: Vec<(u64, FactEntry)> = Vec::new();
         for k in at as u64..n as u64 {
             let block = a.block + k;
-            let fp = self.dev.with_slice(
-                self.layout.block_off(block),
-                denova_nova::BLOCK_SIZE as usize,
-                |page| self.fingerprint(page),
-            );
-            let idx = match self.insert_with_rfc(&fp, block, rfc) {
+            let idx = match self.respawn(block, rfc) {
                 Ok(idx) => idx,
                 Err(e) => {
                     // Roll the half-built tail back into the run: re-point
                     // each cell at the anchor, then drop the per-page
                     // record (the mount-time repair does the same).
-                    let cur = self.current_slot(anchor, &a);
+                    let cur = self.resolve_block(a.block).map_or(anchor, |(slot, _)| slot);
                     for &(m, ref me) in &members {
                         self.set_delete_ptr(me.block, cur as i64);
                         self.cas_counters(m, |_, _| Some((0, 0)));
@@ -1231,7 +998,7 @@ impl Fact {
             self.dev.crash_point("denova::fact::split::mid_tail");
         }
         // Commit point: the anchor's claim shrinks to the head.
-        self.commit_run_pages(anchor, &a, at);
+        self.commit_run_pages(a.block, at);
         // Re-form the tail as its own run (a single-page tail stays
         // per-page). Best effort: if a racing reservation declines the
         // merge, the tail simply stays per-page.
@@ -1241,18 +1008,30 @@ impl Fact {
         Ok(())
     }
 
-    /// Insert a per-page record for `(fp, block)` with a preset reference
-    /// count — the demotion path. The fingerprint may already exist in the
-    /// table (the same content stored again under a different canonical
-    /// block since the run formed): the new record is appended to the chain
-    /// anyway — lookups keep resolving the earlier entry, while this one is
-    /// reachable through `block`'s reverse index, which is all reclaim
-    /// needs.
-    fn insert_with_rfc(&self, fp: &Fingerprint, block: u64, rfc: u32) -> Result<u64> {
+    /// Re-create the per-page record of `block`, a run's interior block,
+    /// re-fingerprinted from its canonical bytes in PM and carrying the
+    /// run's reference count.
+    fn respawn(&self, block: u64, rfc: u32) -> Result<u64> {
+        let page = denova_nova::BLOCK_SIZE as usize;
+        let off = self.layout.block_off(block);
+        let fp = self
+            .dev
+            .with_slice(off, page, |page| self.fingerprint(page));
+        let _guard = self.lock_chain(fp.prefix(self.prefix_bits()));
+        self.insert_with_rfc(&fp, block, rfc)
+    }
+
+    /// Append a per-page record for `(fp, block)` with a preset reference
+    /// count; caller holds the stripe lock of `fp`'s prefix. The fingerprint
+    /// may already be in the chain (the same content stored again under
+    /// another canonical block since the run formed): lookups keep resolving
+    /// whichever comes first — the module's anchor-first rule says which
+    /// that must be — while this one is reachable through `block`'s reverse
+    /// index, which is all reclaim needs.
+    pub(crate) fn insert_with_rfc(&self, fp: &Fingerprint, block: u64, rfc: u32) -> Result<u64> {
         let prefix = fp.prefix(self.prefix_bits());
-        let _guard = self.lock_chain(prefix);
-        let idx = self.insert_locked(prefix, fp, block, rfc)?;
-        self.publish_prefix(prefix);
+        let tail = self.chain(prefix).last().map(|&(idx, _)| idx);
+        let (idx, _) = self.insert_at(prefix, tail, fp, block, (rfc, 0))?;
         self.stats.bump_inserts();
         Ok(idx)
     }
@@ -1290,16 +1069,16 @@ impl Fact {
                 }
             }
         }
-        // Orphans: per-page records covering a run's interior block whose
-        // reverse index no longer names them (crash after the delete-ptr
-        // store but before the removal).
+        // Orphans: per-page records whose block's reverse index resolves to
+        // another record — a run's interior block whose absorption crashed
+        // between the delete-ptr store and the removal, or the old slot of
+        // a record that was yielding to an anchor.
         let mut orphans = Vec::new();
         self.for_each_occupied(|idx, e| {
             if e.run_pages == 1
-                && runs.iter().any(|&(anchor, b0, n)| {
-                    idx != anchor && e.block > b0 && e.block - b0 < n as u64
-                })
-                && self.read_delete_ptr(e.block) != idx as i64
+                && self
+                    .resolve_block(e.block)
+                    .is_some_and(|(owner, _)| owner != idx)
             {
                 orphans.push(idx);
             }
@@ -1369,10 +1148,6 @@ impl Fact {
                     self.free_iaa(head);
                 }
             }
-            // Un-publish AFTER the entry is gone (promote keeps the head's
-            // fp alive in the DAA slot; only `e.fp` leaves the table).
-            self.filter.remove(prefix, &e.fp);
-            self.publish_prefix(prefix);
             return Ok(());
         }
         // IAA entry: splice prev → next.
@@ -1390,8 +1165,6 @@ impl Fact {
         self.dev.crash_point("denova::fact::remove::after_unlink");
         self.clear_metadata(idx);
         self.free_iaa(idx);
-        self.filter.remove(prefix, &e.fp);
-        self.publish_prefix(prefix);
         Ok(())
     }
 
@@ -1399,21 +1172,9 @@ impl Fact {
         self.iaa_free.lock().stack.push(idx);
     }
 
-    /// Configure the reordering trigger: a lookup that walks more than
-    /// `walk` entries to reach one with `RFC >= rfc` flags its chain.
-    pub fn set_reorder_thresholds(&self, walk: u64, rfc: u32) {
-        self.reorder_walk_threshold
-            .store(walk, std::sync::atomic::Ordering::Relaxed);
-        self.reorder_rfc_threshold
-            .store(rfc, std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// Drain the set of prefixes flagged for reordering.
     pub fn take_reorder_candidates(&self) -> Vec<u64> {
-        let mut set = self.reorder_candidates.lock();
-        let out: Vec<u64> = set.iter().copied().collect();
-        set.clear();
-        out
+        self.reorder_candidates.lock().drain().collect()
     }
 
     /// Walk the chain for `prefix`, returning `(index, entry)` pairs in
@@ -1486,9 +1247,46 @@ mod tests {
     }
 
     #[test]
-    fn empty_lookup_misses() {
-        let (_dev, fact) = setup();
-        assert!(fact.lookup(&Fingerprint::of(b"nothing")).is_none());
+    fn lookup_through_the_daa_is_exactly_one_pm_read() {
+        let (dev, fact) = setup();
+        let present = fp_with_prefix(&fact, 7, 1);
+        fact.reserve_or_insert(&present, 100).unwrap();
+        let reads = |fp: &Fingerprint| {
+            let before = dev.stats().snapshot().reads;
+            let hit = fact.lookup(fp).is_some();
+            (hit, dev.stats().snapshot().reads - before)
+        };
+        // Absent (free DAA slot) and present (DAA-resident): one read each.
+        assert_eq!(reads(&fp_with_prefix(&fact, 9, 1)), (false, 1));
+        assert_eq!(reads(&present), (true, 1));
+        // Absent behind a prefix collision: the walk reads the whole chain.
+        fact.reserve_or_insert(&fp_with_prefix(&fact, 7, 2), 101)
+            .unwrap();
+        assert_eq!(reads(&fp_with_prefix(&fact, 7, 3)), (false, 2));
+    }
+
+    /// An unlocked walk can catch a link mid-store, or a chain that loops
+    /// while `reorder_chain` relinks it in place (A→C and C→B written, B→C
+    /// not yet rewritten): it must end there and answer absent, not index
+    /// out of the table or spin until the reorder is done.
+    #[test]
+    fn lookup_stops_at_a_torn_or_looping_link() {
+        let (dev, fact) = setup();
+        let slots: Vec<u64> = (1..=3)
+            .map(|s| fact.reserve_or_insert(&fp_with_prefix(&fact, 7, s), 100 + s as u64))
+            .map(|r| r.unwrap().0)
+            .collect();
+        let absent = fp_with_prefix(&fact, 7, 9);
+        fact.write_next(slots[2], slots[1] as i64);
+        assert!(fact.lookup(&absent).is_none());
+        assert_eq!(
+            fact.lookup(&fp_with_prefix(&fact, 7, 3)).unwrap().0,
+            slots[2]
+        );
+        // NIL's upper half over an IAA index's lower half.
+        let torn = (NIL as u64 & !0xFFFF_FFFF | fact.daa_entries()) as i64;
+        dev.write(fact.off(7) + OFF_NEXT, &torn.to_le_bytes());
+        assert!(fact.lookup(&absent).is_none());
     }
 
     #[test]
@@ -1691,11 +1489,10 @@ mod tests {
         fact.inc_uc(idx);
         fact.inc_uc(idx);
         assert_eq!(fact.counters(idx), (0, 3));
-        assert!(fact.abort_uc(idx));
-        assert_eq!(fact.counters(idx), (0, 2));
+        assert_eq!(fact.abort_uc(idx), Some((0, 2)));
         fact.reset_uc(idx);
         assert_eq!(fact.counters(idx), (0, 0));
-        assert!(!fact.abort_uc(idx));
+        assert_eq!(fact.abort_uc(idx), None);
     }
 
     #[test]
@@ -1706,7 +1503,7 @@ mod tests {
         fact.commit_uc_to_rfc(idx); // (1, 0) persisted
                                     // A torn crash right after an unpersisted counter store must revert
                                     // to the last persisted pair, never a mix.
-        let off = fact.counters_off(idx);
+        let off = fact.off(idx) + OFF_COUNTERS;
         dev.atomic_store_u64(off, 5 | (7 << 32)); // not persisted
         let after = dev.crash_clone(denova_pmem::CrashMode::Strict);
         let v = after.read_u64(off);
@@ -1852,7 +1649,7 @@ mod tests {
         assert!(fact.merge_run(&members));
         // 7 interior records absorbed.
         assert_eq!(fact.occupied_count(), before - 7);
-        assert_eq!(fact.run_pages(anchor), 8);
+        assert_eq!(fact.read_entry(anchor).run_pages, 8);
         for k in 0..8u64 {
             let (idx, e) = fact.resolve_block(600 + k).expect("run block resolves");
             assert_eq!(idx, anchor);
@@ -1897,7 +1694,7 @@ mod tests {
         // Nothing was absorbed or relocated: all records stay per-page and
         // resolvable through the reverse index.
         for (idx, e) in &members {
-            assert_eq!(fact.run_pages(*idx), 1);
+            assert_eq!(fact.read_entry(*idx).run_pages, 1);
             let (ridx, re) = fact.resolve_block(e.block).unwrap();
             assert_eq!(ridx, *idx);
             assert_eq!(re.fp, e.fp);
@@ -1907,13 +1704,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_removes_interior_fingerprints_from_lookup_and_filter() {
+    fn merge_removes_interior_fingerprints_from_lookup() {
         let (dev, fact) = setup();
         let members = build_members(&dev, &fact, 700, 4, 2);
         let interior_fps: Vec<Fingerprint> = members[1..].iter().map(|(_, e)| e.fp).collect();
         assert!(fact.merge_run(&members));
-        // Interior fps answer authoritatively absent — from DRAM when the
-        // filter can prove it.
         for fp in &interior_fps {
             assert!(fact.lookup(fp).is_none(), "interior fp must be absent");
         }
@@ -1934,7 +1729,7 @@ mod tests {
         assert!(!fact.merge_run(&members), "unequal RFC must block merge");
         // Table untouched: everything still per-page.
         for &(idx, _) in &members {
-            assert_eq!(fact.run_pages(idx), 1);
+            assert_eq!(fact.read_entry(idx).run_pages, 1);
         }
     }
 
@@ -1946,7 +1741,7 @@ mod tests {
         let anchor = members[0].0;
         assert!(fact.merge_run(&members));
         assert_eq!(fact.demote_run(anchor).unwrap(), 6);
-        assert_eq!(fact.run_pages(anchor), 1);
+        assert_eq!(fact.read_entry(anchor).run_pages, 1);
         // Every block resolves again to a per-page record carrying RFC 4,
         // and the re-fingerprinted interior fps are findable again.
         for (k, fp) in fps.iter().enumerate() {
@@ -2028,134 +1823,163 @@ mod tests {
         assert_eq!(fact.extent_threshold_pages(), 0);
     }
 
-    // -- Presence filter ---------------------------------------------------
+    // -- Anchor first -------------------------------------------------------
+
+    /// The `split_run` sequence that leaves two records with one
+    /// fingerprint in a chain: a run's interior page is stored again
+    /// elsewhere (interior fps are invisible, so it registers per-page, at
+    /// the front of its chain), then a partial share splits the run right
+    /// there and the tail re-forms as a run anchored at that fingerprint.
+    /// Returns the members, the shared fingerprint and the older record.
+    fn run_with_older_twin(
+        dev: &Arc<PmemDevice>,
+        fact: &Fact,
+    ) -> (Vec<(u64, FactEntry)>, Fingerprint, u64) {
+        let members = build_members(dev, fact, 600, 8, 2);
+        assert!(fact.merge_run(&members));
+        let fp = members[3].1.fp;
+        let (older, e) = fact.reserve_or_insert(&fp, 900).unwrap();
+        assert_eq!(e.block, 900, "interior fp must have been invisible");
+        (members, fp, older)
+    }
 
     #[test]
-    fn filter_skips_absent_lookups_without_pm_reads() {
+    fn new_anchor_goes_ahead_of_an_older_same_fp_record() {
         let (dev, fact) = setup();
-        fact.reserve_or_insert(&fp_with_prefix(&fact, 7, 1), 100)
-            .unwrap();
-        let reads0 = dev.stats().snapshot().reads;
-        let skips0 = fact.stats().filter_skips();
-        // 64 fingerprints that were never inserted: all answered from DRAM.
-        for salt in 50..114u8 {
-            assert!(fact.lookup(&fp_with_prefix(&fact, 9, salt)).is_none());
+        let (members, fp, older) = run_with_older_twin(&dev, &fact);
+        // While the twin's inserting transaction is in flight (UC = 1) its
+        // holder addresses it by slot, so it cannot move: the split leaves
+        // the tail per-page rather than form an anchor behind it.
+        fact.split_run(members[0].0, 3).unwrap();
+        assert_eq!(fact.lookup(&fp).unwrap().0, older);
+        let tail: Vec<_> = (603..608).map(|b| fact.resolve_block(b).unwrap()).collect();
+        assert!(tail.iter().all(|(_, e)| e.run_pages == 1));
+        assert_eq!(fact.counters(older), (0, 1));
+        // Once it has committed, promoting the tail moves the twin behind
+        // the new anchor.
+        fact.commit_uc_to_rfc(older);
+        assert!(fact.merge_run(&tail));
+        let (anchor, a) = fact.lookup(&fp).expect("the fingerprint resolves");
+        assert_eq!(
+            (a.block, a.run_pages),
+            (603, 5),
+            "a chain walk must meet the anchor first"
+        );
+        for k in 3..8 {
+            assert_eq!(fact.resolve_block(600 + k).unwrap().0, anchor);
         }
-        assert_eq!(fact.stats().filter_skips() - skips0, 64);
-        assert_eq!(dev.stats().snapshot().reads, reads0, "no PM probe");
-        // Present fingerprints still resolve.
-        assert!(fact.lookup(&fp_with_prefix(&fact, 7, 1)).is_some());
+        // The twin gave way but is intact behind its reverse index.
+        let (twin, t) = fact.resolve_block(900).unwrap();
+        assert_ne!(twin, anchor);
+        assert_eq!((t.fp, t.run_pages), (fp, 1));
+        assert_eq!(fact.counters(twin), (1, 0));
+        assert_eq!(fact.occupied_count(), 3, "head run, tail run, twin");
     }
 
     #[test]
-    fn filter_disabled_probes_pm() {
+    fn crash_while_yielding_leaves_one_record_per_block() {
         let (dev, fact) = setup();
-        fact.set_filter_enabled(false);
-        // With the RCU stripe table also off, an absent lookup must fall
-        // back to the authoritative PM probe.
-        fact.set_rcu_enabled(false);
-        let reads0 = dev.stats().snapshot().reads;
-        assert!(fact.lookup(&fp_with_prefix(&fact, 9, 1)).is_none());
-        assert!(dev.stats().snapshot().reads > reads0);
-        assert_eq!(fact.stats().filter_skips(), 0);
-        assert_eq!(fact.stats().filter_false_positives(), 0);
-    }
-
-    #[test]
-    fn filter_tracks_removal() {
-        let (_dev, fact) = setup();
-        let fp = fp_with_prefix(&fact, 3, 1);
-        let (idx, _) = fact.reserve_or_insert(&fp, 200).unwrap();
-        fact.commit_uc_to_rfc(idx);
-        assert!(fact.lookup(&fp).is_some());
-        fact.dec_rfc(idx);
-        fact.remove(idx).unwrap();
-        let skips0 = fact.stats().filter_skips();
-        assert!(fact.lookup(&fp).is_none());
-        assert_eq!(fact.stats().filter_skips(), skips0 + 1, "skip after remove");
-    }
-
-    #[test]
-    fn filter_remove_keeps_promoted_chain_entries_visible() {
-        let (_dev, fact) = setup();
-        // Two colliding fps: head in the DAA, second chained in the IAA.
-        let a = fp_with_prefix(&fact, 5, 1);
-        let b = fp_with_prefix(&fact, 5, 2);
-        let (ia, _) = fact.reserve_or_insert(&a, 100).unwrap();
-        let (ib, _) = fact.reserve_or_insert(&b, 101).unwrap();
-        fact.commit_uc_to_rfc(ia);
-        fact.commit_uc_to_rfc(ib);
-        // Removing the DAA entry promotes b into the DAA slot; b must stay
-        // findable (both in the filter and in PM).
-        fact.dec_rfc(ia);
-        fact.remove(ia).unwrap();
-        assert!(fact.lookup(&a).is_none());
-        let (idx, e) = fact.lookup(&b).expect("promoted entry still present");
-        assert!(idx < fact.daa_entries(), "b was promoted into the DAA slot");
-        assert_eq!(e.block, 101);
-    }
-
-    #[test]
-    fn filter_rebuilt_on_mount() {
-        let (dev, fact) = setup();
-        let present = fp_with_prefix(&fact, 11, 1);
-        let chained = fp_with_prefix(&fact, 11, 2);
-        let (i1, _) = fact.reserve_or_insert(&present, 100).unwrap();
-        let (i2, _) = fact.reserve_or_insert(&chained, 101).unwrap();
-        fact.commit_uc_to_rfc(i1);
-        fact.commit_uc_to_rfc(i2);
-        let layout = fact.layout;
-        // Remount from the persistent image: the fresh filter must be
-        // rebuilt by the scan — present fps resolve, absent fps skip.
+        let (members, fp, older) = run_with_older_twin(&dev, &fact);
+        fact.commit_uc_to_rfc(older);
+        dev.crash_points().arm("denova::fact::merge::mid_yield", 0);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = fact.split_run(members[0].0, 3);
+        }));
+        assert!(r.is_err());
         let dev2 = Arc::new(dev.crash_clone(denova_pmem::CrashMode::Strict));
-        let fact2 = Fact::mount(dev2, layout, Arc::new(DedupStats::default()));
-        assert!(fact2.lookup(&present).is_some());
-        assert!(fact2.lookup(&chained).is_some());
-        let skips0 = fact2.stats().filter_skips();
-        assert!(fact2.lookup(&fp_with_prefix(&fact, 13, 9)).is_none());
-        assert_eq!(fact2.stats().filter_skips(), skips0 + 1);
+        let fact2 = Fact::mount(dev2, fact.layout, Arc::new(DedupStats::default()));
+        assert!(fact2.repair_runs() > 0);
+        // The copy the reverse cell names survived; the disowned slot is
+        // gone, and every record is the one its block resolves to.
+        let mut twins = 0;
+        fact2.for_each_occupied(|idx, e| {
+            assert_eq!(fact2.resolve_block(e.block).unwrap().0, idx);
+            twins += (e.block == 900) as u32;
+        });
+        assert_eq!(twins, 1);
+        assert_eq!(fact2.counters(fact2.resolve_block(900).unwrap().0), (1, 0));
+        assert!(fact2.lookup(&fp).is_some());
+        assert_eq!(fact2.repair_runs(), 0);
     }
 
     #[test]
-    fn filter_saturation_is_sticky_never_false_negative() {
-        let f = PresenceFilter::new(64);
-        let fp = Fingerprint::of(b"sticky");
-        // Saturate the fp's counters, then remove more times than added:
-        // the entry must remain "maybe present" (sticky), never flip absent
-        // while a copy is still live.
-        for _ in 0..300 {
-            f.add(0, &fp);
+    fn reorder_keeps_the_anchor_ahead_of_a_hotter_twin() {
+        let (_dev, fact) = setup();
+        // Chain on prefix 21: DAA entry, IAA head, then a 2-page run anchor
+        // (RFC 1), a filler, and a per-page twin of the anchor with RFC 9.
+        // The run's second page lives on another chain.
+        let fps: Vec<Fingerprint> = (1..=4).map(|s| fp_with_prefix(&fact, 21, s)).collect();
+        let elsewhere = fp_with_prefix(&fact, 22, 1);
+        for (fp, block) in fps
+            .iter()
+            .zip([300, 301, 302, 310])
+            .chain([(&elsewhere, 303)])
+        {
+            let (idx, _) = fact.reserve_or_insert(fp, block).unwrap();
+            fact.commit_uc_to_rfc(idx);
         }
-        for _ in 0..300 {
-            f.remove(0, &fp);
-        }
-        assert!(f.maybe_contains(0, &fp), "saturated counters are sticky");
+        let run: Vec<(u64, FactEntry)> = [302, 303]
+            .iter()
+            .map(|&b| fact.resolve_block(b).unwrap())
+            .collect();
+        assert!(fact.merge_run(&run));
+        let twin = fact.insert_with_rfc(&fps[2], 950, 9).unwrap();
+        assert!(crate::reorder::reorder_chain(&fact, 21).unwrap());
+        let order: Vec<u64> = fact.chain(21).iter().map(|(i, _)| *i).collect();
+        let pos = |idx: u64| order.iter().position(|&i| i == idx).unwrap();
+        assert!(
+            pos(run[0].0) < pos(twin),
+            "anchor must stay ahead: {order:?}"
+        );
+        assert_eq!(fact.lookup(&fps[2]).unwrap().1.run_pages, 2);
     }
 
+    // -- Reserve / release --------------------------------------------------
+
     #[test]
-    fn concurrent_inserts_never_false_negative() {
+    fn reserve_block_pins_per_page_records_only() {
+        let (dev, fact) = setup();
+        let members = build_members(&dev, &fact, 640, 4, 1);
+        let (idx, e) = fact.reserve_block(641).unwrap();
+        assert_eq!((idx, e.block), (members[1].0, 641));
+        assert_eq!(fact.counters(idx), (1, 1));
+        assert_eq!(fact.release(641, Count::Uc), Released::Kept);
+        assert!(fact.merge_run(&members));
+        assert!(fact.reserve_block(641).is_none(), "run interior");
+        assert!(fact.reserve_block(640).is_none(), "run anchor");
+        assert!(fact.reserve_block(999).is_none(), "untracked");
+    }
+
+    /// The step the premature free slipped through: the last owner's
+    /// release and a new sharer's reservation meet on one record. Both are
+    /// decided under the stripe lock, so when the reservation gets the lock
+    /// first the release finds `(0, 1)` and must keep the record.
+    #[test]
+    fn release_that_loses_the_lock_to_a_reservation_keeps_the_record() {
         let (_dev, fact) = setup();
         let fact = Arc::new(fact);
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
+        let fp = Fingerprint::of(b"last owner");
+        let prefix = fp.prefix(fact.prefix_bits());
+        let (idx, _) = fact.reserve_or_insert(&fp, 70).unwrap();
+        fact.commit_uc_to_rfc(idx); // (1, 0): one owner, nothing in flight
+        let guard = fact.lock_chain(prefix);
+        let releaser = {
             let fact = fact.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50u64 {
-                    let fp = fp_with_prefix(&fact, t * 64 + i, (t * 50 + i) as u8);
-                    fact.reserve_or_insert(&fp, 1000 + t * 50 + i).unwrap();
-                    // Immediately visible to this (and any) thread.
-                    assert!(fact.lookup(&fp).is_some());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        for t in 0..4u64 {
-            for i in 0..50u64 {
-                let fp = fp_with_prefix(&fact, t * 64 + i, (t * 50 + i) as u8);
-                assert!(fact.lookup(&fp).is_some());
-            }
-        }
+            std::thread::spawn(move || fact.release(70, Count::Rfc))
+        };
+        // Let the releaser reach the stripe lock (the outcome is the same
+        // if it has not: it then simply runs after the reservation).
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(fact.reserve_locked(prefix, &fp).is_ok());
+        drop(guard);
+        assert_eq!(releaser.join().unwrap(), Released::Kept);
+        assert_eq!(fact.counters(idx), (0, 1));
+        assert_eq!(fact.lookup(&fp).unwrap().0, idx, "entry intact");
+        // The reservation is now all that holds the record: giving it back
+        // removes it and hands the block to the caller.
+        assert_eq!(fact.release(70, Count::Uc), Released::Removed);
+        assert!(fact.lookup(&fp).is_none());
+        assert!(fact.resolve_block(70).is_none());
+        assert_eq!(fact.release(70, Count::Uc), Released::Untracked);
     }
 }

@@ -5,8 +5,9 @@
 //! every FACT record's reference count must equal the exact number of
 //! owning write-entry extents — for an extent-run record, *per covered
 //! block* — the two-PM-read reverse index must resolve every covered block
-//! back to its record, and every block shared between extents must be
-//! tracked by FACT (sharing only ever comes from dedup).
+//! back to its record, every block shared between extents must be tracked
+//! by FACT (sharing only ever comes from dedup), and a run anchor's
+//! fingerprint must resolve to a run anchor (`fact.rs`, "Anchor first").
 //!
 //! Like [`crate::recovery::scrub`], this compares two scans that are not
 //! mutually atomic: callers must be quiescent (daemon drained).
@@ -55,6 +56,12 @@ pub enum FactFsckError {
         /// The leftover UC.
         uc: u32,
     },
+    /// A lookup of a run anchor's fingerprint stops at a per-page record
+    /// ahead of it in the chain, hiding the run from sharing.
+    AnchorShadowed {
+        /// First block of the shadowed run.
+        anchor_block: u64,
+    },
     /// A block referenced by more than one extent has no FACT record —
     /// sharing only ever comes from dedup, so its count is untracked.
     UntrackedSharedBlock {
@@ -100,6 +107,18 @@ pub fn fsck_fact(nova: &Nova, fact: &Fact) -> Result<FactFsckReport> {
         if n > 1 {
             report.run_records += 1;
             report.run_pages += n;
+            // Anchor first: the first record a walk meets with the anchor's
+            // fingerprint is an anchor (`chain` is the uncounted walk, so the
+            // audit leaves the lookup statistics alone).
+            let mut chain = fact.chain(e.fp.prefix(fact.prefix_bits())).into_iter();
+            if chain
+                .find(|(_, c)| c.fp == e.fp)
+                .is_none_or(|(_, first)| first.run_pages == 1)
+            {
+                report.errors.push(FactFsckError::AnchorShadowed {
+                    anchor_block: e.block,
+                });
+            }
         } else {
             report.per_page_records += 1;
         }
@@ -225,6 +244,27 @@ mod tests {
                 .count(),
             8
         );
+    }
+
+    #[test]
+    fn detects_a_shadowed_anchor() {
+        let (nova, fact, dwq) = setup();
+        let data = run_data();
+        let ino = nova.create("a").unwrap();
+        nova.write(ino, 0, &data[..4096]).unwrap();
+        drain(&nova, &fact, &dwq);
+        assert!(fsck_fact(&nova, &fact).unwrap().is_clean());
+        // Forge what the anchor-first rule forbids: a second record with the
+        // page's fingerprint, behind the first in its chain, claiming a run.
+        let fp = denova_fingerprint::Fingerprint::of(&data[..4096]);
+        let behind = fact.insert_with_rfc(&fp, 900, 1).unwrap();
+        let off = nova.layout().fact_entry_off(behind) + 60;
+        fact.device().write(off, &2u32.to_le_bytes());
+        let report = fsck_fact(&nova, &fact).unwrap();
+        assert!(report
+            .errors
+            .iter()
+            .any(|e| matches!(e, FactFsckError::AnchorShadowed { .. })));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! uses (UC reserve → atomic tail commit → UC→RFC transfer), so crash
 //! recovery is shared.
 
-use crate::fact::Fact;
+use crate::fact::{Count, Fact};
 use denova_fingerprint::is_zero_page;
 use denova_nova::{
     DedupeFlag, FsOp, Nova, NovaError, Result, WriteEntry, BLOCK_SIZE, HOLE_BLOCK, ROOT_INO,
@@ -97,19 +97,21 @@ pub fn write_inline(nova: &Nova, fact: &Fact, ino: u64, offset: u64, data: &[u8]
             fp_time += t_fp.elapsed();
 
             // Peek first so we only allocate for unique chunks.
-            let (idx, block, duplicate) = match fact.lookup(&fp) {
-                Some((idx, e)) => {
+            let hit = loop {
+                match fact.reserve_existing(&fp) {
                     // A run anchor stands for its whole run, but inline
-                    // writes share one page at a time: split the run back
-                    // to per-page records before taking a reference, so the
-                    // count moves on this block only.
-                    if e.run_pages > 1 {
+                    // writes share one page at a time: give the reservation
+                    // back, split the run into per-page records, and reserve
+                    // again so the count moves on this block only.
+                    Some((idx, e)) if e.run_pages > 1 => {
+                        fact.release(e.block, Count::Uc);
                         fact.demote_run(idx)?;
                     }
-                    fact.inc_uc(idx);
-                    stats.bump_hits();
-                    (idx, e.block, true)
+                    hit => break hit,
                 }
+            };
+            let (idx, block, duplicate) = match hit {
+                Some((idx, e)) => (idx, e.block, true),
                 None => {
                     let block = nova
                         .allocator()
@@ -120,7 +122,7 @@ pub fn write_inline(nova: &Nova, fact: &Fact, ino: u64, offset: u64, data: &[u8]
                     dev.write(dst, image);
                     dev.flush(dst, BLOCK_SIZE as usize);
                     let (idx, e) = fact.reserve_or_insert(&fp, block)?;
-                    if e.is_occupied() && e.block != block {
+                    if e.block != block {
                         // Another writer registered this fingerprint between
                         // our peek and the locked insert: point at their
                         // canonical block and return ours.

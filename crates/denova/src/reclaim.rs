@@ -6,10 +6,11 @@
 //! block reachable in exactly two PM reads; a shared block's RFC is
 //! decremented (one atomic + one flush), and only the final reference frees
 //! the page and removes the FACT entry (≤ 3 more flushes — the overwrite
-//! overhead measured in Fig. 11).
+//! overhead measured in Fig. 11). The decrement and the remove-on-zero are
+//! one step under the record's stripe lock ([`Fact::release`]).
 
 use crate::dwq::Dwq;
-use crate::fact::Fact;
+use crate::fact::{Count, Fact, Released};
 use denova_nova::{DedupeFlag, NovaHooks, ReclaimDecision, WriteEntry};
 use std::sync::Arc;
 
@@ -55,9 +56,13 @@ impl NovaHooks for DenovaHooks {
 }
 
 /// The Section IV-C reclaim flow. Returns what the file system should do
-/// with `block`.
+/// with `block`: free it when FACT never tracked it (never deduplicated, or
+/// already removed) or when this was its last reference.
 pub fn reclaim_block(fact: &Fact, block: u64) -> ReclaimDecision {
-    let decision = reclaim_block_inner(fact, block);
+    let decision = match fact.release(block, Count::Rfc) {
+        Released::Untracked | Released::Removed => ReclaimDecision::Free,
+        Released::Kept => ReclaimDecision::Keep,
+    };
     fact.device().metrics().event(
         "denova.reclaim",
         &[
@@ -66,55 +71,6 @@ pub fn reclaim_block(fact: &Fact, block: u64) -> ReclaimDecision {
         ],
     );
     decision
-}
-
-fn reclaim_block_inner(fact: &Fact, block: u64) -> ReclaimDecision {
-    match fact.resolve_block(block) {
-        // Not tracked by FACT (never deduplicated, or already removed):
-        // plain NOVA reclaim.
-        None => ReclaimDecision::Free,
-        Some((idx, e)) => {
-            // The block belongs to an extent run, whose single RFC counts
-            // owners of *every* covered block. Releasing one block must
-            // move one block's count only, so split the run back into
-            // per-page records first, then re-resolve. If the split cannot
-            // register records (FACT full), keep the page — leaking a
-            // block beats corrupting shared counts.
-            let idx = if e.run_pages > 1 {
-                if fact.demote_run(idx).is_err() {
-                    return ReclaimDecision::Keep;
-                }
-                match fact.resolve_block(block) {
-                    Some((idx, _)) => idx,
-                    None => return ReclaimDecision::Free,
-                }
-            } else {
-                idx
-            };
-            match fact.dec_rfc(idx) {
-                // RFC was already 0 — an in-flight transaction (UC > 0) may
-                // still be about to reference it, or the scrubber owes us a
-                // sweep. Never free under it.
-                None => {
-                    let (_, uc) = fact.counters(idx);
-                    if uc == 0 {
-                        // Stale zero-count entry: drop it and free the page.
-                        let _ = fact.remove(idx);
-                        ReclaimDecision::Free
-                    } else {
-                        ReclaimDecision::Keep
-                    }
-                }
-                Some((0, 0)) => {
-                    // Last reference gone and no transaction in flight:
-                    // remove the FACT entry and free the page.
-                    let _ = fact.remove(idx);
-                    ReclaimDecision::Free
-                }
-                Some(_) => ReclaimDecision::Keep,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,6 +122,57 @@ mod tests {
         assert_eq!(reclaim_block(&fact, 9), ReclaimDecision::Keep);
         fact.commit_uc_to_rfc(idx);
         assert_eq!(reclaim_block(&fact, 9), ReclaimDecision::Free);
+    }
+
+    /// e2e finding 1 (premature free): the last owner's release and a new
+    /// sharer's reservation race on one record. The owner thread registers,
+    /// commits and releases block 100 over and over; the sharer thread keeps
+    /// reserving the same fingerprint and giving the reservation back. While
+    /// the sharer holds a reservation on the owner's record, that record
+    /// must stay put and the owner's reclaim must not answer `Free`.
+    #[test]
+    fn last_release_never_frees_under_an_outstanding_reservation() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+        let fact = setup();
+        let fp = Fingerprint::of(b"contended");
+        let (done, held, violations) = (
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+            AtomicU64::new(0),
+        );
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..30_000 {
+                    let (idx, e) = fact.reserve_or_insert(&fp, 100).unwrap();
+                    if e.block != 100 {
+                        // Hit the sharer's own short-lived record instead.
+                        fact.release(e.block, Count::Uc);
+                        continue;
+                    }
+                    fact.commit_uc_to_rfc(idx);
+                    if reclaim_block(&fact, 100) == ReclaimDecision::Free && held.load(SeqCst) {
+                        violations.fetch_add(1, SeqCst);
+                    }
+                }
+                done.store(true, SeqCst);
+            });
+            s.spawn(|| {
+                while !done.load(SeqCst) {
+                    let (idx, e) = fact.reserve_or_insert(&fp, 200).unwrap();
+                    if e.block == 100 {
+                        held.store(true, SeqCst);
+                        std::thread::yield_now();
+                        let cur = fact.read_entry(idx);
+                        if cur.fp != fp || cur.block != 100 || fact.counters(idx).1 == 0 {
+                            violations.fetch_add(1, SeqCst);
+                        }
+                        held.store(false, SeqCst);
+                    }
+                    fact.release(e.block, Count::Uc);
+                }
+            });
+        });
+        assert_eq!(violations.load(SeqCst), 0, "freed under a live reservation");
     }
 
     #[test]

@@ -42,14 +42,29 @@ pub fn reorder_chain(fact: &Fact, prefix: u64) -> Result<bool> {
     }
     let head = chain[1].0;
     let movable = &chain[2..];
-    let mut sorted: Vec<u64> = movable.iter().map(|(i, _)| *i).collect();
-    sorted.sort_by_key(|&idx| std::cmp::Reverse(fact.read_entry(idx).rfc));
-    if sorted == movable.iter().map(|(i, _)| *i).collect::<Vec<u64>>() {
+    let mut sorted = movable.to_vec();
+    sorted.sort_by_key(|(_, e)| std::cmp::Reverse(e.rfc));
+    // Anchor first (see `fact.rs`): a run anchor keeps its place ahead of a
+    // per-page record with the same fingerprint, whatever their counts.
+    for i in 0..sorted.len() {
+        let a = sorted[i].1;
+        if a.run_pages > 1 {
+            if let Some(j) = sorted[..i]
+                .iter()
+                .position(|(_, p)| p.fp == a.fp && p.run_pages == 1)
+            {
+                sorted[j..=i].rotate_right(1);
+            }
+        }
+    }
+    if sorted == movable {
         return Ok(false); // already in order
     }
 
     // New order after the fixed head.
-    let order: Vec<u64> = std::iter::once(head).chain(sorted).collect();
+    let order: Vec<u64> = std::iter::once(head)
+        .chain(sorted.iter().map(|(i, _)| *i))
+        .collect();
     let last = *order.last().unwrap();
 
     // Commit flag: head.prev = own index ("the reordering starts by setting
@@ -77,9 +92,6 @@ pub fn reorder_chain(fact: &Fact, prefix: u64) -> Result<bool> {
     // Finish: commit flag back to the head sentinel.
     fact.write_prev(head, 0);
     dev.crash_point("denova::reorder::done");
-    // Refresh the RCU stripe table: indices are unchanged but the cached
-    // walk depths now reflect the new order.
-    fact.publish_prefix(prefix);
     fact.stats().bump_reorders();
     Ok(true)
 }
@@ -115,7 +127,6 @@ pub fn recover_reorder(fact: &Fact, prefix: u64) -> Result<bool> {
             fact.write_prev(w[1], w[0] as i64);
         }
         fact.write_prev(head, 0);
-        fact.publish_prefix(prefix);
         return Ok(true);
     }
     // Phase-2 crash: prev fields encode the complete new order and the flag
@@ -139,7 +150,6 @@ pub fn recover_reorder(fact: &Fact, prefix: u64) -> Result<bool> {
     }
     fact.write_next(last, NIL);
     fact.write_prev(head, 0);
-    fact.publish_prefix(prefix);
     Ok(true)
 }
 

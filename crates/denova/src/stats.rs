@@ -24,9 +24,6 @@ pub struct DedupStats {
     lookups: Counter,
     lookup_pm_reads: Counter,
     daa_direct_hits: Counter,
-    filter_skips: Counter,
-    filter_false_positives: Counter,
-    rcu_reads: Counter,
     hits: Counter,
     misses: Counter,
     inserts: Counter,
@@ -74,9 +71,6 @@ impl DedupStats {
             lookups: registry.counter("fact.lookups"),
             lookup_pm_reads: registry.counter("fact.lookup_pm_reads"),
             daa_direct_hits: registry.counter("fact.daa_direct_hits"),
-            filter_skips: registry.counter("denova.fact.filter.skips"),
-            filter_false_positives: registry.counter("denova.fact.filter.false_positives"),
-            rcu_reads: registry.counter("denova.fact.rcu_reads"),
             hits: registry.counter("fact.hits"),
             misses: registry.counter("fact.misses"),
             inserts: registry.counter("fact.inserts"),
@@ -113,18 +107,6 @@ impl DedupStats {
         if direct {
             self.daa_direct_hits.inc();
         }
-    }
-
-    pub(crate) fn bump_filter_skips(&self) {
-        self.filter_skips.inc();
-    }
-
-    pub(crate) fn bump_filter_false_positives(&self) {
-        self.filter_false_positives.inc();
-    }
-
-    pub(crate) fn bump_rcu_reads(&self) {
-        self.rcu_reads.inc();
     }
 
     pub(crate) fn bump_hits(&self) {
@@ -215,12 +197,10 @@ impl DedupStats {
         self.lookups.get()
     }
 
-    /// Average PM reads per FACT lookup *that probed PM* — 1.0 means every
-    /// probing lookup was a direct DAA access. Lookups answered entirely by
-    /// the DRAM presence filter cost zero PM reads and are excluded from the
-    /// denominator so the metric keeps measuring chain-walk efficiency.
+    /// Average PM reads per FACT lookup — 1.0 means every lookup was a
+    /// direct DAA access.
     pub fn avg_lookup_reads(&self) -> f64 {
-        let l = self.lookups().saturating_sub(self.filter_skips());
+        let l = self.lookups();
         if l == 0 {
             return 0.0;
         }
@@ -230,24 +210,6 @@ impl DedupStats {
     /// Lookups resolved by the DAA alone.
     pub fn daa_direct_hits(&self) -> u64 {
         self.daa_direct_hits.get()
-    }
-
-    /// Absent-fingerprint lookups answered by the DRAM presence filter
-    /// without touching PM.
-    pub fn filter_skips(&self) -> u64 {
-        self.filter_skips.get()
-    }
-
-    /// Lookups the filter let through that then missed in PM (false
-    /// positives; bounded by the filter's sizing, ~2% at full load).
-    pub fn filter_false_positives(&self) -> u64 {
-        self.filter_false_positives.get()
-    }
-
-    /// Lookups answered by an RCU-published stripe table (at most one PM
-    /// read to verify the hit, no stripe lock, no chain walk).
-    pub fn rcu_reads(&self) -> u64 {
-        self.rcu_reads.get()
     }
 
     /// Lookups that found an existing fingerprint.

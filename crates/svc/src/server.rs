@@ -11,11 +11,11 @@
 //! write-ready. A connection therefore costs per-loop state, not threads —
 //! 10k mostly-idle clients are O(cores) threads, not 20k.
 //!
-//! Loopback connections (in-process [`crate::loopback`] pipes, which have no
-//! file descriptor) and benchmark baselines (`thread_per_conn`) use the
-//! legacy model: one reader thread per connection plus one writer thread
-//! serializing replies off an mpsc channel. Both paths share [`classify`],
-//! so a frame means exactly the same thing on either.
+//! Loopback connections (in-process [`crate::loopback`] pipes) have no file
+//! descriptor for an event loop to poll, so each gets one reader thread plus
+//! one writer thread serializing replies off an mpsc channel
+//! ([`Server::attach`]). Both paths share [`classify`], so a frame means
+//! exactly the same thing on either.
 //!
 //! ## Zero-copy writes
 //!
@@ -29,14 +29,14 @@
 //!
 //! * **Backpressure** — at most `max_inflight_per_conn` requests of one
 //!   connection may be queued or executing; past that the reactor pauses
-//!   reads (the threaded path blocks the reader), which in turn backpressures
-//!   the peer's TCP window. Counted in `svc.backpressure_waits`.
+//!   reads (a loopback reader blocks), which in turn backpressures the
+//!   peer's TCP window. Counted in `svc.backpressure_waits`.
 //! * **Structured errors** — malformed frames get a `BAD_REQUEST` reply; a
 //!   panicking operation gets `INTERNAL`; nothing crosses the wire as a
 //!   panic, and the connection survives both.
 //! * **Graceful shutdown** — [`Server::request_shutdown`] (or a `Shutdown`
 //!   request from any client) stops intake and wakes the accept path via
-//!   condvar/eventfd — no sleep-polling. In-flight work replies, the pool
+//!   its condvar — no sleep-polling. In-flight work replies, the pool
 //!   drains, and [`Server::shutdown`] finally settles the dedup pipeline
 //!   with [`Denova::drain`] so the caller can cleanly unmount.
 
@@ -48,13 +48,11 @@ use crate::service::{FileService, ReplRole};
 use crate::tenant::{Tenant, TenantRegistry};
 use crate::transport::Stream;
 use denova::Denova;
-use denova_reactor::sys::{Epoll, EpollEvent, EventFd, EPOLLIN};
 use denova_reactor::{ConnHandler, ConnIo, FrameOutcome, HandlerFactory, Reactor, ReactorConfig};
 use denova_telemetry::Counter;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -75,19 +73,16 @@ pub struct SvcConfig {
     /// Max queued-or-executing requests per connection before the server
     /// stops pulling frames off the socket.
     pub max_inflight_per_conn: usize,
-    /// Threaded path: idle-poll read timeout (also bounds how long shutdown
-    /// waits for a reader to notice the stop flag). Reactor path: the event
-    /// loop tick that paces stall checks.
+    /// Loopback and handed-over streams: idle-poll read timeout (also bounds
+    /// how long shutdown waits for a reader to notice the stop flag).
+    /// Reactor: the event loop tick that paces stall checks.
     pub read_timeout: Duration,
-    /// Threaded path: socket write timeout for reply frames. Reactor path:
-    /// how long a peer may stall mid-frame or refuse replies before it is
-    /// dropped.
+    /// Loopback and handed-over streams: write timeout for reply frames.
+    /// Reactor: how long a peer may stall mid-frame or refuse replies before
+    /// it is dropped.
     pub write_timeout: Duration,
     /// Reactor event loops for TCP serving; 0 means one per core.
     pub event_loops: usize,
-    /// Serve TCP with the legacy two-threads-per-connection model instead of
-    /// the reactor. Kept as the baseline for connection-scaling benchmarks.
-    pub thread_per_conn: bool,
 }
 
 impl Default for SvcConfig {
@@ -98,12 +93,11 @@ impl Default for SvcConfig {
             read_timeout: Duration::from_millis(100),
             write_timeout: Duration::from_secs(10),
             event_loops: 0,
-            thread_per_conn: false,
         }
     }
 }
 
-/// Per-connection inflight accounting for the threaded path: the reader
+/// Per-connection inflight accounting for [`handle_conn`]: the reader
 /// blocks on `changed` while `count` is at the cap, and the drain path waits
 /// for it to hit zero.
 struct Inflight {
@@ -127,27 +121,21 @@ struct ServerInner {
     // Threads serving loopback connections and replication handovers; the
     // reactor's connections live in its event loops instead.
     conn_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    // Shutdown wakeups: `serve` blocks on the condvar (reactor path) or on
-    // epoll over the eventfd (threaded path) — never a sleep loop.
+    // Shutdown wakeup: `serve` blocks on the condvar — never a sleep loop.
     stop_mx: Mutex<()>,
     stop_cv: Condvar,
-    stop_efd: RwLock<Option<Arc<EventFd>>>,
     reactor: RwLock<Option<Reactor>>,
 }
 
 impl ServerInner {
-    /// Stop intake and wake everything that might be waiting to notice:
-    /// the condvar a reactor-backed `serve` blocks on, the accept loop's
-    /// eventfd doorbell, and the reactor's drain machinery. Idempotent and
-    /// non-blocking, so it is safe from event-loop threads.
+    /// Stop intake and wake everything that might be waiting to notice: the
+    /// condvar `serve` blocks on and the reactor's drain machinery.
+    /// Idempotent and non-blocking, so it is safe from event-loop threads.
     fn begin_shutdown(&self) {
         self.stopping.store(true, Ordering::Release);
         {
             let _guard = self.stop_mx.lock();
             self.stop_cv.notify_all();
-        }
-        if let Some(efd) = self.stop_efd.read().clone() {
-            efd.wake();
         }
         if let Some(r) = self.reactor.read().as_ref() {
             r.drain();
@@ -187,7 +175,6 @@ impl Server {
                 conn_threads: Mutex::new(Vec::new()),
                 stop_mx: Mutex::new(()),
                 stop_cv: Condvar::new(),
-                stop_efd: RwLock::new(None),
                 reactor: RwLock::new(None),
             }),
         }
@@ -267,16 +254,10 @@ impl Server {
 
     /// Accept TCP connections until shutdown is requested, then return.
     ///
-    /// Default mode hands the listener to the reactor: accepted sockets are
-    /// distributed round-robin across the event loops, and this thread just
-    /// blocks on the shutdown condvar. With `thread_per_conn` set, the
-    /// legacy accept loop runs here instead, parked on epoll over the
-    /// listener and a shutdown eventfd. A server serves one listener at a
-    /// time.
+    /// The listener goes to the reactor: accepted sockets are distributed
+    /// round-robin across the event loops, and this thread just blocks on
+    /// the shutdown condvar. A server serves one listener at a time.
     pub fn serve(&self, listener: TcpListener) -> io::Result<()> {
-        if self.inner.config.thread_per_conn {
-            return self.serve_threaded(listener);
-        }
         let factory = self.handler_factory();
         {
             let mut guard = self.inner.reactor.write();
@@ -319,45 +300,6 @@ impl Server {
         })
     }
 
-    /// The legacy accept loop: nonblocking listener, two threads per
-    /// connection. Blocks on epoll over {listener, shutdown eventfd} while
-    /// the port is quiet — a wakeup, not a poll, ends the wait.
-    fn serve_threaded(&self, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let efd = Arc::new(EventFd::new()?);
-        *self.inner.stop_efd.write() = Some(efd.clone());
-        let epoll = Epoll::new()?;
-        epoll.add(efd.raw_fd(), EPOLLIN, 0)?;
-        epoll.add(listener.as_raw_fd(), EPOLLIN, 1)?;
-        let mut events = [EpollEvent::zeroed(); 4];
-        let result = loop {
-            if self.stopping() {
-                break Ok(());
-            }
-            match listener.accept() {
-                Ok((sock, _peer)) => {
-                    sock.set_nonblocking(false)?;
-                    sock.set_stream_timeouts(
-                        Some(self.inner.config.read_timeout),
-                        Some(self.inner.config.write_timeout),
-                    )?;
-                    self.attach(Box::new(sock));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Sleep until the listener is readable or shutdown rings
-                    // the doorbell. The eventfd counter persists, so a ring
-                    // that lands before this wait still wakes it.
-                    epoll.wait(&mut events, -1)?;
-                    efd.drain();
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => break Err(e),
-            }
-        };
-        *self.inner.stop_efd.write() = None;
-        result
-    }
-
     /// Graceful shutdown: stop intake, settle every connection, stop the
     /// pool, and drain the dedup pipeline. Returns the mounted stack so the
     /// caller can unmount it cleanly.
@@ -392,7 +334,7 @@ impl Server {
 }
 
 /// What one decoded frame asks of the server. Produced by [`classify`],
-/// consumed by both the reactor handler and the threaded reader, so the two
+/// consumed by both the reactor handler and the loopback reader, so the two
 /// paths cannot drift.
 enum Action {
     /// Connection-scoped control traffic: reply now, no pool round-trip.
@@ -712,7 +654,8 @@ impl Stream for PrefixedStream {
     }
 }
 
-/// The threaded connection loop: a blocking reader plus a writer thread
+/// The connection loop for streams the reactor cannot poll — loopback pipes
+/// have no file descriptor: a blocking reader plus a writer thread
 /// serializing replies off an mpsc channel. Shares [`classify`] with the
 /// reactor path.
 fn handle_conn(inner: &Arc<ServerInner>, stream: Box<dyn Stream>) {
@@ -935,25 +878,6 @@ mod tests {
             .unwrap_or_else(|_| panic!("server still referenced"))
             .shutdown();
         assert_eq!(fs.file_size(ino).unwrap(), 4096);
-    }
-
-    #[test]
-    fn threaded_serve_shutdown_wakes_without_polling() {
-        let srv = Arc::new(server());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let srv2 = srv.clone();
-        let accept = std::thread::spawn(move || srv2.serve_threaded(listener).unwrap());
-        let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
-        client.ping().unwrap();
-        // request_shutdown from outside any connection must ring the accept
-        // loop's doorbell even though the port is quiet.
-        srv.request_shutdown();
-        accept.join().unwrap();
-        drop(client);
-        Arc::try_unwrap(srv)
-            .unwrap_or_else(|_| panic!("server still referenced"))
-            .shutdown();
     }
 
     #[test]

@@ -13,8 +13,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 /// * `publish` swaps in a new snapshot and defers dropping the old one
 ///   until every reader pinned before the swap has unpinned. Concurrent
 ///   publishers must be serialized externally (in DENOVA every `RcuCell`
-///   is written under an existing mutex — a FACT stripe lock or a map
-///   shard lock).
+///   is written under an existing mutex — the inode map's shard lock).
 pub struct RcuCell<T: Send + Sync + 'static> {
     ptr: AtomicPtr<T>,
 }

@@ -217,15 +217,22 @@ mod tests {
     }
 
     #[test]
-    fn think_time_slows_wall_clock_not_io() {
-        let fs = mount(DedupMode::Baseline);
-        let spec = JobSpec::large_files(4, 0.0);
-        let fast = run_write_job(&fs, &spec).unwrap();
-        let fs2 = mount(DedupMode::Baseline);
-        let slow = run_write_job(&fs2, &spec.clone().with_think(ThinkTime::paper_cycle())).unwrap();
-        assert!(slow.elapsed > fast.elapsed);
-        // IO-only throughput should be in the same ballpark.
-        assert!(slow.throughput_mbs() > fast.throughput_mbs() * 0.2);
+    fn think_time_adds_wall_clock_not_io() {
+        let spec = JobSpec::large_files(16, 0.0);
+        let plain = run_write_job(&mount(DedupMode::Baseline), &spec).unwrap();
+        let ThinkTime::Cycle { io, think } = ThinkTime::paper_cycle() else {
+            unreachable!()
+        };
+        let paced = spec.clone().with_think(ThinkTime::paper_cycle());
+        let paced = run_write_job(&mount(DedupMode::Baseline), &paced).unwrap();
+        // Same work either way.
+        assert_eq!((paced.files, paced.bytes), (plain.files, plain.bytes));
+        assert_eq!(paced.latencies_ns.len(), plain.latencies_ns.len());
+        // One think per full `io` of accumulated IO time, each a sleep of at
+        // least `think`: the wall clock carries the IO plus all of them.
+        let thinks = (paced.io_time.as_nanos() / io.as_nanos()) as u32;
+        assert!(thinks >= 1, "the cycle never fired");
+        assert!(paced.elapsed >= paced.io_time + think * thinks);
     }
 
     #[test]

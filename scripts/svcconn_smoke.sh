@@ -5,8 +5,6 @@
 #   * the reactor parks >= 1k idle TCP connections while the process's
 #     resident thread count stays bounded (event loops + worker shards +
 #     slack — not O(connections));
-#   * at 16 active clients its request p99 is no worse than the
-#     thread-per-conn baseline's, within a generous noise margin;
 #   * the block-aligned 4 KiB workload actually rides the zero-copy
 #     wire-to-PM path (svc.zero_copy_writes > 0).
 #
@@ -18,18 +16,15 @@
 OUT=$(run_figures svcconn)
 echo "$OUT"
 
-# svcconn-summary: model=reactor max_idle=N threads_at_peak=T p50_us=X p99_us=Y mbs=Z zero_copy=K staged=S
-summary_field() { # <model> <field>
-    echo "$OUT" | sed -n "s/^svcconn-summary: model=$1 .*[ ]$2=\([0-9.]*\).*/\1/p"
+# svcconn-summary: max_idle=N threads_at_peak=T p50_us=X p99_us=Y mbs=Z zero_copy=K staged=S
+summary_field() { # <field>
+    echo "$OUT" | sed -n "s/^svcconn-summary: .*\b$1=\([0-9.]*\).*/\1/p"
 }
-R_IDLE=$(echo "$OUT" | sed -n 's/^svcconn-summary: model=reactor max_idle=\([0-9]*\).*/\1/p')
-R_THREADS=$(summary_field reactor threads_at_peak)
-R_P99=$(summary_field reactor p99_us)
-R_ZC=$(summary_field reactor zero_copy)
-T_P99=$(summary_field thread-per-conn p99_us)
+R_IDLE=$(summary_field max_idle)
+R_THREADS=$(summary_field threads_at_peak)
+R_ZC=$(summary_field zero_copy)
 
-[ -n "$R_IDLE" ] && [ -n "$R_P99" ] && [ -n "$T_P99" ] ||
-    fail "svcconn-summary lines missing from output"
+[ -n "$R_IDLE" ] && [ -n "$R_ZC" ] || fail "svcconn-summary line missing from output"
 
 if [ "$R_IDLE" -lt 1000 ]; then
     fail "reactor ramp only reached $R_IDLE idle conns (want >= 1000)"
@@ -42,10 +37,4 @@ fi
 if [ "${R_ZC:-0}" -eq 0 ]; then
     fail "aligned 4 KiB workload never took the zero-copy path"
 fi
-# Latency parity at low concurrency: 3x margin absorbs shared-runner noise
-# while still catching a structural regression (event-loop serialization
-# would cost an order of magnitude, not a factor).
-if ! awk "BEGIN { exit !($R_P99 <= 3 * $T_P99) }"; then
-    fail "reactor p99 ${R_P99}us vs thread-per-conn ${T_P99}us (> 3x baseline)"
-fi
-echo "svcconn-smoke OK ($R_IDLE idle conns on $R_THREADS threads, p99 ${R_P99}us vs ${T_P99}us, $R_ZC zero-copy writes)"
+echo "svcconn-smoke OK ($R_IDLE idle conns on $R_THREADS threads, $R_ZC zero-copy writes)"

@@ -60,14 +60,12 @@ fn usage() -> ! {
          \x20 stats [--json]                telemetry snapshot (probe locally,\n\
          \x20                               fetch live metrics when --remote)\n\
          \x20 serve [--listen <host:port>] [--shards <n>] [--loops <n>]\n\
-         \x20       [--threaded] [--repl-sync]\n\
+         \x20       [--repl-sync]\n\
          \x20       [--replica-of <host:port>]\n\
          \x20       [--shard <k> --cluster <a0,a1,...>] [--advertise <addr>]\n\
          \x20                               serve the image over TCP (local only).\n\
          \x20                               Connections ride the epoll event loops\n\
-         \x20                               (--loops, default one per core);\n\
-         \x20                               --threaded restores the legacy two-\n\
-         \x20                               threads-per-connection model.\n\
+         \x20                               (--loops, default one per core).\n\
          \x20                               With --replica-of, run as a read-only\n\
          \x20                               standby replicating from the primary;\n\
          \x20                               --repl-sync makes writes wait for\n\
@@ -383,7 +381,6 @@ fn run() -> Result<(), String> {
                         let n = it.next().cloned().unwrap_or_else(|| usage());
                         config.event_loops = n.parse().map_err(|_| format!("bad --loops '{n}'"))?;
                     }
-                    "--threaded" => config.thread_per_conn = true,
                     "--replica-of" => {
                         replica_of = Some(it.next().cloned().unwrap_or_else(|| usage()));
                     }

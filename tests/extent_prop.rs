@@ -4,8 +4,7 @@
 //! (threshold 0) — and every file must come out byte-identical across the
 //! two, matching an in-memory model. Afterwards the promoted stack is
 //! audited: FACT fsck is clean, and the fingerprints of run-interior pages
-//! stay authoritatively absent from the lookup path (the presence-filter
-//! absence installed by `merge_run` survives every later split/demote).
+//! stay absent from the lookup path through every later split/demote.
 
 use denova_repro::denova::fsck::fsck_fact;
 use denova_repro::prelude::*;
@@ -187,8 +186,8 @@ proptest! {
         prop_assert!(report.is_clean(), "fact fsck: {:?}", report.errors);
 
         // ...and no run-interior page is reachable through the fingerprint
-        // lookup path: `merge_run`'s filter absence survived every later
-        // overwrite, split, and demotion in the interleaving.
+        // lookup path, after every overwrite, split and demotion in the
+        // interleaving.
         let dev = extent.nova().device().clone();
         let layout = *extent.nova().layout();
         let fact = extent.fact();
