@@ -2,16 +2,23 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test fmt-check clippy figures serve-smoke svcconn-smoke dedup-scale-smoke repl-smoke fgpath-smoke cluster-smoke chaos-smoke contention-smoke extent-smoke clean
+.PHONY: verify build test e2e-check fmt-check clippy figures serve-smoke svcconn-smoke dedup-scale-smoke repl-smoke fgpath-smoke cluster-smoke chaos-smoke contention-smoke extent-smoke clean
 
 # The tier-1 gate: what CI runs.
-verify: build fmt-check clippy test serve-smoke svcconn-smoke dedup-scale-smoke repl-smoke fgpath-smoke cluster-smoke chaos-smoke contention-smoke extent-smoke
+verify: build fmt-check clippy test e2e-check serve-smoke svcconn-smoke dedup-scale-smoke repl-smoke fgpath-smoke cluster-smoke chaos-smoke contention-smoke extent-smoke
 
 build:
 	$(CARGO) build --release
 
 test:
 	$(CARGO) test -q --workspace
+
+# The frozen benchmark (BENCHMARK.json) is a package outside the workspace,
+# so nothing above compiles it: build it and run its unit tests against the
+# layer crates as they are now, before the benchmark driver does.
+e2e-check:
+	$(CARGO) build --release --offline --manifest-path e2e/Cargo.toml
+	$(CARGO) test -q --offline --manifest-path e2e/Cargo.toml
 
 fmt-check:
 	$(CARGO) fmt --all --check

@@ -22,17 +22,31 @@
 //! ## Wakeup protocol
 //!
 //! Every cross-thread operation (register, reply, close, drain) pushes a
-//! command onto the target loop's queue and rings its eventfd. The loop's
-//! `epoll_wait` returns, drains the doorbell, and processes the batch. The
-//! eventfd counter coalesces any number of rings into one wakeup.
+//! command onto the target loop's queue, and the push that finds the queue
+//! empty rings the loop's eventfd. The loop's `epoll_wait` returns, drains
+//! the doorbell, and takes the whole batch under the queue's mutex — so a
+//! burst of replies costs one `write(2)` and one wakeup, not one each.
+//!
+//! ## Read side
+//!
+//! A readable socket is read straight into its connection's
+//! [`frame::FrameDecoder`]: up to `read_chunk` bytes into a contiguous
+//! queue from which whole small frames are copied out, and — once a prefix
+//! announces a frame longer than what is buffered — the rest of that frame
+//! directly into the exactly-sized `Vec` that [`ConnHandler::on_frame`]
+//! receives. A payload byte is copied at most once in user space on its way
+//! to the handler, and nothing is done per byte.
 //!
 //! ## Bounded buffers and timeouts
 //!
 //! Reads stop while the handler holds them paused **or** the send queue is
 //! over its high-water mark, so a peer that writes but never reads cannot
-//! balloon either buffer. A peer stalled mid-frame (or a peer not draining
-//! a nonempty send queue) longer than `stall_timeout` is dropped; clean idle
-//! connections are never timed out by the reactor itself.
+//! balloon either buffer. A connection buffers at most one frame in flight
+//! plus `read_chunk` bytes, keeps at most `read_chunk` bytes between frames,
+//! and is dropped at the fourth byte of an announcement over `max_frame`.
+//! A peer stalled mid-frame (or a peer not draining a nonempty send queue)
+//! longer than `stall_timeout` is dropped; clean idle connections are never
+//! timed out by the reactor itself.
 
 pub mod frame;
 pub mod sys;
@@ -40,7 +54,7 @@ pub mod sys;
 use frame::{Flush, FrameDecoder, SendQueue};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,7 +79,8 @@ pub struct ReactorConfig {
     /// During drain, connections still undrained or unflushed after this
     /// long are force-closed.
     pub drain_timeout: Duration,
-    /// Read buffer size per loop.
+    /// Bytes asked of a socket per read, and the most a connection keeps
+    /// buffered between frames.
     pub read_chunk: usize,
     /// Reads are suppressed while a connection's send queue holds more than
     /// this many bytes.
@@ -80,7 +95,7 @@ impl Default for ReactorConfig {
             stall_timeout: Duration::from_secs(10),
             tick: Duration::from_millis(100),
             drain_timeout: Duration::from_secs(10),
-            read_chunk: 64 << 10,
+            read_chunk: frame::DEFAULT_READ_CHUNK,
             sendq_high_water: 32 << 20,
         }
     }
@@ -151,9 +166,19 @@ struct LoopShared {
 }
 
 impl LoopShared {
+    /// Queue `cmd` and ring the doorbell — but only if the queue was empty.
+    /// The loop takes a batch under this same mutex, so a command that
+    /// lands behind another is covered by the ring that one caused: either
+    /// it is still pending, or the loop it woke has yet to take the batch.
     fn push(&self, cmd: Cmd) {
-        self.cmds.lock().push(cmd);
-        self.wake.wake();
+        let was_empty = {
+            let mut cmds = self.cmds.lock();
+            cmds.push(cmd);
+            cmds.len() == 1
+        };
+        if was_empty {
+            self.wake.wake();
+        }
     }
 }
 
@@ -249,16 +274,17 @@ struct EventLoop {
 impl EventLoop {
     fn run(mut self) {
         let mut events = vec![EpollEvent::zeroed(); 256];
-        let mut scratch = vec![0u8; self.config.read_chunk];
         let tick_ms = self.config.tick.as_millis().max(1) as i32;
         while let Ok(n) = self.epoll.wait(&mut events, tick_ms) {
             let mut accept_ready = false;
             for ev in &events[..n] {
                 let (token, mask) = (ev.token(), ev.events());
                 match token {
-                    TOKEN_WAKE => self.shared.wake.drain(),
+                    TOKEN_WAKE => {
+                        self.shared.wake.drain();
+                    }
                     TOKEN_LISTENER => accept_ready = true,
-                    t => self.handle_conn_event(t, mask, &mut scratch),
+                    t => self.handle_conn_event(t, mask),
                 }
             }
             self.run_commands();
@@ -355,7 +381,7 @@ impl EventLoop {
                 sock,
                 fd,
                 handler,
-                dec: FrameDecoder::new(self.config.max_frame),
+                dec: FrameDecoder::with_read_chunk(self.config.max_frame, self.config.read_chunk),
                 sendq: SendQueue::new(),
                 paused: false,
                 read_eof: false,
@@ -391,39 +417,19 @@ impl EventLoop {
         }
     }
 
-    fn handle_conn_event(&mut self, token: u64, mask: u32, scratch: &mut [u8]) {
+    fn handle_conn_event(&mut self, token: u64, mask: u32) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         if mask & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 {
             let throttled = conn.paused || conn.sendq.queued_bytes() > self.config.sendq_high_water;
             if !throttled && !conn.read_eof {
-                loop {
-                    match (&conn.sock).read(scratch) {
-                        Ok(0) => {
-                            conn.read_eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.dec.push(&scratch[..n]);
-                            conn.last_activity = Instant::now();
-                            if n < scratch.len() {
-                                break;
-                            }
-                            // Stop slurping once a full max-size frame could
-                            // be buffered; decode before reading more.
-                            if conn.dec.buffered() > self.config.max_frame {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            conn.read_eof = true;
-                            break;
-                        }
-                    }
+                // Straight off the socket into the decoder's own buffers.
+                let got = conn.dec.fill(&mut &conn.sock);
+                if got.bytes > 0 {
+                    conn.last_activity = Instant::now();
                 }
+                conn.read_eof = got.eof;
             } else if mask & (EPOLLERR | EPOLLHUP) != 0 {
                 conn.read_eof = true;
             }
@@ -660,7 +666,7 @@ impl Drop for Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::sync::atomic::AtomicU64;
 
     fn wire_frame(payload: &[u8]) -> Vec<u8> {
@@ -803,6 +809,154 @@ mod tests {
         assert_eq!(s.read(&mut end).unwrap(), 0, "conn closes after drain");
         r.join();
         drop(s);
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn large_frame_with_small_frames_behind_it_echoes_in_order() {
+        let (r, addr, _closed) = echo_reactor(1);
+        let mut s = TcpStream::connect(addr).unwrap();
+        // 1 MiB is 16 read chunks: the body is received into its own `Vec`
+        // across however many short reads the socket deals out.
+        let big: Vec<u8> = (0..1usize << 20).map(|i| b'a' + (i % 26) as u8).collect();
+        let mut bytes = wire_frame(&big);
+        for i in 0..10 {
+            bytes.extend(wire_frame(format!("after-{i}").as_bytes()));
+        }
+        let mut writer = s.try_clone().unwrap();
+        let send = std::thread::spawn(move || writer.write_all(&bytes).unwrap());
+        assert!(read_one_frame(&mut s) == big.to_ascii_uppercase());
+        for i in 0..10 {
+            assert_eq!(read_one_frame(&mut s), format!("AFTER-{i}").into_bytes());
+        }
+        send.join().unwrap();
+        drop(s);
+        r.drain();
+        r.join();
+    }
+
+    /// Hands each frame's reply handle to the test, then holds the loop
+    /// thread inside `on_frame` until the test lets go.
+    struct Gate {
+        handles: std::sync::mpsc::Sender<ReplyHandle>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl ConnHandler for Gate {
+        fn on_frame(&mut self, io: &mut ConnIo<'_>, _frame: Vec<u8>) -> FrameOutcome {
+            self.handles.send(io.reply_handle()).unwrap();
+            self.release.recv().unwrap();
+            FrameOutcome::Continue
+        }
+    }
+
+    #[test]
+    fn replies_pushed_while_the_loop_is_busy_ring_the_doorbell_once() {
+        let r = Reactor::start(ReactorConfig {
+            loops: 1,
+            tick: Duration::from_secs(60), // only a doorbell wakes this loop
+            ..Default::default()
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (handles_tx, handles_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let gate = Mutex::new(Some(Gate {
+            handles: handles_tx,
+            release: release_rx,
+        }));
+        r.add_listener(
+            listener,
+            Arc::new(move || Box::new(gate.lock().take().unwrap()) as Box<dyn ConnHandler>),
+        );
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&wire_frame(b"go")).unwrap();
+        let handle = handles_rx.recv().unwrap();
+        // The loop is parked in `on_frame`: nothing drains the queue or the
+        // doorbell while 100 replies pile up.
+        let shared = &r.handles[0];
+        assert!(shared.cmds.lock().is_empty());
+        for i in 0..100u32 {
+            handle.send(i.to_le_bytes().to_vec());
+        }
+        assert_eq!(shared.cmds.lock().len(), 100);
+        // Reading the counter consumed the ring; put it back.
+        assert_eq!(shared.wake.drain(), 1, "one ring for the whole batch");
+        shared.wake.wake();
+        release_tx.send(()).unwrap();
+        for i in 0..100u32 {
+            assert_eq!(read_one_frame(&mut s), i.to_le_bytes());
+        }
+        drop(s);
+        r.drain();
+        r.join();
+    }
+
+    /// Replies twice to every frame, from another thread, the moment it
+    /// arrives.
+    struct Twice {
+        inflight: u64,
+        tx: std::sync::mpsc::Sender<(ReplyHandle, Vec<u8>)>,
+    }
+
+    impl ConnHandler for Twice {
+        fn on_frame(&mut self, io: &mut ConnIo<'_>, frame: Vec<u8>) -> FrameOutcome {
+            self.inflight += 2;
+            self.tx.send((io.reply_handle(), frame)).unwrap();
+            FrameOutcome::Continue
+        }
+
+        fn on_reply(&mut self, io: &mut ConnIo<'_>, frame: Vec<u8>) {
+            self.inflight -= 1;
+            io.send(frame);
+        }
+
+        fn drained(&self) -> bool {
+            self.inflight == 0
+        }
+    }
+
+    #[test]
+    fn a_reply_racing_the_batch_take_is_never_stranded() {
+        // With a tick this long only a doorbell wakes the loop, so a reply
+        // pushed without one — behind a batch the loop had already taken —
+        // would sit there until the read below times out.
+        let r = Reactor::start(ReactorConfig {
+            loops: 1,
+            tick: Duration::from_secs(60),
+            ..Default::default()
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<(ReplyHandle, Vec<u8>)>();
+        r.add_listener(
+            listener,
+            Arc::new(move || {
+                Box::new(Twice {
+                    inflight: 0,
+                    tx: tx.clone(),
+                }) as Box<dyn ConnHandler>
+            }),
+        );
+        // The first push wakes the loop; the second races its `mem::take`.
+        let worker = std::thread::spawn(move || {
+            for (handle, frame) in rx {
+                handle.send(frame.clone());
+                handle.send(frame);
+            }
+        });
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        for i in 0..1000u32 {
+            s.write_all(&wire_frame(&i.to_le_bytes())).unwrap();
+            assert_eq!(read_one_frame(&mut s), i.to_le_bytes());
+            assert_eq!(read_one_frame(&mut s), i.to_le_bytes());
+        }
+        drop(s);
+        r.drain();
+        r.join();
         worker.join().unwrap();
     }
 

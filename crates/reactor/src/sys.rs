@@ -152,10 +152,12 @@ impl EventFd {
         unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
     }
 
-    /// Consume all pending wakeups.
-    pub fn drain(&self) {
+    /// Consume all pending wakeups; returns how many rings had piled up
+    /// (0 when none were pending).
+    pub fn drain(&self) -> u64 {
         let mut buf: u64 = 0;
         unsafe { read(self.fd, (&mut buf as *mut u64).cast(), 8) };
+        buf
     }
 }
 
@@ -186,7 +188,8 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(evs[0].token(), 7);
         assert!(evs[0].events() & EPOLLIN != 0);
-        efd.drain();
+        assert_eq!(efd.drain(), 2);
+        assert_eq!(efd.drain(), 0);
         assert_eq!(ep.wait(&mut evs, 0).unwrap(), 0);
     }
 

@@ -15,8 +15,8 @@
 //! before reporting EOF.
 
 use crate::transport::Stream;
+use denova_reactor::frame::{ByteQueue, DEFAULT_READ_CHUNK};
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,16 +27,18 @@ struct Pipe {
     readable: Condvar,
 }
 
-#[derive(Default)]
 struct PipeState {
-    buf: VecDeque<u8>,
+    buf: ByteQueue,
     closed: bool,
 }
 
 impl Pipe {
     fn new() -> Arc<Pipe> {
         Arc::new(Pipe {
-            state: Mutex::new(PipeState::default()),
+            state: Mutex::new(PipeState {
+                buf: ByteQueue::new(DEFAULT_READ_CHUNK),
+                closed: false,
+            }),
             readable: Condvar::new(),
         })
     }
@@ -51,7 +53,7 @@ impl Pipe {
         if st.closed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"));
         }
-        st.buf.extend(data);
+        st.buf.push(data);
         self.readable.notify_all();
         Ok(data.len())
     }
@@ -63,11 +65,7 @@ impl Pipe {
         let mut st = self.state.lock();
         loop {
             if !st.buf.is_empty() {
-                let n = out.len().min(st.buf.len());
-                for b in out.iter_mut().take(n) {
-                    *b = st.buf.pop_front().unwrap();
-                }
-                return Ok(n);
+                return Ok(st.buf.pop_into(out));
             }
             if st.closed {
                 return Ok(0); // EOF after the buffer drains, like a socket.
@@ -271,6 +269,38 @@ mod tests {
         assert!(matches!(read_frame(&mut b).unwrap(), FrameRead::Eof));
         // And writing toward the dropped end fails.
         assert!(b.write_all(b"x").is_err());
+    }
+
+    #[test]
+    fn frames_cross_through_the_default_vectored_write() {
+        // `PipeEnd` leaves `write_vectored` to the trait's default, which
+        // hands over the first non-empty slice only: `write_frame` must
+        // carry on with the payload, for any mix of sizes.
+        let (mut a, mut b) = pair();
+        let payloads: Vec<Vec<u8>> = [0usize, 1, 4, 4096, 256 << 10]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i % 253) as u8).collect())
+            .collect();
+        for p in &payloads {
+            write_frame(&mut a, p).unwrap();
+        }
+        for p in &payloads {
+            match read_frame(&mut b).unwrap() {
+                FrameRead::Frame(got) => assert!(got == *p, "{} bytes", p.len()),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_drained_pipe_gives_its_buffer_back() {
+        let (mut a, mut b) = pair();
+        let big = vec![1u8; 1 << 20];
+        a.write_all(&big).unwrap();
+        let mut out = vec![0u8; big.len()];
+        b.read_exact(&mut out).unwrap();
+        assert!(out == big);
+        assert!(a.shared.tx.state.lock().buf.capacity() <= DEFAULT_READ_CHUNK);
     }
 
     #[test]

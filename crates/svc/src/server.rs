@@ -628,6 +628,10 @@ impl Write for PrefixedStream {
         self.sock.write(buf)
     }
 
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        self.sock.write_vectored(bufs)
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         self.sock.flush()
     }
@@ -821,6 +825,21 @@ mod tests {
         assert_eq!(st.size, 8);
         assert_eq!(client.list().unwrap(), vec!["hello.txt".to_string()]);
         client.unlink("hello.txt").unwrap();
+        drop(client);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn loopback_256k_write_read_round_trip() {
+        let srv = server();
+        let mut client = Client::from_stream(Box::new(srv.connect_loopback()));
+        let ino = client.create("big").unwrap();
+        let data: Vec<u8> = (0..256usize << 10).map(|i| (i * 31 % 251) as u8).collect();
+        assert_eq!(client.write_at(ino, 0, &data).unwrap(), data.len() as u64);
+        // One 256 KiB reply frame through the pipe, as e2e's loopback rung
+        // reads them.
+        assert!(client.read_at(ino, 0, data.len() as u64).unwrap() == data);
+        assert!(client.read_at(ino, 4096, 8192).unwrap() == data[4096..12288]);
         drop(client);
         srv.shutdown();
     }
