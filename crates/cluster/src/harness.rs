@@ -4,10 +4,11 @@
 //! drive — kill a node, attach and promote a standby, rebalance a shard to
 //! a new node.
 //!
-//! This is a *deterministic* cluster: every byte crosses in-memory pipes,
-//! so kill/failover/rebalance sequences reproduce regardless of the host's
-//! network configuration — the same philosophy as [`denova_svc::loopback`],
-//! one level up.
+//! This is a *self-contained* cluster: every byte crosses a Unix-domain
+//! socket pair inside the process, so kill/failover/rebalance sequences
+//! reproduce regardless of the host's network configuration — the same
+//! philosophy as [`denova_svc::loopback`], one level up — while every node
+//! serves its connections on the reactor, as a deployed one does.
 
 use crate::client::ClusterClient;
 use crate::map::ClusterMap;

@@ -19,9 +19,7 @@ const PREFIX: usize = 4;
 pub const DEFAULT_READ_CHUNK: usize = 64 << 10;
 
 /// Contiguous FIFO byte buffer: slices are appended at the tail and consumed
-/// from a head cursor, so the unread bytes are always one `&[u8]`. The one
-/// byte queue behind both the reactor's read side and the in-process
-/// loopback pipe.
+/// from a head cursor, so the unread bytes are always one `&[u8]`.
 ///
 /// The storage is kept initialized (`buf.len()` is the capacity in use), so
 /// a source can be read straight into the tail without zeroing it first.
@@ -112,15 +110,6 @@ impl ByteQueue {
                 self.buf = Vec::new();
             }
         }
-    }
-
-    /// Move up to `out.len()` of the oldest bytes into `out`; returns how
-    /// many.
-    pub fn pop_into(&mut self, out: &mut [u8]) -> usize {
-        let n = out.len().min(self.len());
-        out[..n].copy_from_slice(&self.as_slice()[..n]);
-        self.consume(n);
-        n
     }
 }
 
@@ -522,19 +511,16 @@ mod tests {
     fn byte_queue_is_fifo_across_slides_and_growth() {
         let mut q = ByteQueue::new(16);
         let mut model: Vec<u8> = Vec::new();
-        let mut out = [0u8; 7];
         for round in 0..200usize {
             let n = (round * 7) % 23;
             let bytes: Vec<u8> = (0..n).map(|i| (round * 31 + i) as u8).collect();
             q.push(&bytes);
             model.extend_from_slice(&bytes);
             assert_eq!(q.as_slice(), &model[..]);
-            let take = (round * 5) % out.len();
-            let popped = q.pop_into(&mut out[..take]);
-            assert_eq!(popped, take.min(model.len()));
-            assert_eq!(&out[..popped], &model[..popped]);
-            model.drain(..popped);
-            assert_eq!(q.len(), model.len());
+            let take = ((round * 5) % 7).min(model.len());
+            q.consume(take);
+            model.drain(..take);
+            assert_eq!(q.as_slice(), &model[..]);
         }
         q.consume(q.len());
         assert!(q.is_empty());

@@ -1,11 +1,12 @@
 //! # denova-reactor — a hand-rolled event-driven I/O runtime
 //!
 //! A small reactor built directly on `epoll`: N sharded event loops (one per
-//! core by default), each owning a set of nonblocking TCP connections and an
-//! `eventfd` doorbell for cross-thread wakeups. Connections are per-loop
-//! state machines — an incremental frame decoder on the read side, a
-//! partial-write-tracking send queue on the write side — so 10k mostly-idle
-//! connections cost N threads and N epoll sets, not 2·conns threads.
+//! core by default), each owning a set of nonblocking stream sockets — TCP
+//! or Unix-domain, see [`Socket`] — and an `eventfd` doorbell for
+//! cross-thread wakeups. Connections are per-loop state machines — an
+//! incremental frame decoder on the read side, a partial-write-tracking send
+//! queue on the write side — so 10k mostly-idle connections cost N threads
+//! and N epoll sets, not 2·conns threads.
 //!
 //! ## Division of labor
 //!
@@ -49,13 +50,16 @@
 //! timed out by the reactor itself.
 
 pub mod frame;
+mod socket;
 pub mod sys;
+
+pub use socket::Socket;
 
 use frame::{Flush, FrameDecoder, SendQueue};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -130,10 +134,10 @@ pub trait ConnHandler: Send {
 
     /// The connection was detached ([`FrameOutcome::Detach`]). `residue` is
     /// every byte read off the socket but not yet consumed as a frame; the
-    /// new owner must process it before reading the socket. The stream has
+    /// new owner must process it before reading the socket. The socket has
     /// been restored to blocking mode.
-    fn on_detach(&mut self, stream: TcpStream, residue: Vec<u8>) {
-        let _ = (stream, residue);
+    fn on_detach(&mut self, sock: Socket, residue: Vec<u8>) {
+        let _ = (sock, residue);
     }
 
     /// The connection closed (EOF, error, timeout, or drain).
@@ -151,7 +155,7 @@ pub trait ConnHandler: Send {
 pub type HandlerFactory = Arc<dyn Fn() -> Box<dyn ConnHandler> + Send + Sync>;
 
 enum Cmd {
-    Register(TcpStream, Box<dyn ConnHandler>),
+    Register(Socket, Box<dyn ConnHandler>),
     Listen(TcpListener, HandlerFactory),
     Reply(u64, Vec<u8>),
     Close(u64),
@@ -244,7 +248,7 @@ const TOKEN_LISTENER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
 
 struct Conn {
-    sock: TcpStream,
+    sock: Socket,
     fd: RawFd,
     handler: Box<dyn ConnHandler>,
     dec: FrameDecoder,
@@ -310,7 +314,10 @@ impl EventLoop {
                 match cmd {
                     Cmd::Register(sock, handler) => self.register_conn(sock, handler),
                     Cmd::Listen(listener, factory) => {
-                        if listener.set_nonblocking(true).is_ok()
+                        // A listener that arrives behind the drain is
+                        // dropped: nothing would ever take it out again.
+                        if !self.draining
+                            && listener.set_nonblocking(true).is_ok()
                             && self
                                 .epoll
                                 .add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
@@ -357,7 +364,7 @@ impl EventLoop {
         }
     }
 
-    fn register_conn(&mut self, sock: TcpStream, mut handler: Box<dyn ConnHandler>) {
+    fn register_conn(&mut self, sock: Socket, mut handler: Box<dyn ConnHandler>) {
         if self.draining {
             handler.on_close();
             return;
@@ -366,7 +373,7 @@ impl EventLoop {
             handler.on_close();
             return;
         }
-        let _ = sock.set_nodelay(true);
+        sock.set_nodelay();
         let token = self.next_token;
         self.next_token += 1;
         let fd = sock.as_raw_fd();
@@ -405,9 +412,9 @@ impl EventLoop {
                     let target = self.next_peer % self.peers.len();
                     self.next_peer = self.next_peer.wrapping_add(1);
                     if target == self.idx {
-                        self.register_conn(sock, handler);
+                        self.register_conn(sock.into(), handler);
                     } else {
-                        self.peers[target].push(Cmd::Register(sock, handler));
+                        self.peers[target].push(Cmd::Register(sock.into(), handler));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -488,7 +495,7 @@ impl EventLoop {
         }
 
         if !close && !conn.sendq.is_empty() {
-            match conn.sendq.flush(&mut conn.sock) {
+            match conn.sendq.flush(&mut &conn.sock) {
                 Ok(Flush::Done) | Ok(Flush::Blocked) => {
                     conn.last_activity = Instant::now();
                 }
@@ -625,10 +632,11 @@ impl Reactor {
         self.handles.len()
     }
 
-    /// Register an already-accepted connection, round-robin across loops.
-    pub fn register(&self, sock: TcpStream, handler: Box<dyn ConnHandler>) {
+    /// Register an already-connected socket of either kind, round-robin
+    /// across loops.
+    pub fn register(&self, sock: impl Into<Socket>, handler: Box<dyn ConnHandler>) {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.handles.len();
-        self.handles[i].push(Cmd::Register(sock, handler));
+        self.handles[i].push(Cmd::Register(sock.into(), handler));
     }
 
     /// Hand a listener to loop 0; accepted connections get a handler from
@@ -667,6 +675,8 @@ impl Drop for Reactor {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::os::unix::net::UnixStream;
     use std::sync::atomic::AtomicU64;
 
     fn wire_frame(payload: &[u8]) -> Vec<u8> {
@@ -675,7 +685,7 @@ mod tests {
         f
     }
 
-    fn read_one_frame(sock: &mut TcpStream) -> Vec<u8> {
+    fn read_one_frame(sock: &mut impl Read) -> Vec<u8> {
         let mut len = [0u8; 4];
         sock.read_exact(&mut len).unwrap();
         let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
@@ -747,6 +757,56 @@ mod tests {
         assert_eq!(closed.load(Ordering::Relaxed), 8);
     }
 
+    /// Echoes until a frame says `detach`, then hands the socket over.
+    struct EchoThenDetach {
+        detached: std::sync::mpsc::Sender<(Socket, Vec<u8>)>,
+    }
+
+    impl ConnHandler for EchoThenDetach {
+        fn on_frame(&mut self, io: &mut ConnIo<'_>, frame: Vec<u8>) -> FrameOutcome {
+            if frame == b"detach" {
+                return FrameOutcome::Detach;
+            }
+            io.send(frame);
+            FrameOutcome::Continue
+        }
+
+        fn on_detach(&mut self, sock: Socket, residue: Vec<u8>) {
+            self.detached.send((sock, residue)).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_registered_unix_socket_is_served_and_detaches_with_its_residue() {
+        let r = Reactor::start(ReactorConfig {
+            loops: 1,
+            tick: Duration::from_millis(10),
+            ..Default::default()
+        })
+        .unwrap();
+        let (mut peer, served) = UnixStream::pair().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        r.register(served, Box::new(EchoThenDetach { detached: tx }));
+        peer.write_all(&wire_frame(b"over a socketpair")).unwrap();
+        assert_eq!(read_one_frame(&mut peer), b"over a socketpair");
+        // One write: the handover frame and the bytes behind it.
+        let mut bytes = wire_frame(b"detach");
+        bytes.extend_from_slice(b"after");
+        peer.write_all(&bytes).unwrap();
+        let (sock, residue) = rx.recv().unwrap();
+        assert_eq!(residue, b"after");
+        // The socket comes back blocking and still connected.
+        let Socket::Unix(mut sock) = sock else {
+            panic!("a unix socket went in");
+        };
+        peer.write_all(b"!").unwrap();
+        let mut one = [0u8; 1];
+        sock.read_exact(&mut one).unwrap();
+        assert_eq!(&one, b"!");
+        r.drain();
+        r.join();
+    }
+
     /// Off-thread replies through a ReplyHandle, with handler-side inflight
     /// accounting gating drain.
     struct Deferred {
@@ -810,6 +870,36 @@ mod tests {
         r.join();
         drop(s);
         worker.join().unwrap();
+    }
+
+    #[test]
+    fn a_listener_added_behind_the_drain_is_dropped() {
+        let r = Reactor::start(ReactorConfig {
+            loops: 1,
+            tick: Duration::from_millis(10),
+            ..Default::default()
+        })
+        .unwrap();
+        // A request in flight keeps the loop alive through the drain.
+        let (mut peer, served) = UnixStream::pair().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        r.register(served, Box::new(Deferred { inflight: 0, tx }));
+        peer.write_all(&wire_frame(b"held")).unwrap();
+        let (handle, frame) = rx.recv().unwrap();
+        r.drain();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        r.add_listener(
+            listener,
+            Arc::new(|| {
+                Box::new(Echo {
+                    closed: Arc::new(AtomicU64::new(0)),
+                }) as Box<dyn ConnHandler>
+            }),
+        );
+        handle.send(frame);
+        assert_eq!(read_one_frame(&mut peer), b"held");
+        // A kept listener would hold the loop open for ever.
+        r.join();
     }
 
     #[test]

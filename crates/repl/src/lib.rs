@@ -264,11 +264,10 @@ mod tests {
     #[test]
     fn fell_behind_frame_exits_run_loop() {
         use denova_svc::codec::write_frame;
-        use denova_svc::loopback::pair;
         use denova_svc::repl::ReplMsg;
 
         let fs = mkfs();
-        let (mut primary_end, standby_end) = pair();
+        let (mut primary_end, standby_end) = std::os::unix::net::UnixStream::pair().unwrap();
         write_frame(&mut primary_end, &ReplMsg::FellBehind.encode()).unwrap();
 
         let mut standby = Standby::new(fs, 0, StandbyConfig::default());

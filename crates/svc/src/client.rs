@@ -1,7 +1,7 @@
 //! Synchronous client for the file service.
 //!
 //! [`Client`] works over any [`Stream`] — a real [`TcpStream`] via
-//! [`Client::connect_tcp`] or a loopback pipe via [`Client::from_stream`] —
+//! [`Client::connect_tcp`] or a loopback socket via [`Client::from_stream`] —
 //! and exposes one typed method per wire op plus `put`/`get` whole-file
 //! helpers that chunk transfers below the frame limit. All calls are
 //! synchronous: one request, one reply. Transport failures surface as
@@ -162,7 +162,7 @@ impl Client {
         Ok(client)
     }
 
-    /// Wrap an already-connected stream (e.g. a loopback pipe end). No
+    /// Wrap an already-connected stream (e.g. a loopback socket). No
     /// automatic reconnect unless [`Client::set_reconnect`] is called.
     pub fn from_stream(stream: Box<dyn Stream>) -> Client {
         // Short read timeout + deadline loop, so a dead server surfaces as a
@@ -680,7 +680,7 @@ mod tests {
     fn silent_server_yields_structured_timeout() {
         // A peer that accepts the connection but never replies: the call
         // must fail with TIMEOUT (not IO, not a hang).
-        let (client_end, server_end) = crate::loopback::pair();
+        let (client_end, server_end) = std::os::unix::net::UnixStream::pair().unwrap();
         let mut client = Client::from_stream(Box::new(client_end));
         client.set_reply_timeout(Duration::from_millis(250));
         let t0 = Instant::now();

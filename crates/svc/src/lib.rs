@@ -13,16 +13,20 @@
 //! * [`pool`] — [`ShardedPool`]: worker threads keyed by
 //!   `shard_key % shards`, so same-inode operations serialize while
 //!   different files proceed in parallel.
-//! * [`transport`] / [`loopback`] — the [`Stream`] abstraction with a real
-//!   TCP implementation and a deterministic in-process pipe for tests.
-//! * [`server`] / [`client`] — the connection machinery ([`Server`]) and the
-//!   synchronous typed [`Client`].
+//! * [`transport`] / [`loopback`] — the [`Stream`] abstraction the client
+//!   side is written against (TCP and Unix-domain sockets implement it), and
+//!   in-process connections: a socket pair per connection, plus a [`Hub`] to
+//!   dial several servers in one process by name.
+//! * [`server`] / [`client`] — the connection machinery ([`Server`]: one
+//!   connection state machine, on the reactor) and the synchronous typed
+//!   [`Client`].
 //!
 //! The intended production shape is `denova-cli serve --listen host:port` on
 //! the machine owning the (emulated) persistent memory, and any number of
 //! `denova-cli --remote host:port` / [`Client`] peers driving it. Tests and
-//! benches use [`Server::connect_loopback`] to exercise the identical code
-//! path without sockets.
+//! benches use [`Server::connect_loopback`]: its server end goes to the same
+//! reactor, through the same handler, as an accepted TCP socket, so they
+//! drive the deployed connection code minus the TCP stack.
 
 #![warn(missing_docs)]
 

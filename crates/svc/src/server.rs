@@ -1,21 +1,21 @@
-//! The multi-client server: connection handling over any [`Stream`], the
-//! reactor-backed TCP accept path, and loopback connections for tests.
+//! The multi-client server: one connection state machine on the reactor,
+//! fed by a TCP listener or by in-process loopback connections.
 //!
 //! ## Threading model
 //!
-//! TCP connections are served by a [`denova_reactor::Reactor`]: N event loops
-//! (one per core by default) own every socket, decode frames as readiness
-//! allows, and submit jobs to the shared [`ShardedPool`]. Workers hand each
-//! reply back to the connection's owning loop through a
-//! [`denova_reactor::ReplyHandle`]; the loop flushes it when the socket is
-//! write-ready. A connection therefore costs per-loop state, not threads —
-//! 10k mostly-idle clients are O(cores) threads, not 20k.
+//! Every connection is served by a [`denova_reactor::Reactor`], started with
+//! the server: N event loops (one per core by default) own every socket,
+//! decode frames as readiness allows, and submit jobs to the shared
+//! [`ShardedPool`]. Workers hand each reply back to the connection's owning
+//! loop through a [`denova_reactor::ReplyHandle`]; the loop flushes it when
+//! the socket is write-ready. A connection therefore costs per-loop state,
+//! not threads — 10k mostly-idle clients are O(cores) threads, not 20k.
 //!
-//! Loopback connections (in-process [`crate::loopback`] pipes) have no file
-//! descriptor for an event loop to poll, so each gets one reader thread plus
-//! one writer thread serializing replies off an mpsc channel
-//! ([`Server::attach`]). Both paths share [`classify`], so a frame means
-//! exactly the same thing on either.
+//! A loopback connection ([`Server::connect_loopback`], or a dial through a
+//! [`crate::loopback::Hub`]) is a Unix-domain `socketpair` whose server end
+//! is registered with the same reactor through the same handler factory as
+//! an accepted TCP socket, so tests, chaos scenarios and in-process benches
+//! drive the connection code a deployed server runs.
 //!
 //! ## Zero-copy writes
 //!
@@ -29,8 +29,8 @@
 //!
 //! * **Backpressure** — at most `max_inflight_per_conn` requests of one
 //!   connection may be queued or executing; past that the reactor pauses
-//!   reads (a loopback reader blocks), which in turn backpressures the
-//!   peer's TCP window. Counted in `svc.backpressure_waits`.
+//!   reads, which in turn backpressures the peer through its socket
+//!   buffer. Counted in `svc.backpressure_waits`.
 //! * **Structured errors** — malformed frames get a `BAD_REQUEST` reply; a
 //!   panicking operation gets `INTERNAL`; nothing crosses the wire as a
 //!   panic, and the connection survives both.
@@ -40,7 +40,7 @@
 //!   drains, and [`Server::shutdown`] finally settles the dedup pipeline
 //!   with [`Denova::drain`] so the caller can cleanly unmount.
 
-use crate::codec::{read_frame, write_frame, FrameRead, MAX_FRAME};
+use crate::codec::MAX_FRAME;
 use crate::pool::ShardedPool;
 use crate::proto::{decode_write_ref, encode_reply, Body, Reply, Request, SvcError};
 use crate::repl::{is_repl_frame, ReplMsg};
@@ -48,13 +48,16 @@ use crate::service::{FileService, ReplRole};
 use crate::tenant::{Tenant, TenantRegistry};
 use crate::transport::Stream;
 use denova::Denova;
-use denova_reactor::{ConnHandler, ConnIo, FrameOutcome, HandlerFactory, Reactor, ReactorConfig};
+use denova_reactor::{
+    ConnHandler, ConnIo, FrameOutcome, HandlerFactory, Reactor, ReactorConfig, Socket,
+};
 use denova_telemetry::Counter;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Callback that takes over a connection whose first frame was a
@@ -73,15 +76,14 @@ pub struct SvcConfig {
     /// Max queued-or-executing requests per connection before the server
     /// stops pulling frames off the socket.
     pub max_inflight_per_conn: usize,
-    /// Loopback and handed-over streams: idle-poll read timeout (also bounds
-    /// how long shutdown waits for a reader to notice the stop flag).
-    /// Reactor: the event loop tick that paces stall checks.
+    /// How long a connection waits on a silent peer before it looks around:
+    /// the event loops' tick, which paces their stall checks, and the idle
+    /// poll of a connection handed over to the replication sink.
     pub read_timeout: Duration,
-    /// Loopback and handed-over streams: write timeout for reply frames.
-    /// Reactor: how long a peer may stall mid-frame or refuse replies before
-    /// it is dropped.
+    /// How long a peer may hold a connection up — stalled mid-frame, or not
+    /// taking the bytes sent to it — before the connection is dropped.
     pub write_timeout: Duration,
-    /// Reactor event loops for TCP serving; 0 means one per core.
+    /// Reactor event loops; 0 means one per core.
     pub event_loops: usize,
 }
 
@@ -97,34 +99,25 @@ impl Default for SvcConfig {
     }
 }
 
-/// Per-connection inflight accounting for [`handle_conn`]: the reader
-/// blocks on `changed` while `count` is at the cap, and the drain path waits
-/// for it to hit zero.
-struct Inflight {
-    count: Mutex<usize>,
-    changed: Condvar,
-}
-
 struct ServerInner {
     service: Arc<FileService>,
     pool: ShardedPool,
     tenants: Arc<TenantRegistry>,
     config: SvcConfig,
     stopping: AtomicBool,
-    conn_seq: AtomicU64,
     conns: Counter,
     conns_closed: Counter,
     bad_requests: Counter,
     rejected: Counter,
     backpressure_waits: Counter,
     repl_sink: RwLock<Option<ReplSink>>,
-    // Threads serving loopback connections and replication handovers; the
-    // reactor's connections live in its event loops instead.
-    conn_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    // Threads running the replication sink over a handed-over connection;
+    // every other connection lives in the reactor's event loops.
+    repl_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     // Shutdown wakeup: `serve` blocks on the condvar — never a sleep loop.
     stop_mx: Mutex<()>,
     stop_cv: Condvar,
-    reactor: RwLock<Option<Reactor>>,
+    reactor: Reactor,
 }
 
 impl ServerInner {
@@ -137,9 +130,7 @@ impl ServerInner {
             let _guard = self.stop_mx.lock();
             self.stop_cv.notify_all();
         }
-        if let Some(r) = self.reactor.read().as_ref() {
-            r.drain();
-        }
+        self.reactor.drain();
     }
 }
 
@@ -149,11 +140,20 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build a server (spawning its worker pool) over a mounted stack.
+    /// Build a server (spawning its worker pool and event loops) over a
+    /// mounted stack.
     pub fn new(fs: Arc<Denova>, config: SvcConfig) -> Server {
         let service = Arc::new(FileService::new(fs));
         let metrics = service.metrics().clone();
         let tenants = Arc::new(TenantRegistry::new(&metrics));
+        let reactor = Reactor::start(ReactorConfig {
+            loops: config.event_loops,
+            max_frame: MAX_FRAME,
+            stall_timeout: config.write_timeout,
+            tick: config.read_timeout,
+            ..Default::default()
+        })
+        .expect("start the event loops: epoll, eventfd or thread creation failed");
         Server {
             inner: Arc::new(ServerInner {
                 pool: ShardedPool::with_default_tenant(
@@ -165,17 +165,16 @@ impl Server {
                 service,
                 config,
                 stopping: AtomicBool::new(false),
-                conn_seq: AtomicU64::new(0),
                 conns: metrics.counter("svc.conns.opened"),
                 conns_closed: metrics.counter("svc.conns.closed"),
                 bad_requests: metrics.counter("svc.bad_requests"),
                 rejected: metrics.counter("svc.rejected"),
                 backpressure_waits: metrics.counter("svc.backpressure_waits"),
                 repl_sink: RwLock::new(None),
-                conn_threads: Mutex::new(Vec::new()),
+                repl_threads: Mutex::new(Vec::new()),
                 stop_mx: Mutex::new(()),
                 stop_cv: Condvar::new(),
-                reactor: RwLock::new(None),
+                reactor,
             }),
         }
     }
@@ -214,41 +213,34 @@ impl Server {
         self.inner.begin_shutdown();
     }
 
-    /// Attach one already-accepted connection (any transport) on its own
-    /// reader thread. Loopback pipes must use this path — they have no file
-    /// descriptor for the reactor to poll.
-    pub fn attach(&self, stream: Box<dyn Stream>) {
-        let inner = self.inner.clone();
-        let id = inner.conn_seq.fetch_add(1, Ordering::Relaxed);
-        inner.conns.inc();
-        let handle = std::thread::Builder::new()
-            .name(format!("svc-conn-{id}"))
-            .spawn(move || {
-                handle_conn(&inner, stream);
-                inner.conns_closed.inc();
-            })
-            .expect("spawn svc connection thread");
-        self.inner.conn_threads.lock().push(handle);
+    /// Serve one connected socket: the same handler, on the same reactor,
+    /// whether a listener accepted it or a loopback dial made it.
+    fn accept(&self, sock: impl Into<Socket>) {
+        self.inner
+            .reactor
+            .register(sock, (self.handler_factory())());
     }
 
     /// Register this server on an in-process [`crate::loopback::Hub`] under
     /// `addr`, so cluster harnesses can dial it by address like a TCP
     /// endpoint. Only a weak reference is held: after the server is dropped
-    /// a dial yields a pipe that reads EOF, just like a dead peer.
+    /// a dial yields a socket that reads EOF, just like a dead peer.
     pub fn register_loopback(self: &Arc<Self>, hub: &crate::loopback::Hub, addr: &str) {
         let srv = Arc::downgrade(self);
         hub.register(addr, move |end| {
             if let Some(s) = srv.upgrade() {
-                s.attach(Box::new(end));
+                s.accept(end);
             }
         });
     }
 
     /// Open an in-process loopback connection to this server and return the
-    /// client end. Deterministic — no OS networking involved.
-    pub fn connect_loopback(&self) -> crate::loopback::PipeEnd {
-        let (client_end, server_end) = crate::loopback::pair();
-        self.attach(Box::new(server_end));
+    /// client end of the socket pair. No port, no Nagle, no host network
+    /// configuration involved.
+    pub fn connect_loopback(&self) -> UnixStream {
+        let (client_end, server_end) =
+            UnixStream::pair().expect("socketpair for a loopback connection");
+        self.accept(server_end);
         client_end
     }
 
@@ -258,27 +250,9 @@ impl Server {
     /// round-robin across the event loops, and this thread just blocks on
     /// the shutdown condvar. A server serves one listener at a time.
     pub fn serve(&self, listener: TcpListener) -> io::Result<()> {
-        let factory = self.handler_factory();
-        {
-            let mut guard = self.inner.reactor.write();
-            if guard.is_none() {
-                *guard = Some(Reactor::start(ReactorConfig {
-                    loops: self.inner.config.event_loops,
-                    max_frame: MAX_FRAME,
-                    stall_timeout: self.inner.config.write_timeout,
-                    tick: self.inner.config.read_timeout,
-                    ..Default::default()
-                })?);
-            }
-            guard.as_ref().unwrap().add_listener(listener, factory);
-        }
-        // A shutdown that raced ahead of the reactor being published must
-        // still drain it.
-        if self.stopping() {
-            if let Some(r) = self.inner.reactor.read().as_ref() {
-                r.drain();
-            }
-        }
+        self.inner
+            .reactor
+            .add_listener(listener, self.handler_factory());
         let mut guard = self.inner.stop_mx.lock();
         while !self.stopping() {
             self.inner.stop_cv.wait(&mut guard);
@@ -289,7 +263,6 @@ impl Server {
     fn handler_factory(&self) -> HandlerFactory {
         let inner = self.inner.clone();
         Arc::new(move || {
-            inner.conn_seq.fetch_add(1, Ordering::Relaxed);
             inner.conns.inc();
             Box::new(RConn {
                 inner: inner.clone(),
@@ -305,26 +278,14 @@ impl Server {
     /// caller can unmount it cleanly.
     pub fn shutdown(self) -> Arc<Denova> {
         self.inner.begin_shutdown();
-        let reactor = self.inner.reactor.write().take();
-        // Threaded connections (loopback, replication handovers) finish
-        // their in-flight work first — the pool must still be alive for
-        // their jobs to reply. Handovers can append while we join, so loop.
-        loop {
-            let threads: Vec<_> = self.inner.conn_threads.lock().drain(..).collect();
-            if threads.is_empty() {
-                break;
-            }
-            for t in threads {
-                let _ = t.join();
-            }
-        }
         // Settle the event loops while the pool is still alive: a loop may
         // be mid-frame (the Shutdown request itself), and its job must
         // still be accepted and its reply flushed before the socket closes.
-        // Only then drain the pool of anything that remains.
-        if let Some(r) = reactor {
-            r.drain();
-            r.join();
+        self.inner.reactor.join();
+        // With the loops gone nothing can hand over another connection.
+        let sinks: Vec<_> = self.inner.repl_threads.lock().drain(..).collect();
+        for t in sinks {
+            let _ = t.join();
         }
         self.inner.pool.stop();
         let fs = self.inner.service.fs().clone();
@@ -333,9 +294,18 @@ impl Server {
     }
 }
 
+impl Drop for Server {
+    /// A server dropped without [`Server::shutdown`] stops serving too. The
+    /// loops' connections share the state the reactor lives in, so the
+    /// loops must be gone before the last of them can let go of it.
+    fn drop(&mut self) {
+        self.inner.begin_shutdown();
+        self.inner.reactor.join();
+    }
+}
+
 /// What one decoded frame asks of the server. Produced by [`classify`],
-/// consumed by both the reactor handler and the loopback reader, so the two
-/// paths cannot drift.
+/// acted on by [`RConn::on_frame`].
 enum Action {
     /// Connection-scoped control traffic: reply now, no pool round-trip.
     Inline(Vec<u8>),
@@ -478,8 +448,8 @@ fn classify(inner: &Arc<ServerInner>, tenant: &mut Arc<Tenant>, frame: Vec<u8>) 
     Action::Job { req_id, key, run }
 }
 
-/// The reactor-side connection handler: all state lives on the owning event
-/// loop thread, so no field needs a lock.
+/// The connection handler: all state lives on the owning event loop thread,
+/// so no field needs a lock.
 struct RConn {
     inner: Arc<ServerInner>,
     tenant: Arc<Tenant>,
@@ -518,8 +488,8 @@ impl ConnHandler for RConn {
                 self.inflight += 1;
                 if self.inflight >= self.inner.config.max_inflight_per_conn {
                     // Backpressure: stop decoding this connection until a
-                    // reply frees a slot; the peer's TCP window absorbs the
-                    // rest.
+                    // reply frees a slot; the peer's socket buffer absorbs
+                    // the rest.
                     self.inner.backpressure_waits.inc();
                     io.pause_reads();
                 }
@@ -554,30 +524,34 @@ impl ConnHandler for RConn {
         }
     }
 
-    fn on_detach(&mut self, stream: TcpStream, residue: Vec<u8>) {
+    fn on_detach(&mut self, sock: Socket, residue: Vec<u8>) {
         let Some((sink, last_seq, want_snapshot)) = self.pending_repl.take() else {
             return;
         };
-        let _ = stream.set_stream_timeouts(
+        let sock: Box<dyn Stream> = match sock {
+            Socket::Tcp(s) => Box::new(s),
+            Socket::Unix(s) => Box::new(s),
+        };
+        let _ = sock.set_stream_timeouts(
             Some(self.inner.config.read_timeout),
             Some(self.inner.config.write_timeout),
         );
         // Any bytes the reactor read past the Subscribe frame must reach the
         // sink before fresh socket reads do.
-        let boxed: Box<dyn Stream> = if residue.is_empty() {
-            Box::new(stream)
+        let stream: Box<dyn Stream> = if residue.is_empty() {
+            sock
         } else {
-            Box::new(PrefixedStream::new(residue, stream))
+            Box::new(PrefixedStream::new(residue, sock))
         };
         let inner = self.inner.clone();
         let handle = std::thread::Builder::new()
             .name("svc-repl-conn".into())
             .spawn(move || {
-                sink(boxed, last_seq, want_snapshot);
+                sink(stream, last_seq, want_snapshot);
                 inner.conns_closed.inc();
             })
             .expect("spawn svc replication connection thread");
-        self.inner.conn_threads.lock().push(handle);
+        self.inner.repl_threads.lock().push(handle);
     }
 
     fn on_close(&mut self) {
@@ -592,14 +566,14 @@ impl ConnHandler for RConn {
 /// A [`Stream`] that replays a byte prefix before reading the socket — used
 /// to hand a detached connection (plus the reactor's unconsumed read buffer)
 /// to the replication sink without losing bytes. The prefix cursor is shared
-/// across clones, mirroring TCP `try_clone` semantics.
+/// across clones, mirroring socket `try_clone` semantics.
 struct PrefixedStream {
     prefix: Arc<Mutex<(Vec<u8>, usize)>>,
-    sock: TcpStream,
+    sock: Box<dyn Stream>,
 }
 
 impl PrefixedStream {
-    fn new(prefix: Vec<u8>, sock: TcpStream) -> PrefixedStream {
+    fn new(prefix: Vec<u8>, sock: Box<dyn Stream>) -> PrefixedStream {
         PrefixedStream {
             prefix: Arc::new(Mutex::new((prefix, 0))),
             sock,
@@ -641,7 +615,7 @@ impl Stream for PrefixedStream {
     fn try_clone_stream(&self) -> io::Result<Box<dyn Stream>> {
         Ok(Box::new(PrefixedStream {
             prefix: self.prefix.clone(),
-            sock: self.sock.try_clone()?,
+            sock: self.sock.try_clone_stream()?,
         }))
     }
 
@@ -658,148 +632,38 @@ impl Stream for PrefixedStream {
     }
 }
 
-/// The connection loop for streams the reactor cannot poll — loopback pipes
-/// have no file descriptor: a blocking reader plus a writer thread
-/// serializing replies off an mpsc channel. Shares [`classify`] with the
-/// reactor path.
-fn handle_conn(inner: &Arc<ServerInner>, stream: Box<dyn Stream>) {
-    let _ = stream.set_stream_timeouts(
-        Some(inner.config.read_timeout),
-        Some(inner.config.write_timeout),
-    );
-    let mut reader = stream;
-    let writer = match reader.try_clone_stream() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-
-    // Writer thread: the only place reply frames touch the stream, so reply
-    // bytes from concurrent shards never interleave.
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer_thread = std::thread::spawn(move || {
-        let mut writer = writer;
-        for frame in reply_rx {
-            if write_frame(&mut writer, &frame).is_err() {
-                // Client gone or stalled past the write timeout: tear down
-                // both directions so the reader exits too, then discard the
-                // rest of the backlog.
-                writer.shutdown_stream();
-                break;
-            }
-        }
-    });
-
-    let inflight = Arc::new(Inflight {
-        count: Mutex::new(0),
-        changed: Condvar::new(),
-    });
-
-    // The connection's tenant: default until a Hello says otherwise. Every
-    // request is accounted to (and scheduled under) the tenant in effect
-    // when its frame was read.
-    let mut tenant: Arc<Tenant> = inner.tenants.default_tenant().clone();
-
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(FrameRead::Frame(f)) => f,
-            Ok(FrameRead::Idle) => {
-                if inner.stopping.load(Ordering::Acquire) {
-                    break;
-                }
-                continue;
-            }
-            Ok(FrameRead::Eof) | Err(_) => break,
-        };
-
-        match classify(inner, &mut tenant, frame) {
-            Action::Inline(reply) => {
-                if reply_tx.send(reply).is_err() {
-                    break;
-                }
-            }
-            Action::Repl {
-                sink,
-                last_seq,
-                want_snapshot,
-            } => {
-                // Replication handover: settle the request machinery first
-                // (in-flight requests reply, the writer thread flushes and
-                // exits) so the sink owns the stream alone.
-                {
-                    let mut count = inflight.count.lock();
-                    while *count > 0 {
-                        inflight.changed.wait(&mut count);
-                    }
-                }
-                drop(reply_tx);
-                let _ = writer_thread.join();
-                sink(reader, last_seq, want_snapshot);
-                return;
-            }
-            Action::Job { req_id, key, run } => {
-                // Backpressure: cap this connection's queued-or-executing
-                // requests.
-                {
-                    let mut count = inflight.count.lock();
-                    if *count >= inner.config.max_inflight_per_conn {
-                        inner.backpressure_waits.inc();
-                        while *count >= inner.config.max_inflight_per_conn {
-                            inflight.changed.wait(&mut count);
-                        }
-                    }
-                    *count += 1;
-                }
-                let tx = reply_tx.clone();
-                let job_inflight = inflight.clone();
-                let submitted = inner.pool.submit_for(
-                    key,
-                    &tenant,
-                    Box::new(move || {
-                        let _ = tx.send(run());
-                        let mut count = job_inflight.count.lock();
-                        *count -= 1;
-                        job_inflight.changed.notify_all();
-                    }),
-                );
-                if !submitted {
-                    inner.rejected.inc();
-                    let reply: Reply = Err(SvcError::service(
-                        SvcError::SHUTTING_DOWN,
-                        "server is shutting down",
-                    ));
-                    let _ = reply_tx.send(encode_reply(req_id, &reply));
-                    let mut count = inflight.count.lock();
-                    *count -= 1;
-                    inflight.changed.notify_all();
-                    break;
-                }
-            }
-        }
-    }
-
-    // Drain: wait until every in-flight request for this connection has
-    // replied, so closing the writer cannot drop queued replies.
-    {
-        let mut count = inflight.count.lock();
-        while *count > 0 {
-            inflight.changed.wait(&mut count);
-        }
-    }
-    drop(reply_tx); // writer thread's `for` loop ends once the backlog flushes
-    let _ = writer_thread.join();
-    reader.shutdown_stream();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
-    use crate::proto::Body;
+    use crate::client::{dial_tcp, Client};
+    use crate::codec::{read_frame, write_frame, FrameRead};
+    use crate::proto::decode_reply;
     use denova::DedupMode;
     use denova_nova::NovaOptions;
     use denova_pmem::PmemDevice;
+    use std::collections::HashMap;
+    use std::net::SocketAddr;
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
 
-    fn server() -> Server {
+    /// The socket kinds a connection arrives on. There is one connection
+    /// state machine, and every test below holds it to the same assertions
+    /// over both.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        Tcp,
+        Unix,
+    }
+
+    const KINDS: [Kind; 2] = [Kind::Tcp, Kind::Unix];
+
+    /// A server, dialed over one socket kind.
+    struct Served {
+        srv: Arc<Server>,
+        tcp: Option<(SocketAddr, JoinHandle<()>)>,
+    }
+
+    fn serve_with(kind: Kind, mode: DedupMode, config: SvcConfig) -> Served {
         let dev = Arc::new(PmemDevice::new(32 * 1024 * 1024));
         let fs = Denova::mkfs(
             dev,
@@ -807,256 +671,322 @@ mod tests {
                 num_inodes: 128,
                 ..Default::default()
             },
-            DedupMode::Immediate,
+            mode,
         )
         .unwrap();
-        Server::new(Arc::new(fs), SvcConfig::default())
+        let srv = Arc::new(Server::new(Arc::new(fs), config));
+        let tcp = matches!(kind, Kind::Tcp).then(|| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let srv = srv.clone();
+            let accept = std::thread::spawn(move || srv.serve(listener).unwrap());
+            (addr, accept)
+        });
+        Served { srv, tcp }
+    }
+
+    fn serve(kind: Kind) -> Served {
+        serve_with(kind, DedupMode::Immediate, SvcConfig::default())
+    }
+
+    impl Served {
+        fn dial(&self) -> Box<dyn Stream> {
+            match &self.tcp {
+                Some((addr, _)) => dial_tcp(&addr.to_string()).unwrap(),
+                None => Box::new(self.srv.connect_loopback()),
+            }
+        }
+
+        fn client(&self) -> Client {
+            Client::from_stream(self.dial())
+        }
+
+        /// Shut down — `serve` must return — and hand back the stack.
+        fn stop(self) -> Arc<Denova> {
+            self.srv.request_shutdown();
+            if let Some((_, accept)) = self.tcp {
+                accept.join().unwrap();
+            }
+            Arc::try_unwrap(self.srv)
+                .unwrap_or_else(|_| panic!("server still referenced"))
+                .shutdown()
+        }
+    }
+
+    /// `frames`, length-prefixed and back to back: one `write_all` of this
+    /// lands them in the server's decoder together.
+    fn wire(frames: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in frames {
+            write_frame(&mut out, f).unwrap();
+        }
+        out
+    }
+
+    fn next_frame(stream: &mut impl Read) -> Vec<u8> {
+        loop {
+            match read_frame(stream).unwrap() {
+                FrameRead::Frame(f) => return f,
+                FrameRead::Idle => {}
+                FrameRead::Eof => panic!("server closed early"),
+            }
+        }
     }
 
     #[test]
-    fn loopback_round_trip() {
-        let srv = server();
-        let mut client = Client::from_stream(Box::new(srv.connect_loopback()));
-        client.ping().unwrap();
-        let ino = client.create("hello.txt").unwrap();
-        assert_eq!(client.write_at(ino, 0, b"hi there").unwrap(), 8);
-        assert_eq!(client.read_at(ino, 0, 8).unwrap(), b"hi there");
-        let st = client.stat(ino).unwrap();
-        assert_eq!(st.size, 8);
-        assert_eq!(client.list().unwrap(), vec!["hello.txt".to_string()]);
-        client.unlink("hello.txt").unwrap();
-        drop(client);
-        srv.shutdown();
+    fn round_trip() {
+        for kind in KINDS {
+            let h = serve(kind);
+            let mut client = h.client();
+            client.ping().unwrap();
+            let ino = client.create("hello.txt").unwrap();
+            assert_eq!(client.write_at(ino, 0, b"hi there").unwrap(), 8);
+            assert_eq!(client.read_at(ino, 0, 8).unwrap(), b"hi there");
+            let st = client.stat(ino).unwrap();
+            assert_eq!(st.size, 8);
+            assert_eq!(client.list().unwrap(), vec!["hello.txt".to_string()]);
+            client.unlink("hello.txt").unwrap();
+            drop(client);
+            h.stop();
+        }
     }
 
     #[test]
-    fn loopback_256k_write_read_round_trip() {
-        let srv = server();
-        let mut client = Client::from_stream(Box::new(srv.connect_loopback()));
-        let ino = client.create("big").unwrap();
-        let data: Vec<u8> = (0..256usize << 10).map(|i| (i * 31 % 251) as u8).collect();
-        assert_eq!(client.write_at(ino, 0, &data).unwrap(), data.len() as u64);
-        // One 256 KiB reply frame through the pipe, as e2e's loopback rung
-        // reads them.
-        assert!(client.read_at(ino, 0, data.len() as u64).unwrap() == data);
-        assert!(client.read_at(ino, 4096, 8192).unwrap() == data[4096..12288]);
-        drop(client);
-        srv.shutdown();
+    fn write_read_256k_round_trip() {
+        for kind in KINDS {
+            let h = serve(kind);
+            let mut client = h.client();
+            let ino = client.create("big").unwrap();
+            let data: Vec<u8> = (0..256usize << 10).map(|i| (i * 31 % 251) as u8).collect();
+            assert_eq!(client.write_at(ino, 0, &data).unwrap(), data.len() as u64);
+            // One 256 KiB reply frame, as e2e's loopback rung reads them.
+            assert!(client.read_at(ino, 0, data.len() as u64).unwrap() == data);
+            assert!(client.read_at(ino, 4096, 8192).unwrap() == data[4096..12288]);
+            drop(client);
+            h.stop();
+        }
     }
 
     #[test]
     fn hello_switches_tenant_accounting() {
-        let srv = server();
-        let mut client = Client::from_stream(Box::new(srv.connect_loopback()));
-        client.hello("acme", 2).unwrap();
-        assert_eq!(srv.tenants().get("acme").weight(), 2);
-        let ino = client.create("f").unwrap();
-        client.write_at(ino, 0, &[7u8; 4096]).unwrap();
-        let snap = srv.service().metrics().snapshot();
-        assert!(snap.counter("svc.tenant.acme.ops").unwrap_or(0) >= 2);
-        assert!(snap.counter("svc.tenant.acme.bytes_in").unwrap_or(0) >= 4096);
-        assert!(snap.histogram("svc.tenant.acme.request.ns").unwrap().count >= 2);
-        // Untenanted connections account to the default tenant.
-        let mut plain = Client::from_stream(Box::new(srv.connect_loopback()));
-        plain.ping().unwrap();
-        let snap = srv.service().metrics().snapshot();
-        assert!(snap.counter("svc.tenant.default.ops").unwrap_or(0) >= 1);
-        srv.shutdown();
+        for kind in KINDS {
+            let h = serve(kind);
+            let mut client = h.client();
+            client.hello("acme", 2).unwrap();
+            assert_eq!(h.srv.tenants().get("acme").weight(), 2);
+            let ino = client.create("f").unwrap();
+            client.write_at(ino, 0, &[7u8; 4096]).unwrap();
+            let snap = h.srv.service().metrics().snapshot();
+            assert!(snap.counter("svc.tenant.acme.ops").unwrap_or(0) >= 2);
+            assert!(snap.counter("svc.tenant.acme.bytes_in").unwrap_or(0) >= 4096);
+            assert!(snap.histogram("svc.tenant.acme.request.ns").unwrap().count >= 2);
+            // Untenanted connections account to the default tenant.
+            let mut plain = h.client();
+            plain.ping().unwrap();
+            let snap = h.srv.service().metrics().snapshot();
+            assert!(snap.counter("svc.tenant.default.ops").unwrap_or(0) >= 1);
+            drop((client, plain));
+            h.stop();
+        }
     }
 
     #[test]
-    fn malformed_frame_gets_bad_request_and_connection_survives() {
-        let srv = server();
-        let mut end = srv.connect_loopback();
-        // A syntactically valid frame whose payload is garbage.
-        crate::codec::write_frame(&mut end, &[1, 2, 3]).unwrap();
-        let mut client = Client::from_stream(Box::new(end));
-        // The error reply for the garbage frame is consumed first; req_id 0
-        // matches nothing the client sent, so it is discarded and the ping
-        // round-trips on the same connection.
-        client.ping().unwrap();
-        let snap = srv.service().metrics().snapshot();
-        assert_eq!(snap.counter("svc.bad_requests"), Some(1));
-        srv.shutdown();
-    }
-
-    #[test]
-    fn shutdown_request_stops_server_and_tcp_serve_returns() {
-        let srv = Arc::new(server());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let srv2 = srv.clone();
-        let accept = std::thread::spawn(move || srv2.serve(listener).unwrap());
-        let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
-        let ino = client.create("f").unwrap();
-        client.write_at(ino, 0, &[1; 4096]).unwrap();
-        client.shutdown_server().unwrap();
-        accept.join().unwrap();
-        assert!(srv.stopping());
-        let fs = Arc::try_unwrap(srv)
-            .unwrap_or_else(|_| panic!("server still referenced"))
-            .shutdown();
-        assert_eq!(fs.file_size(ino).unwrap(), 4096);
-    }
-
-    #[test]
-    fn reactor_serve_zero_copy_writes_and_idle_conns() {
-        let srv = Arc::new(server());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let srv2 = srv.clone();
-        let accept = std::thread::spawn(move || srv2.serve(listener).unwrap());
-        // Idle connections cost no threads: park a handful while working.
-        let idle: Vec<Client> = (0..8)
-            .map(|_| {
-                let mut c = Client::connect_tcp(&addr.to_string()).unwrap();
-                c.ping().unwrap();
-                c
-            })
-            .collect();
-        let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
-        let ino = client.create("zc").unwrap();
-        // Block-aligned whole-block write: the zero-copy path.
-        let block = vec![0xA5u8; 4096];
-        assert_eq!(client.write_at(ino, 0, &block).unwrap(), 4096);
-        // Unaligned write: staged through Request::decode.
-        assert_eq!(client.write_at(ino, 4096, b"tail").unwrap(), 4);
-        assert_eq!(client.read_at(ino, 0, 4096).unwrap(), block);
-        assert_eq!(client.read_at(ino, 4096, 4).unwrap(), b"tail");
-        let snap = srv.service().metrics().snapshot();
-        assert!(snap.counter("svc.zero_copy_writes").unwrap_or(0) >= 1);
-        assert!(snap.counter("svc.staged_writes").unwrap_or(0) >= 1);
-        assert!(snap.counter("svc.conns.opened").unwrap_or(0) >= 9);
-        client.shutdown_server().unwrap();
-        accept.join().unwrap();
-        drop(idle);
-        drop(client);
-        let fs = Arc::try_unwrap(srv)
-            .unwrap_or_else(|_| panic!("server still referenced"))
-            .shutdown();
-        assert_eq!(fs.file_size(ino).unwrap(), 4100);
-    }
-
-    #[test]
-    fn reactor_backpressures_pipelined_writes() {
-        let dev = Arc::new(PmemDevice::new(32 * 1024 * 1024));
-        let fs = Denova::mkfs(
-            dev,
-            NovaOptions {
-                num_inodes: 128,
-                ..Default::default()
-            },
-            DedupMode::Baseline,
-        )
-        .unwrap();
-        let srv = Arc::new(Server::new(
-            Arc::new(fs),
-            SvcConfig {
-                shards: 1,
-                max_inflight_per_conn: 2,
-                event_loops: 1,
-                ..Default::default()
-            },
-        ));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let srv2 = srv.clone();
-        let accept = std::thread::spawn(move || srv2.serve(listener).unwrap());
-        let mut end = TcpStream::connect(addr).unwrap();
-        let ino = {
-            let mut c = Client::connect_tcp(&addr.to_string()).unwrap();
-            c.create("f").unwrap()
-        };
-        // Fire 64 pipelined writes without reading replies: far beyond the
-        // inflight cap, so the loop must pause reads rather than queue all.
-        for i in 0..64u64 {
-            let req = Request::Write {
-                ino,
-                offset: i * 512,
-                data: vec![i as u8; 512],
+    fn malformed_or_misplaced_frames_get_bad_request_and_connection_survives() {
+        for kind in KINDS {
+            let h = serve(kind);
+            let (handed_over, sink_calls) = mpsc::channel();
+            h.srv
+                .set_repl_sink(Some(Arc::new(move |_stream, last_seq, _snapshot| {
+                    handed_over.send(last_seq).unwrap();
+                })));
+            let mut end = h.dial();
+            // A syntactically valid frame whose payload is garbage.
+            write_frame(&mut end, &[1, 2, 3]).unwrap();
+            let (id, reply) = decode_reply(&next_frame(&mut end)).unwrap();
+            assert_eq!((id, reply.unwrap_err().code), (0, SvcError::BAD_REQUEST));
+            // A Subscribe behind a request still in flight: both frames are
+            // decoded in one pass, before the ping's reply can come back.
+            let subscribe = ReplMsg::Subscribe {
+                last_seq: 7,
+                want_snapshot: false,
             };
-            crate::codec::write_frame(&mut end, &req.encode(i)).unwrap();
+            end.write_all(&wire(&[&Request::Ping.encode(1), &subscribe.encode()]))
+                .unwrap();
+            let replies: HashMap<u64, Reply> = (0..2)
+                .map(|_| decode_reply(&next_frame(&mut end)).unwrap())
+                .collect();
+            assert_eq!(replies[&1], Ok(Body::Empty));
+            let refused = replies[&0].clone().unwrap_err();
+            assert_eq!(refused.code, SvcError::BAD_REQUEST);
+            assert!(refused.message.contains("first frame"), "{refused:?}");
+            // The connection is still a request connection.
+            let mut client = Client::from_stream(end);
+            client.ping().unwrap();
+            assert!(sink_calls.try_recv().is_err(), "{kind:?}: handed over");
+            let snap = h.srv.service().metrics().snapshot();
+            assert_eq!(snap.counter("svc.bad_requests"), Some(2));
+            drop(client);
+            h.stop();
         }
-        // Every reply still arrives, in submission order (single shard).
-        end.set_stream_timeouts(Some(Duration::from_millis(100)), None)
-            .unwrap();
-        let mut got = 0u64;
-        while got < 64 {
-            match read_frame(&mut end).unwrap() {
-                FrameRead::Frame(f) => {
-                    let (id, reply) = crate::proto::decode_reply(&f).unwrap();
-                    assert_eq!(id, got);
-                    assert_eq!(reply.unwrap(), Body::Written(512));
-                    got += 1;
-                }
-                FrameRead::Idle => {}
-                FrameRead::Eof => panic!("server closed early"),
-            }
+    }
+
+    #[test]
+    fn first_frame_subscribe_hands_the_socket_and_the_bytes_behind_it_to_the_sink() {
+        for kind in KINDS {
+            let h = serve(kind);
+            let (handed_over, sink_calls) = mpsc::channel();
+            h.srv
+                .set_repl_sink(Some(Arc::new(move |mut stream, last_seq, snapshot| {
+                    // Both directions work: echo one frame.
+                    let frame = next_frame(&mut stream);
+                    write_frame(&mut stream, &frame).unwrap();
+                    handed_over.send((last_seq, snapshot)).unwrap();
+                })));
+            let subscribe = ReplMsg::Subscribe {
+                last_seq: 7,
+                want_snapshot: true,
+            };
+            let mut end = h.dial();
+            // The frame behind the Subscribe is already in the reactor's
+            // read buffer at handover: the sink must see it first.
+            end.write_all(&wire(&[&subscribe.encode(), b"read past"]))
+                .unwrap();
+            assert_eq!(next_frame(&mut end), b"read past");
+            assert_eq!(sink_calls.recv().unwrap(), (7, true));
+            drop(end);
+            h.stop();
         }
-        let snap = srv.service().metrics().snapshot();
-        assert!(snap.counter("svc.backpressure_waits").unwrap_or(0) > 0);
-        drop(end);
-        srv.request_shutdown();
-        accept.join().unwrap();
-        let fs = Arc::try_unwrap(srv)
-            .unwrap_or_else(|_| panic!("server still referenced"))
-            .shutdown();
-        assert_eq!(fs.file_size(ino).unwrap(), 64 * 512);
+    }
+
+    #[test]
+    fn shutdown_request_stops_the_server_and_serve_returns() {
+        for kind in KINDS {
+            let h = serve(kind);
+            let mut client = h.client();
+            let ino = client.create("f").unwrap();
+            client.write_at(ino, 0, &[1; 4096]).unwrap();
+            client.shutdown_server().unwrap();
+            assert!(h.srv.stopping());
+            let fs = h.stop();
+            assert_eq!(fs.file_size(ino).unwrap(), 4096);
+        }
+    }
+
+    #[test]
+    fn zero_copy_writes_and_idle_conns() {
+        for kind in KINDS {
+            let h = serve(kind);
+            // Idle connections cost no threads: park a handful while working.
+            let idle: Vec<Client> = (0..8)
+                .map(|_| {
+                    let mut c = h.client();
+                    c.ping().unwrap();
+                    c
+                })
+                .collect();
+            let mut client = h.client();
+            let ino = client.create("zc").unwrap();
+            // Block-aligned whole-block write: the zero-copy path.
+            let block = vec![0xA5u8; 4096];
+            assert_eq!(client.write_at(ino, 0, &block).unwrap(), 4096);
+            // Unaligned write: staged through Request::decode.
+            assert_eq!(client.write_at(ino, 4096, b"tail").unwrap(), 4);
+            assert_eq!(client.read_at(ino, 0, 4096).unwrap(), block);
+            assert_eq!(client.read_at(ino, 4096, 4).unwrap(), b"tail");
+            let snap = h.srv.service().metrics().snapshot();
+            assert!(snap.counter("svc.zero_copy_writes").unwrap_or(0) >= 1);
+            assert!(snap.counter("svc.staged_writes").unwrap_or(0) >= 1);
+            assert!(snap.counter("svc.conns.opened").unwrap_or(0) >= 9);
+            client.shutdown_server().unwrap();
+            drop((idle, client));
+            let fs = h.stop();
+            assert_eq!(fs.file_size(ino).unwrap(), 4100);
+        }
     }
 
     #[test]
     fn inflight_cap_backpressures_rather_than_drops() {
-        let dev = Arc::new(PmemDevice::new(32 * 1024 * 1024));
-        let fs = Denova::mkfs(
-            dev,
-            NovaOptions {
-                num_inodes: 128,
-                ..Default::default()
-            },
-            DedupMode::Baseline,
-        )
-        .unwrap();
-        let srv = Server::new(
-            Arc::new(fs),
-            SvcConfig {
-                shards: 1,
-                max_inflight_per_conn: 2,
-                ..Default::default()
-            },
-        );
-        let mut end = srv.connect_loopback();
-        let ino = {
-            let mut c = Client::from_stream(Box::new(srv.connect_loopback()));
-            c.create("f").unwrap()
-        };
-        // Fire 64 pipelined writes without reading replies: far beyond the
-        // inflight cap, so the reader must stall rather than queue them all.
-        for i in 0..64u64 {
-            let req = Request::Write {
-                ino,
-                offset: i * 512,
-                data: vec![i as u8; 512],
-            };
-            crate::codec::write_frame(&mut end, &req.encode(i)).unwrap();
-        }
-        // Every reply still arrives, in submission order (single shard).
-        let mut got = 0u64;
-        while got < 64 {
-            match read_frame(&mut end).unwrap() {
-                FrameRead::Frame(f) => {
-                    let (id, reply) = crate::proto::decode_reply(&f).unwrap();
-                    assert_eq!(id, got);
-                    assert_eq!(reply.unwrap(), Body::Written(512));
-                    got += 1;
-                }
-                FrameRead::Idle => {}
-                FrameRead::Eof => panic!("server closed early"),
+        for kind in KINDS {
+            let h = serve_with(
+                kind,
+                DedupMode::Baseline,
+                SvcConfig {
+                    shards: 1,
+                    max_inflight_per_conn: 2,
+                    event_loops: 1,
+                    ..Default::default()
+                },
+            );
+            let mut end = h.dial();
+            let ino = h.client().create("f").unwrap();
+            // Fire 64 pipelined writes without reading replies: far beyond
+            // the inflight cap, so the loop must pause reads rather than
+            // queue them all.
+            for i in 0..64u64 {
+                let req = Request::Write {
+                    ino,
+                    offset: i * 512,
+                    data: vec![i as u8; 512],
+                };
+                write_frame(&mut end, &req.encode(i)).unwrap();
             }
+            // Every reply still arrives, in submission order (single shard).
+            end.set_stream_timeouts(Some(Duration::from_millis(100)), None)
+                .unwrap();
+            for i in 0..64u64 {
+                let (id, reply) = decode_reply(&next_frame(&mut end)).unwrap();
+                assert_eq!(id, i);
+                assert_eq!(reply.unwrap(), Body::Written(512));
+            }
+            let snap = h.srv.service().metrics().snapshot();
+            assert!(snap.counter("svc.backpressure_waits").unwrap_or(0) > 0);
+            drop(end);
+            let fs = h.stop();
+            assert_eq!(fs.file_size(ino).unwrap(), 64 * 512);
         }
-        let snap = srv.service().metrics().snapshot();
-        assert!(snap.counter("svc.backpressure_waits").unwrap_or(0) > 0);
-        drop(end);
-        let fs = srv.shutdown();
-        assert_eq!(fs.file_size(ino).unwrap(), 64 * 512);
+    }
+
+    /// `Threads:` from `/proc/self/status`, as `bench/src/svcconn.rs` reads
+    /// it (0 where unreadable).
+    fn resident_threads() -> usize {
+        std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("Threads:"))
+                    .and_then(|l| l.split_whitespace().nth(1))
+                    .and_then(|n| n.parse().ok())
+            })
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn loopback_connections_add_no_threads() {
+        let h = serve(Kind::Unix);
+        let before = resident_threads();
+        let conns: Vec<Client> = (0..256)
+            .map(|_| {
+                let mut c = h.client();
+                c.ping().unwrap();
+                c
+            })
+            .collect();
+        // The server adds none; sibling tests in this process start and stop
+        // their own, so give a burst of those the time to pass.
+        let mut grew = usize::MAX;
+        for _ in 0..100 {
+            grew = grew.min(resident_threads().saturating_sub(before));
+            if grew < 32 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(grew < 32, "256 idle connections cost {grew} threads");
+        let metrics = h.srv.service().metrics().clone();
+        drop(conns);
+        h.stop();
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("svc.conns.opened"), Some(256));
+        assert_eq!(snap.counter("svc.conns.closed"), Some(256));
     }
 }

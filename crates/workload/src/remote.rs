@@ -3,7 +3,7 @@
 //! handle.
 //!
 //! Each worker thread opens its **own** connection (via a connector closure,
-//! so tests can hand out loopback pipes and production hands out TCP
+//! so tests can hand out loopback socket pairs and production hands out TCP
 //! sockets) and pushes its slice of the file population through the typed
 //! [`Client`]. Per-request failures are counted, never panicked on — the
 //! acceptance bar for the service layer is a multi-threaded run with a

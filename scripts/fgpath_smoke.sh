@@ -8,9 +8,9 @@
 #   * aligned writes bounce zero bytes through staging scratch.
 #
 # The latency claim (aligned 4 KiB p50 ≥ 15% faster than the staged
-# reference path) is recorded in BENCH_fgpath.json and asserted by the
-# `fgpath` unit tests; a shared CI runner's timing is too noisy to gate a
-# shell smoke on it.
+# reference path) is what a release-build `figures -- fgpath` records in
+# BENCH_fgpath.json; no test or smoke gates on it, because a shared
+# runner's (or a debug build's) timing is too noisy to.
 #
 # Usage: scripts/fgpath_smoke.sh
 # (`make fgpath-smoke` builds the release binary first)

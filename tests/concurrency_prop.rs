@@ -64,6 +64,17 @@ proptest! {
         let len = pages * 4096;
         fs.write(ino, 0, &vec![1u8; len]).unwrap();
 
+        // With no writer yet, a read must validate its snapshot: this is
+        // the path the readers below race the writer on. (Under the race
+        // itself every attempt of a case may lose to the writer and fall
+        // back to the lock, so the count is checked here, not after.)
+        let optimistic_hits =
+            || denova_nova::NovaStats::get(&fs.nova().stats().read_optimistic_hits);
+        let before = optimistic_hits();
+        let uncontended = torn(&fs.read(ino, 0, len).unwrap(), len);
+        prop_assert!(uncontended.is_none(), "{uncontended:?}");
+        prop_assert!(optimistic_hits() > before, "no optimistic reads recorded");
+
         let stop = Arc::new(AtomicBool::new(false));
         let failures: Arc<std::sync::Mutex<Vec<String>>> =
             Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -114,13 +125,6 @@ proptest! {
         let fails = failures.lock().unwrap();
         prop_assert!(fails.is_empty(), "{}", fails.join("; "));
         prop_assert!(reads_done.load(Ordering::Relaxed) > 0, "readers never ran");
-        // The readers really did exercise the optimistic path (hits are
-        // cumulative across proptest cases; any progress proves the path).
-        let stats = fs.nova().stats();
-        prop_assert!(
-            denova_nova::NovaStats::get(&stats.read_optimistic_hits) > 0,
-            "no optimistic reads recorded"
-        );
     }
 }
 

@@ -228,3 +228,196 @@ fn pipelined_writes_serialize_per_inode() {
     let fs = srv.shutdown();
     audit(&fs);
 }
+
+/// Send `bytes` down a fresh loopback connection, half-close it so the
+/// server sees them end, and collect what comes back until the server
+/// closes. Panics if the server neither replies nor closes, or if anything
+/// it sends is not a well-formed reply frame.
+fn replies_to(srv: &Server, bytes: &[u8]) -> Vec<(u64, denova_repro::svc::Reply)> {
+    use denova_repro::svc::codec::{read_frame, FrameRead};
+    use std::io::Write;
+    let mut end = srv.connect_loopback();
+    end.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // The server may close under our feet (an oversized announcement is
+    // refused at its fourth byte): a failed write is a closed connection.
+    let _ = end.write_all(bytes);
+    let _ = end.shutdown(std::net::Shutdown::Write);
+    let mut replies = Vec::new();
+    loop {
+        match read_frame(&mut end) {
+            Ok(FrameRead::Frame(f)) => replies.push(
+                denova_repro::svc::proto::decode_reply(&f)
+                    .unwrap_or_else(|e| panic!("malformed reply to {bytes:02x?}: {e}")),
+            ),
+            Ok(FrameRead::Eof) | Err(_) => return replies,
+            Ok(FrameRead::Idle) => panic!("no reply and no close for {bytes:02x?}"),
+        }
+    }
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    denova_repro::svc::codec::write_frame(&mut wire, payload).unwrap();
+    wire
+}
+
+/// Hostile bytes at the wire edge: whatever a peer sends, the server answers
+/// with a structured error or closes that connection — and keeps serving
+/// everyone else, with the file system intact.
+#[test]
+fn hostile_bytes_get_an_error_reply_or_a_closed_connection() {
+    use denova_repro::svc::codec::MAX_FRAME;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let srv = serve_fresh(64 * 1024 * 1024, 256, SvcConfig::default());
+    let victim_data = vec![0x5Au8; 8192];
+    let (victim, target) = {
+        let mut c = Client::from_stream(Box::new(srv.connect_loopback()));
+        let ino = c.create("victim").unwrap();
+        c.write_at(ino, 0, &victim_data).unwrap();
+        (ino, c.create("target").unwrap())
+    };
+
+    // Arbitrary bytes, raw (the first four are whatever length they spell)
+    // and behind a valid length prefix (so they reach the request decoder).
+    let mut rng = StdRng::seed_from_u64(0xBAD_B17E5);
+    for round in 0..64usize {
+        let mut blob = vec![0u8; rng.gen_range(0..600)];
+        rng.fill(&mut blob);
+        for reply in replies_to(&srv, &blob) {
+            assert!(reply.1.is_err(), "raw blob {round} was obeyed: {reply:?}");
+        }
+        let replies = replies_to(&srv, &framed(&blob));
+        assert_eq!(replies.len(), 1, "framed blob {round}: {replies:?}");
+    }
+
+    // A frame announced over the cap: refused, nothing read, no reply.
+    let mut oversized = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+    oversized.extend_from_slice(&[0u8; 64]);
+    assert!(replies_to(&srv, &oversized).is_empty());
+
+    // A valid frame cut short at every length: the peer went away mid-frame.
+    let small = Request::Write {
+        ino: target,
+        offset: 4096,
+        data: vec![0xC3; 16],
+    }
+    .encode(7);
+    let wire = framed(&small);
+    for cut in 0..wire.len() {
+        assert!(replies_to(&srv, &wire[..cut]).is_empty(), "cut at {cut}");
+    }
+
+    // Every single-byte mutation of a valid frame. A mutated length prefix
+    // breaks the framing, so each of those gets a connection of its own...
+    for at in 0..4 {
+        for bit in 1..=255u8 {
+            let mut hostile = wire.clone();
+            hostile[at] ^= bit;
+            for reply in replies_to(&srv, &hostile) {
+                assert!(reply.1.is_err(), "prefix byte {at}^{bit}: {reply:?}");
+            }
+        }
+    }
+    // ...while a mutated payload is one well-framed request: all of them go
+    // down one connection, and each gets exactly one well-formed reply. Both
+    // write decoders are covered: the small write above (staged), and the
+    // header of a block-aligned one (zero-copy). A mutation that spells a
+    // valid Shutdown is a valid request, not a hostile one.
+    let aligned = Request::Write {
+        ino: target,
+        offset: 4096,
+        data: vec![0xC3; 4096],
+    }
+    .encode(7);
+    for (frame, upto) in [(&small, small.len()), (&aligned, 32)] {
+        let mut hostile = Vec::new();
+        let mut sent = 0;
+        for at in 0..upto {
+            for bit in 1..=255u8 {
+                let mut m = frame.clone();
+                m[at] ^= bit;
+                if !matches!(Request::decode(&m), Ok((_, Request::Shutdown))) {
+                    hostile.extend_from_slice(&framed(&m));
+                    sent += 1;
+                }
+            }
+            // A window's worth at a time, so neither side's socket buffer
+            // has to hold the whole campaign.
+            if hostile.len() > 64 << 10 || at + 1 == upto {
+                assert_eq!(replies_to(&srv, &hostile).len(), sent, "byte {at}");
+                hostile.clear();
+                sent = 0;
+            }
+        }
+    }
+
+    // The same server serves a fresh connection. One mutated byte can
+    // re-address a write to the victim's inode or to offset 0, never both:
+    // the victim's first page is out of reach.
+    let mut c = Client::from_stream(Box::new(srv.connect_loopback()));
+    c.ping().unwrap();
+    assert_eq!(c.read_at(victim, 0, 4096).unwrap(), victim_data[..4096]);
+    drop(c);
+    let snap = srv.service().metrics().snapshot();
+    assert!(snap.counter("svc.bad_requests").unwrap_or(0) > 0);
+    assert_eq!(snap.counter("svc.pool.panics"), Some(0));
+    let fs = srv.shutdown();
+    audit(&fs);
+}
+
+/// Exhaustion at the wire edge: a full device is wire code 1 (`NoSpace`),
+/// not a panic or a dead connection, and space given back is usable.
+#[test]
+fn a_full_device_is_no_space_on_the_wire_and_rm_recovers() {
+    let srv = serve_fresh(8 * 1024 * 1024, 64, SvcConfig::default());
+    let mut c = Client::from_stream(Box::new(srv.connect_loopback()));
+    // Unique pages, so dedup cannot make room.
+    let chunk = |file: u64, i: u64| -> Vec<u8> {
+        let mut data = vec![0u8; 64 << 10];
+        for (p, page) in data.chunks_mut(4096).enumerate() {
+            page[..8].copy_from_slice(&file.to_le_bytes());
+            page[8..16].copy_from_slice(&i.to_le_bytes());
+            page[16..24].copy_from_slice(&(p as u64).to_le_bytes());
+        }
+        data
+    };
+    let mut names = Vec::new();
+    let full = 'fill: {
+        for file in 0..32u64 {
+            let name = format!("fill{file}");
+            let ino = match c.create(&name) {
+                Ok(ino) => ino,
+                Err(e) => break 'fill e,
+            };
+            names.push(name);
+            for i in 0..8u64 {
+                if let Err(e) = c.write_at(ino, i * (64 << 10), &chunk(file, i)) {
+                    break 'fill e;
+                }
+            }
+        }
+        panic!("16 MiB of unique data fit in an 8 MiB device");
+    };
+    assert_eq!(full.code, NovaError::NoSpace.code(), "{full}");
+    assert_eq!(full.to_nova(), Some(NovaError::NoSpace));
+    assert!(names.len() >= 2, "filled after {} files", names.len());
+
+    // The connection survives, and so does what was written before.
+    c.ping().unwrap();
+    let first = c.open(&names[0]).unwrap();
+    assert_eq!(c.read_at(first, 0, 64 << 10).unwrap(), chunk(0, 0));
+
+    // rm frees space; a following write succeeds.
+    c.unlink(&names[0]).unwrap();
+    let ino = c.create("after").unwrap();
+    let data = chunk(99, 0);
+    assert_eq!(c.write_at(ino, 0, &data).unwrap(), data.len() as u64);
+    assert_eq!(c.read_at(ino, 0, data.len() as u64).unwrap(), data);
+    drop(c);
+    let snap = srv.service().metrics().snapshot();
+    assert_eq!(snap.counter("svc.pool.panics"), Some(0));
+    let fs = srv.shutdown();
+    audit(&fs);
+}
