@@ -15,10 +15,13 @@ test:
 
 # The frozen benchmark (BENCHMARK.json) is a package outside the workspace,
 # so nothing above compiles it: build it and run its unit tests against the
-# layer crates as they are now, before the benchmark driver does.
+# layer crates as they are now, before the benchmark driver does — and run
+# it once, short, for real: the binary exits non-zero on `correct: false`,
+# i.e. on any content or fsck failure after its crash-recovery mount.
 e2e-check:
 	$(CARGO) build --release --offline --manifest-path e2e/Cargo.toml
 	$(CARGO) test -q --offline --manifest-path e2e/Cargo.toml
+	$(CARGO) run --release --quiet --offline --manifest-path e2e/Cargo.toml -- --workload vm_clone --seed 3 --seconds 2 --trace 0
 
 fmt-check:
 	$(CARGO) fmt --all --check

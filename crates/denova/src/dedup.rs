@@ -254,7 +254,8 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
         // holds, then reserve the transaction with UC += 1 (insert with
         // UC = 1 for unique chunks). Adjacent duplicates of adjacent
         // canonical blocks coalesce into runs as they are found.
-        let mut reservations: Vec<u64> = Vec::new(); // FACT indices, one per reserved record
+        // One `(FACT index, canonical block)` per reserved record.
+        let mut reservations: Vec<(u64, u64)> = Vec::new();
         let mut duplicates: Vec<DupRun> = Vec::new();
         let mut uniques = 0u32;
         let mut dup_pages = 0u32;
@@ -280,6 +281,27 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                 nova.stats().blocks_freed.add(1);
             }
         };
+        // An error exit (FACT/IAA full, log or PM full) commits nothing:
+        // every reservation taken so far goes back the same way, or the
+        // records would sit at `UC ≥ 1` — unreclaimable — until the next
+        // crash mount discards them. A canonical block the target entry
+        // itself still maps (a fresh insert, or a later page of the entry
+        // duplicating it) only drops its record, never the block.
+        let give_all_back =
+            |reservations: &[(u64, u64)], target: &WriteEntry, mem: &denova_nova::InodeMem| {
+                for &(_, canonical) in reservations {
+                    let own = canonical
+                        .checked_sub(target.block)
+                        .filter(|&k| k < target.num_pages as u64)
+                        .and_then(|k| mem.radix.get(target.file_pgoff + k))
+                        .is_some_and(|er| er.entry_off == node.entry_off && er.block == canonical);
+                    if own {
+                        fact.release(canonical, Count::Uc);
+                    } else {
+                        give_back(canonical);
+                    }
+                }
+            };
         let n_pages = target.num_pages as u64;
         let mut i = 0u64;
         while i < n_pages {
@@ -310,7 +332,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
             if let Some(Prep::Grown { canonical }) = prep {
                 let shared = fact.reserve_block(canonical).is_some_and(|(cidx, _)| {
                     if blocks_equal(&dev, &layout, block, canonical) {
-                        reservations.push(cidx);
+                        reservations.push((cidx, canonical));
                         true
                     } else {
                         give_back(canonical);
@@ -347,9 +369,15 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                 }
             };
 
-            let (idx, existing) = fact.reserve_or_insert(&fp, block)?;
+            let (idx, existing) = match fact.reserve_or_insert(&fp, block) {
+                Ok(reserved) => reserved,
+                Err(e) => {
+                    give_all_back(&reservations, &target, ctx.mem);
+                    return Err(e);
+                }
+            };
             if existing.block == block {
-                reservations.push(idx);
+                reservations.push((idx, block));
                 uniques += 1;
                 stats.record_page(false);
                 i += 1;
@@ -405,7 +433,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                     continue;
                 }
             }
-            reservations.push(idx);
+            reservations.push((idx, existing.block));
             for _ in 0..len {
                 stats.record_page(true);
             }
@@ -434,7 +462,13 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
         let encoded: Vec<[u8; 64]> = new_entries.iter().map(|e| e.encode()).collect();
         // Step ⑤ happens inside append: the atomic tail commit (with crash
         // points denova::dedup::{before,after}_tail_commit).
-        let offs = ctx.append(&encoded, "denova::dedup")?;
+        let offs = match ctx.append(&encoded, "denova::dedup") {
+            Ok(offs) => offs,
+            Err(e) => {
+                give_all_back(&reservations, &target, ctx.mem);
+                return Err(e);
+            }
+        };
 
         // Target entry joins the transaction: needed → in_process.
         write_dedupe_flag(&dev, node.entry_off, DedupeFlag::InProcess);
@@ -449,7 +483,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
 
         // Step ⑥: commit every reservation — UC -= 1, RFC += 1, one atomic
         // 64-bit store per FACT entry.
-        for (n, idx) in reservations.iter().enumerate() {
+        for (n, (idx, _)) in reservations.iter().enumerate() {
             fact.commit_uc_to_rfc(*idx);
             if n == 0 {
                 dev.crash_point("denova::dedup::mid_commit_counts");
@@ -657,6 +691,78 @@ mod tests {
         assert_eq!(nova.read(a, 0, data.len()).unwrap(), data);
         let (idx, _) = fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
         assert_eq!(fact.counters(idx), (4, 0));
+    }
+
+    /// ROADMAP item 4, "FACT stripe full": an entry whose third page needs
+    /// an IAA slot when none is left fails with a stable error, and the
+    /// reservations already taken on its first two pages go back — no
+    /// `UcResidue`, the blocks stay reclaimable, and the entry dedups once
+    /// space returns.
+    #[test]
+    fn error_exit_gives_every_reservation_back() {
+        let (nova, fact, dwq) = setup();
+        // Three distinct pages, the third colliding with the first on its
+        // FACT prefix (so it needs an IAA slot).
+        let page = |seed: u32| {
+            let mut p = vec![0u8; 4096];
+            p[..4].copy_from_slice(&seed.to_le_bytes());
+            p
+        };
+        let prefix = |p: &[u8]| Fingerprint::of(p).prefix(fact.prefix_bits());
+        let triple = |seed: u32| {
+            let (first, second) = (page(seed), page(seed + 1));
+            assert_ne!(prefix(&second), prefix(&first));
+            let third = (seed + 2..)
+                .map(page)
+                .find(|p| prefix(p) == prefix(&first))
+                .unwrap();
+            [first, second, third].concat()
+        };
+        let fail_for_lack_of_iaa = |node: &DwqNode| {
+            let space = fact.swap_free_iaa(Vec::new(), fact.entries());
+            assert_eq!(
+                dedup_entry(&nova, &fact, node),
+                Err(NovaError::NoSpace),
+                "IAA exhaustion must surface"
+            );
+            fact.swap_free_iaa(space.0, space.1);
+        };
+        let assert_clean = || {
+            let audit = crate::fsck::fsck_fact(&nova, &fact).unwrap();
+            assert!(audit.is_clean(), "{:?}", audit.errors);
+        };
+
+        let data = triple(1);
+        let a = nova.create("a").unwrap();
+        nova.write(a, 0, &data).unwrap();
+        let node = dwq.pop_batch(1)[0];
+        fail_for_lack_of_iaa(&node);
+        assert_eq!(fact.occupied_count(), 0, "reservations not given back");
+        assert_clean();
+        assert_eq!(nova.read(a, 0, data.len()).unwrap(), data);
+        // Space is back: the entry kept its flag, a later pass dedups it.
+        assert_eq!(
+            dedup_entry(&nova, &fact, &node).unwrap(),
+            DedupOutcome::Done {
+                duplicates: 0,
+                uniques: 3
+            }
+        );
+        assert_clean();
+
+        // The same failure on a second file, then an overwrite: with no
+        // record left at `UC = 1`, reclaim frees all three old blocks.
+        let b = nova.create("b").unwrap();
+        nova.write(b, 0, &triple(100_000)).unwrap();
+        fail_for_lack_of_iaa(&dwq.pop_batch(1)[0]);
+        let free_before = nova.free_blocks();
+        nova.write(b, 0, &vec![9u8; 3 * 4096]).unwrap();
+        assert_eq!(
+            nova.free_blocks(),
+            free_before,
+            "3 blocks allocated, so the 3 old ones must have been freed"
+        );
+        assert_clean();
     }
 
     #[test]

@@ -84,7 +84,8 @@
 
 use crate::stats::DedupStats;
 use denova_fingerprint::Fingerprint;
-use denova_nova::{Layout, NovaError, Result};
+use denova_nova::recovery::phase;
+use denova_nova::{Layout, NovaError, PhaseCost, Result};
 use denova_pmem::PmemDevice;
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -139,6 +140,20 @@ pub struct FactEntry {
 }
 
 impl FactEntry {
+    /// Decode one 64 B slot.
+    fn decode(b: &[u8]) -> FactEntry {
+        FactEntry {
+            rfc: u32::from_le_bytes(b[0..4].try_into().unwrap()),
+            uc: u32::from_le_bytes(b[4..8].try_into().unwrap()),
+            fp: Fingerprint::from_bytes(b[8..28].try_into().unwrap()),
+            block: u64::from_le_bytes(b[28..36].try_into().unwrap()),
+            prev: i64::from_le_bytes(b[36..44].try_into().unwrap()),
+            next: i64::from_le_bytes(b[44..52].try_into().unwrap()),
+            delete_ptr: i64::from_le_bytes(b[52..60].try_into().unwrap()),
+            run_pages: u32::from_le_bytes(b[60..64].try_into().unwrap()).max(1),
+        }
+    }
+
     /// Whether the slot holds live dedup metadata (the FP of real data is
     /// never all-zero).
     pub fn is_occupied(&self) -> bool {
@@ -208,6 +223,71 @@ pub enum Released {
     Removed,
 }
 
+/// What one streaming pass over the table ([`Fact::survey`]) saw: every
+/// consumer that used to walk FACT itself — the mount's free-slot scan, both
+/// halves of run repair, UC discard, reorder repair, the scrub, fsck — reads
+/// this instead, in DRAM.
+///
+/// A survey is a *transient* picture of the persistent table, dropped when
+/// its consumer returns: it indexes nothing, no lookup or reclaim ever sees
+/// it, and a running `Fact` keeps no per-fingerprint DRAM state — the
+/// paper's DRAM-free-index property is about steady state, which this does
+/// not touch. It goes stale as soon as the table is modified; consumers
+/// that act on it re-read the slots they are about to touch.
+#[derive(Debug)]
+pub struct Survey {
+    /// The delete-pointer column: cell `b` is block `b`'s reverse index.
+    delete_ptr: Vec<i64>,
+    /// Occupied slots in index order.
+    occupied: Vec<(u64, FactEntry)>,
+    /// Unoccupied IAA slots, descending ([`Fact::mount_surveyed`] moves them
+    /// into the allocator).
+    free_iaa: Vec<u64>,
+    /// Device reads (one per table block) and wall time of the pass.
+    cost: PhaseCost,
+}
+
+impl Survey {
+    /// Occupied slots, in index order.
+    pub fn occupied(&self) -> &[(u64, FactEntry)] {
+        &self.occupied
+    }
+
+    /// The surveyed record at `idx`, if the slot was occupied.
+    pub fn entry(&self, idx: u64) -> Option<&FactEntry> {
+        let at = self.occupied.binary_search_by_key(&idx, |&(i, _)| i).ok()?;
+        Some(&self.occupied[at].1)
+    }
+
+    /// [`Fact::resolve_block`] answered from the survey: the record the
+    /// delete-pointer column names for `block`, if it covers the block.
+    pub fn resolve(&self, block: u64) -> Option<(u64, &FactEntry)> {
+        let idx = u64::try_from(*self.delete_ptr.get(block as usize)?).ok()?;
+        let e = self.entry(idx)?;
+        e.covers(block).then_some((idx, e))
+    }
+
+    /// Unoccupied IAA slots, descending — the stack the allocator pops, so
+    /// recycled slots are served in ascending order (empty once
+    /// [`Fact::mount_surveyed`] has moved them into the allocator).
+    pub fn free_iaa(&self) -> &[u64] {
+        &self.free_iaa
+    }
+
+    /// Device reads (one per table block) and wall time of the pass.
+    pub fn cost(&self) -> PhaseCost {
+        self.cost
+    }
+
+    /// Forget the surveyed update count of `idx` (recovery just discarded
+    /// it on the device).
+    pub(crate) fn clear_uc(&mut self, idx: u64) {
+        if let Ok(at) = self.occupied.binary_search_by_key(&idx, |&(i, _)| i) {
+            self.occupied[at].1.uc = 0;
+        }
+    }
+}
+
 impl Fact {
     /// Attach to the FACT region of a freshly-formatted device (all slots
     /// empty).
@@ -229,20 +309,44 @@ impl Fact {
     }
 
     /// Attach to an existing FACT region, rebuilding the IAA free-slot stack
-    /// — the only DRAM state there is — in a single scan of the IAA
-    /// (mount-time cost, like NOVA's log scan).
+    /// — the only DRAM state there is — from one streaming pass over the
+    /// IAA (mount-time cost, like NOVA's log scan).
     pub fn mount(dev: Arc<PmemDevice>, layout: Layout, stats: Arc<DedupStats>) -> Fact {
         let fact = Fact::new(dev, layout, stats);
-        let free = IaaFree {
-            // Descending, so recycled slots are served in ascending order.
-            stack: (fact.daa_entries()..fact.entries())
-                .rev()
-                .filter(|&idx| !fact.read_entry(idx).is_occupied())
-                .collect(),
-            cursor: fact.entries(),
-        };
-        *fact.iaa_free.lock() = free;
+        let mut free = Vec::new();
+        fact.stream(fact.daa_entries()..fact.entries(), |idx, e| {
+            if !e.is_occupied() {
+                free.push(idx);
+            }
+        });
+        // Descending, so recycled slots are served in ascending order.
+        free.reverse();
+        fact.set_free_iaa(free);
         fact
+    }
+
+    /// [`Fact::mount`] for a crash mount: one streaming pass over the
+    /// *whole* table yields the IAA free-slot stack and the [`Survey`] that
+    /// run repair, UC discard, reorder repair and the scrub of
+    /// [`crate::recovery::recover`] consume, so recovery walks FACT once.
+    pub fn mount_surveyed(
+        dev: Arc<PmemDevice>,
+        layout: Layout,
+        stats: Arc<DedupStats>,
+    ) -> (Fact, Survey) {
+        let fact = Fact::new(dev, layout, stats);
+        let mut survey = fact.survey();
+        fact.set_free_iaa(std::mem::take(&mut survey.free_iaa));
+        (fact, survey)
+    }
+
+    /// Install the free-slot stack a mount-time pass found (descending; no
+    /// never-used slots remain to hand out past it).
+    fn set_free_iaa(&self, stack: Vec<u64>) {
+        *self.iaa_free.lock() = IaaFree {
+            stack,
+            cursor: self.entries(),
+        };
     }
 
     /// Set the extent promotion threshold in pages (0 disables promotion).
@@ -310,16 +414,53 @@ impl Fact {
     pub fn read_entry(&self, idx: u64) -> FactEntry {
         let mut b = [0u8; 64];
         self.dev.read_into(self.off(idx), &mut b);
-        FactEntry {
-            rfc: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            uc: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-            fp: Fingerprint::from_bytes(b[8..28].try_into().unwrap()),
-            block: u64::from_le_bytes(b[28..36].try_into().unwrap()),
-            prev: i64::from_le_bytes(b[36..44].try_into().unwrap()),
-            next: i64::from_le_bytes(b[44..52].try_into().unwrap()),
-            delete_ptr: i64::from_le_bytes(b[52..60].try_into().unwrap()),
-            run_pages: u32::from_le_bytes(b[60..64].try_into().unwrap()).max(1),
+        FactEntry::decode(&b)
+    }
+
+    /// Stream slots `range` through `f` in index order, one block-sized
+    /// device read per 64 slots — the unit the data read path pays, so a
+    /// full-table pass costs `fact_blocks` device operations, not
+    /// `entries`. Every whole-table reader (mount, the recovery survey,
+    /// [`Fact::for_each_occupied`], the scrubber, fsck) goes through here.
+    fn stream(&self, range: std::ops::Range<u64>, mut f: impl FnMut(u64, FactEntry)) {
+        const SLOT: usize = denova_nova::layout::FACT_ENTRY_SIZE as usize;
+        let per_read = denova_nova::BLOCK_SIZE / SLOT as u64;
+        let mut buf = [0u8; denova_nova::BLOCK_SIZE as usize];
+        let mut idx = range.start;
+        while idx < range.end {
+            let n = per_read.min(range.end - idx);
+            let bytes = &mut buf[..n as usize * SLOT];
+            self.dev.read_into(self.off(idx), bytes);
+            for (k, slot) in bytes.chunks_exact(SLOT).enumerate() {
+                f(idx + k as u64, FactEntry::decode(slot));
+            }
+            idx += n;
         }
+    }
+
+    /// One streaming pass over the whole table, kept in transient DRAM:
+    /// what a crash mount, the scrubber and fsck need to know about every
+    /// slot, so none of them walks the table again (see [`Survey`]).
+    pub fn survey(&self) -> Survey {
+        let mut survey = Survey {
+            delete_ptr: Vec::with_capacity(self.entries() as usize),
+            occupied: Vec::new(),
+            free_iaa: Vec::new(),
+            cost: PhaseCost::default(),
+        };
+        ((), survey.cost) = phase(&self.dev, "denova.fact.survey", || {
+            self.stream(0..self.entries(), |idx, e| {
+                survey.delete_ptr.push(e.delete_ptr);
+                if e.is_occupied() {
+                    survey.occupied.push((idx, e));
+                } else if idx >= self.daa_entries() {
+                    survey.free_iaa.push(idx);
+                }
+            });
+        });
+        // Descending, so recycled slots are served in ascending order.
+        survey.free_iaa.reverse();
+        survey
     }
 
     /// Write the dedup-metadata fields (counters, FP, block, prev, next,
@@ -478,8 +619,10 @@ impl Fact {
 
     /// Recovery: discard a stale update count ("these UCs are set to 0 at
     /// system reboot").
-    pub fn reset_uc(&self, idx: u64) {
-        self.cas_counters(idx, |rfc, uc| if uc == 0 { None } else { Some((rfc, 0)) });
+    /// Returns whether there was one to discard.
+    pub fn reset_uc(&self, idx: u64) -> bool {
+        self.cas_counters(idx, |rfc, uc| if uc == 0 { None } else { Some((rfc, 0)) })
+            .is_some()
     }
 
     /// `RFC -= 1`. Returns the counters after the decrement, or `None` if
@@ -1041,54 +1184,70 @@ impl Fact {
     /// anchor and absorb leftover per-page records inside the claimed range
     /// (their counts are already represented by the anchor). Idempotent;
     /// returns the number of repairs applied.
-    pub fn repair_runs(&self) -> u64 {
-        let mut runs: Vec<(u64, u64, u32)> = Vec::new();
-        self.for_each_occupied(|idx, e| {
-            if e.run_pages > 1 {
-                runs.push((idx, e.block, e.run_pages));
-            }
-        });
+    ///
+    /// Damage is *found* in `survey` — a healthy table costs no device read
+    /// here — and each suspect is then re-read from the device before it is
+    /// touched, because an earlier repair in the same pass can move records
+    /// (removing a DAA entry promotes its IAA chain head into the slot).
+    pub fn repair_runs(&self, survey: &Survey) -> u64 {
         let mut repairs = 0u64;
-        for &(anchor, b0, n) in &runs {
-            for k in 1..n as u64 {
-                let block = b0 + k;
-                let ptr = self.read_delete_ptr(block);
-                if ptr == anchor as i64 {
+        for (anchor, a) in survey.occupied.iter().filter(|(_, e)| e.run_pages > 1) {
+            for block in a.block + 1..a.block + a.run_pages as u64 {
+                if survey.delete_ptr.get(block as usize) == Some(&(*anchor as i64)) {
                     continue;
                 }
-                // Absorb the leftover per-page record the pointer still
-                // names (reverse index first, as in merge_run).
-                self.set_delete_ptr(block, anchor as i64);
-                repairs += 1;
-                if ptr >= 0 && (ptr as u64) < self.entries() && ptr as u64 != anchor {
-                    let left = self.read_entry(ptr as u64);
-                    if left.is_occupied() && left.block == block && left.run_pages == 1 {
-                        self.cas_counters(ptr as u64, |_, _| Some((0, 0)));
-                        let _ = self.remove(ptr as u64);
-                    }
-                }
+                repairs += self.absorb_into_run(a.block, block) as u64;
             }
         }
         // Orphans: per-page records whose block's reverse index resolves to
         // another record — a run's interior block whose absorption crashed
         // between the delete-ptr store and the removal, or the old slot of
-        // a record that was yielding to an anchor.
-        let mut orphans = Vec::new();
-        self.for_each_occupied(|idx, e| {
-            if e.run_pages == 1
+        // a record that was yielding to an anchor. A record the surveyed
+        // column does not resolve to is a suspect (the absorption above may
+        // since have re-aimed the cell at an anchor); the device decides.
+        for &(idx, e) in survey.occupied.iter().filter(|(_, e)| e.run_pages == 1) {
+            if survey
+                .resolve(e.block)
+                .is_some_and(|(owner, _)| owner == idx)
+            {
+                continue;
+            }
+            let cur = self.read_entry(idx);
+            if cur.is_occupied()
+                && cur.run_pages == 1
                 && self
-                    .resolve_block(e.block)
+                    .resolve_block(cur.block)
                     .is_some_and(|(owner, _)| owner != idx)
             {
-                orphans.push(idx);
+                self.cas_counters(idx, |_, _| Some((0, 0)));
+                let _ = self.remove(idx);
+                repairs += 1;
             }
-        });
-        for idx in orphans {
-            self.cas_counters(idx, |_, _| Some((0, 0)));
-            let _ = self.remove(idx);
-            repairs += 1;
         }
         repairs
+    }
+
+    /// Point `block`'s reverse index at the run anchored at `first_block`,
+    /// which claims it, and absorb the leftover per-page record the cell
+    /// still names (reverse index first, as in `merge_run`). Works on the
+    /// device's current state; `false` if there was nothing to do.
+    fn absorb_into_run(&self, first_block: u64, block: u64) -> bool {
+        let Some((anchor, a)) = self.resolve_block(first_block) else {
+            return false;
+        };
+        let ptr = self.read_delete_ptr(block);
+        if !a.covers(block) || ptr == anchor as i64 {
+            return false;
+        }
+        self.set_delete_ptr(block, anchor as i64);
+        if ptr >= 0 && (ptr as u64) < self.entries() {
+            let left = self.read_entry(ptr as u64);
+            if left.is_occupied() && left.block == block && left.run_pages == 1 {
+                self.cas_counters(ptr as u64, |_, _| Some((0, 0)));
+                let _ = self.remove(ptr as u64);
+            }
+        }
+        true
     }
 
     /// Remove the entry at `idx` (its RFC reached 0), unlinking it from its
@@ -1172,6 +1331,16 @@ impl Fact {
         self.iaa_free.lock().stack.push(idx);
     }
 
+    /// Swap the IAA allocator's state out (tests exhaust the IAA by
+    /// installing an empty stack, and bring the space back by swapping the
+    /// old state in again).
+    #[cfg(test)]
+    pub(crate) fn swap_free_iaa(&self, stack: Vec<u64>, cursor: u64) -> (Vec<u64>, u64) {
+        let mut free = self.iaa_free.lock();
+        let old = std::mem::replace(&mut *free, IaaFree { stack, cursor });
+        (old.stack, old.cursor)
+    }
+
     /// Drain the set of prefixes flagged for reordering.
     pub fn take_reorder_candidates(&self) -> Vec<u64> {
         self.reorder_candidates.lock().drain().collect()
@@ -1197,15 +1366,14 @@ impl Fact {
         out
     }
 
-    /// Visit every occupied entry (full-table scan: recovery and the
-    /// scrubber use this; normal operation never does).
+    /// Visit every occupied entry in index order (a streaming full-table
+    /// pass: the scrubber and audits use this; normal operation never does).
     pub fn for_each_occupied<F: FnMut(u64, FactEntry)>(&self, mut f: F) {
-        for idx in 0..self.entries() {
-            let e = self.read_entry(idx);
+        self.stream(0..self.entries(), |idx, e| {
             if e.is_occupied() {
                 f(idx, e);
             }
-        }
+        });
     }
 
     /// Number of occupied entries (scan; tests only).
@@ -1770,8 +1938,8 @@ mod tests {
         assert!(r.is_err());
         let dev2 = Arc::new(dev.crash_clone(denova_pmem::CrashMode::Strict));
         let layout = Layout::compute(dev2.size() as u64, 64, 2);
-        let fact2 = Fact::mount(dev2, layout, Arc::new(DedupStats::default()));
-        assert!(fact2.repair_runs() > 0);
+        let (fact2, survey) = Fact::mount_surveyed(dev2, layout, Arc::new(DedupStats::default()));
+        assert!(fact2.repair_runs(&survey) > 0);
         // The run is whole: every block resolves to the anchor with RFC 2,
         // and no leftover per-page record survives inside the range.
         for k in 0..5u64 {
@@ -1784,7 +1952,7 @@ mod tests {
             assert!(fact2.lookup(&e.fp).is_none(), "absorbed fp resolvable");
         }
         // Idempotent.
-        assert_eq!(fact2.repair_runs(), 0);
+        assert_eq!(fact2.repair_runs(&fact2.survey()), 0);
     }
 
     #[test]
@@ -1792,7 +1960,7 @@ mod tests {
         let (dev, fact) = setup();
         let members = build_members(&dev, &fact, 840, 4, 1);
         assert!(fact.merge_run(&members));
-        assert_eq!(fact.repair_runs(), 0);
+        assert_eq!(fact.repair_runs(&fact.survey()), 0);
     }
 
     #[test]
@@ -1887,8 +2055,9 @@ mod tests {
         }));
         assert!(r.is_err());
         let dev2 = Arc::new(dev.crash_clone(denova_pmem::CrashMode::Strict));
-        let fact2 = Fact::mount(dev2, fact.layout, Arc::new(DedupStats::default()));
-        assert!(fact2.repair_runs() > 0);
+        let (fact2, survey) =
+            Fact::mount_surveyed(dev2, fact.layout, Arc::new(DedupStats::default()));
+        assert!(fact2.repair_runs(&survey) > 0);
         // The copy the reverse cell names survived; the disowned slot is
         // gone, and every record is the one its block resolves to.
         let mut twins = 0;
@@ -1899,7 +2068,7 @@ mod tests {
         assert_eq!(twins, 1);
         assert_eq!(fact2.counters(fact2.resolve_block(900).unwrap().0), (1, 0));
         assert!(fact2.lookup(&fp).is_some());
-        assert_eq!(fact2.repair_runs(), 0);
+        assert_eq!(fact2.repair_runs(&fact2.survey()), 0);
     }
 
     #[test]

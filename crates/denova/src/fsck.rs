@@ -4,7 +4,7 @@
 //! accounting; this one audits the dedup metadata against the live files:
 //! every FACT record's reference count must equal the exact number of
 //! owning write-entry extents — for an extent-run record, *per covered
-//! block* — the two-PM-read reverse index must resolve every covered block
+//! block* — the delete-pointer reverse index must resolve every covered block
 //! back to its record, every block shared between extents must be tracked
 //! by FACT (sharing only ever comes from dedup), and a run anchor's
 //! fingerprint must resolve to a run anchor (`fact.rs`, "Anchor first").
@@ -96,7 +96,10 @@ impl FactFsckReport {
 pub fn fsck_fact(nova: &Nova, fact: &Fact) -> Result<FactFsckReport> {
     let counts = nova.block_reference_counts();
     let mut report = FactFsckReport::default();
-    fact.for_each_occupied(|idx, e| {
+    // One streaming pass; the reverse index is checked against its
+    // delete-pointer column in DRAM.
+    let survey = fact.survey();
+    for &(idx, e) in survey.occupied() {
         if e.uc != 0 {
             report.errors.push(FactFsckError::UcResidue {
                 block: e.block,
@@ -142,16 +145,16 @@ pub fn fsck_fact(nova: &Nova, fact: &Fact) -> Result<FactFsckReport> {
                     }
                 });
             }
-            if fact.resolve_block(block).map(|(i, _)| i) != Some(idx) {
+            if survey.resolve(block).map(|(i, _)| i) != Some(idx) {
                 report
                     .errors
                     .push(FactFsckError::ReverseIndexBroken { block });
             }
         }
-    });
+    }
     // Every dedup-shared block must be FACT-tracked.
     for (&block, &refs) in &counts {
-        if refs > 1 && fact.resolve_block(block).is_none() {
+        if refs > 1 && survey.resolve(block).is_none() {
             report
                 .errors
                 .push(FactFsckError::UntrackedSharedBlock { block, refs });

@@ -42,12 +42,12 @@ pub use adaptive::{write_inline_adaptive, NvDedupHooks};
 pub use daemon::{Daemon, DaemonConfig, DaemonMode};
 pub use dedup::{dedup_entry, DedupOutcome};
 pub use dwq::{Dwq, DwqNode};
-pub use fact::{Fact, FactEntry, DEFAULT_EXTENT_THRESHOLD_PAGES, NIL};
+pub use fact::{Fact, FactEntry, Survey, DEFAULT_EXTENT_THRESHOLD_PAGES, NIL};
 pub use fp::{FpThrottle, PAPER_FP_NS_PER_4K};
 pub use nvdedup::{NvDedupTable, NvOutcome};
 pub use qos::{QosMode, SloConfig, SloController, SloDriver};
 pub use reclaim::DenovaHooks;
-pub use recovery::{recover, scrub, RecoveryReport};
+pub use recovery::{recover, scrub, RecoveryPhases, RecoveryReport};
 pub use reorder::{recover_reorder, reorder_chain};
 pub use stats::DedupStats;
 
@@ -125,6 +125,8 @@ pub struct Denova {
     dedup_workers: usize,
     /// Closed-loop SLO controller thread, when `slo_write_p99_ns` is set.
     slo: Option<qos::SloDriver>,
+    /// What dedup recovery did, when this mount ran it.
+    last_recovery: Option<RecoveryReport>,
 }
 
 impl Denova {
@@ -160,23 +162,32 @@ impl Denova {
         let extent_threshold = opts.extent_threshold_pages;
         let nova = Arc::new(Nova::mount(dev.clone(), opts)?);
         let stats = Arc::new(DedupStats::new(dev.metrics()));
-        let fact = Arc::new(Fact::mount(dev.clone(), *nova.layout(), stats.clone()));
-        fact.set_extent_threshold_pages(extent_threshold);
         let dwq = Arc::new(Dwq::with_shards(
             stats.clone(),
             dev.metrics().clone(),
             workers,
         ));
-        if mode != DedupMode::Baseline {
-            if was_clean {
+        let (fact, last_recovery) = if mode == DedupMode::Baseline || was_clean {
+            let fact = Fact::mount(dev.clone(), *nova.layout(), stats.clone());
+            fact.set_extent_threshold_pages(extent_threshold);
+            if mode != DedupMode::Baseline {
                 dwq.restore(&dev, nova.layout());
-            } else {
-                recovery::recover(&nova, &fact, &dwq)?;
             }
-        }
-        Ok(Self::assemble_with_dwq(
-            nova, fact, dwq, stats, mode, workers, slo_target,
-        ))
+            // No queue is rebuilt from the flagged entries the log walk
+            // found: let them go.
+            drop(nova.take_dedup_pending());
+            (Arc::new(fact), None)
+        } else {
+            // Crash mount: the one streaming pass over FACT that rebuilds
+            // the free-slot stack is also recovery's survey.
+            let (fact, survey) = Fact::mount_surveyed(dev.clone(), *nova.layout(), stats.clone());
+            fact.set_extent_threshold_pages(extent_threshold);
+            let report = recovery::recover(&nova, &fact, &dwq, survey)?;
+            (Arc::new(fact), Some(report))
+        };
+        let mut fs = Self::assemble_with_dwq(nova, fact, dwq, stats, mode, workers, slo_target);
+        fs.last_recovery = last_recovery;
+        Ok(fs)
     }
 
     fn assemble_with_dwq(
@@ -237,6 +248,7 @@ impl Denova {
             daemon,
             dedup_workers: workers,
             slo,
+            last_recovery: None,
         }
     }
 
@@ -294,6 +306,13 @@ impl Denova {
     // ------------------------------------------------------------------
     // Dedup control and introspection
     // ------------------------------------------------------------------
+
+    /// What dedup recovery did and read when this handle was mounted:
+    /// `None` after `mkfs`, a clean-unmount mount and a `Baseline` mount
+    /// (none of which run it). Answers "why did the mount take that long?".
+    pub fn last_recovery(&self) -> Option<&RecoveryReport> {
+        self.last_recovery.as_ref()
+    }
 
     /// The mounted mode.
     pub fn mode(&self) -> DedupMode {
@@ -542,6 +561,93 @@ mod tests {
             let ino = fs2.open(name).unwrap();
             assert_eq!(fs2.read(ino, 0, 4096).unwrap(), data);
         }
+    }
+
+    /// A crash image with pending, interrupted and finished dedup work:
+    /// 40 files of 8 pages, every other one a duplicate, half the queue
+    /// drained by hand and the next transaction — a duplicate's — killed
+    /// right after its tail commit (an `in_process` entry and its reservations survive).
+    fn crash_image_64m() -> (Arc<PmemDevice>, NovaOptions) {
+        let opts = NovaOptions {
+            num_inodes: 256,
+            ..Default::default()
+        };
+        let device = Arc::new(PmemDevice::new(64 * 1024 * 1024));
+        let fs = Denova::mkfs(
+            device.clone(),
+            opts.clone(),
+            DedupMode::Delayed {
+                interval_ms: 600_000, // never fires
+                batch: 1,
+            },
+        )
+        .unwrap();
+        for i in 0..40u32 {
+            let ino = fs.create(&format!("f{i}")).unwrap();
+            let mut data = vec![0u8; 8 * 4096];
+            for (p, page) in data.chunks_mut(4096).enumerate() {
+                page[..8].copy_from_slice(&((i / 2) as u64 * 8 + p as u64).to_le_bytes());
+            }
+            fs.write(ino, 0, &data).unwrap();
+        }
+        for node in fs.dwq().pop_batch(21) {
+            dedup_entry(fs.nova(), fs.fact(), &node).unwrap();
+        }
+        let node = fs.dwq().pop_batch(1)[0];
+        device
+            .crash_points()
+            .arm("denova::dedup::after_tail_commit", 0);
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = dedup_entry(fs.nova(), fs.fact(), &node);
+        }));
+        assert!(crash.is_err(), "crash point did not fire");
+        (device, opts)
+    }
+
+    /// Device read operations of one `Denova::mount` of a crash clone.
+    fn mount_reads(device: &PmemDevice, opts: &NovaOptions, mode: DedupMode) -> (Denova, u64) {
+        let image = Arc::new(device.crash_clone(denova_pmem::CrashMode::Strict));
+        let before = image.stats().snapshot().reads;
+        let fs = Denova::mount(image.clone(), opts.clone(), mode).unwrap();
+        let reads = image.stats().snapshot().reads - before;
+        (fs, reads)
+    }
+
+    /// The structural read budget of a mount: every persistent structure
+    /// once, a block per device read. The per-entry scans this replaced
+    /// need about 64× as much, so one creeping back fails here.
+    #[test]
+    fn crash_mount_stays_inside_its_read_budget() {
+        let (device, opts) = crash_image_64m();
+
+        let (fs, reads) = mount_reads(&device, &opts, DedupMode::Immediate);
+        let report = *fs.last_recovery().expect("crash mount runs recovery");
+        assert!(report.resumed >= 1 && report.requeued >= 18, "{report}");
+        assert!(
+            reads <= report.read_budget(),
+            "crash mount issued {reads} device reads, budget {}\n{report}",
+            report.read_budget()
+        );
+        // The report accounts for the mount: what it does not see is the
+        // fixed part (superblock fields, the clean flag).
+        assert!(reads - report.reads() <= 64, "{reads} vs\n{report}");
+        assert!(report.fact_blocks_read <= 2 * report.fact_blocks);
+        fs.drain();
+        let live_log_pages = denova_nova::fsck(fs.nova(), true).unwrap().log_pages;
+        assert_eq!(report.log_pages_read, live_log_pages);
+        let layout = *fs.nova().layout();
+        assert_eq!(report.fact_blocks, layout.fact_blocks);
+        assert_eq!(report.inode_blocks_read, 256 * 128 / 4096);
+
+        // A Baseline mount: the logs, the inode table, FACT's IAA half.
+        let (fs, reads) = mount_reads(&device, &opts, DedupMode::Baseline);
+        assert!(fs.last_recovery().is_none());
+        let walk = fs.nova().mount_walk();
+        let budget = walk.log_pages_read + walk.inode_blocks_read + layout.fact_blocks / 2 + 64;
+        assert!(
+            reads <= budget,
+            "baseline mount issued {reads} device reads, budget {budget}"
+        );
     }
 
     #[test]

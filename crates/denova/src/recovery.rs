@@ -4,9 +4,9 @@
 //! After NOVA's own log-scan recovery has rebuilt the namespace, radix
 //! trees, and free lists, the dedup layer:
 //!
-//! 1. **rebuilds the DWQ** by a fast scan of all write entries, re-queueing
-//!    everything flagged `dedupe_needed` (Handling I / III — a target entry
-//!    whose transaction committed but whose flag never advanced is simply
+//! 1. **rebuilds the DWQ** from the write entries NOVA's log walk found
+//!    flagged `dedupe_needed` (Handling I / III — a target entry whose
+//!    transaction committed but whose flag never advanced is simply
 //!    re-processed, which is safe because its already-deduplicated pages are
 //!    no longer backed by it);
 //! 2. **resumes from step ⑥** every entry flagged `in_process`
@@ -20,12 +20,62 @@
 //!    no file references are dropped, and over-incremented RFCs (the
 //!    crash-during-reclaim case) are reset to the exact reference count, so
 //!    no page stays unreclaimable.
+//!
+//! **One survey.** None of these walks a persistent structure itself. The
+//! flagged write entries come from the mount's single log walk
+//! ([`Nova::take_dedup_pending`]), and everything about FACT comes from the
+//! [`Survey`] the mount took in one streaming pass (64 slots per device
+//! read): run anchors and the delete-pointer column for run repair, the
+//! slots with `UC > 0`, the chained DAA prefixes and their IAA heads' commit
+//! flags, and the `(block, rfc, run_pages)` of every occupied slot for the
+//! scrub. Only slots a repair actually touches are read again, one by one —
+//! work proportional to crash damage, not to table size. If run repair or a
+//! resumed transaction changed the table, the survey is retaken before the
+//! steps that follow: **at most two streaming passes over FACT per crash
+//! mount**, one when there was nothing to repair.
 
 use crate::dedup::resume_in_process;
 use crate::dwq::Dwq;
-use crate::fact::Fact;
+use crate::fact::{Fact, FactEntry, Survey};
 use crate::reorder::recover_reorder;
-use denova_nova::{DedupeFlag, LogEntry, LogIter, Nova, Result, ROOT_INO};
+use denova_nova::recovery::phase;
+use denova_nova::{Nova, PhaseCost, Result};
+
+/// Device reads and wall time of each recovery phase, in the order they run.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryPhases {
+    /// NOVA's walk over the inode table and every live log.
+    pub log_walk: PhaseCost,
+    /// Streaming passes over FACT (the mount's survey, plus the retake after
+    /// repairs when there was one).
+    pub fact_survey: PhaseCost,
+    /// Completing interrupted extent-run merges/demotes.
+    pub run_repair: PhaseCost,
+    /// Resuming `in_process` transactions from step ⑥ and re-queueing the
+    /// `needed` ones.
+    pub resume: PhaseCost,
+    /// Discarding stale update counts.
+    pub uc_discard: PhaseCost,
+    /// Repairing interrupted chain reorders.
+    pub reorder_repair: PhaseCost,
+    /// Reconciling FACT with the live files.
+    pub scrub: PhaseCost,
+}
+
+impl RecoveryPhases {
+    /// Every phase with its display name, in the order they run.
+    pub fn all(&self) -> [(&'static str, PhaseCost); 7] {
+        [
+            ("nova log walk", self.log_walk),
+            ("FACT survey", self.fact_survey),
+            ("run repair", self.run_repair),
+            ("resume", self.resume),
+            ("UC discard", self.uc_discard),
+            ("reorder repair", self.reorder_repair),
+            ("scrub", self.scrub),
+        ]
+    }
+}
 
 /// What recovery did, for logging and tests.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -43,70 +93,216 @@ pub struct RecoveryReport {
     pub runs_repaired: u64,
     /// FACT entries dropped or RFC-corrected by the scrubber.
     pub scrubbed: u64,
+    /// Inode-table blocks NOVA's walk read (one device read each).
+    pub inode_blocks_read: u64,
+    /// Log pages NOVA's walk read (one device read each) — every page of
+    /// every live log, once.
+    pub log_pages_read: u64,
+    /// Size of the FACT table in blocks.
+    pub fact_blocks: u64,
+    /// FACT blocks streamed (one device read each): `fact_blocks` per pass.
+    pub fact_blocks_read: u64,
+    /// Device reads the repair phases issued one slot, entry or page at a
+    /// time — what crash damage cost beyond the streaming passes.
+    pub slots_reread: u64,
+    /// Per-phase device reads and time.
+    pub phases: RecoveryPhases,
 }
 
-/// Run dedup recovery on a freshly-mounted (crashed) file system.
-pub fn recover(nova: &Nova, fact: &Fact, dwq: &Dwq) -> Result<RecoveryReport> {
-    let mut report = RecoveryReport::default();
+impl RecoveryReport {
+    /// Single device reads [`RecoveryReport::read_budget`] allows per unit
+    /// of crash damage. A repair re-reads the slots it touches (resolve,
+    /// re-check, unlink: about ten reads), a resumed entry costs about three
+    /// reads plus six per page, so this covers entries of up to four pages.
+    pub const READS_PER_REPAIR: u64 = 32;
+
+    /// The structural bound on the device reads of the crash mount this
+    /// report describes: two streaming passes over FACT, every live log
+    /// page and every inode-table block once, and
+    /// [`Self::READS_PER_REPAIR`] single reads per unit of crash damage (a
+    /// re-aimed run block, a resumed entry, a discarded UC, a repaired
+    /// chain, a scrubbed record) — plus 64 such units for what every mount
+    /// reads regardless (superblock fields, clean flag). A per-entry read
+    /// that creeps back into a scan costs 64× the streaming term and lands
+    /// far outside.
+    pub fn read_budget(&self) -> u64 {
+        let damage = self.runs_repaired
+            + self.resumed
+            + self.stale_ucs_discarded
+            + self.reorders_repaired
+            + self.scrubbed;
+        2 * self.fact_blocks
+            + self.log_pages_read
+            + self.inode_blocks_read
+            + Self::READS_PER_REPAIR * (damage + 64)
+    }
+
+    /// Device reads of the whole crash mount that this report accounts for.
+    pub fn reads(&self) -> u64 {
+        self.phases.all().iter().map(|(_, c)| c.reads).sum()
+    }
+}
+
+impl std::fmt::Display for RecoveryReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "recovery: requeued {} resumed {} stale UCs {} reorders {} runs repaired {} scrubbed {}",
+            self.requeued,
+            self.resumed,
+            self.stale_ucs_discarded,
+            self.reorders_repaired,
+            self.runs_repaired,
+            self.scrubbed
+        )?;
+        writeln!(
+            f,
+            "  read {} inode-table blocks, {} log pages, {} FACT blocks (table: {}), {} single slots",
+            self.inode_blocks_read,
+            self.log_pages_read,
+            self.fact_blocks_read,
+            self.fact_blocks,
+            self.slots_reread
+        )?;
+        for (name, c) in self.phases.all() {
+            writeln!(
+                f,
+                "  {name:<15} {:>8} reads {:>10.3} ms",
+                c.reads,
+                c.ns as f64 / 1e6
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Run dedup recovery on a freshly-mounted (crashed) file system. `survey`
+/// is the pass [`Fact::mount_surveyed`] took.
+pub fn recover(nova: &Nova, fact: &Fact, dwq: &Dwq, mut survey: Survey) -> Result<RecoveryReport> {
     let dev = nova.device().clone();
-    let layout = *nova.layout();
+    let walk = nova.mount_walk();
+    let mut report = RecoveryReport {
+        inode_blocks_read: walk.inode_blocks_read,
+        log_pages_read: walk.log_pages_read,
+        fact_blocks: nova.layout().fact_blocks,
+        fact_blocks_read: survey.cost().reads,
+        ..Default::default()
+    };
+    let phases = &mut report.phases;
+    phases.log_walk = walk.cost;
+    phases.fact_survey = survey.cost();
 
     // Phase A0: complete interrupted extent-run merges/demotes forward,
     // toward whatever each anchor's committed `run_pages` says. Runs first
     // so everything below (resume, scrub) sees a consistent reverse index.
-    report.runs_repaired = fact.repair_runs();
+    (report.runs_repaired, phases.run_repair) = phase(&dev, "denova.recovery.run_repair", || {
+        fact.repair_runs(&survey)
+    });
 
-    // Phase A: fast scan of every live inode's write entries.
-    let mut in_process: Vec<(u64, u64)> = Vec::new();
-    let mut needed: Vec<(u64, u64)> = Vec::new();
-    let mut inos = nova.live_inodes();
-    inos.push(ROOT_INO);
-    for ino in inos {
-        let pos = nova.with_inode_read(ino, |mem| Ok(mem.pos))?;
-        for item in LogIter::new(&dev, &layout, pos.head, pos.tail) {
-            let (off, entry) = item?;
-            if let LogEntry::Write(we) = entry {
-                match we.dedupe_flag {
-                    DedupeFlag::Needed => needed.push((ino, off)),
-                    DedupeFlag::InProcess => in_process.push((ino, off)),
-                    _ => {}
-                }
+    // Phase A is NOVA's: its one walk over every live inode's log handed up
+    // the flagged write entries (live inodes ascending, root last, log
+    // order within an inode).
+    let pending = nova.take_dedup_pending();
+    let (resumed, cost) = phase(&dev, "denova.recovery.resume", || -> Result<()> {
+        // Phase B (Handling II): resume interrupted transactions from
+        // step ⑥.
+        for &(ino, off) in &pending.in_process {
+            resume_in_process(nova, fact, ino, off)?;
+        }
+        // Phase C (Handling I/III): re-queue pending candidates in log
+        // order.
+        for &(ino, off) in &pending.needed {
+            dwq.push(ino, off);
+        }
+        Ok(())
+    });
+    resumed?;
+    phases.resume = cost;
+    report.resumed = pending.in_process.len() as u64;
+    report.requeued = pending.needed.len() as u64;
+    drop(pending);
+
+    // Repairs and resumed commits moved records and counts under the
+    // survey: take it again (the second and last streaming pass).
+    if report.runs_repaired + report.resumed > 0 {
+        survey = fact.survey();
+        phases.fact_survey.reads += survey.cost().reads;
+        phases.fact_survey.ns += survey.cost().ns;
+        report.fact_blocks_read += survey.cost().reads;
+    }
+
+    // Phase D: discard stale UCs, and repair the chains whose IAA head
+    // carries a reorder commit flag (`prev != 0`, Fig. 7).
+    let stale: Vec<u64> = survey
+        .occupied()
+        .iter()
+        .filter(|(_, e)| e.uc > 0)
+        .map(|&(idx, _)| idx)
+        .collect();
+    ((), phases.uc_discard) = phase(&dev, "denova.recovery.uc_discard", || {
+        for idx in stale {
+            if fact.reset_uc(idx) {
+                survey.clear_uc(idx);
+                report.stale_ucs_discarded += 1;
             }
         }
-    }
-
-    // Phase B (Handling II): resume interrupted transactions from step ⑥.
-    for &(ino, off) in &in_process {
-        resume_in_process(nova, fact, ino, off)?;
-        report.resumed += 1;
-    }
-
-    // Phase C (Handling I/III): re-queue pending candidates in log order.
-    for &(ino, off) in &needed {
-        dwq.push(ino, off);
-        report.requeued += 1;
-    }
-
-    // Phase D: discard stale UCs and collect chains to check for
-    // interrupted reorders (one full-table scan covers both).
-    let mut chained_prefixes = Vec::new();
-    fact.for_each_occupied(|idx, e| {
-        if e.uc > 0 {
-            fact.reset_uc(idx);
-            report.stale_ucs_discarded += 1;
-        }
-        if idx < fact.daa_entries() && e.next >= 0 {
-            chained_prefixes.push(idx);
-        }
     });
-    for prefix in chained_prefixes {
-        if recover_reorder(fact, prefix)? {
-            report.reorders_repaired += 1;
+    let flagged = |&(idx, e): &(u64, FactEntry)| {
+        idx < fact.daa_entries()
+            && u64::try_from(e.next)
+                .ok()
+                .and_then(|head| survey.entry(head))
+                .is_some_and(|head| head.prev != 0)
+    };
+    let interrupted: Vec<u64> = survey
+        .occupied()
+        .iter()
+        .filter(|r| flagged(r))
+        .map(|&(prefix, _)| prefix)
+        .collect();
+    let (repaired, cost) = phase(&dev, "denova.recovery.reorder_repair", || -> Result<u64> {
+        let mut repaired = 0;
+        for prefix in interrupted {
+            repaired += recover_reorder(fact, prefix)? as u64;
         }
-    }
+        Ok(repaired)
+    });
+    report.reorders_repaired = repaired?;
+    phases.reorder_repair = cost;
 
     // Phase E: scrub FACT against the recovered file system.
-    report.scrubbed = scrub(nova, fact)?;
+    let (scrubbed, cost) = phase(&dev, "denova.recovery.scrub", || {
+        reconcile(nova, fact, survey.occupied())
+    });
+    report.scrubbed = scrubbed?;
+    phases.scrub = cost;
+    drop(survey);
+
+    // Everything after the two streaming phases reads slot by slot.
+    report.slots_reread = phases.all()[2..].iter().map(|(_, c)| c.reads).sum();
+    let metrics = dev.metrics();
+    metrics
+        .counter("denova.recovery.fact_blocks_read")
+        .add(report.fact_blocks_read);
+    metrics
+        .counter("denova.recovery.slots_reread")
+        .add(report.slots_reread);
+    metrics.event(
+        "denova.recovery",
+        &[
+            ("requeued", report.requeued),
+            ("resumed", report.resumed),
+            ("stale_ucs_discarded", report.stale_ucs_discarded),
+            ("reorders_repaired", report.reorders_repaired),
+            ("runs_repaired", report.runs_repaired),
+            ("scrubbed", report.scrubbed),
+            ("inode_blocks_read", report.inode_blocks_read),
+            ("log_pages_read", report.log_pages_read),
+            ("fact_blocks_read", report.fact_blocks_read),
+            ("slots_reread", report.slots_reread),
+            ("reads", report.reads()),
+        ],
+    );
     Ok(report)
 }
 
@@ -119,16 +315,24 @@ pub fn recover(nova: &Nova, fact: &Fact, dwq: &Dwq) -> Result<RecoveryReport> {
 /// Must run quiescent (at mount, or with the daemon drained): it compares
 /// two scans that are not mutually atomic.
 pub fn scrub(nova: &Nova, fact: &Fact) -> Result<u64> {
+    let mut occupied = Vec::new();
+    fact.for_each_occupied(|idx, e| occupied.push((idx, e)));
+    reconcile(nova, fact, &occupied)
+}
+
+/// [`scrub`] over occupied records already in DRAM (one streaming pass of
+/// [`Fact::for_each_occupied`], or the recovery survey).
+fn reconcile(nova: &Nova, fact: &Fact, occupied: &[(u64, FactEntry)]) -> Result<u64> {
     let counts = nova.block_reference_counts();
     let mut fixed = 0;
     let mut doomed: Vec<u64> = Vec::new();
     let mut adjust: Vec<(u64, u32)> = Vec::new();
     let mut bad_runs: Vec<(u64, u64, u64)> = Vec::new(); // (idx, block, pages)
-    fact.for_each_occupied(|idx, e| {
+    for &(idx, e) in occupied {
         if e.uc > 0 {
             // In-flight transaction (only possible in a non-quiescent call);
             // leave it alone.
-            return;
+            continue;
         }
         if e.run_pages > 1 {
             // A run's single RFC claims every covered block has exactly
@@ -138,7 +342,7 @@ pub fn scrub(nova: &Nova, fact: &Fact) -> Result<u64> {
             if !uniform {
                 bad_runs.push((idx, e.block, n));
             }
-            return;
+            continue;
         }
         let actual = counts.get(&e.block).copied().unwrap_or(0);
         if actual == 0 {
@@ -146,7 +350,7 @@ pub fn scrub(nova: &Nova, fact: &Fact) -> Result<u64> {
         } else if e.rfc != actual {
             adjust.push((idx, actual));
         }
-    });
+    }
     // Run anchors whose per-block ownership diverged (a crash between a run
     // share and its count commit, or a partial release): split the run and
     // reconcile each block independently.
@@ -219,13 +423,18 @@ mod tests {
 
     /// Crash the device and bring up a recovered stack.
     fn crash_and_recover(s: &Stack) -> (Stack, RecoveryReport) {
+        crash_and_recover_with(s, opts())
+    }
+
+    fn crash_and_recover_with(s: &Stack, opts: NovaOptions) -> (Stack, RecoveryReport) {
         let dev = Arc::new(s.nova.device().crash_clone(denova_pmem::CrashMode::Strict));
-        let nova = Arc::new(Nova::mount(dev.clone(), opts()).unwrap());
+        let nova = Arc::new(Nova::mount(dev.clone(), opts).unwrap());
         let stats = Arc::new(DedupStats::default());
-        let fact = Arc::new(Fact::mount(dev, *nova.layout(), stats.clone()));
+        let (fact, survey) = Fact::mount_surveyed(dev, *nova.layout(), stats.clone());
+        let fact = Arc::new(fact);
         let dwq = Arc::new(Dwq::new(stats));
         nova.set_hooks(Arc::new(DenovaHooks::new(fact.clone(), dwq.clone(), true)));
-        let report = recover(&nova, &fact, &dwq).unwrap();
+        let report = recover(&nova, &fact, &dwq, survey).unwrap();
         (Stack { nova, fact, dwq }, report)
     }
 
@@ -447,6 +656,91 @@ mod tests {
         let (_, he) = s2.fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
         assert_eq!(he.run_pages, 3, "{point}");
         assert_consistent(&s2, &data, point);
+    }
+
+    /// FNV-1a over the FACT region: the table's persistent image.
+    fn fact_image_hash(s: &Stack) -> u64 {
+        let layout = *s.nova.layout();
+        let bytes = s.nova.device().read_vec(
+            layout.fact_start * denova_nova::BLOCK_SIZE,
+            (layout.fact_blocks * denova_nova::BLOCK_SIZE) as usize,
+        );
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// One fixed trace through every recovery phase — an interrupted run
+    /// promotion, an `in_process` entry, a stale UC, an over-counted RFC and
+    /// a queue of untouched candidates — recovers to exactly what the
+    /// per-entry scans this module used before the survey produced: the
+    /// same report counts, the same DWQ order, and byte for byte the same
+    /// FACT image. The expected values were recorded by running this trace
+    /// at the parent commit (single free list and hand-driven dedup make
+    /// every offset reproducible).
+    #[test]
+    fn fixed_trace_recovers_to_the_recorded_counts_queue_and_fact_image() {
+        let opts = NovaOptions { cpus: 1, ..opts() };
+        let dev = Arc::new(PmemDevice::new(32 * 1024 * 1024));
+        let nova = Arc::new(Nova::mkfs(dev.clone(), opts.clone()).unwrap());
+        let stats = Arc::new(DedupStats::default());
+        let fact = Arc::new(Fact::new(dev.clone(), *nova.layout(), stats.clone()));
+        let dwq = Arc::new(Dwq::new(stats));
+        nova.set_hooks(Arc::new(DenovaHooks::new(fact.clone(), dwq.clone(), true)));
+        fact.set_extent_threshold_pages(4);
+
+        let pages = |ids: &[u8]| -> Vec<u8> { ids.iter().flat_map(|&id| vec![id; 4096]).collect() };
+        let run: Vec<u8> = pages(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        let write = |name: &str, data: &[u8]| {
+            let ino = nova.create(name).unwrap();
+            nova.write(ino, 0, data).unwrap();
+        };
+        write("a", &run);
+        write("b", &run);
+        write("c", &pages(&[0x31, 0x32, 0x33]));
+        write("d", &pages(&[0x31, 0x32, 0x44]));
+        write("e", &run);
+        write("f", &pages(&[0x31, 0x51]));
+        write("g", &pages(&[9, 9, 9]));
+        let nodes = dwq.pop_batch(7);
+        // a registers the run's pages, c three more records.
+        dedup_entry(&nova, &fact, &nodes[0]).unwrap();
+        dedup_entry(&nova, &fact, &nodes[2]).unwrap();
+        // Forged damage: a reservation that never committed, an RFC counted
+        // twice, and an entry caught between tail commit and completion.
+        let record = |id: u8| fact.lookup(&Fingerprint::of(&[id; 4096])).unwrap().0;
+        fact.inc_uc(record(0x33));
+        fact.set_rfc(record(0x32), 5);
+        denova_nova::entry::write_dedupe_flag(
+            &dev,
+            nodes[3].entry_off,
+            denova_nova::DedupeFlag::InProcess,
+        );
+        // b's transaction promotes the run; the machine dies mid-absorb.
+        dev.crash_points().arm("denova::fact::merge::mid_absorb", 2);
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dedup_entry(&nova, &fact, &nodes[1]).unwrap();
+        }));
+        assert!(crash.is_err(), "crash point did not fire");
+
+        let (s2, report) = crash_and_recover_with(&Stack { nova, fact, dwq }, opts);
+        let counts = (
+            report.requeued,
+            report.resumed,
+            report.stale_ucs_discarded,
+            report.reorders_repaired,
+            report.runs_repaired,
+            report.scrubbed,
+        );
+        let queue: Vec<(u64, u64)> = s2
+            .dwq
+            .pop_batch(usize::MAX)
+            .iter()
+            .map(|n| (n.ino, n.entry_off))
+            .collect();
+        assert_eq!(counts, (3, 1, 1, 0, 5, 1));
+        assert_eq!(queue, [(6, 1474560), (7, 1486848), (8, 1503232)]);
+        assert_eq!(fact_image_hash(&s2), 0x8398_03e2_d9e0_482a);
     }
 
     #[test]

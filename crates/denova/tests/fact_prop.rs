@@ -1,8 +1,10 @@
-//! Property test: FACT behaves like a reference map under random operation
+//! Property tests: FACT behaves like a reference map under random operation
 //! sequences, and its chain structure stays sound through inserts, counter
-//! traffic, removals, and reorders.
+//! traffic, removals, and reorders; and the streaming readers (the survey,
+//! both mounts) see exactly what a slot-by-slot `read_entry` walk sees.
 
-use denova::{reorder_chain, DedupStats, Fact};
+use denova::fact::Count;
+use denova::{reorder_chain, DedupStats, Fact, FactEntry};
 use denova_fingerprint::Fingerprint;
 use denova_nova::Layout;
 use denova_pmem::PmemDevice;
@@ -191,5 +193,129 @@ proptest! {
         }
         // Occupancy equals the model's cardinality.
         prop_assert_eq!(h.fact.occupied_count(), model.len() as u64);
+    }
+}
+
+/// Table-shaping operations for the survey equivalence test.
+#[derive(Debug, Clone)]
+enum Shape {
+    /// Insert key #k with one committed owner (a second insert adds one).
+    Insert(u8),
+    /// Drop every owner of key #k's block: the record goes away.
+    Remove(u8),
+    /// Promote the records of keys `start .. start + len` (consecutive
+    /// blocks) into one extent run, if they qualify.
+    Merge(u8, u8),
+    /// Split the run covering key #k's block back into per-page records.
+    Demote(u8),
+    /// Reorder the chain key #k hashes to.
+    Reorder(u8),
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        (0u8..12).prop_map(Shape::Insert),
+        (0u8..12).prop_map(Shape::Insert),
+        (0u8..12).prop_map(Shape::Remove),
+        (0u8..11, 2u8..6).prop_map(|(start, len)| Shape::Merge(start, len)),
+        (0u8..12).prop_map(Shape::Demote),
+        (0u8..12).prop_map(Shape::Reorder),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn survey_equals_a_slot_by_slot_read(ops in prop::collection::vec(shape_strategy(), 1..60)) {
+        let h = Harness::new();
+        let fact = &h.fact;
+        for op in &ops {
+            match *op {
+                Shape::Insert(k) => {
+                    let (fp, block) = h.keys[k as usize];
+                    // A key absorbed into a run has no record of its own; a
+                    // fresh insert for its block would double-cover it.
+                    if fact.lookup(&fp).is_some() || fact.resolve_block(block).is_none() {
+                        let (idx, _) = fact.reserve_or_insert(&fp, block).unwrap();
+                        fact.commit_uc_to_rfc(idx);
+                    }
+                }
+                Shape::Remove(k) => {
+                    let (_, block) = h.keys[k as usize];
+                    while fact.release(block, Count::Rfc) == denova::fact::Released::Kept {}
+                }
+                Shape::Merge(start, len) => {
+                    let members: Option<Vec<(u64, FactEntry)>> = (start..(start + len).min(12))
+                        .map(|k| fact.resolve_block(h.keys[k as usize].1))
+                        .collect();
+                    if let Some(members) = members {
+                        fact.merge_run(&members);
+                    }
+                }
+                Shape::Demote(k) => {
+                    if let Some((idx, _)) = fact.resolve_block(h.keys[k as usize].1) {
+                        fact.demote_run(idx).unwrap();
+                    }
+                }
+                Shape::Reorder(k) => {
+                    let prefix = h.keys[k as usize].0.prefix(fact.prefix_bits());
+                    reorder_chain(fact, prefix).unwrap();
+                }
+            }
+        }
+
+        // The reference: one 64 B device read per slot.
+        let reference: Vec<FactEntry> = (0..fact.entries()).map(|i| fact.read_entry(i)).collect();
+        let occupied: Vec<(u64, FactEntry)> = reference
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.is_occupied())
+            .map(|(i, e)| (i as u64, *e))
+            .collect();
+        // What `Fact::mount` built before it streamed: descending, so that
+        // recycled slots are served in ascending order.
+        let free_iaa: Vec<u64> = (fact.daa_entries()..fact.entries())
+            .rev()
+            .filter(|&i| !reference[i as usize].is_occupied())
+            .collect();
+
+        let dev = fact.device().clone();
+        let before = dev.stats().snapshot().reads;
+        let survey = fact.survey();
+        let layout = Layout::compute(dev.size() as u64, 64, 2);
+        prop_assert_eq!(dev.stats().snapshot().reads - before, layout.fact_blocks);
+        prop_assert_eq!(survey.cost().reads, layout.fact_blocks);
+        prop_assert_eq!(survey.occupied(), &occupied[..]);
+        prop_assert_eq!(survey.free_iaa(), &free_iaa[..]);
+        for block in 0..fact.entries() {
+            let live = fact.resolve_block(block);
+            let surveyed = survey.resolve(block).map(|(idx, e)| (idx, *e));
+            prop_assert_eq!(surveyed, live, "block {}", block);
+        }
+        let mut streamed = Vec::new();
+        fact.for_each_occupied(|idx, e| streamed.push((idx, e)));
+        prop_assert_eq!(&streamed, &occupied);
+
+        // Both mounts hand out the free IAA slots lowest first, as before.
+        let fresh = |salt: u8| {
+            let mut bytes = [0u8; 20];
+            bytes[..8].copy_from_slice(&(50u64 << (64 - fact.prefix_bits())).to_be_bytes());
+            bytes[18] = 2;
+            bytes[19] = salt;
+            Fingerprint::from_bytes(bytes)
+        };
+        let stats = || Arc::new(DedupStats::default());
+        let image = || Arc::new(dev.crash_clone(denova_pmem::CrashMode::Strict));
+        let mounted = Fact::mount(image(), layout, stats());
+        let (surveyed, _) = Fact::mount_surveyed(image(), layout, stats());
+        for fact in [mounted, surveyed] {
+            let served: Vec<u64> = (0..4u8)
+                .map(|salt| fact.reserve_or_insert(&fresh(salt), 3000 + salt as u64).unwrap().0)
+                .collect();
+            let lowest: Vec<u64> = free_iaa.iter().rev().take(3).copied().collect();
+            prop_assert_eq!(served[0], 50, "free DAA slot first");
+            prop_assert_eq!(&served[1..], &lowest[..]);
+        }
     }
 }

@@ -10,6 +10,7 @@ use crate::index::RadixTree;
 use crate::inode::InodeTable;
 use crate::layout::{Layout, BLOCK_SIZE, ROOT_INO};
 use crate::log::{self, LogPosition};
+use crate::recovery::{DedupPending, LogWalk};
 use crate::stats::NovaStats;
 use crate::superblock;
 use crate::tap::{FsOp, OpTap};
@@ -343,6 +344,12 @@ pub struct Nova {
     /// layer resolves each against its peer before serving. Empty after
     /// `mkfs` and after a mount that found none.
     orphan_prepares: Vec<String>,
+    /// Write entries mount-time recovery found flagged `Needed` /
+    /// `InProcess`, until the dedup layer takes them
+    /// ([`Nova::take_dedup_pending`]).
+    dedup_pending: Mutex<DedupPending>,
+    /// What the mount's log walk read (all zero after `mkfs`).
+    mount_walk: LogWalk,
 }
 
 /// Name prefix reserved for cluster two-phase-commit records. The cluster
@@ -385,6 +392,8 @@ impl Nova {
             stats: NovaStats::new(dev.metrics()),
             scratch: denova_sync::Stack::new(),
             orphan_prepares: Vec::new(),
+            dedup_pending: Mutex::new(DedupPending::default()),
+            mount_walk: LogWalk::default(),
             layout,
             dev,
         };
@@ -424,6 +433,8 @@ impl Nova {
             stats: NovaStats::new(dev.metrics()),
             scratch: denova_sync::Stack::new(),
             orphan_prepares: recovered.orphan_prepares,
+            dedup_pending: Mutex::new(recovered.dedup_pending),
+            mount_walk: recovered.walk,
             layout,
             dev,
         })
@@ -436,6 +447,19 @@ impl Nova {
     /// node serves requests; a standalone mount may ignore them.
     pub fn orphan_prepares(&self) -> &[String] {
         &self.orphan_prepares
+    }
+
+    /// The write entries mount-time recovery found still flagged for (or
+    /// inside) a dedup transaction, moved out: the dedup layer's recovery
+    /// rebuilds its queue from this list instead of walking every log again.
+    /// Empty after `mkfs` and on every later call.
+    pub fn take_dedup_pending(&self) -> DedupPending {
+        std::mem::take(&mut *self.dedup_pending.lock())
+    }
+
+    /// Device work of this mount's walk over the inode table and the logs.
+    pub fn mount_walk(&self) -> LogWalk {
+        self.mount_walk
     }
 
     /// Take a 4 KiB scratch page from the pool (or allocate one). Lock-free.

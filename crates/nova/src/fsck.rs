@@ -10,7 +10,7 @@ use crate::entry::LogEntry;
 use crate::error::Result;
 use crate::fs::Nova;
 use crate::layout::{BLOCK_SIZE, HOLE_BLOCK, ROOT_INO};
-use crate::log::{log_pages, LogIter};
+use crate::log::LogIter;
 use std::collections::{HashMap, HashSet};
 
 /// One inconsistency found by [`check`].
@@ -124,7 +124,10 @@ pub fn check(fs: &Nova, dedup_mounted: bool) -> Result<FsckReport> {
     let mut report = FsckReport::default();
     let dev = fs.device().clone();
     let layout = *fs.layout();
-    let table = crate::inode::InodeTable::new(&dev, &layout);
+    // The inode table, a block per device read; the passes below look
+    // inodes up in DRAM.
+    let slots = crate::inode::InodeTable::new(&dev, &layout).read_all();
+    let slot = |ino: u64| crate::inode::slot_of(&slots, ino);
 
     // Pass 1: namespace ↔ inode table. Hard links: several names may map
     // to one inode; audit each inode once and its link count against the
@@ -132,7 +135,7 @@ pub fn check(fs: &Nova, dedup_mounted: bool) -> Result<FsckReport> {
     let mut name_counts: HashMap<u64, u64> = HashMap::new();
     for name in fs.list() {
         let ino = fs.open(&name)?;
-        if !table.is_valid(ino).unwrap_or(false) {
+        if !slot(ino).is_ok_and(|pi| pi.valid) {
             report.errors.push(FsckError::DanglingDentry { name, ino });
         } else {
             *name_counts.entry(ino).or_insert(0) += 1;
@@ -141,7 +144,7 @@ pub fn check(fs: &Nova, dedup_mounted: bool) -> Result<FsckReport> {
     let mut inos: Vec<u64> = name_counts.keys().copied().collect();
     inos.sort();
     for (&ino, &names) in &name_counts {
-        let nlink = table.read(ino)?.link_count;
+        let nlink = slot(ino)?.link_count;
         if nlink != names {
             report
                 .errors
@@ -154,7 +157,9 @@ pub fn check(fs: &Nova, dedup_mounted: bool) -> Result<FsckReport> {
     let mut block_refs: HashMap<u64, u64> = HashMap::new();
     let mut log_page_owner: HashMap<u64, u64> = HashMap::new();
     for &ino in &inos {
-        let pi = table.read(ino)?;
+        let pi = *slot(ino)?;
+        // One walk yields the entries and, afterwards, the page chain.
+        let mut log = LogIter::new(&dev, &layout, pi.log_head, pi.log_tail);
         fs.with_inode_read(ino, |mem| {
             if pi.log_tail != mem.pos.tail {
                 report.errors.push(FsckError::TailMismatch {
@@ -167,7 +172,7 @@ pub fn check(fs: &Nova, dedup_mounted: bool) -> Result<FsckReport> {
             // entry decodes.
             let mut shadow: HashMap<u64, u64> = HashMap::new(); // pgoff → block
             let mut size = 0u64;
-            for item in LogIter::new(&dev, &layout, pi.log_head, pi.log_tail) {
+            for item in &mut log {
                 match item {
                     Err(_) => {
                         report
@@ -230,7 +235,7 @@ pub fn check(fs: &Nova, dedup_mounted: bool) -> Result<FsckReport> {
             Ok(())
         })?;
         // Log-chain ownership.
-        for page in log_pages(&dev, &layout, pi.log_head) {
+        for page in log.into_pages() {
             report.log_pages += 1;
             if let Some(owner) = log_page_owner.insert(page, ino) {
                 if owner != ino {

@@ -8,7 +8,7 @@
 //! complete.
 
 use crate::error::{NovaError, Result};
-use crate::layout::Layout;
+use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
 use denova_pmem::PmemDevice;
 
 // Field offsets within the 128 B inode.
@@ -45,6 +45,13 @@ pub struct Inode {
     pub blocks: u64,
 }
 
+/// Look inode `ino` up in what [`InodeTable::read_all`] returned, with the
+/// range check [`InodeTable::read`] makes.
+pub fn slot_of(slots: &[Inode], ino: u64) -> Result<&Inode> {
+    let slot = (ino != 0).then(|| slots.get(ino as usize)).flatten();
+    slot.ok_or(NovaError::BadInode(ino))
+}
+
 /// Accessor for the persistent inode table.
 pub struct InodeTable<'a> {
     dev: &'a PmemDevice,
@@ -78,6 +85,38 @@ impl<'a> InodeTable<'a> {
             link_count: self.dev.read_u64(base + OFF_LINK_COUNT),
             blocks: self.dev.read_u64(base + OFF_BLOCKS),
         })
+    }
+
+    /// Read the whole table with one block-sized device read per table
+    /// block — the mount and fsck path, which look at every slot;
+    /// [`InodeTable::read`] stays the per-inode path. The result is indexed
+    /// by inode number (slot 0 is reserved and never valid).
+    pub fn read_all(&self) -> Vec<Inode> {
+        let field = |slot: &[u8], off: u64| {
+            u64::from_le_bytes(slot[off as usize..off as usize + 8].try_into().unwrap())
+        };
+        let mut inodes = Vec::with_capacity(self.layout.num_inodes as usize);
+        let mut block = [0u8; BLOCK_SIZE as usize];
+        let mut at = self.layout.inode_table_start * BLOCK_SIZE;
+        while (inodes.len() as u64) < self.layout.num_inodes {
+            self.dev.read_into(at, &mut block);
+            at += BLOCK_SIZE;
+            let left = self.layout.num_inodes as usize - inodes.len();
+            for slot in block.chunks_exact(INODE_SIZE as usize).take(left) {
+                let flags = field(slot, OFF_FLAGS);
+                inodes.push(Inode {
+                    ino: field(slot, OFF_INO),
+                    valid: flags & FLAG_VALID != 0,
+                    is_dir: flags & FLAG_DIR != 0,
+                    size: field(slot, OFF_SIZE),
+                    log_head: field(slot, OFF_LOG_HEAD),
+                    log_tail: field(slot, OFF_LOG_TAIL),
+                    link_count: field(slot, OFF_LINK_COUNT),
+                    blocks: field(slot, OFF_BLOCKS),
+                });
+            }
+        }
+        inodes
     }
 
     /// Initialize inode `ino` as a fresh, valid file or directory and persist
@@ -211,6 +250,30 @@ mod tests {
         assert_eq!(ino.log_head, 0);
         assert_eq!(ino.log_tail, 0);
         assert_eq!(ino.link_count, 1);
+    }
+
+    #[test]
+    fn read_all_matches_per_slot_reads_at_one_device_read_per_block() {
+        let (dev, layout) = setup();
+        let table = InodeTable::new(&dev, &layout);
+        table.init(1, true).unwrap();
+        for ino in [2, 31, 32, 33, 63] {
+            table.init(ino, false).unwrap();
+            table.set_log_head(ino, 1000 + ino).unwrap();
+            table
+                .commit_log_tail(ino, (1000 + ino) * 4096 + 64)
+                .unwrap();
+            table.set_link_count(ino, ino).unwrap();
+        }
+        let before = dev.stats().snapshot().reads;
+        let all = table.read_all();
+        let blocks = (layout.num_inodes * INODE_SIZE).div_ceil(BLOCK_SIZE);
+        assert_eq!(dev.stats().snapshot().reads - before, blocks);
+        assert_eq!(all.len() as u64, layout.num_inodes);
+        assert!(!all[0].valid);
+        for ino in 1..layout.num_inodes {
+            assert_eq!(all[ino as usize], table.read(ino).unwrap(), "slot {ino}");
+        }
     }
 
     #[test]

@@ -47,5 +47,6 @@ pub use hooks::{NoHooks, NovaHooks, ReclaimDecision};
 pub use index::{EntryRef, RadixTree};
 pub use layout::{Layout, BLOCK_SIZE, HOLE_BLOCK, LOG_ENTRY_SIZE, ROOT_INO};
 pub use log::{LogIter, LogPosition};
+pub use recovery::{DedupPending, LogWalk, PhaseCost};
 pub use stats::NovaStats;
 pub use tap::{FsOp, NoOpTap, OpTap};

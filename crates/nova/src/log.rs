@@ -103,6 +103,12 @@ pub fn append_with_ranges(
         table.set_log_head(ino, head)?;
         pos.head = head;
         pos.tail = layout.block_off(head);
+    } else if pos.tail == 0 {
+        // A first append that crashed between persisting the head link and
+        // committing the tail: recovery finds a head page and no tail. The
+        // log is empty and starts at that page (a tail of 0 is "no log
+        // yet", never an offset to write at — that is the superblock).
+        pos.tail = layout.block_off(pos.head);
     }
     let mut offs = Vec::with_capacity(entries.len());
     let mut ranges: Vec<(u64, usize)> = Vec::with_capacity(data_ranges.len() + 1);
@@ -142,11 +148,23 @@ pub fn append_with_ranges(
 }
 
 /// Iterator over the committed entries of a log.
+///
+/// The walk is streaming: each log page is fetched with **one** block-sized
+/// device read and every entry, checksum and all, is decoded from that
+/// buffer — the footer link to the next page included. Mount-time recovery
+/// and fsck therefore pay one device operation per log page, the unit the
+/// data read path pays, instead of one per 64 B entry. Bytes at or beyond
+/// the committed tail are never decoded.
 pub struct LogIter<'a> {
     dev: &'a PmemDevice,
     layout: &'a Layout,
+    head: u64,
     cursor: u64,
     tail: u64,
+    /// The log page named by `pages.last()`.
+    page: [u8; BLOCK_SIZE as usize],
+    /// Blocks of the pages read so far, in chain order.
+    pages: Vec<u64>,
 }
 
 impl<'a> LogIter<'a> {
@@ -161,9 +179,48 @@ impl<'a> LogIter<'a> {
         LogIter {
             dev,
             layout,
+            head: head_block,
             cursor,
             tail,
+            page: [0u8; BLOCK_SIZE as usize],
+            pages: Vec::new(),
         }
+    }
+
+    /// Fetch log page `block` into the buffer: the one device read the page
+    /// costs. `false` when the link is no block of this device or the chain
+    /// has outgrown it (a corrupt cycle must not hang recovery).
+    fn load(&mut self, block: u64) -> bool {
+        if block >= self.layout.total_blocks || self.pages.len() as u64 > self.layout.total_blocks {
+            return false;
+        }
+        self.dev
+            .read_into(self.layout.block_off(block), &mut self.page);
+        self.pages.push(block);
+        true
+    }
+
+    /// The next-page link of the buffered page.
+    fn footer(&self) -> u64 {
+        let at = FOOTER_NEXT as usize;
+        u64::from_le_bytes(self.page[at..at + 8].try_into().unwrap())
+    }
+
+    /// The blocks of every page in the chain, in chain order: the pages the
+    /// walk read, plus whatever is linked behind the tail's page (an append
+    /// that crashed between linking a fresh page and committing its tail
+    /// leaves one). Call once the entries are consumed; the pages behind the
+    /// tail cost one device read each, like the rest.
+    pub fn into_pages(mut self) -> Vec<u64> {
+        let mut next = if self.pages.is_empty() {
+            self.head
+        } else {
+            self.footer()
+        };
+        while next != 0 && self.load(next) {
+            next = self.footer();
+        }
+        self.pages
     }
 }
 
@@ -176,20 +233,26 @@ impl Iterator for LogIter<'_> {
             if self.cursor == self.tail {
                 return None;
             }
-            // End of page payload: follow the footer link.
-            if self.cursor % BLOCK_SIZE >= LOG_PAGE_PAYLOAD {
-                let next = next_page(self.dev, self.layout, self.cursor / BLOCK_SIZE);
-                if next == 0 {
-                    return Some(Err(NovaError::Corrupt("log chain ends before tail")));
-                }
-                self.cursor = self.layout.block_off(next);
-                continue;
+            // The cursor only moves through buffered pages, so at the end of
+            // a page's payload the footer link is already in DRAM.
+            let next = if self.pages.is_empty() {
+                self.head
+            } else if self.cursor % BLOCK_SIZE >= LOG_PAGE_PAYLOAD {
+                self.footer()
+            } else {
+                let off = self.cursor;
+                self.cursor += LOG_ENTRY_SIZE;
+                let at = (off % BLOCK_SIZE) as usize;
+                let bytes: &[u8; 64] = self.page[at..at + 64].try_into().unwrap();
+                return Some(decode(bytes).map(|e| (off, e)));
+            };
+            if next == 0 {
+                return Some(Err(NovaError::Corrupt("log chain ends before tail")));
             }
-            let off = self.cursor;
-            self.cursor += LOG_ENTRY_SIZE;
-            let mut bytes = [0u8; 64];
-            self.dev.read_into(off, &mut bytes);
-            return Some(decode(&bytes).map(|e| (off, e)));
+            if !self.load(next) {
+                return Some(Err(NovaError::Corrupt("log chain link is not a log page")));
+            }
+            self.cursor = self.layout.block_off(next);
         }
     }
 }

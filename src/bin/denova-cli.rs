@@ -122,10 +122,20 @@ fn open_fs(image: &Path, dedup_workers: usize, slo_write_p99_ns: u64) -> Result<
         slo_write_p99_ns,
         ..Default::default()
     };
-    let fs = Denova::mount(Arc::new(dev), opts, DedupMode::Immediate)
-        .map_err(|e| format!("mount failed: {e} (is {} formatted?)", image.display()))?;
+    mount_reporting(Arc::new(dev), opts)
+        .map_err(|e| format!("mount failed: {e} (is {} formatted?)", image.display()))
+}
+
+/// Mount `dev`, with span/event collection on *before* the mount when
+/// `DENOVA_TELEMETRY` asks for it (so recovery's phases are recorded), and
+/// say on stderr what dedup recovery did if this was a crash mount.
+fn mount_reporting(dev: Arc<PmemDevice>, opts: NovaOptions) -> denova_nova::Result<Denova> {
     if telemetry_env_on() {
-        fs.nova().device().metrics().set_enabled(true);
+        dev.metrics().set_enabled(true);
+    }
+    let fs = Denova::mount(dev, opts, DedupMode::Immediate)?;
+    if let Some(report) = fs.last_recovery() {
+        eprint!("crash mount: {report}");
     }
     Ok(fs)
 }
@@ -490,6 +500,7 @@ fn run() -> Result<(), String> {
                 fs.read(ino, 0, payload.len()).map_err(|e| e.to_string())?;
             }
             let snap = metrics.snapshot();
+            let recovery = fs.last_recovery().copied();
             fs.unmount();
             if json {
                 println!("{}", snap.to_json_string());
@@ -507,6 +518,15 @@ fn run() -> Result<(), String> {
                     c("fact.hits"),
                     c("fact.misses")
                 );
+                println!(
+                    "  mount read:         {} inode-table blocks, {} log pages",
+                    c("nova.recovery.inode_blocks_read"),
+                    c("nova.recovery.log_pages_read")
+                );
+                match recovery {
+                    Some(report) => print!("  {report}"),
+                    None => println!("  recovery:           none (clean unmount)"),
+                }
                 println!("{}", snap.to_text());
             }
             Ok(())
@@ -614,13 +634,8 @@ fn serve_replica(
         };
         // The image is crash-consistent, never cleanly unmounted: mounting
         // runs the ordinary recovery path.
-        let fs = Arc::new(
-            Denova::mount(dev, opts, DedupMode::Immediate)
-                .map_err(|e| format!("standby mount failed: {e}"))?,
-        );
-        if telemetry_env_on() {
-            fs.nova().device().metrics().set_enabled(true);
-        }
+        let fs =
+            Arc::new(mount_reporting(dev, opts).map_err(|e| format!("standby mount failed: {e}"))?);
         let server = Arc::new(Server::new(fs.clone(), config));
         let promoted = Arc::new(AtomicBool::new(false));
         let flag = promoted.clone();

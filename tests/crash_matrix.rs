@@ -15,7 +15,10 @@
 //! 3. FACT has no UC residue and every RFC equals the exact number of live
 //!    write-entry references (after recovery + drain + scrub);
 //! 4. a second scrub is a fixpoint (nothing left to repair);
-//! 5. the recovered system accepts new writes and dedups them.
+//! 5. the recovered system accepts new writes and dedups them;
+//! 6. the recovery mount stayed inside its structural read budget — every
+//!    persistent structure once, a block per device read, plus single reads
+//!    in proportion to what it repaired (`RecoveryReport::read_budget`).
 
 use denova_repro::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,8 +74,19 @@ fn workload(dev: &Arc<PmemDevice>) -> denova_nova::Result<()> {
 
 /// Post-crash invariant checks.
 fn verify_recovered(dev: Arc<PmemDevice>, context: &str) {
-    let fs = Denova::mount(dev, opts(), DedupMode::Immediate)
+    let reads_before = dev.stats().snapshot().reads;
+    let fs = Denova::mount(dev.clone(), opts(), DedupMode::Immediate)
         .unwrap_or_else(|e| panic!("{context}: mount failed: {e}"));
+    // (6) Read budget, before the daemon's own reads blur the count much:
+    // it may already be draining the rebuilt queue, so allow it the slack
+    // the budget's fixed part carries.
+    let reads = dev.stats().snapshot().reads - reads_before;
+    let report = fs.last_recovery().expect("crash mount runs recovery");
+    assert!(
+        reads <= report.read_budget(),
+        "{context}: recovery mount issued {reads} device reads, budget {}\n{report}",
+        report.read_budget()
+    );
     fs.drain();
     fs.scrub().unwrap();
 
