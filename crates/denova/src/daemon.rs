@@ -250,6 +250,7 @@ struct WorkerCtx {
 
 fn worker_loop(ctx: WorkerCtx) {
     let metrics = ctx.nova.device().metrics().clone();
+    let dedup_errors = metrics.counter("denova.dedup.errors");
     // Shards owned by this worker: `s % workers == id`. With the queue
     // sharded one-per-worker (the normal assembly) this is exactly shard
     // `id`; the modulo rule keeps every shard owned when a caller wires a
@@ -307,8 +308,20 @@ fn worker_loop(ctx: WorkerCtx) {
                 for node in batch {
                     // Dedup failures on one entry (e.g. FACT exhaustion) must
                     // not kill the worker; the entry keeps its flag and
-                    // recovery or a later pass can retry.
-                    let _ = dedup_entry(&ctx.nova, &ctx.fact, &node);
+                    // recovery or a later pass can retry. They are stage 2's
+                    // (stage 1 swallows whatever it read unlocked), so each
+                    // one is real: count it and say which entry.
+                    if let Err(e) = dedup_entry(&ctx.nova, &ctx.fact, &node) {
+                        dedup_errors.inc();
+                        metrics.event(
+                            "dedup.error",
+                            &[
+                                ("ino", node.ino),
+                                ("entry_off", node.entry_off),
+                                ("code", e.code() as u64),
+                            ],
+                        );
+                    }
                     ctx.processed.fetch_add(1, Ordering::AcqRel);
                     done += 1;
                 }
@@ -546,6 +559,43 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(fact.lookup(&fp).is_none(), "scrub never ran");
+        daemon.stop();
+    }
+
+    #[test]
+    fn dedup_errors_are_counted_and_named() {
+        let (nova, _fact, dwq, daemon) = setup(DaemonConfig::immediate());
+        let metrics: MetricsRegistry = nova.device().metrics().clone();
+        metrics.set_enabled(true);
+        let ino = nova.create("f").unwrap();
+        nova.write(ino, 0, &vec![0xABu8; 4096]).unwrap();
+        daemon.drain();
+        let errors = metrics.counter("denova.dedup.errors");
+        assert_eq!(errors.get(), 0);
+        // A node naming file data instead of a log entry: stage 1 has
+        // nothing to say about it, stage 2 answers `Corrupt` under the lock.
+        let block = nova
+            .with_inode_read(ino, |mem| Ok(mem.radix.get(0).unwrap().block))
+            .unwrap();
+        let entry_off = nova.layout().block_off(block);
+        dwq.push(ino, entry_off);
+        daemon.drain();
+        assert_eq!(errors.get(), 1);
+        let event = metrics
+            .events()
+            .into_iter()
+            .find(|e| e.kind == "dedup.error")
+            .expect("dedup.error event");
+        let code = denova_nova::NovaError::Corrupt("").code() as u64;
+        assert_eq!(
+            event.attrs,
+            [("ino", ino), ("entry_off", entry_off), ("code", code)]
+        );
+        // The worker carries on.
+        let other = nova.create("g").unwrap();
+        nova.write(other, 0, &vec![0xCDu8; 4096]).unwrap();
+        daemon.drain();
+        assert_eq!(errors.get(), 1);
         daemon.stop();
     }
 

@@ -22,23 +22,49 @@
 //! paper prescribes.
 //!
 //! **Two-stage lock split.** SHA-1 dominates the transaction (Table IV:
-//! 11.78 µs per page vs 2.85 µs to write one), so holding the inode *write*
-//! lock across fingerprinting would stall foreground writes for the whole
-//! hash. The transaction therefore runs in two stages:
+//! 11.78 µs per page vs 2.85 µs to write one), and a foreground write needs
+//! the inode's write lock, so *any* inode lock held across fingerprinting —
+//! the read lock included — stalls the writer for the whole hash. The
+//! transaction therefore runs in two stages:
 //!
-//! * **Stage 1 (read lock):** snapshot the target entry and fingerprint its
-//!   live pages straight from the device's mapped bytes (zero copy) —
-//!   foreground writes to *other* inodes are unaffected, readers of this
-//!   inode proceed concurrently;
-//! * **Stage 2 (write lock):** revalidate the dedupe flag and each page's
-//!   radix mapping (entry offset + block number). Pages that died in the
-//!   window are counted stale; any page whose mapping no longer matches the
-//!   stage-1 snapshot is re-fingerprinted under the lock (defensive — CoW
-//!   means a block's bytes cannot change while an entry still maps it).
-//!   Then steps ③–⑥ run exactly as before, crash points included.
+//! * **Stage 1 (no lock, `prefingerprint`):** on an unlocked snapshot of
+//!   the inode ([`Nova::with_inode_snapshot`]: epoch pinned, nothing
+//!   validated) read the target entry, take each page's liveness from the
+//!   radix tree, and fingerprint the live pages straight from the device's
+//!   mapped bytes (zero copy) — exactly what `Nova::read`'s optimistic path
+//!   reads, with the foreground writer free to run the whole time;
+//! * **Stage 2 (write lock, `commit`):** re-read the target, revalidate
+//!   the dedupe flag and each page's radix mapping (entry offset + block
+//!   number), count pages that died in the window as stale, then run steps
+//!   ③–⑥ exactly as the single-stage algorithm did, crash points included.
+//!
+//! **The snapshot rule.** Stage 2 uses a stage-1 result for page *p* only
+//! if the radix tree, under the write lock, still maps *p* to
+//! `(node.entry_off, block)`. A superseded mapping never returns to the same
+//! entry offset: every overwrite, truncate and dedup relink installs a *new*
+//! log entry, and `may_gc_entry` keeps the log slot of a `Needed` or
+//! `InProcess` entry from being recycled. So "still mapped at stage 2" ⇒
+//! "mapped continuously since the write committed" ⇒ "the block was never
+//! freed" ⇒ "its bytes were stable through all of stage 1", and the
+//! fingerprint taken with no lock is the fingerprint of what stage 2 sees.
+//! Everything else stage 1 saw may be garbage — a torn `(entry_off, block)`
+//! pair from a racing radix insert, a freed block another inode is
+//! rewriting, a released inode's log page reused as data — and is merely
+//! *harmless*: every block number is bounds-checked before the device is
+//! touched, nothing read unlocked is indexed by or panicked on, and a target
+//! that does not decode to a `Needed` write entry inside the device yields
+//! an empty list. Stage 1 never fails; `AlreadyProcessed`, `FileGone` and
+//! `Corrupt` are stage 2's answers, given under the lock. `Grown` and
+//! `RunCovered` predictions are byte-compared again in stage 2 after the
+//! reservation pins the canonical record.
 //!
 //! Correctness does not depend on stage 1 at all: stage 2 alone is the old
-//! single-stage algorithm with a fingerprint cache in front.
+//! single-stage algorithm with a fingerprint cache in front. A live page
+//! with no usable result is fingerprinted under the write lock
+//! (`denova.refingerprinted_pages`): a memcmp prediction that fails its
+//! stage-2 re-check, as before — and, since a page live at stage 2 was live
+//! for all of stage 1, otherwise only a page stage 1 saw *absent* through a
+//! torn radix `(root, height)` pair, the tree growing a level under it.
 //!
 //! **Extent growth.** SHA-1 dominates (Table IV), so once one page of a
 //! write matches a canonical block the daemon *grows* the match along the
@@ -69,10 +95,10 @@ use crate::fact::{Count, Fact, Released};
 use denova_fingerprint::Fingerprint;
 use denova_nova::{
     entry::{read_dedupe_flag, read_entry, write_dedupe_flag},
-    DedupeFlag, Layout, LogEntry, Nova, NovaError, Result, WriteEntry, BLOCK_SIZE,
+    DedupeFlag, InodeMem, Layout, LogEntry, Nova, NovaError, Result, WriteEntry, BLOCK_SIZE,
 };
 use denova_pmem::PmemDevice;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Byte-compare two data blocks straight from the mapped device (no copy).
 /// ~40× cheaper than fingerprinting a page, which is what makes extent
@@ -126,36 +152,74 @@ pub enum DedupOutcome {
     FileGone,
 }
 
-/// Deduplicate one target entry. Runs on a daemon worker (offline modes):
-/// stage 1 fingerprints under the inode *read* lock, stage 2 revalidates and
-/// commits under the *write* lock — "the deduplication process holds an
-/// inode lock" (Section IV-E), but never a write lock across SHA-1.
-pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutcome> {
-    let stats = fact.stats().clone();
-    let dev = nova.device().clone();
-    let _span = dev.metrics().span("denova.dedup");
-    let t_start = Instant::now();
-    let mut fp_time = std::time::Duration::ZERO;
-    let layout = *nova.layout();
+/// Stage-1 result for one page: `(file page, data block, prediction)`, in
+/// page order.
+type Prefp = (u64, u64, Prep);
 
-    // Stage 1 (read lock): snapshot the target and prefingerprint its live
-    // pages, hashing straight from the mapped PM bytes. When the previous
-    // page matched a canonical block, the next page is first probed against
-    // the *next* canonical block with a memcmp — on a match the SHA-1 is
-    // skipped entirely (extent growth). No stale-page accounting here —
-    // stage 2 is the single point of truth for that, so a page superseded
-    // before stage 2 is never double-counted.
-    let threshold = fact.extent_threshold_pages();
-    let prefps: Vec<(u64, u64, Prep)> = match nova.with_inode_read(node.ino, |mem| {
-        let target = match read_entry(&dev, node.entry_off)? {
-            LogEntry::Write(we) => we,
-            _ => return Err(NovaError::Corrupt("DWQ node is not a write entry")),
-        };
-        if target.dedupe_flag != DedupeFlag::Needed {
-            return Ok(None);
+/// Deduplicate one target entry. Runs on a daemon worker (offline modes):
+/// stage 1 fingerprints with no inode lock, stage 2 revalidates and commits
+/// under the *write* lock — "the deduplication process holds an inode lock"
+/// (Section IV-E), but never across SHA-1.
+pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutcome> {
+    let stats = fact.stats();
+    let _span = nova.device().metrics().span("denova.dedup");
+    let t_start = Instant::now();
+    let mut fp_time = Duration::ZERO;
+    let prefps = prefingerprint(nova, fact, node, &mut fp_time);
+    match commit(nova, fact, node, &prefps, &mut fp_time) {
+        Err(NovaError::BadInode(_)) => Ok(DedupOutcome::FileGone),
+        other => {
+            stats.record_fingerprint_time(fp_time);
+            stats.record_other_ops_time(t_start.elapsed().saturating_sub(fp_time));
+            other
         }
+    }
+}
+
+/// Stage 1: prefingerprint the target's live pages on an unlocked snapshot
+/// of the inode, hashing straight from the mapped PM bytes. When the
+/// previous page matched a canonical block, the next page is first probed
+/// against the *next* canonical block with a memcmp — on a match the SHA-1
+/// is skipped entirely (extent growth). No stale-page accounting here —
+/// stage 2 is the single point of truth for that, so a page superseded
+/// before stage 2 is never double-counted.
+///
+/// Nothing here is validated (the module doc's snapshot rule says why it
+/// need not be), so nothing here may fail: whatever does not look like a
+/// `Needed` write entry inside the device yields an empty list and stage 2
+/// gives the answer. This is the one function that reads data bytes a
+/// concurrent writer may be changing (`.tsan-suppressions` names it).
+fn prefingerprint(nova: &Nova, fact: &Fact, node: &DwqNode, fp_time: &mut Duration) -> Vec<Prefp> {
+    let dev = nova.device();
+    let layout = nova.layout();
+    let total_blocks = layout.total_blocks;
+    let threshold = fact.extent_threshold_pages();
+    // Byte-compare two blocks that may both be garbage numbers.
+    let same_bytes =
+        |a: u64, b: u64| a < total_blocks && b < total_blocks && blocks_equal(dev, layout, a, b);
+    let scan = |mem: &InodeMem| {
+        let mut fps = Vec::new();
+        let target = match read_entry(dev, node.entry_off) {
+            Ok(LogEntry::Write(we)) if we.dedupe_flag == DedupeFlag::Needed => we,
+            _ => return Ok(fps),
+        };
         let n = target.num_pages as u64;
-        let mut fps = Vec::with_capacity(n as usize);
+        let in_device = target
+            .block
+            .checked_add(n)
+            .is_some_and(|end| end <= total_blocks);
+        if !in_device || target.file_pgoff.checked_add(n).is_none() {
+            return Ok(fps);
+        }
+        fps.reserve(n as usize);
+        // A page is live while the radix maps it to this entry *and* this
+        // block: the tree stores the two as separate atomics, and a racing
+        // insert can pair the old offset with the new block.
+        let live = |k: u64| {
+            mem.radix
+                .get(target.file_pgoff + k)
+                .is_some_and(|er| er.entry_off == node.entry_off && er.block == target.block + k)
+        };
         // Canonical block predicted for the next page, when the previous
         // page matched the preceding one. A stale page breaks the run.
         let mut pred: Option<u64> = None;
@@ -163,13 +227,10 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
         while i < n {
             let pgoff = target.file_pgoff + i;
             let block = target.block + i;
-            match mem.radix.get(pgoff) {
-                Some(er) if er.entry_off == node.entry_off => {}
-                _ => {
-                    pred = None;
-                    i += 1;
-                    continue;
-                }
+            if !live(i) {
+                pred = None;
+                i += 1;
+                continue;
             }
             // Growth fast path: memcmp against the predicted canonical.
             if threshold > 0 {
@@ -177,7 +238,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                     let per_page = fact
                         .resolve_block(c)
                         .is_some_and(|(_, ce)| ce.run_pages == 1 && ce.block == c);
-                    if per_page && blocks_equal(&dev, &layout, block, c) {
+                    if per_page && same_bytes(block, c) {
                         fps.push((pgoff, block, Prep::Grown { canonical: c }));
                         pred = Some(c + 1);
                         i += 1;
@@ -190,58 +251,71 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
             let fp = dev.with_slice(layout.block_off(block), BLOCK_SIZE as usize, |page| {
                 fact.fingerprint(page)
             });
-            fp_time += t_fp.elapsed();
-            if let Some((_, e)) = fact.lookup(&fp) {
-                if e.block != block {
-                    let run = e.run_pages as u64;
-                    if threshold > 0 && run > 1 {
-                        // Anchor hit: probe the whole run. Pages the run
-                        // covers skip hashing; stage 2 re-verifies them.
-                        let mut covered = 1u64;
-                        while covered < run && i + covered < n {
-                            let k = i + covered;
-                            let live = matches!(
-                                mem.radix.get(target.file_pgoff + k),
-                                Some(er) if er.entry_off == node.entry_off
-                            );
-                            if !live
-                                || !blocks_equal(&dev, &layout, target.block + k, e.block + covered)
-                            {
-                                break;
-                            }
-                            covered += 1;
-                        }
-                        if covered == run {
-                            fps.push((pgoff, block, Prep::Fp(fp)));
-                            for k in 1..run {
-                                fps.push((pgoff + k, block + k, Prep::RunCovered));
-                            }
-                            pred = Some(e.block + run);
-                            i += run;
-                            continue;
-                        }
-                        // Partial anchor match: stage 2 demotes the run.
-                    } else if run == 1 {
-                        pred = Some(e.block + 1);
+            *fp_time += t_fp.elapsed();
+            // FACT's unlocked lookup can hand back a record caught
+            // mid-update; one whose run leaves the device is no hit.
+            let hit = fact.lookup(&fp).map(|(_, e)| e).filter(|e| {
+                e.block != block
+                    && e.block
+                        .checked_add(e.run_pages as u64)
+                        .is_some_and(|end| end <= total_blocks)
+            });
+            if let Some(e) = hit {
+                let run = e.run_pages as u64;
+                if threshold > 0 && run > 1 {
+                    // Anchor hit: probe the whole run. Pages the run
+                    // covers skip hashing; stage 2 re-verifies them.
+                    let mut covered = 1u64;
+                    while covered < run
+                        && i + covered < n
+                        && live(i + covered)
+                        && same_bytes(block + covered, e.block + covered)
+                    {
+                        covered += 1;
                     }
+                    if covered == run {
+                        fps.push((pgoff, block, Prep::Fp(fp)));
+                        for k in 1..run {
+                            fps.push((pgoff + k, block + k, Prep::RunCovered));
+                        }
+                        pred = Some(e.block + run);
+                        i += run;
+                        continue;
+                    }
+                    // Partial anchor match: stage 2 demotes the run.
+                } else if run == 1 {
+                    pred = Some(e.block + 1);
                 }
             }
             fps.push((pgoff, block, Prep::Fp(fp)));
             i += 1;
         }
-        Ok(Some(fps))
-    }) {
-        Ok(Some(fps)) => fps,
-        Ok(None) => return Ok(DedupOutcome::AlreadyProcessed),
-        Err(NovaError::BadInode(_)) => return Ok(DedupOutcome::FileGone),
-        Err(e) => return Err(e),
+        Ok(fps)
     };
+    // A tombstoned or vanished inode: nothing to prefingerprint, and
+    // stage 2 reports `FileGone`.
+    nova.with_inode_snapshot(node.ino, scan).unwrap_or_default()
+}
 
-    let result = nova.with_inode_write(node.ino, |ctx| {
+/// Stage 2: the transaction proper, under the inode write lock — steps
+/// ②–⑥ with their crash points. `prefps` is stage 1's page-ordered list; an
+/// empty one makes this the single-stage algorithm.
+fn commit(
+    nova: &Nova,
+    fact: &Fact,
+    node: &DwqNode,
+    prefps: &[Prefp],
+    fp_time: &mut Duration,
+) -> Result<DedupOutcome> {
+    let stats = fact.stats();
+    let dev = nova.device();
+    let layout = nova.layout();
+    nova.with_inode_write(node.ino, |ctx| {
+        let _held = dev.metrics().span("denova.dedup.write_lock_hold");
         // Re-read the target entry under the write lock; skip if another
         // pass (or a pre-crash run, Inconsistency Handling III) already
         // handled it in the stage-1 → stage-2 window.
-        let target = match read_entry(&dev, node.entry_off)? {
+        let target = match read_entry(dev, node.entry_off)? {
             LogEntry::Write(we) => we,
             _ => return Err(NovaError::Corrupt("DWQ node is not a write entry")),
         };
@@ -303,6 +377,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                 }
             };
         let n_pages = target.num_pages as u64;
+        let mut cursor = prefps.iter().peekable();
         let mut i = 0u64;
         while i < n_pages {
             let pgoff = target.file_pgoff + i;
@@ -316,10 +391,14 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                     continue;
                 }
             }
-            let prep = prefps
-                .iter()
-                .find(|&&(p, b, _)| p == pgoff && b == block)
-                .map(|&(_, _, prep)| prep);
+            // Both this loop and stage 1's list run in page order.
+            while cursor.peek().is_some_and(|&&(p, ..)| p < pgoff) {
+                cursor.next();
+            }
+            let prep = cursor
+                .peek()
+                .filter(|&&&(p, b, _)| p == pgoff && b == block)
+                .map(|&&(_, _, prep)| prep);
 
             // Growth fast path: the stage-1 memcmp predicted this page
             // duplicates `canonical`. Reserve on the record that owns it —
@@ -331,7 +410,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
             // path below.
             if let Some(Prep::Grown { canonical }) = prep {
                 let shared = fact.reserve_block(canonical).is_some_and(|(cidx, _)| {
-                    if blocks_equal(&dev, &layout, block, canonical) {
+                    if blocks_equal(dev, layout, block, canonical) {
                         reservations.push((cidx, canonical));
                         true
                     } else {
@@ -363,7 +442,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                     let fp = dev.with_slice(layout.block_off(block), BLOCK_SIZE as usize, |page| {
                         fact.fingerprint(page)
                     });
-                    fp_time += t_fp.elapsed();
+                    *fp_time += t_fp.elapsed();
                     stats.record_refingerprinted();
                     fp
                 }
@@ -403,7 +482,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
                                 ctx.mem.radix.get(pgoff + k),
                                 Some(er) if er.entry_off == node.entry_off && er.block == block + k
                             )
-                            && blocks_equal(&dev, &layout, block + k, existing.block + k)
+                            && blocks_equal(dev, layout, block + k, existing.block + k)
                     })
                     .count() as u64;
                 if matched == run {
@@ -471,7 +550,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
         };
 
         // Target entry joins the transaction: needed → in_process.
-        write_dedupe_flag(&dev, node.entry_off, DedupeFlag::InProcess);
+        write_dedupe_flag(dev, node.entry_off, DedupeFlag::InProcess);
         dev.crash_point("denova::dedup::after_target_in_process");
 
         // Fold the new entries into the radix tree ("rebuild_radix_tree");
@@ -493,9 +572,9 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
 
         // Flags: appended entries and the target become dedupe_complete.
         for off in &offs {
-            write_dedupe_flag(&dev, *off, DedupeFlag::Complete);
+            write_dedupe_flag(dev, *off, DedupeFlag::Complete);
         }
-        write_dedupe_flag(&dev, node.entry_off, DedupeFlag::Complete);
+        write_dedupe_flag(dev, node.entry_off, DedupeFlag::Complete);
         dev.crash_point("denova::dedup::after_complete");
 
         // "The obsolete duplicate data pages are reclaimed afterwards."
@@ -547,16 +626,7 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
             duplicates: dup_pages,
             uniques,
         })
-    });
-
-    match result {
-        Err(NovaError::BadInode(_)) => Ok(DedupOutcome::FileGone),
-        other => {
-            stats.record_fingerprint_time(fp_time);
-            stats.record_other_ops_time(t_start.elapsed().saturating_sub(fp_time));
-            other
-        }
-    }
+    })
 }
 
 /// Resume a transaction from step ⑥ for an entry found `in_process` during
@@ -1173,6 +1243,314 @@ mod tests {
         // Resuming again is harmless.
         resume_in_process(&nova, &fact, c, off).unwrap();
         assert_eq!(fact.counters(idx), (4, 0));
+    }
+
+    // -- Between the halves ------------------------------------------------
+    //
+    // Stage 1 validates nothing, so whatever the foreground does between
+    // the two stages must leave exactly what it would have left had both
+    // stages run after it. Each scenario below runs twice on identical
+    // stacks — stage 1, foreground op, stage 2 against foreground op,
+    // stage 1, stage 2 — and compares everything observable.
+
+    const ENTRY_PAGES: usize = 256;
+
+    /// `n` pages of distinct non-zero content, a function of `(seed, page)`.
+    fn pages(seed: u8, n: usize) -> Vec<u8> {
+        let mut data = vec![seed; n * 4096];
+        for (k, page) in data.chunks_mut(4096).enumerate() {
+            page[..4].copy_from_slice(&(k as u32 + 1).to_le_bytes());
+        }
+        data
+    }
+
+    /// A stack whose DWQ holds one node: file `a`'s 256-page write, its
+    /// first half duplicating file `b1` (already deduplicated; with
+    /// `promoted`, `b2` too, so the canonical blocks are one extent run and
+    /// stage 1 answers `RunCovered` instead of `Grown`), its second half
+    /// unique. File `other` is there to be renamed over `a`.
+    fn one_pending_entry(promoted: bool) -> (Arc<Nova>, Arc<Fact>, Arc<Dwq>, DwqNode) {
+        let (nova, fact, dwq) = setup();
+        let shared = pages(1, ENTRY_PAGES / 2);
+        for name in ["b1", "b2"].iter().take(1 + promoted as usize) {
+            let ino = nova.create(name).unwrap();
+            nova.write(ino, 0, &shared).unwrap();
+        }
+        let other = nova.create("other").unwrap();
+        nova.write(other, 0, &pages(2, 4)).unwrap();
+        drain(&nova, &fact, &dwq);
+        assert_eq!(fact.stats().promoted_runs(), promoted as u64);
+        let a = nova.create("a").unwrap();
+        let data = [shared, pages(3, ENTRY_PAGES / 2)].concat();
+        nova.write(a, 0, &data).unwrap();
+        let node = dwq.pop_batch(1)[0];
+        assert_eq!((node.ino, dwq.len()), (a, 0));
+        (nova, fact, dwq, node)
+    }
+
+    /// Everything the two orders must agree on.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        outcome: DedupOutcome,
+        /// `(name, contents)` of every file, by name.
+        files: Vec<(String, Vec<u8>)>,
+        /// `(block, run_pages, rfc, uc)` of every FACT record, by block.
+        records: Vec<(u64, u32, u32, u32)>,
+        free_blocks: u64,
+    }
+
+    fn observe(nova: &Nova, fact: &Fact, outcome: DedupOutcome) -> Observed {
+        let report = denova_nova::fsck::check(nova, true).unwrap();
+        assert!(report.is_clean(), "{:?}", report.errors);
+        let audit = crate::fsck::fsck_fact(nova, fact).unwrap();
+        assert!(audit.is_clean(), "{:?}", audit.errors);
+        assert_eq!(fact.stats().refingerprinted_pages(), 0);
+        let mut files: Vec<(String, Vec<u8>)> = nova
+            .list()
+            .into_iter()
+            .map(|name| {
+                let ino = nova.open(&name).unwrap();
+                let size = nova.file_size(ino).unwrap() as usize;
+                let data = nova.read(ino, 0, size).unwrap();
+                (name, data)
+            })
+            .collect();
+        files.sort();
+        let mut records = Vec::new();
+        fact.for_each_occupied(|_, e| records.push((e.block, e.run_pages, e.rfc, e.uc)));
+        records.sort();
+        Observed {
+            outcome,
+            files,
+            records,
+            free_blocks: nova.free_blocks(),
+        }
+    }
+
+    /// Run `op` between the halves and before both; both orders must end
+    /// the same, right after stage 2 and again once the entries `op` itself
+    /// queued are deduplicated. Returns the common result after stage 2.
+    fn between_the_halves(promoted: bool, op: impl Fn(&Nova, &DwqNode)) -> Observed {
+        let run = |interleaved: bool| {
+            let (nova, fact, dwq, node) = one_pending_entry(promoted);
+            let mut fp_time = Duration::ZERO;
+            if !interleaved {
+                op(&nova, &node);
+            }
+            let prefps = prefingerprint(&nova, &fact, &node, &mut fp_time);
+            if interleaved {
+                // Stage 1 saw the entry whole: every page has a result, the
+                // duplicate half past its first page by memcmp prediction.
+                assert_eq!(prefps.len(), ENTRY_PAGES);
+                assert!(prefps[1..ENTRY_PAGES / 2].iter().all(|&(_, _, prep)| {
+                    match prep {
+                        Prep::Grown { .. } => !promoted,
+                        Prep::RunCovered => promoted,
+                        Prep::Fp(_) => false,
+                    }
+                }));
+                op(&nova, &node);
+            }
+            let outcome = match commit(&nova, &fact, &node, &prefps, &mut fp_time) {
+                Err(NovaError::BadInode(_)) => DedupOutcome::FileGone,
+                other => other.unwrap(),
+            };
+            let after_commit = observe(&nova, &fact, outcome);
+            drain(&nova, &fact, &dwq);
+            (after_commit, observe(&nova, &fact, outcome))
+        };
+        let (interleaved, sequential) = (run(true), run(false));
+        assert_eq!(interleaved, sequential);
+        interleaved.0
+    }
+
+    /// The data blocks `ino` maps at pages `range`.
+    fn blocks_of(nova: &Nova, ino: u64, range: std::ops::Range<u64>) -> Vec<u64> {
+        nova.with_inode_read(ino, |mem| {
+            Ok(range
+                .filter_map(|pg| mem.radix.get(pg))
+                .map(|er| er.block)
+                .collect())
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn overwrite_of_every_page_between_the_halves() {
+        for promoted in [false, true] {
+            let seen = between_the_halves(promoted, |nova, node| {
+                nova.write(node.ino, 0, &pages(9, ENTRY_PAGES)).unwrap();
+            });
+            assert_eq!(
+                seen.outcome,
+                DedupOutcome::Done {
+                    duplicates: 0,
+                    uniques: 0
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn overwrite_of_some_pages_between_the_halves() {
+        for promoted in [false, true] {
+            // Pages 100..140 straddle the duplicate and the unique half.
+            let seen = between_the_halves(promoted, |nova, node| {
+                nova.write(node.ino, 100 * 4096, &pages(9, 40)).unwrap();
+            });
+            assert_eq!(
+                seen.outcome,
+                DedupOutcome::Done {
+                    duplicates: 100,
+                    uniques: ENTRY_PAGES as u32 - 140
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn truncate_into_the_entry_between_the_halves() {
+        for promoted in [false, true] {
+            let seen = between_the_halves(promoted, |nova, node| {
+                nova.truncate(node.ino, 60 * 4096).unwrap();
+            });
+            assert_eq!(
+                seen.outcome,
+                DedupOutcome::Done {
+                    duplicates: 60,
+                    uniques: 0
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn unlink_between_the_halves() {
+        for promoted in [false, true] {
+            let seen = between_the_halves(promoted, |nova, _| nova.unlink("a").unwrap());
+            assert_eq!(seen.outcome, DedupOutcome::FileGone);
+        }
+    }
+
+    #[test]
+    fn rename_over_the_file_between_the_halves() {
+        for promoted in [false, true] {
+            let seen = between_the_halves(promoted, |nova, _| {
+                nova.rename("other", "a").unwrap();
+            });
+            assert_eq!(seen.outcome, DedupOutcome::FileGone);
+            assert!(seen.files.contains(&("a".to_string(), pages(2, 4))));
+        }
+    }
+
+    /// The overwritten pages' blocks are freed, handed to another inode and
+    /// rewritten before stage 2: stage 1's fingerprints and memcmp
+    /// predictions for them describe bytes that no longer exist.
+    #[test]
+    fn freed_blocks_rewritten_by_another_inode_between_the_halves() {
+        for promoted in [false, true] {
+            let seen = between_the_halves(promoted, |nova, node| {
+                let old = blocks_of(nova, node.ino, 64..192);
+                nova.write(node.ino, 64 * 4096, &pages(9, 128)).unwrap();
+                let c = nova.create("c").unwrap();
+                nova.write(c, 0, &pages(10, 128)).unwrap();
+                let reused = blocks_of(nova, c, 0..128);
+                assert!(
+                    old.iter().any(|b| reused.contains(b)),
+                    "the scenario needs c to land on a's freed blocks"
+                );
+            });
+            assert_eq!(
+                seen.outcome,
+                DedupOutcome::Done {
+                    duplicates: 64,
+                    uniques: 64
+                }
+            );
+        }
+    }
+
+    /// The structural claim: stage 1 takes no inode lock. A foreground
+    /// writer parked inside `with_inode_write` does not hold it up; stage 2
+    /// then commits what it found.
+    #[test]
+    fn stage1_completes_while_the_inode_write_lock_is_held() {
+        use std::sync::mpsc::channel;
+        let (nova, fact, dwq) = setup();
+        let a = nova.create("a").unwrap();
+        nova.write(a, 0, &pages(1, 4)).unwrap();
+        let node = dwq.pop_batch(1)[0];
+        let (locked_tx, locked_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        let prefps = std::thread::scope(|s| {
+            let (nova, fact) = (&*nova, &*fact);
+            s.spawn(move || {
+                nova.with_inode_write(a, |_| {
+                    locked_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(())
+                })
+                .unwrap();
+            });
+            locked_rx.recv().unwrap();
+            s.spawn(move || {
+                let fps = prefingerprint(nova, fact, &node, &mut Duration::default());
+                done_tx.send(fps).unwrap();
+            });
+            // Hang detector, not a timing bound: a stage 1 that needs the
+            // lock can never finish while the writer is parked.
+            let fps = done_rx.recv_timeout(Duration::from_secs(20));
+            release_tx.send(()).unwrap();
+            fps.expect("stage 1 waited for the inode lock")
+        });
+        assert_eq!(prefps.len(), 4);
+        let outcome = commit(&nova, &fact, &node, &prefps, &mut Duration::default()).unwrap();
+        assert_eq!(
+            outcome,
+            DedupOutcome::Done {
+                duplicates: 0,
+                uniques: 4
+            }
+        );
+        assert_eq!(fact.stats().prefp_reused_pages(), 4);
+        assert_eq!(fact.stats().refingerprinted_pages(), 0);
+    }
+
+    /// Stage 1 never fails and never reads out of range, whatever the node
+    /// names: file data, a foreign entry, an inode that is gone. Stage 2
+    /// gives the answer.
+    #[test]
+    fn stage1_shrugs_at_a_node_that_names_no_needed_entry() {
+        let (nova, fact, dwq) = setup();
+        let a = nova.create("a").unwrap();
+        nova.write(a, 0, &pages(1, 4)).unwrap();
+        let node = dwq.pop_batch(1)[0];
+        let stage1 = |node: &DwqNode| prefingerprint(&nova, &fact, node, &mut Duration::default());
+        let stage2 = |node: &DwqNode| commit(&nova, &fact, node, &[], &mut Duration::default());
+        // File data where a log entry should be.
+        let data = DwqNode {
+            entry_off: nova.layout().block_off(blocks_of(&nova, a, 0..1)[0]),
+            ..node
+        };
+        assert!(stage1(&data).is_empty());
+        assert!(matches!(stage2(&data), Err(NovaError::Corrupt(_))));
+        // An entry of another inode: decodes, maps nothing of this one.
+        let b = nova.create("b").unwrap();
+        nova.write(b, 0, &pages(2, 4)).unwrap();
+        let foreign = DwqNode {
+            ino: a,
+            ..dwq.pop_batch(1)[0]
+        };
+        assert!(stage1(&foreign).is_empty());
+        // No such inode.
+        let gone = DwqNode { ino: 99, ..node };
+        assert!(stage1(&gone).is_empty());
+        assert!(matches!(stage2(&gone), Err(NovaError::BadInode(99))));
+        // An entry already processed.
+        dedup_entry(&nova, &fact, &node).unwrap();
+        assert!(stage1(&node).is_empty());
+        assert_eq!(stage2(&node), Ok(DedupOutcome::AlreadyProcessed));
     }
 
     #[test]

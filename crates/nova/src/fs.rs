@@ -69,16 +69,29 @@ impl Default for NovaOptions {
 ///
 /// ## Optimistic-reader contract
 ///
-/// Since the lock-free read path landed, `Nova::read`/`stat`/`file_size`
-/// may observe an `&InodeMem` *without* holding the inode read lock,
-/// racing a writer that holds the write lock (the race is bracketed by the
-/// inode's seqlock, so torn results are discarded). Closures running on
-/// that optimistic path must therefore touch **only** the torn-tolerant
-/// fields: `radix` (internally atomic), `size()`, `is_dead()`, and the
-/// `*_hint()` accessors. The `entry_live`/`live_per_page` hash maps and
-/// `pos` are plain data — reading them while a writer runs is a data race,
-/// which is why the quantities the read path needs from them are mirrored
-/// into atomic hints by [`InodeMem::refresh_hints`].
+/// Three readers observe an `&InodeMem` *without* holding the inode read
+/// lock, racing a writer that holds the write lock; all of them get it from
+/// `InodeSlot::snapshot`, the one place such a reference is formed:
+///
+/// * `Nova::read` and `Nova::stat`/`file_size`, through
+///   [`Nova::with_inode_read_optimistic`] — the race is bracketed by the
+///   inode's seqlock, so torn results are discarded and the closure re-run;
+/// * the dedup daemon's stage 1 (`denova::dedup`), through
+///   [`Nova::with_inode_snapshot`] — it validates nothing itself; stage 2
+///   re-checks every page's mapping under the write lock and drops what
+///   moved. It touches `radix` and `is_dead()` only.
+///
+/// Closures running on a snapshot must therefore touch **only** the
+/// torn-tolerant fields: `radix` (internally atomic), `size()`, `is_dead()`,
+/// and the `*_hint()` accessors. The `entry_live`/`live_per_page` hash maps
+/// and `pos` are plain data — reading them while a writer runs is a data
+/// race, which is why the quantities the read path needs from them are
+/// mirrored into atomic hints by [`InodeMem::refresh_hints`]. Torn *values*
+/// (an `EntryRef` pairing two versions, a block number from a half-built
+/// tree) must be harmless: bounds-check before touching the device, never
+/// panic, and treat every byte read through them as garbage until a later
+/// validation — the seqlock, or stage 2's mapping re-check — proves the
+/// range was stable.
 #[derive(Debug, Default)]
 pub struct InodeMem {
     /// File page offset → backing (entry, block).
@@ -205,13 +218,15 @@ impl InodeMem {
 ///   [`denova_sync::SeqCount::write_scope`]).
 /// * Locked readers take `lock.read()` (seq is necessarily even and stable
 ///   while they hold it).
-/// * Optimistic readers take **no lock**: snapshot `seq`, read the
-///   torn-tolerant fields of `mem` (see [`InodeMem`]'s contract), and keep
-///   the result only if `seq` validates — otherwise fall back to the lock.
+/// * Snapshot readers take **no lock** ([`InodeSlot::snapshot`]): they read
+///   the torn-tolerant fields of `mem` (see [`InodeMem`]'s contract).
+///   Optimistic readers bracket the snapshot with `seq` and keep the result
+///   only if it validates — otherwise fall back to the lock; the dedup
+///   daemon's stage 1 keeps nothing that stage 2 does not re-check.
 ///
 /// The `InodeMem` lives in an `UnsafeCell` beside the lock (rather than
-/// inside `RwLock<InodeMem>`) so the optimistic path can form a shared
-/// reference without touching the lock word at all.
+/// inside `RwLock<InodeMem>`) so a snapshot can form a shared reference
+/// without touching the lock word at all.
 pub(crate) struct InodeSlot {
     seq: denova_sync::SeqCount,
     lock: RwLock<()>,
@@ -219,8 +234,9 @@ pub(crate) struct InodeSlot {
 }
 
 // SAFETY: access to `mem` follows the seqlock/RwLock discipline above:
-// `&mut` only under the write lock, `&` under the read lock or (optimistic
-// path) restricted to atomic fields with results gated on seq validation.
+// `&mut` only under the write lock, `&` under the read lock or (snapshot
+// readers) restricted to atomic fields with results gated on a later
+// validation.
 unsafe impl Send for InodeSlot {}
 unsafe impl Sync for InodeSlot {}
 
@@ -231,6 +247,26 @@ impl InodeSlot {
             lock: RwLock::new(()),
             mem: std::cell::UnsafeCell::new(mem),
         })
+    }
+
+    /// Run `f` on this inode's DRAM state with **no lock held** — the one
+    /// place an unlocked `&InodeMem` is formed. The epoch is pinned for the
+    /// whole closure (a concurrent `release_inode` replaces the radix tree;
+    /// the pin keeps the retired subtree alive until `f` is done walking
+    /// it), and a tombstoned inode answers `BadInode(ino)` instead of
+    /// running `f`. Nothing is validated: `f` must honor [`InodeMem`]'s
+    /// optimistic-reader contract, and the caller must discard or re-check
+    /// whatever `f` derived from state a writer could have been changing.
+    fn snapshot<R>(&self, ino: u64, f: impl FnOnce(&InodeMem) -> Result<R>) -> Result<R> {
+        let _g = denova_sync::pin();
+        // SAFETY: no `&mut` aliasing UB — the whole InodeMem sits in an
+        // UnsafeCell, and `f` only reads atomic fields (the contract
+        // above), so a racing writer constitutes no data race.
+        let mem = unsafe { &*self.mem.get() };
+        if mem.is_dead() {
+            return Err(NovaError::BadInode(ino));
+        }
+        f(mem)
     }
 }
 
@@ -612,17 +648,31 @@ impl Nova {
     /// absorbs the common "writer finished an instant ago" conflict.
     const OPTIMISTIC_ATTEMPTS: usize = 2;
 
-    /// Run `f` against the inode's DRAM state **without taking any lock**,
-    /// validating via the inode's seqlock; falls back to the read lock
-    /// after [`Self::OPTIMISTIC_ATTEMPTS`] conflicts or while a writer is
+    /// Run `f` against the inode's DRAM state **without taking any lock and
+    /// without validating anything** (`InodeSlot::snapshot`: epoch pinned
+    /// for the closure, `BadInode` on a tombstone). For a reader whose
+    /// validation happens elsewhere — the dedup daemon's stage 1, whose
+    /// every page stage 2 re-checks under the write lock. `f` must honor
+    /// [`InodeMem`]'s optimistic-reader contract: touch only torn-tolerant
+    /// fields, and neither panic nor index out of bounds on what they hold.
+    pub fn with_inode_snapshot<R>(
+        &self,
+        ino: u64,
+        f: impl FnOnce(&InodeMem) -> Result<R>,
+    ) -> Result<R> {
+        self.inode_slot(ino)?.snapshot(ino, f)
+    }
+
+    /// Run `f` on a snapshot (see [`Self::with_inode_snapshot`]) bracketed
+    /// by the inode's seqlock; falls back to the read lock after
+    /// [`Self::OPTIMISTIC_ATTEMPTS`] conflicts or while a writer is
     /// mid-mutation.
     ///
-    /// `f` must honor [`InodeMem`]'s optimistic-reader contract (touch only
-    /// torn-tolerant fields) and must tolerate torn *values* — anything it
-    /// computes from a snapshot that fails validation is discarded, but it
-    /// must not panic or index out of bounds on garbage in the meantime
-    /// (return an error instead; errors from invalidated snapshots are
-    /// discarded too).
+    /// `f` must tolerate torn *values* — anything it computes from a
+    /// snapshot that fails validation is discarded, but it must not panic
+    /// or index out of bounds on garbage in the meantime (return an error
+    /// instead; errors from invalidated snapshots, the tombstone's
+    /// `BadInode` included, are discarded too).
     pub fn with_inode_read_optimistic<R>(
         &self,
         ino: u64,
@@ -630,27 +680,14 @@ impl Nova {
     ) -> Result<R> {
         let slot = self.inode_slot(ino)?;
         for _ in 0..Self::OPTIMISTIC_ATTEMPTS {
-            // Pin before the seq snapshot: a concurrent release_inode may
-            // replace the radix tree; the pin keeps the retired subtree
-            // alive until we are done walking it.
-            let _g = denova_sync::pin();
             let Some(s1) = slot.seq.read_begin() else {
                 break; // writer active: go straight to the lock
             };
-            // SAFETY: no `&mut` aliasing UB — the whole InodeMem sits in an
-            // UnsafeCell, and `f` only reads atomic fields (the contract
-            // above), so a racing writer constitutes no data race.
-            let mem = unsafe { &*slot.mem.get() };
-            if mem.is_dead() {
-                if slot.seq.validate(s1) {
-                    return Err(NovaError::BadInode(ino));
-                }
-                NovaStats::add(&self.stats.read_seq_retries, 1);
-                continue;
-            }
-            let r = f(mem);
+            let r = slot.snapshot(ino, &f);
             if slot.seq.validate(s1) {
-                NovaStats::add(&self.stats.read_optimistic_hits, 1);
+                if !matches!(r, Err(NovaError::BadInode(_))) {
+                    NovaStats::add(&self.stats.read_optimistic_hits, 1);
+                }
                 return r;
             }
             NovaStats::add(&self.stats.read_seq_retries, 1);

@@ -334,9 +334,17 @@ impl PmemDevice {
     /// DAX mapping, so hashing directly from media is the honest model — a
     /// bounce buffer would charge an extra copy the hardware never pays.
     ///
-    /// The caller must not write the same range concurrently (the file
-    /// system's CoW discipline guarantees this for data pages: a block's
-    /// bytes are immutable while any log entry still maps it).
+    /// **Racing a writer.** The file system's CoW discipline keeps a data
+    /// block's bytes immutable while any log entry still maps it, so a
+    /// caller that holds the inode lock never races a write to the range.
+    /// The unlocked readers (`Nova::read`'s optimistic path, dedup stage 1)
+    /// hold no such guarantee while `f` runs: the block may be freed,
+    /// reallocated and rewritten under them. That is allowed on one
+    /// condition — whatever `f` derived from the bytes is discarded unless a
+    /// later validation (the inode seqlock; stage 2's per-page mapping
+    /// check under the write lock) proves the range was stable for the
+    /// whole call. `f` must not panic on, index by, or trust any value it
+    /// reads before that validation.
     pub fn with_slice<R>(&self, off: u64, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         self.check_range(off, len);
         self.charge_read(off, len as u64);

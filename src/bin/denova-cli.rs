@@ -519,6 +519,10 @@ fn run() -> Result<(), String> {
                     c("fact.misses")
                 );
                 println!(
+                    "  dedup errors:       {} (entries the daemon gave up on; `dedup.error` events name them)",
+                    c("denova.dedup.errors")
+                );
+                println!(
                     "  mount read:         {} inode-table blocks, {} log pages",
                     c("nova.recovery.inode_blocks_read"),
                     c("nova.recovery.log_pages_read")

@@ -282,7 +282,9 @@ fn all_zero_put_consumes_no_data_pages() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The extent-dedup telemetry counters are exported through `stats --json`.
+/// The extent-dedup counters and the daemon's health numbers (entries it
+/// gave up on, how long stage 2 held the inode write lock) are exported
+/// through `stats --json`.
 #[test]
 fn stats_json_exports_extent_counters() {
     let dir = tmpdir();
@@ -293,6 +295,8 @@ fn stats_json_exports_extent_counters() {
         "denova.extent.promoted_runs",
         "denova.extent.run_pages",
         "denova.extent.zero_holes",
+        "denova.dedup.errors",
+        "denova.dedup.write_lock_hold",
     ] {
         assert!(json.contains(name), "stats --json missing {name}: {json}");
     }

@@ -14,6 +14,13 @@
 //!   A resident fingerprint must never resolve to a wrong entry and an
 //!   absent one must never resolve at all, however the walk interleaves
 //!   with the mutations.
+//! * **Dedup stage 1 under a live foreground** — the daemon fingerprints an
+//!   entry's pages with no inode lock and validates nothing; stage 2 keeps
+//!   a result only for a page the radix tree still maps where the write put
+//!   it. Whatever the foreground does to the inode meanwhile — overwrite,
+//!   truncate, unlink and recreate, so that the blocks being hashed are
+//!   freed, reallocated and rewritten — contents, `fsck`, the FACT audit
+//!   and the scrub must come out as if the daemon had run alone.
 
 use denova_repro::prelude::*;
 use proptest::prelude::*;
@@ -210,4 +217,138 @@ fn resident_fingerprint_never_resolves_wrong_under_chain_churn() {
     assert!(lookups.load(Ordering::Relaxed) > 0, "readers never ran");
     // The resident survived all the churn around it.
     assert_eq!(fact.lookup(&resident).unwrap().0, resident_idx);
+}
+
+// Dedup stage 1 vs the foreground, on the same inodes. Four foreground
+// threads overwrite, truncate and unlink-and-recreate the same four files
+// with 64–256-page writes cut from a small content pool (so entries
+// duplicate each other and grow by memcmp), while two dedup workers chase
+// them: stage 1 keeps hashing pages the foreground is freeing and other
+// files are reallocating. A per-file mutex orders each foreground op with
+// its model update — the race under test is daemon vs foreground, not
+// foreground vs foreground.
+//
+// Runs grow but never promote (the threshold is above the longest entry):
+// overwriting a *promoted* shared run is ROADMAP item 1's open defect —
+// with the default threshold this test fails before this change too
+// (double free, `UseAfterFree`, `RunOwnershipMismatch`) — and is not what
+// is under test here.
+#[test]
+fn dedup_stage1_races_foreground_rewrites_of_the_same_inodes() {
+    use denova_repro::denova::fsck::fsck_fact;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Mutex;
+
+    const FILES: usize = 4;
+    const SEGMENT_PAGES: usize = 64;
+    const POOL_SEGMENTS: usize = 6;
+    const OPS_PER_THREAD: usize = 48;
+
+    let dev = Arc::new(PmemDevice::new(96 << 20));
+    let fs = Arc::new(
+        Denova::mkfs(
+            dev,
+            NovaOptions {
+                num_inodes: 64,
+                dedup_workers: 2,
+                extent_threshold_pages: 1024,
+                ..Default::default()
+            },
+            DedupMode::Immediate,
+        )
+        .unwrap(),
+    );
+    assert_eq!(fs.dedup_workers(), 2);
+    // The pool: 64-page segments of distinct non-zero pages, no two of
+    // which share a FACT prefix. With no IAA chain there is no record to
+    // relocate under a reservation — ROADMAP item 1's other open defect,
+    // which leaves `UcResidue` behind in one run out of ten before this change
+    // too — so the audit below can insist on *clean*.
+    let pool: Arc<Vec<Vec<u8>>> = {
+        let bits = fs.fact().prefix_bits();
+        let mut taken = std::collections::HashSet::new();
+        let mut pages = (1u64..).filter_map(|id| {
+            let mut page = vec![0xA5u8; 4096];
+            page[..8].copy_from_slice(&id.to_le_bytes());
+            taken
+                .insert(Fingerprint::of(&page).prefix(bits))
+                .then_some(page)
+        });
+        let segments =
+            (0..POOL_SEGMENTS).map(|_| pages.by_ref().take(SEGMENT_PAGES).flatten().collect());
+        Arc::new(segments.collect())
+    };
+    // One model per file, `None` while the file does not exist.
+    let models: Arc<Vec<Mutex<Option<Vec<u8>>>>> =
+        Arc::new((0..FILES).map(|_| Mutex::new(None)).collect());
+
+    let handles: Vec<_> = (0..4u64)
+        .map(|t| {
+            let fs = fs.clone();
+            let models = models.clone();
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x57A6E1 + t);
+                for _ in 0..OPS_PER_THREAD {
+                    let f = rng.gen_range(0..FILES);
+                    let name = format!("f{f}");
+                    let mut model = models[f].lock().unwrap();
+                    let Some(content) = model.as_mut() else {
+                        fs.create(&name).unwrap();
+                        *model = Some(Vec::new());
+                        continue;
+                    };
+                    let ino = fs.open(&name).unwrap();
+                    match rng.gen_range(0..10u32) {
+                        0 => {
+                            fs.unlink(&name).unwrap();
+                            *model = None;
+                        }
+                        1 | 2 => {
+                            let new_len = rng.gen_range(0..content.len() / 4096 + 1) * 4096;
+                            fs.truncate(ino, new_len as u64).unwrap();
+                            content.truncate(new_len);
+                        }
+                        _ => {
+                            // 1–4 pool segments at a segment-aligned offset
+                            // inside the first 256 pages.
+                            let data: Vec<u8> = (0..rng.gen_range(1..5u32))
+                                .flat_map(|_| pool[rng.gen_range(0..POOL_SEGMENTS)].iter().copied())
+                                .collect();
+                            let off = rng.gen_range(0..4usize) * SEGMENT_PAGES * 4096;
+                            fs.write(ino, off as u64, &data).unwrap();
+                            if content.len() < off + data.len() {
+                                content.resize(off + data.len(), 0);
+                            }
+                            content[off..off + data.len()].copy_from_slice(&data);
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    fs.drain();
+    for (f, model) in models.iter().enumerate() {
+        let name = format!("f{f}");
+        match &*model.lock().unwrap() {
+            None => assert_eq!(fs.open(&name), Err(NovaError::NotFound), "{name}"),
+            Some(content) => {
+                let ino = fs.open(&name).unwrap();
+                assert_eq!(fs.file_size(ino).unwrap() as usize, content.len(), "{name}");
+                let got = fs.read(ino, 0, content.len()).unwrap();
+                assert!(got == *content, "{name} content mismatch");
+            }
+        }
+    }
+    let report = fsck::check(fs.nova(), true).unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+    let audit = fsck_fact(fs.nova(), fs.fact()).unwrap();
+    assert!(audit.is_clean(), "{:?}", audit.errors);
+    assert_eq!(fs.scrub().unwrap(), 0, "scrub found counts to repair");
+    // The daemon did real work on the moving files.
+    assert!(fs.fact().stats().duplicate_pages() > 0);
 }
