@@ -16,16 +16,21 @@ test:
 # The frozen benchmark (BENCHMARK.json) is a package outside the workspace,
 # so nothing above compiles it: build it and run its unit tests against the
 # layer crates as they are now, before the benchmark driver does — and run
-# it twice, short, for real: the binary exits non-zero on `correct: false`,
-# i.e. on any content or fsck failure after its crash-recovery mount.
+# it four times, short, for real: the binary exits non-zero on `correct:
+# false`, i.e. on any content or fsck failure after its crash-recovery mount.
 # vm_clone never overwrites a file; stream1m's ring wraps after 256 of its
 # 320 writes, so the writer overwrites entries the daemon is still hashing
-# (dedup stage 1 holds no inode lock).
+# (dedup stage 1 holds no inode lock). put4k's 4 KiB writes run on the event
+# loop whenever their shard is idle; mixed_rw races those inline writes
+# against pooled 256 KiB reads of the same inodes, two connections on one
+# loop.
 e2e-check:
 	$(CARGO) build --release --offline --manifest-path e2e/Cargo.toml
 	$(CARGO) test -q --offline --manifest-path e2e/Cargo.toml
 	$(CARGO) run --release --quiet --offline --manifest-path e2e/Cargo.toml -- --workload vm_clone --seed 3 --seconds 2 --trace 0
 	$(CARGO) run --release --quiet --offline --manifest-path e2e/Cargo.toml -- --workload stream1m --seed 3 --seconds 2 --trace 0
+	$(CARGO) run --release --quiet --offline --manifest-path e2e/Cargo.toml -- --workload put4k --seed 3 --seconds 2 --trace 0
+	$(CARGO) run --release --quiet --offline --manifest-path e2e/Cargo.toml -- --workload mixed_rw --seed 3 --seconds 2 --trace 0
 
 fmt-check:
 	$(CARGO) fmt --all --check

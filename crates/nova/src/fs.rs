@@ -536,6 +536,13 @@ impl Nova {
         *self.op_tap.write() = None;
     }
 
+    /// True while an operation tap is installed: every mutating operation
+    /// then also runs the tap's settle phase, which may wait (a sync-ack
+    /// replication tap waits for the standby).
+    pub fn has_op_tap(&self) -> bool {
+        self.op_tap.read().is_some()
+    }
+
     /// Emit a committed op to the installed tap, if any. `make` only runs
     /// when a tap is installed, so untapped mounts pay no payload clone.
     /// Must be called inside the operation's committing critical section;
@@ -693,6 +700,17 @@ impl Nova {
             NovaStats::add(&self.stats.read_seq_retries, 1);
         }
         self.with_inode_read(ino, f)
+    }
+
+    /// True if a writer holds `ino`'s write lock at this instant: the inode's
+    /// seqlock is odd for the whole of [`Self::with_inode_write`] (and of an
+    /// unlink's release). A racy snapshot, not a lock: a caller that must
+    /// not park uses it to route work elsewhere, and a writer that starts
+    /// just after the answer is still waited for. False for an unknown inode.
+    pub fn inode_write_locked(&self, ino: u64) -> bool {
+        self.inode_map
+            .get(ino)
+            .is_some_and(|slot| slot.seq.read_begin().is_none())
     }
 
     /// Run `f` with the inode write-locked, in a context that can append log

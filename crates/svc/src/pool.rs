@@ -3,9 +3,17 @@
 //! Requests are routed to a shard by key (`key % shards`): everything with
 //! the same key executes in submission order on one dedicated worker thread,
 //! so two writes to one file from one client can never reorder, while
-//! requests for different files ride different shards in parallel. This is
-//! the Kuco-style "client enqueues, dedicated thread executes" split, with
-//! the inode number as the partitioning function.
+//! requests for different files ride different shards in parallel. The inode
+//! number is the partitioning function.
+//!
+//! The pool keeps only what has to wait. The server runs a short request to
+//! completion on its event loop when [`ShardedPool::shard_idle`] says the
+//! request's shard holds no job and executes none — the worker would have
+//! popped it next, at once — and submits everything else here (the rule and
+//! its four clauses are in the server's "Threading model"). That is KucoFS's
+//! split: the caller runs the fast path, a dedicated thread serialises only
+//! what queues. Every job here therefore either could not start at once or
+//! is not short.
 //!
 //! Within a shard, jobs queue in per-tenant **lanes** and the worker pops
 //! them weighted-fair: a round-robin cursor visits non-empty lanes in turn,
@@ -14,7 +22,9 @@
 //! one quantum — not ten thousand jobs — of delay ahead of another tenant's
 //! next request. FIFO order is preserved *per (key, tenant)*, which is the
 //! ordering the protocol promises: one connection belongs to one tenant, so
-//! one client's same-file operations still never reorder.
+//! one client's same-file operations still never reorder. A request run on
+//! the event loop never jumps a lane: it runs only when every lane of its
+//! shard is empty.
 //!
 //! Each shard exports its queue depth as gauge `svc.pool.shard<i>.depth`;
 //! jobs executed and panics caught are counted under `svc.pool.*`.
@@ -23,7 +33,7 @@ use crate::tenant::Tenant;
 use denova_telemetry::{Counter, Gauge, MetricsRegistry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,6 +55,9 @@ struct ShardQueue {
     /// Jobs taken from the cursor's lane in the current visit.
     quantum_used: u32,
     len: usize,
+    /// The worker is executing a job it popped from this shard: set under
+    /// the lock by the pop, cleared under it before the next one.
+    running: bool,
 }
 
 impl ShardQueue {
@@ -90,6 +103,10 @@ impl ShardQueue {
         self.cursor += 1;
         self.quantum_used = 0;
     }
+
+    fn idle(&self) -> bool {
+        self.len == 0 && !self.running
+    }
 }
 
 struct Shard {
@@ -102,8 +119,6 @@ struct PoolInner {
     shards: Vec<Shard>,
     default_tenant: Arc<Tenant>,
     stopping: AtomicBool,
-    /// Jobs currently executing (all shards).
-    active: AtomicUsize,
     jobs: Counter,
     panics: Counter,
 }
@@ -111,6 +126,10 @@ struct PoolInner {
 impl PoolInner {
     fn queued(&self) -> usize {
         self.shards.iter().map(|s| s.queue.lock().len).sum()
+    }
+
+    fn shard(&self, key: u64) -> &Shard {
+        &self.shards[(key % self.shards.len() as u64) as usize]
     }
 }
 
@@ -148,6 +167,7 @@ impl ShardedPool {
                         cursor: 0,
                         quantum_used: 0,
                         len: 0,
+                        running: false,
                     }),
                     available: Condvar::new(),
                     depth: metrics.gauge(&format!("svc.pool.shard{i}.depth")),
@@ -155,7 +175,6 @@ impl ShardedPool {
                 .collect(),
             default_tenant,
             stopping: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
             jobs: metrics.counter("svc.pool.jobs"),
             panics: metrics.counter("svc.pool.panics"),
         });
@@ -192,7 +211,7 @@ impl ShardedPool {
         if self.inner.stopping.load(Ordering::Acquire) {
             return false;
         }
-        let shard = &self.inner.shards[(key % self.shards() as u64) as usize];
+        let shard = self.inner.shard(key);
         shard.queue.lock().push(tenant, job);
         shard.depth.add(1);
         shard.available.notify_one();
@@ -204,11 +223,19 @@ impl ShardedPool {
         self.inner.queued()
     }
 
+    /// True when the shard for `key` holds no queued job and executes none:
+    /// a job submitted now would be popped at once, so running it on the
+    /// caller's thread instead reorders nothing. Everything the last job did
+    /// happens-before a `true` answer (both sides hold the shard's lock).
+    pub fn shard_idle(&self, key: u64) -> bool {
+        self.inner.shard(key).queue.lock().idle()
+    }
+
     /// Block until every queued job has finished executing. New submissions
     /// during the wait extend it; pair with a stopped intake for a true
     /// barrier.
     pub fn drain(&self) {
-        while self.inner.queued() > 0 || self.inner.active.load(Ordering::Acquire) > 0 {
+        while !self.inner.shards.iter().all(|s| s.queue.lock().idle()) {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -247,8 +274,13 @@ fn worker_loop(inner: &PoolInner, shard_idx: usize) {
     loop {
         let job = {
             let mut q = shard.queue.lock();
+            // The previous job (if any) is done: only now may the shard
+            // answer idle, so a request run on the caller's thread starts
+            // after it, never beside it.
+            q.running = false;
             loop {
                 if let Some(job) = q.pop() {
+                    q.running = true;
                     break job;
                 }
                 if inner.stopping.load(Ordering::Acquire) {
@@ -258,9 +290,6 @@ fn worker_loop(inner: &PoolInner, shard_idx: usize) {
             }
         };
         shard.depth.add(-1);
-        // `active` must rise before the job runs and fall after, so drain()
-        // observing (queued == 0, active == 0) implies completion.
-        inner.active.fetch_add(1, Ordering::AcqRel);
         inner.jobs.inc();
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
             // The job's own error handling should have replied already; a
@@ -268,7 +297,6 @@ fn worker_loop(inner: &PoolInner, shard_idx: usize) {
             // server) must survive it.
             inner.panics.inc();
         }
-        inner.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -315,6 +343,32 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         release_tx.send(()).unwrap();
+        pool.stop();
+    }
+
+    #[test]
+    fn a_shard_is_idle_only_with_nothing_queued_or_running() {
+        let metrics = MetricsRegistry::new();
+        let pool = ShardedPool::new(2, &metrics);
+        assert!(pool.shard_idle(0) && pool.shard_idle(1));
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        pool.submit(
+            0,
+            Box::new(move || {
+                started_tx.send(()).unwrap();
+                let _ = parked.recv();
+            }),
+        );
+        started.recv().unwrap();
+        // Running, nothing queued: busy. Key 2 maps to the same shard.
+        assert!(!pool.shard_idle(0) && !pool.shard_idle(2));
+        assert!(pool.shard_idle(1));
+        pool.submit(2, Box::new(|| {}));
+        assert_eq!(pool.queued(), 1);
+        release.send(()).unwrap();
+        pool.drain();
+        assert!(pool.shard_idle(0) && pool.shard_idle(1));
         pool.stop();
     }
 

@@ -4,12 +4,44 @@
 //! ## Threading model
 //!
 //! Every connection is served by a [`denova_reactor::Reactor`], started with
-//! the server: N event loops (one per core by default) own every socket,
-//! decode frames as readiness allows, and submit jobs to the shared
-//! [`ShardedPool`]. Workers hand each reply back to the connection's owning
-//! loop through a [`denova_reactor::ReplyHandle`]; the loop flushes it when
-//! the socket is write-ready. A connection therefore costs per-loop state,
-//! not threads — 10k mostly-idle clients are O(cores) threads, not 20k.
+//! the server: N event loops (one per core by default) own every socket and
+//! decode frames as readiness allows. A connection therefore costs per-loop
+//! state, not threads — 10k mostly-idle clients are O(cores) threads, not
+//! 20k.
+//!
+//! One dispatch rule, [`runs_on_loop`], places each decoded request (there
+//! is no flag). It runs to completion on the event-loop thread, its reply
+//! queued with `io.send`, iff all four clauses hold:
+//!
+//! 1. **Short** — a zero-copy write of one block, a `Read` of at most one
+//!    block, a `Stat` or a `Ping`.
+//! 2. **Its shard is idle** — no lane of `key % shards` holds a job and none
+//!    executes ([`ShardedPool::shard_idle`]). The worker would have popped
+//!    the request next, at once, so per-(key, tenant) FIFO and the
+//!    weighted-fair order are unchanged: lanes only hold requests that had
+//!    to wait.
+//! 3. **The stack cannot park it** ([`FileService::never_parks`]) — dedup is
+//!    offline (the inline modes' fingerprint pad may sleep), no op tap is
+//!    installed (a sync-ack replication tap waits for its standby), no
+//!    interceptor is installed (a cluster node forwards).
+//! 4. **Its inode is not write-locked at that instant** — the inode's
+//!    seqlock is even ([`denova_nova::Nova::inode_write_locked`]); with the
+//!    daemon's stage 2 or another writer inside, the request would park the
+//!    loop.
+//!
+//! Everything else goes to the shared [`ShardedPool`] unchanged: a worker
+//! executes it and hands the reply back to the connection's owning loop
+//! through a [`denova_reactor::ReplyHandle`]; the loop flushes it when the
+//! socket is write-ready. Both placements run the same closure — tenant tag,
+//! panic guard, tenant accounting, `svc.request` span — and are counted in
+//! `svc.inline` and `svc.pool.jobs` respectively. A request run on the loop
+//! does not count toward the inflight window (it has replied before the
+//! next frame is decoded); its reply is bounded by the send queue's
+//! high-water mark like any other. Head-of-line blocking on the loop is
+//! bounded by the reactor's read side: one pass decodes at most one
+//! `read_chunk` of buffered frames per connection (64 KiB, sixteen 4 KiB
+//! writes), so another connection on that loop waits behind at most that
+//! many short requests.
 //!
 //! A loopback connection ([`Server::connect_loopback`], or a dial through a
 //! [`crate::loopback::Hub`]) is a Unix-domain `socketpair` whose server end
@@ -21,7 +53,7 @@
 //!
 //! Block-aligned whole-block `Write` frames skip `Request::decode` (which
 //! copies the payload into a fresh `Vec`): [`decode_write_ref`] borrows the
-//! offsets out of the wire frame and the job slices the frame buffer straight
+//! offsets out of the wire frame and the request slices the frame buffer straight
 //! into the filesystem write path, which carries it to the device as iovecs.
 //! Counted by `svc.zero_copy_writes` vs `svc.staged_writes`.
 //!
@@ -42,12 +74,13 @@
 
 use crate::codec::MAX_FRAME;
 use crate::pool::ShardedPool;
-use crate::proto::{decode_write_ref, encode_reply, Body, Reply, Request, SvcError};
+use crate::proto::{decode_write_ref, encode_reply, Body, Reply, Request, SvcError, WriteRef};
 use crate::repl::{is_repl_frame, ReplMsg};
 use crate::service::{FileService, ReplRole};
 use crate::tenant::{Tenant, TenantRegistry};
 use crate::transport::Stream;
 use denova::Denova;
+use denova_nova::BLOCK_SIZE;
 use denova_reactor::{
     ConnHandler, ConnIo, FrameOutcome, HandlerFactory, Reactor, ReactorConfig, Socket,
 };
@@ -110,6 +143,8 @@ struct ServerInner {
     bad_requests: Counter,
     rejected: Counter,
     backpressure_waits: Counter,
+    /// Requests [`runs_on_loop`] ran on the event loop.
+    inline: Counter,
     repl_sink: RwLock<Option<ReplSink>>,
     // Threads running the replication sink over a handed-over connection;
     // every other connection lives in the reactor's event loops.
@@ -170,6 +205,7 @@ impl Server {
                 bad_requests: metrics.counter("svc.bad_requests"),
                 rejected: metrics.counter("svc.rejected"),
                 backpressure_waits: metrics.counter("svc.backpressure_waits"),
+                inline: metrics.counter("svc.inline"),
                 repl_sink: RwLock::new(None),
                 repl_threads: Mutex::new(Vec::new()),
                 stop_mx: Mutex::new(()),
@@ -268,6 +304,7 @@ impl Server {
                 inner: inner.clone(),
                 tenant: inner.tenants.default_tenant().clone(),
                 inflight: 0,
+                fresh: true,
                 pending_repl: None,
             }) as Box<dyn ConnHandler>
         })
@@ -307,7 +344,8 @@ impl Drop for Server {
 /// What one decoded frame asks of the server. Produced by [`classify`],
 /// acted on by [`RConn::on_frame`].
 enum Action {
-    /// Connection-scoped control traffic: reply now, no pool round-trip.
+    /// The reply, ready now: connection-scoped control traffic, or a short
+    /// request [`runs_on_loop`] ran on this thread.
     Inline(Vec<u8>),
     /// Ship to the worker pool; `run` produces the encoded reply frame.
     Job {
@@ -321,6 +359,79 @@ enum Action {
         last_seq: u64,
         want_snapshot: bool,
     },
+}
+
+/// A request as the dispatch rule sees it.
+enum Req<'a> {
+    ZeroCopyWrite(&'a WriteRef),
+    Decoded(&'a Request),
+}
+
+/// The dispatch rule (module doc, "Threading model"): true iff the request
+/// routed to `key` runs to completion on the event-loop thread. Everything
+/// it rejects takes the pool path.
+fn runs_on_loop(inner: &ServerInner, key: u64, req: Req<'_>) -> bool {
+    // 1. Short: at most one block of I/O, and the inode it touches.
+    let ino = match req {
+        Req::ZeroCopyWrite(wr) if wr.data_len as u64 == BLOCK_SIZE => Some(wr.ino),
+        Req::Decoded(&Request::Read { ino, len, .. }) if u64::from(len) <= BLOCK_SIZE => Some(ino),
+        Req::Decoded(&Request::Stat { ino }) => Some(ino),
+        Req::Decoded(Request::Ping) => None,
+        _ => return false,
+    };
+    // 2. Its shard is idle: the worker would have started it at once.
+    inner.pool.shard_idle(key)
+        // 3. The stack cannot park it.
+        && inner.service.never_parks()
+        // 4. Its inode is not write-locked at this instant.
+        && !ino.is_some_and(|ino| inner.service.fs().nova().inode_write_locked(ino))
+}
+
+/// Wrap `exec` the one way every request runs — tenant-tagged, timed,
+/// panic-guarded, accounted — and place it: run here and now when
+/// `on_loop`, else as a pool job under `key`.
+fn place(
+    inner: &ServerInner,
+    tenant: &Arc<Tenant>,
+    req_id: u64,
+    key: u64,
+    req_bytes: usize,
+    on_loop: bool,
+    exec: impl FnOnce() -> Reply + Send + 'static,
+) -> Action {
+    let tenant = tenant.clone();
+    let run = move || {
+        // Tag deferred dedup work spawned by this request with the tenant,
+        // so the DWQ drains fairly across tenants too.
+        denova::dwq::set_thread_tenant(tenant.id());
+        let t0 = Instant::now();
+        // A panicking operation must still reply (INTERNAL) and release its
+        // inflight slot, or the connection's drain would wait forever.
+        let reply =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(exec)).unwrap_or_else(|_| {
+                Err(SvcError::service(
+                    SvcError::INTERNAL,
+                    "operation panicked server-side",
+                ))
+            });
+        let out = encode_reply(req_id, &reply);
+        tenant.record(
+            req_bytes as u64,
+            out.len() as u64,
+            t0.elapsed().as_nanos() as u64,
+            reply.is_ok(),
+        );
+        out
+    };
+    if on_loop {
+        inner.inline.inc();
+        return Action::Inline(run());
+    }
+    Action::Job {
+        req_id,
+        key,
+        run: Box::new(run),
+    }
 }
 
 /// Decode one frame into an [`Action`]. `tenant` is the connection's current
@@ -353,35 +464,15 @@ fn classify(inner: &Arc<ServerInner>, tenant: &mut Arc<Tenant>, frame: Vec<u8>) 
 
     // Zero-copy fast path: block-aligned whole-block writes skip
     // `Request::decode` (which copies the payload out of the frame) — the
-    // job slices the wire buffer directly into the filesystem.
+    // request slices the wire buffer directly into the filesystem.
     if let Some(wr) = decode_write_ref(&frame) {
         if inner.service.zero_copy_eligible(&wr) {
+            let on_loop = runs_on_loop(inner, wr.ino, Req::ZeroCopyWrite(&wr));
             let service = inner.service.clone();
-            let job_tenant = tenant.clone();
-            let req_id = wr.req_id;
-            let key = wr.ino;
-            let run = Box::new(move || {
-                denova::dwq::set_thread_tenant(job_tenant.id());
-                let t0 = Instant::now();
-                let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    service.execute_write_ref(&wr, &frame)
-                }))
-                .unwrap_or_else(|_| {
-                    Err(SvcError::service(
-                        SvcError::INTERNAL,
-                        "operation panicked server-side",
-                    ))
-                });
-                let out = encode_reply(req_id, &reply);
-                job_tenant.record(
-                    frame.len() as u64,
-                    out.len() as u64,
-                    t0.elapsed().as_nanos() as u64,
-                    reply.is_ok(),
-                );
-                out
+            let (req_id, key, req_bytes) = (wr.req_id, wr.ino, frame.len());
+            return place(inner, tenant, req_id, key, req_bytes, on_loop, move || {
+                service.execute_write_ref(&wr, &frame)
             });
-            return Action::Job { req_id, key, run };
         }
     }
 
@@ -417,35 +508,18 @@ fn classify(inner: &Arc<ServerInner>, tenant: &mut Arc<Tenant>, frame: Vec<u8>) 
         return Action::Inline(encode_reply(req_id, &Ok(Body::Empty)));
     }
 
-    let service = inner.service.clone();
     let key = req.shard_key();
-    let job_tenant = tenant.clone();
-    let req_bytes = frame.len() as u64;
-    let run = Box::new(move || {
-        // Tag deferred dedup work spawned by this request with the tenant,
-        // so the DWQ drains fairly across tenants too.
-        denova::dwq::set_thread_tenant(job_tenant.id());
-        let t0 = Instant::now();
-        // A panicking operation must still reply (INTERNAL) and release its
-        // inflight slot, or the connection's drain would wait forever.
-        let reply =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.execute(&req)))
-                .unwrap_or_else(|_| {
-                    Err(SvcError::service(
-                        SvcError::INTERNAL,
-                        "operation panicked server-side",
-                    ))
-                });
-        let out = encode_reply(req_id, &reply);
-        job_tenant.record(
-            req_bytes,
-            out.len() as u64,
-            t0.elapsed().as_nanos() as u64,
-            reply.is_ok(),
-        );
-        out
-    });
-    Action::Job { req_id, key, run }
+    let on_loop = runs_on_loop(inner, key, Req::Decoded(&req));
+    let service = inner.service.clone();
+    place(
+        inner,
+        tenant,
+        req_id,
+        key,
+        frame.len(),
+        on_loop,
+        move || service.execute(&req),
+    )
 }
 
 /// The connection handler: all state lives on the owning event loop thread,
@@ -454,11 +528,15 @@ struct RConn {
     inner: Arc<ServerInner>,
     tenant: Arc<Tenant>,
     inflight: usize,
+    /// No frame has arrived yet: only the first may hand the connection
+    /// over to the replication sink.
+    fresh: bool,
     pending_repl: Option<(ReplSink, u64, bool)>,
 }
 
 impl ConnHandler for RConn {
     fn on_frame(&mut self, io: &mut ConnIo<'_>, frame: Vec<u8>) -> FrameOutcome {
+        let first = std::mem::replace(&mut self.fresh, false);
         match classify(&self.inner, &mut self.tenant, frame) {
             Action::Inline(reply) => {
                 io.send(reply);
@@ -469,10 +547,12 @@ impl ConnHandler for RConn {
                 last_seq,
                 want_snapshot,
             } => {
-                if self.inflight != 0 {
-                    // The handover would strand in-flight replies; a sane
-                    // standby subscribes as its first act on a fresh
-                    // connection, so this is a protocol violation.
+                if !first {
+                    // The handover would strand the replies to earlier
+                    // frames — in flight, or already queued because they
+                    // ran on the loop; a sane standby subscribes as its
+                    // first act on a fresh connection, so this is a
+                    // protocol violation.
                     self.inner.bad_requests.inc();
                     let reply: Reply = Err(SvcError::service(
                         SvcError::BAD_REQUEST,
@@ -988,5 +1068,278 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("svc.conns.opened"), Some(256));
         assert_eq!(snap.counter("svc.conns.closed"), Some(256));
+    }
+
+    fn counter(h: &Served, name: &str) -> u64 {
+        h.srv.service().metrics().counter(name).get()
+    }
+
+    fn write4k(ino: u64, offset: u64, byte: u8, req_id: u64) -> Vec<u8> {
+        Request::Write {
+            ino,
+            offset,
+            data: vec![byte; BLOCK_SIZE as usize],
+        }
+        .encode(req_id)
+    }
+
+    /// Read `n` reply frames off `stream` on a helper thread; a hang (the
+    /// event loop parked) fails the test instead of wedging it. The bound
+    /// is a hang detector, not a latency assertion.
+    fn replies_or_hang(stream: &dyn Stream, n: usize, what: &str) -> HashMap<u64, Reply> {
+        let mut end = stream.try_clone_stream().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            for _ in 0..n {
+                let _ = tx.send(decode_reply(&next_frame(&mut end)).unwrap());
+            }
+        });
+        let replies = (0..n)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("{what}: no reply — the event loop is parked"))
+            })
+            .collect();
+        reader.join().unwrap();
+        replies
+    }
+
+    /// Spin until `done`; like [`replies_or_hang`], the bound only turns a
+    /// hang into a failure.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "hung waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn bytes(reply: &Reply) -> &[u8] {
+        match reply {
+            Ok(Body::Bytes(b)) => b,
+            other => panic!("expected bytes, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn short_frames_never_overtake_a_queued_write() {
+        for kind in KINDS {
+            let h = serve_with(kind, DedupMode::Baseline, SvcConfig::default());
+            let a = h.client().create("a").unwrap();
+            let mut end = h.dial();
+            // Back to back, no reply awaited: a 1 MiB write (never short, so
+            // pooled), then a 4 KiB write into its range, a read of that
+            // page and a stat. The short three find the shard busy with the
+            // 1 MiB write and must queue behind it.
+            let big = Request::Write {
+                ino: a,
+                offset: 0,
+                data: vec![0x11; 1 << 20],
+            };
+            end.write_all(&wire(&[
+                &big.encode(1),
+                &write4k(a, 8192, 0xBB, 2),
+                &Request::Read {
+                    ino: a,
+                    offset: 8192,
+                    len: BLOCK_SIZE as u32,
+                }
+                .encode(3),
+                &Request::Stat { ino: a }.encode(4),
+            ]))
+            .unwrap();
+            let replies = replies_or_hang(&*end, 4, "pipelined frames");
+            assert_eq!(replies[&1], Ok(Body::Written(1 << 20)));
+            assert_eq!(replies[&2], Ok(Body::Written(BLOCK_SIZE as u32)));
+            assert!(bytes(&replies[&3]).iter().all(|&b| b == 0xBB), "{kind:?}");
+            match &replies[&4] {
+                Ok(Body::Stat(st)) => assert_eq!(st.size, 1 << 20, "{kind:?}"),
+                other => panic!("{other:?}"),
+            }
+            // The final state has the 4 KiB write on top of the 1 MiB one.
+            let page = h.client().read_at(a, 8192, BLOCK_SIZE).unwrap();
+            assert!(page.iter().all(|&b| b == 0xBB), "{kind:?}");
+            drop(end);
+            h.stop();
+        }
+    }
+
+    #[test]
+    fn an_idle_shard_runs_short_requests_on_the_loop() {
+        for kind in KINDS {
+            let h = serve_with(kind, DedupMode::Baseline, SvcConfig::default());
+            let mut client = h.client();
+            let ino = client.create("f").unwrap();
+            // The create's worker lets go of its shard after it replies.
+            h.srv.inner.pool.drain();
+            let (jobs, inline) = (counter(&h, "svc.pool.jobs"), counter(&h, "svc.inline"));
+            let block = vec![0x5A; BLOCK_SIZE as usize];
+            client.write_at(ino, 0, &block).unwrap();
+            assert_eq!(client.read_at(ino, 0, BLOCK_SIZE).unwrap(), block);
+            assert_eq!(client.stat(ino).unwrap().size, BLOCK_SIZE);
+            client.ping().unwrap();
+            assert_eq!(counter(&h, "svc.inline"), inline + 4, "{kind:?}");
+            assert_eq!(counter(&h, "svc.pool.jobs"), jobs, "{kind:?}");
+            // Tenant accounting still sees requests run on the loop.
+            let snap = h.srv.service().metrics().snapshot();
+            assert!(snap.counter("svc.tenant.default.ops").unwrap() >= 5);
+            // Two blocks are not short: pooled.
+            client.write_at(ino, 0, &[1; 2 * 4096]).unwrap();
+            assert_eq!(counter(&h, "svc.inline"), inline + 4, "{kind:?}");
+            assert_eq!(counter(&h, "svc.pool.jobs"), jobs + 1, "{kind:?}");
+            drop(client);
+            h.stop();
+        }
+    }
+
+    #[test]
+    fn a_stack_that_can_park_keeps_short_requests_in_the_pool() {
+        // Inline dedup (the fingerprint pad may sleep) and an installed op
+        // tap (a sync-ack tap waits for its standby) both fail clause 3.
+        for tapped in [false, true] {
+            let mode = if tapped {
+                DedupMode::Baseline
+            } else {
+                DedupMode::Inline
+            };
+            let h = serve_with(Kind::Unix, mode, SvcConfig::default());
+            if tapped {
+                h.srv
+                    .service()
+                    .fs()
+                    .nova()
+                    .set_op_tap(Arc::new(denova_nova::tap::NoOpTap));
+            }
+            let mut client = h.client();
+            let ino = client.create("f").unwrap();
+            h.srv.inner.pool.drain();
+            let jobs = counter(&h, "svc.pool.jobs");
+            client.write_at(ino, 0, &[7; 4096]).unwrap();
+            client.ping().unwrap();
+            assert_eq!(counter(&h, "svc.inline"), 0, "tapped={tapped}");
+            assert_eq!(counter(&h, "svc.pool.jobs"), jobs + 2, "tapped={tapped}");
+            drop(client);
+            h.stop();
+        }
+    }
+
+    /// A raw connection that has declared `tenant` (its Hello acknowledged).
+    fn tenant_stream(h: &Served, tenant: &str) -> Box<dyn Stream> {
+        let mut end = h.dial();
+        let hello = Request::Hello {
+            tenant: tenant.into(),
+            weight: 1,
+        };
+        write_frame(&mut end, &hello.encode(0)).unwrap();
+        assert_eq!(
+            decode_reply(&next_frame(&mut end)).unwrap(),
+            (0, Ok(Body::Empty))
+        );
+        end
+    }
+
+    #[test]
+    fn inline_never_jumps_a_non_empty_lane() {
+        let h = serve_with(
+            Kind::Unix,
+            DedupMode::Baseline,
+            SvcConfig {
+                shards: 1,
+                ..Default::default()
+            },
+        );
+        let mut client = h.client();
+        let (g_ino, v_ino) = (client.create("g").unwrap(), client.create("v").unwrap());
+        let (mut greedy, mut victim) = (tenant_stream(&h, "greedy"), tenant_stream(&h, "victim"));
+        let pool = &h.srv.inner.pool;
+        pool.drain();
+        let (jobs, inline) = (counter(&h, "svc.pool.jobs"), counter(&h, "svc.inline"));
+        // Park the only shard, then fill the greedy lane behind it.
+        let (release, parked) = mpsc::channel::<()>();
+        assert!(pool.submit(
+            0,
+            Box::new(move || {
+                let _ = parked.recv();
+            })
+        ));
+        for i in 0..4 {
+            write_frame(&mut greedy, &write4k(g_ino, i * 4096, i as u8, i + 1)).unwrap();
+        }
+        wait_until("the greedy lane holds 4", || pool.queued() == 4);
+        // The victim's lane is empty but its shard is not: a 4 KiB write and
+        // a stat queue in the victim's lane instead of running on the loop.
+        write_frame(&mut victim, &write4k(v_ino, 0, 0xCC, 1)).unwrap();
+        write_frame(&mut victim, &Request::Stat { ino: v_ino }.encode(2)).unwrap();
+        wait_until("the victim lane holds 2", || pool.queued() == 6);
+        assert_eq!(counter(&h, "svc.inline"), inline);
+        release.send(()).unwrap();
+        let g = replies_or_hang(&*greedy, 4, "greedy");
+        assert!(g.values().all(|r| *r == Ok(Body::Written(4096))));
+        let v = replies_or_hang(&*victim, 2, "victim");
+        assert_eq!(v[&1], Ok(Body::Written(4096)));
+        assert!(matches!(&v[&2], Ok(Body::Stat(st)) if st.size == 4096));
+        assert_eq!(counter(&h, "svc.inline"), inline);
+        assert_eq!(counter(&h, "svc.pool.jobs"), jobs + 1 + 6);
+        drop((client, greedy, victim));
+        h.stop();
+    }
+
+    #[test]
+    fn the_loop_never_parks_on_a_write_locked_inode() {
+        let h = serve_with(
+            Kind::Unix,
+            DedupMode::Baseline,
+            SvcConfig {
+                event_loops: 1,
+                ..Default::default()
+            },
+        );
+        let mut client = h.client();
+        let a = client.create("a").unwrap();
+        let b = client.create("b").unwrap();
+        let shards = h.srv.inner.pool.shards() as u64;
+        // Ping rides shard 0; A's parked worker must not be in its way.
+        let (sa, sb) = (a % shards, b % shards);
+        assert!(sa != 0 && sb != 0 && sa != sb, "shards {sa}, {sb}");
+        h.srv.inner.pool.drain();
+        // A test thread holds A's write lock, as the daemon's stage 2 would.
+        let fs = h.srv.service().fs().clone();
+        let (held_tx, held) = mpsc::channel();
+        let (release, parked) = mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            fs.nova()
+                .with_inode_write(a, |_| {
+                    held_tx.send(()).unwrap();
+                    let _ = parked.recv();
+                    Ok(())
+                })
+                .unwrap();
+        });
+        held.recv().unwrap();
+        // Connection 1: a 4 KiB write to A. Wait until the server has taken
+        // it up (whichever thread runs it counts it before the lock).
+        let requests = counter(&h, "svc.requests");
+        let mut c1 = h.dial();
+        write_frame(&mut c1, &write4k(a, 0, 0xAA, 1)).unwrap();
+        wait_until("the write to A is taken up", || {
+            counter(&h, "svc.requests") > requests
+        });
+        // Connection 2, same loop: a ping and a write to B are answered
+        // while A is still locked.
+        let mut c2 = h.dial();
+        c2.write_all(&wire(&[&Request::Ping.encode(2), &write4k(b, 0, 0xBB, 3)]))
+            .unwrap();
+        let r2 = replies_or_hang(&*c2, 2, "ping + write to B behind a locked inode");
+        assert_eq!(r2[&2], Ok(Body::Empty));
+        assert_eq!(r2[&3], Ok(Body::Written(4096)));
+        assert!(!holder.is_finished(), "A's lock was held throughout");
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        let r1 = replies_or_hang(&*c1, 1, "write to A after release");
+        assert_eq!(r1[&1], Ok(Body::Written(4096)));
+        let page = client.read_at(a, 0, 4096).unwrap();
+        assert!(page.iter().all(|&x| x == 0xAA));
+        drop((client, c1, c2));
+        h.stop();
     }
 }

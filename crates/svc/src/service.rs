@@ -3,11 +3,12 @@
 //! [`FileService`] is the transport-independent core of the server: it maps
 //! one [`Request`] to one [`Reply`], translating [`NovaError`]s into stable
 //! wire codes and recording per-op latency into the stack's shared telemetry
-//! registry. It holds no threads and no queues — the sharded worker pool
-//! decides *where* `execute` runs, this type decides *what* it does.
+//! registry. It holds no threads and no queues — the server's dispatch rule
+//! decides *where* `execute` runs (its event loop or the sharded worker
+//! pool), this type decides *what* it does.
 
 use crate::proto::{Body, RemoteDedupStats, Reply, Request, SvcError, WriteRef};
-use denova::Denova;
+use denova::{DedupMode, Denova};
 use denova_nova::NovaError;
 use denova_telemetry::{Counter, Histogram, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
@@ -166,6 +167,21 @@ impl FileService {
             self.errors.inc();
         }
         reply
+    }
+
+    /// True when nothing stacked around the file system can park a request:
+    /// dedup is offline (the inline modes pace SHA-1 with the `FpThrottle`
+    /// pad, which may sleep), no op tap is installed (a sync-ack replication
+    /// tap waits up to its `sync_timeout` in `op_settled`), and no
+    /// interceptor is installed (a cluster node forwards over the network).
+    /// The server runs short requests on its event loop only while this
+    /// holds.
+    pub fn never_parks(&self) -> bool {
+        !matches!(
+            self.fs.mode(),
+            DedupMode::Inline | DedupMode::InlineAdaptive
+        ) && !self.fs.nova().has_op_tap()
+            && self.interceptor.read().is_none()
     }
 
     /// True when a [`WriteRef`] at `offset`/`data_len` may bypass

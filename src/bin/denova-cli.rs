@@ -482,23 +482,31 @@ fn run() -> Result<(), String> {
             let metrics = fs.nova().device().metrics().clone();
             metrics.set_enabled(true);
             // Quickstart-style probe: a handful of duplicate files written,
-            // deduplicated, and read back, so every layer records activity.
-            // The image is deliberately NOT saved afterwards — the probe
-            // lives only in this process's memory and the host file is left
-            // exactly as it was.
+            // deduplicated, and read back through an in-process server on a
+            // loopback connection, so every layer — the server's dispatch
+            // included — records activity. The image is deliberately NOT
+            // saved afterwards — the probe lives only in this process's
+            // memory and the host file is left exactly as it was.
+            let server = Server::new(Arc::new(fs), SvcConfig::default());
+            let mut client = Client::from_stream(Box::new(server.connect_loopback()));
+            let e = |e: SvcError| e.to_string();
             let payload: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
             let mut inos = Vec::new();
             for i in 0..8 {
-                let ino = fs
+                let ino = client
                     .create(&format!(".denova-stats-probe-{i}"))
-                    .map_err(|e| e.to_string())?;
-                fs.write(ino, 0, &payload).map_err(|e| e.to_string())?;
+                    .map_err(e)?;
+                client.write_at(ino, 0, &payload).map_err(e)?;
                 inos.push(ino);
             }
-            fs.drain();
+            // Fsync settles the dedup pipeline.
+            client.fsync(inos[0]).map_err(e)?;
             for &ino in &inos {
-                fs.read(ino, 0, payload.len()).map_err(|e| e.to_string())?;
+                client.read_at(ino, 0, BLOCK_SIZE).map_err(e)?;
             }
+            drop(client);
+            let fs = Arc::try_unwrap(server.shutdown())
+                .map_err(|_| "the probe server still holds the file system".to_string())?;
             let snap = metrics.snapshot();
             let recovery = fs.last_recovery().copied();
             fs.unmount();
@@ -522,6 +530,7 @@ fn run() -> Result<(), String> {
                     "  dedup errors:       {} (entries the daemon gave up on; `dedup.error` events name them)",
                     c("denova.dedup.errors")
                 );
+                println!("{}", dispatch_split(c("svc.inline"), c("svc.pool.jobs")));
                 println!(
                     "  mount read:         {} inode-table blocks, {} log pages",
                     c("nova.recovery.inode_blocks_read"),
@@ -537,6 +546,26 @@ fn run() -> Result<(), String> {
         }
         _ => usage(),
     }
+}
+
+/// Where the server ran its requests: on the event loop (short requests
+/// whose shard was idle) or through the worker pool.
+fn dispatch_split(inline: u64, pooled: u64) -> String {
+    let share = inline as f64 / (inline + pooled).max(1) as f64;
+    format!(
+        "  svc dispatch:       {inline} on the event loop (svc.inline), {pooled} via the pool (svc.pool.jobs), inline share {:.1}%",
+        100.0 * share
+    )
+}
+
+/// A counter's value from a text telemetry snapshot ("  <name>  <value>").
+fn text_counter(text: &str, name: &str) -> Option<u64> {
+    text.lines().find_map(|line| {
+        let mut fields = line.split_whitespace();
+        (fields.next() == Some(name))
+            .then(|| fields.next()?.parse().ok())
+            .flatten()
+    })
 }
 
 /// Join a serving node to a sharded cluster: build the epoch-1 map from the
@@ -852,6 +881,10 @@ fn run_remote(addr: &str, cmd: &str, rest: &[String], tenant: Option<&str>) -> R
             // registry: real request counts and per-op latencies, rendered
             // server-side.
             let text = client.telemetry(json).map_err(e)?;
+            if !json {
+                let c = |name: &str| text_counter(&text, name).unwrap_or(0);
+                println!("{}", dispatch_split(c("svc.inline"), c("svc.pool.jobs")));
+            }
             println!("{text}");
             Ok(())
         }

@@ -205,6 +205,7 @@ fn serve_and_remote_round_trip() {
     assert!(ls.contains("a.bin"));
     let stats = remote_ok(&addr, &["stats"]);
     assert!(stats.contains("svc.requests"), "{stats}");
+    assert!(stats.contains("svc dispatch:"), "{stats}");
     let json = remote_ok(&addr, &["stats", "--json"]);
     assert!(json.trim_start().starts_with('{'), "{json}");
     remote_ok(&addr, &["rm", "a.bin"]);
@@ -282,9 +283,10 @@ fn all_zero_put_consumes_no_data_pages() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The extent-dedup counters and the daemon's health numbers (entries it
-/// gave up on, how long stage 2 held the inode write lock) are exported
-/// through `stats --json`.
+/// The extent-dedup counters, the daemon's health numbers (entries it
+/// gave up on, how long stage 2 held the inode write lock) and the server's
+/// dispatch split are exported through `stats --json`; the text form prints
+/// the split with its inline share.
 #[test]
 fn stats_json_exports_extent_counters() {
     let dir = tmpdir();
@@ -297,8 +299,18 @@ fn stats_json_exports_extent_counters() {
         "denova.extent.zero_holes",
         "denova.dedup.errors",
         "denova.dedup.write_lock_hold",
+        "svc.inline",
+        "svc.pool.jobs",
     ] {
         assert!(json.contains(name), "stats --json missing {name}: {json}");
     }
+    let text = ok(&image, &["stats"]);
+    let split = text
+        .lines()
+        .find(|l| l.contains("svc dispatch:"))
+        .unwrap_or_else(|| panic!("no dispatch line: {text}"));
+    // The probe's creates are pooled; its 4 KiB writes and reads are short.
+    assert!(!split.contains(" 0 on the event loop"), "{split}");
+    assert!(!split.contains(" 0 via the pool"), "{split}");
     let _ = std::fs::remove_dir_all(&dir);
 }
