@@ -272,31 +272,6 @@ fn bench_dedup_transaction(c: &mut Criterion) {
     g.finish();
 }
 
-/// Foreground fast path: the staged-reference write (bounce buffer, per-extent
-/// flush + fence) vs the zero-copy CoW write (vectored stores, one batched
-/// flush under the log append's fence) at 4 KiB and 64 KiB.
-fn bench_fgpath_write(c: &mut Criterion) {
-    let mut g = quick(c, "fgpath_write");
-    for bytes in [4096usize, 65536] {
-        let fs = mount(DedupMode::Baseline, 512 * 1024 * 1024, 16);
-        let nova = fs.nova();
-        let data = vec![0x5Au8; bytes];
-        let s_ino = fs.create(&format!("s{bytes}")).unwrap();
-        let z_ino = fs.create(&format!("z{bytes}")).unwrap();
-        // First write pays one-off log-head allocation; keep it out of the
-        // timed loop so both paths measure steady-state CoW overwrites.
-        nova.write_staged_reference(s_ino, 0, &data).unwrap();
-        fs.write(z_ino, 0, &data).unwrap();
-        g.bench_function(format!("staged_{bytes}"), |b| {
-            b.iter(|| nova.write_staged_reference(s_ino, 0, &data).unwrap());
-        });
-        g.bench_function(format!("zerocopy_{bytes}"), |b| {
-            b.iter(|| fs.write(z_ino, 0, &data).unwrap());
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_table1_device_latency,
@@ -307,6 +282,5 @@ criterion_group!(
     bench_fingerprint_page,
     bench_fact_ops,
     bench_dedup_transaction,
-    bench_fgpath_write,
 );
 criterion_main!(benches);

@@ -8,13 +8,105 @@
 //! ```
 //!
 //! Experiments: `table1 fig2 model table4 fig8 fig9 fig10 fig11 fig12 space
-//! crash dedup_scaling extent ablation endurance recovery svc svcconn repl
-//! fgpath cluster chaos contention`.
-//! Pass
-//! `--json <path>` to also dump
-//! every result as machine-readable JSON (for plotting or diffing runs).
+//! endurance recovery crash ablation`, one row each in the `EXPERIMENTS`
+//! table. Pass `--json <path>` to also dump every result as
+//! machine-readable JSON (for plotting or diffing runs).
 
 use denova_bench::*;
+use denova_telemetry::json::Value;
+
+/// One experiment: runs at `Scale`, records its results under its JSON
+/// key(s), and returns the rendered report section.
+type Experiment = fn(&Scale, &mut Value) -> String;
+
+/// Every experiment, in the order a full run executes them.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1", |_, json| {
+        let rows = table1::run();
+        json.insert("table1", &rows);
+        table1::render(&rows)
+    }),
+    ("fig2", |_, json| {
+        let sizes = [4096, 16384, 65536, 262144, 1048576];
+        let rows = model::fig2(&sizes, 20);
+        json.insert("fig2", &rows);
+        model::render_fig2(&rows)
+    }),
+    ("model", |_, json| {
+        let terms = model::measure_terms(200);
+        json.insert("model", &terms);
+        model::render_model(&terms)
+    }),
+    ("table4", |scale, json| {
+        let rows = table4::run(
+            (scale.small_files / 4).max(50),
+            (scale.large_files / 2).max(10),
+        );
+        json.insert("table4", &rows);
+        table4::render(&rows)
+    }),
+    ("fig8", |scale, json| {
+        let res = fig8::run(scale);
+        json.insert("fig8", &res);
+        fig8::render(&res)
+    }),
+    ("fig9", |scale, json| {
+        let res = fig9::run(scale);
+        json.insert("fig9", &res);
+        fig9::render(&res, scale)
+    }),
+    ("fig10", |scale, json| {
+        let res = fig10::run(scale);
+        json.insert("fig10", &res);
+        fig10::render(&res)
+    }),
+    ("fig11", |scale, json| {
+        let res = fig11::run(scale);
+        json.insert("fig11", &res);
+        fig11::render(&res)
+    }),
+    ("fig12", |scale, json| {
+        let res = fig12::run(scale);
+        json.insert("fig12", &res);
+        fig12::render(&res)
+    }),
+    ("space", |scale, json| {
+        let geo = space::geometry();
+        let sav = space::savings((scale.small_files / 4).max(100));
+        json.insert("fact_geometry", &geo);
+        json.insert("savings", &sav);
+        space::render(&geo, &sav)
+    }),
+    ("endurance", |scale, json| {
+        let rows = endurance::run((scale.small_files / 2).max(200), 0.5);
+        json.insert("endurance", &rows);
+        endurance::render(&rows)
+    }),
+    ("recovery", |scale, json| {
+        let counts = [
+            scale.small_files / 8,
+            scale.small_files / 2,
+            scale.small_files,
+        ];
+        let rows = recovery_time::run(&counts);
+        json.insert("recovery_time", &rows);
+        recovery_time::render(&rows)
+    }),
+    ("crash", |_, json| {
+        let rows = crashes::run();
+        json.insert("crash_matrix", &rows);
+        crashes::render(&rows)
+    }),
+    ("ablation", |_, json| {
+        let r = ablation::reorder(12, 200);
+        let d = ablation::delete_ptr(200);
+        let e = ablation::entry_size(1000);
+        json.insert("ablation_reorder", &r);
+        json.insert("ablation_delete_ptr", &d);
+        json.insert("ablation_entry_size", &e);
+        ablation::render(&r, &d, &e)
+    }),
+];
 
 fn main() {
     std::panic::set_hook(Box::new(|info| {
@@ -46,36 +138,10 @@ fn main() {
         }
         i += 1;
     }
-    let all = [
-        "table1",
-        "fig2",
-        "model",
-        "table4",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "space",
-        "crash",
-        "dedup_scaling",
-        "extent",
-        "ablation",
-        "endurance",
-        "recovery",
-        "svc",
-        "svcconn",
-        "repl",
-        "fgpath",
-        "cluster",
-        "chaos",
-        "contention",
-    ];
-    let run_all = wanted.is_empty();
-    let want = |name: &str| run_all || wanted.iter().any(|w| w == name);
     for w in &wanted {
-        if !all.contains(&w.as_str()) {
-            eprintln!("unknown experiment '{w}'; known: {all:?}");
+        if !EXPERIMENTS.iter().any(|(name, _)| name == w) {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+            eprintln!("unknown experiment '{w}'; known: {known:?}");
             std::process::exit(2);
         }
     }
@@ -99,140 +165,11 @@ fn main() {
             .unwrap_or(1)
     );
 
-    let mut json = denova_telemetry::json::Value::object();
-    if want("table1") {
-        let rows = table1::run();
-        println!("{}", table1::render(&rows));
-        json.insert("table1", &rows);
-    }
-    if want("fig2") {
-        let sizes = [4096, 16384, 65536, 262144, 1048576];
-        let rows = model::fig2(&sizes, 20);
-        println!("{}", model::render_fig2(&rows));
-        json.insert("fig2", &rows);
-    }
-    if want("model") {
-        let terms = model::measure_terms(200);
-        println!("{}", model::render_model(&terms));
-        json.insert("model", &terms);
-    }
-    if want("table4") {
-        let rows = table4::run(
-            (scale.small_files / 4).max(50),
-            (scale.large_files / 2).max(10),
-        );
-        println!("{}", table4::render(&rows));
-        json.insert("table4", &rows);
-    }
-    if want("fig8") {
-        let res = fig8::run(&scale);
-        println!("{}", fig8::render(&res));
-        json.insert("fig8", &res);
-    }
-    if want("fig9") {
-        let res = fig9::run(&scale);
-        println!("{}", fig9::render(&res, &scale));
-        json.insert("fig9", &res);
-    }
-    if want("fig10") {
-        let res = fig10::run(&scale);
-        println!("{}", fig10::render(&res));
-        json.insert("fig10", &res);
-    }
-    if want("fig11") {
-        let res = fig11::run(&scale);
-        println!("{}", fig11::render(&res));
-        json.insert("fig11", &res);
-    }
-    if want("fig12") {
-        let res = fig12::run(&scale);
-        println!("{}", fig12::render(&res));
-        json.insert("fig12", &res);
-    }
-    if want("space") {
-        let geo = space::geometry();
-        let sav = space::savings((scale.small_files / 4).max(100));
-        println!("{}", space::render(&geo, &sav));
-        json.insert("fact_geometry", &geo);
-        json.insert("savings", &sav);
-    }
-    if want("endurance") {
-        let rows = endurance::run((scale.small_files / 2).max(200), 0.5);
-        println!("{}", endurance::render(&rows));
-        json.insert("endurance", &rows);
-    }
-    if want("recovery") {
-        let counts = [
-            scale.small_files / 8,
-            scale.small_files / 2,
-            scale.small_files,
-        ];
-        let rows = recovery_time::run(&counts);
-        println!("{}", recovery_time::render(&rows));
-        json.insert("recovery_time", &rows);
-    }
-    if want("crash") {
-        let rows = crashes::run();
-        println!("{}", crashes::render(&rows));
-        json.insert("crash_matrix", &rows);
-    }
-    if want("dedup_scaling") {
-        let cells = dedup_scale::run(&scale);
-        println!("{}", dedup_scale::render(&cells, &scale));
-        json.insert("dedup_scaling", &cells);
-    }
-    if want("extent") {
-        let cells = extent::run(&scale);
-        println!("{}", extent::render(&cells, &scale));
-        json.insert("extent", &cells);
-    }
-    if want("svc") {
-        let res = svc_bench::run(&scale);
-        println!("{}", svc_bench::render(&res));
-        json.insert("svc", &res);
-    }
-    if want("svcconn") {
-        let res = svcconn::run(&scale);
-        println!("{}", svcconn::render(&res));
-        json.insert("svcconn", &res);
-    }
-    if want("repl") {
-        let res = repl_bench::run(&scale);
-        println!("{}", repl_bench::render(&res));
-        json.insert("repl", &res);
-    }
-    if want("fgpath") {
-        let res = fgpath::run(&scale);
-        println!("{}", fgpath::render(&res));
-        json.insert("fgpath", &res);
-    }
-    if want("contention") {
-        let res = contention::run(&scale);
-        println!("{}", contention::render(&res));
-        json.insert("contention", &res);
-    }
-    if want("cluster") {
-        let res = cluster_scale::run(&scale);
-        println!("{}", cluster_scale::render(&res));
-        json.insert("cluster_scale", &res);
-    }
-    if want("chaos") {
-        let res = chaos_bench::run(&scale);
-        println!("{}", chaos_bench::render(&res));
-        json.insert("chaos", &res);
-        if res.iter().any(|c| !c.passed) {
-            eprintln!("# chaos suite had failing scenarios");
-            std::process::exit(1);
+    let mut json = Value::object();
+    for (name, experiment) in EXPERIMENTS {
+        if wanted.is_empty() || wanted.iter().any(|w| w == name) {
+            println!("{}", experiment(&scale, &mut json));
         }
-    }
-    if want("ablation") {
-        let r = ablation::reorder(12, 200);
-        let d = ablation::delete_ptr(200);
-        let e = ablation::entry_size(1000);
-        println!("{}", ablation::render(&r, &d, &e));
-        json.insert("ablation_reorder", &r);
-        json.insert("ablation_delete_ptr", &d);
-        json.insert("ablation_entry_size", &e);
     }
     if let Some(path) = json_path {
         std::fs::write(&path, denova_telemetry::json::to_string_pretty(&json))

@@ -17,14 +17,8 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod chaos_bench;
-pub mod cluster_scale;
-pub mod contention;
 pub mod crashes;
-pub mod dedup_scale;
 pub mod endurance;
-pub mod extent;
-pub mod fgpath;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -32,11 +26,8 @@ pub mod fig8;
 pub mod fig9;
 pub mod model;
 pub mod recovery_time;
-pub mod repl_bench;
 pub mod report;
 pub mod space;
-pub mod svc_bench;
-pub mod svcconn;
 pub mod table1;
 pub mod table4;
 

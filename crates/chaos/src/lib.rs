@@ -17,12 +17,13 @@
 //!    accounting), injects the plan on a wall-clock timeline, then
 //!    audits: fsck, scrub, FACT exactness, crash-image recovery, and —
 //!    for noisy-neighbor scenarios — the two-phase SLO gate.
-//! 4. [`scenarios`]: the standard six-scenario suite the smoke harness
-//!    and the chaos benchmark run.
+//! 4. [`scenarios`]: the standard six-scenario suite; each scenario has a
+//!    test (`latency_storm`'s in `tests/latency_storm.rs`, its own process,
+//!    so its load never lands in `greedy_tenant`'s latency ratio).
 //!
 //! Replays: [`engine::replay`] parses a recorded journal and re-executes
-//! its exact fault schedule, so a CI failure's uploaded journal can be
-//! re-run locally, deterministically.
+//! its exact fault schedule. A failing scenario test prints its journal,
+//! so a CI failure can be re-run locally, deterministically.
 
 #![warn(missing_docs)]
 
@@ -52,8 +53,8 @@ mod tests {
         let a = crate::run(&spec);
         let b = crate::run(&spec);
         assert_eq!(a.deterministic_journal, b.deterministic_journal);
-        assert!(a.passed(), "failures: {:?}", a.failures);
-        assert!(b.passed(), "failures: {:?}", b.failures);
+        assert!(a.passed(), "failures: {:?}\n{}", a.failures, a.journal);
+        assert!(b.passed(), "failures: {:?}\n{}", b.failures, b.journal);
         let other = crate::run(&scenarios::steady_multi_tenant(12).scaled(0.2));
         assert_ne!(a.deterministic_journal, other.deterministic_journal);
     }
@@ -63,11 +64,21 @@ mod tests {
     fn recorded_journal_replays_deterministically() {
         let spec = scenarios::dedup_backlog(21).scaled(0.2);
         let first = crate::run(&spec);
-        assert!(first.passed(), "failures: {:?}", first.failures);
+        assert!(
+            first.passed(),
+            "failures: {:?}\n{}",
+            first.failures,
+            first.journal
+        );
         let replayed = crate::replay(&spec, &first.journal).unwrap();
         assert_eq!(first.deterministic_journal, replayed.deterministic_journal);
         assert_eq!(first.plan, replayed.plan);
-        assert!(replayed.passed(), "failures: {:?}", replayed.failures);
+        assert!(
+            replayed.passed(),
+            "failures: {:?}\n{}",
+            replayed.failures,
+            replayed.journal
+        );
     }
 
     /// Replay rejects journals that do not parse or name another scenario.
@@ -83,9 +94,13 @@ mod tests {
     fn crash_midrun_images_recover_clean() {
         let spec = scenarios::crash_midrun(31).scaled(0.3);
         let r = crate::run(&spec);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert!(r.audit.crash_images >= 1, "no crash image was captured");
-        assert_eq!(r.audit.crash_images_clean, r.audit.crash_images);
+        assert!(r.passed(), "failures: {:?}\n{}", r.failures, r.journal);
+        assert!(r.audit.crash_images >= 1, "no crash image:\n{}", r.journal);
+        assert_eq!(
+            r.audit.crash_images_clean, r.audit.crash_images,
+            "{}",
+            r.journal
+        );
     }
 
     /// The stalled standby latches `repl.sync_degraded`, the primary
@@ -94,8 +109,8 @@ mod tests {
     fn degraded_sync_latches_and_recovers() {
         let spec = scenarios::degraded_sync(41);
         let r = crate::run(&spec);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert!(r.audit.sync_degraded);
+        assert!(r.passed(), "failures: {:?}\n{}", r.failures, r.journal);
+        assert!(r.audit.sync_degraded, "never latched:\n{}", r.journal);
     }
 
     /// The noisy-neighbor gate: victims' p99 stays within the gate ratio
@@ -114,10 +129,10 @@ mod tests {
             }
             r = crate::run(&spec);
         }
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert_eq!(r.slo.len(), 2, "both victims must be gated");
+        assert!(r.passed(), "failures: {:?}\n{}", r.failures, r.journal);
+        assert_eq!(r.slo.len(), 2, "both victims must be gated:\n{}", r.journal);
         for v in &r.slo {
-            assert!(v.pass, "{} ratio {:.2}", v.victim, v.ratio);
+            assert!(v.pass, "{} ratio {:.2}\n{}", v.victim, v.ratio, r.journal);
             assert!(v.solo_p99_ns > 0 && v.contended_p99_ns > 0);
         }
     }

@@ -1,8 +1,7 @@
 //! An in-process multi-server cluster over the loopback [`Hub`]: one
 //! [`denova_svc::Server`] + [`ClusterNode`] per shard, addressable by name,
-//! with helpers for the operations the tests, benchmarks, and smoke flows
-//! drive — kill a node, attach and promote a standby, rebalance a shard to
-//! a new node.
+//! with helpers for the operations the tests drive — kill a node, attach
+//! and promote a standby, rebalance a shard to a new node.
 //!
 //! This is a *self-contained* cluster: every byte crosses a Unix-domain
 //! socket pair inside the process, so kill/failover/rebalance sequences
@@ -23,42 +22,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-node construction knobs.
-#[derive(Debug, Clone)]
-pub struct ClusterOptions {
-    /// Device capacity per shard.
-    pub device_bytes: usize,
-    /// Inode slots per shard.
-    pub num_inodes: u64,
-    /// Dedup mode per shard.
-    pub dedup_mode: DedupMode,
-    /// Sync-ack replication (writes wait for standby acknowledgement).
-    pub sync_ack: bool,
-    /// Injected device latency; `Some` also enables *blocking* injection so
-    /// stalls sleep (and overlap across shards) instead of spinning.
-    pub latency: Option<LatencyProfile>,
-    /// Worker-pool shards per node. The `cluster_scale` benchmark pins this
-    /// to 1 — each primary then applies writes serially, modeling a node
-    /// with a fixed core budget, so aggregate lanes grow with shard count.
-    /// Functional tests keep the service default (8): a coordinator blocks
-    /// one of its workers while talking to a peer, and a single-worker node
-    /// pair running cross-shard transactions toward each other could
-    /// otherwise distributed-deadlock.
-    pub workers_per_node: usize,
-}
-
-impl Default for ClusterOptions {
-    fn default() -> ClusterOptions {
-        ClusterOptions {
-            device_bytes: 64 * 1024 * 1024,
-            num_inodes: 4096,
-            dedup_mode: DedupMode::Immediate,
-            sync_ack: false,
-            latency: None,
-            workers_per_node: SvcConfig::default().shards,
-        }
-    }
-}
+/// Device capacity per shard.
+const DEVICE_BYTES: usize = 64 * 1024 * 1024;
+/// Inode slots per shard.
+const NUM_INODES: u64 = 4096;
+/// Dedup mode per shard.
+const DEDUP_MODE: DedupMode = DedupMode::Immediate;
 
 /// One running shard node.
 pub struct NodeHandle {
@@ -80,8 +49,6 @@ pub struct NodeHandle {
 pub struct TestCluster {
     /// The in-process network.
     pub hub: Arc<Hub>,
-    /// Construction knobs (reused for nodes added later).
-    pub opts: ClusterOptions,
     /// The authoritative map (highest epoch pushed so far).
     pub map: ClusterMap,
     /// Running nodes, including frozen ex-owners after a rebalance.
@@ -91,13 +58,12 @@ pub struct TestCluster {
 impl TestCluster {
     /// Stand up `shards` fresh single-shard nodes at addresses
     /// `shard0..shardN-1`.
-    pub fn new(shards: u32, opts: ClusterOptions) -> TestCluster {
+    pub fn new(shards: u32) -> TestCluster {
         let addrs: Vec<String> = (0..shards).map(|k| format!("shard{k}")).collect();
         let map = ClusterMap::new(&addrs);
         let hub = Hub::new();
         let mut cluster = TestCluster {
             hub,
-            opts,
             map: map.clone(),
             nodes: Vec::new(),
         };
@@ -110,11 +76,10 @@ impl TestCluster {
 
     /// Rebuild a cluster from already-mounted per-shard stacks (crash-
     /// matrix remounts): `stacks[k]` serves shard `k` at `shard{k}`.
-    pub fn from_stacks(stacks: Vec<Arc<Denova>>, opts: ClusterOptions) -> TestCluster {
+    pub fn from_stacks(stacks: Vec<Arc<Denova>>) -> TestCluster {
         let addrs: Vec<String> = (0..stacks.len()).map(|k| format!("shard{k}")).collect();
         let mut cluster = TestCluster {
             hub: Hub::new(),
-            opts,
             map: ClusterMap::new(&addrs),
             nodes: Vec::new(),
         };
@@ -126,44 +91,23 @@ impl TestCluster {
     }
 
     fn mkfs(&self) -> Arc<Denova> {
-        let dev = Arc::new(PmemBuilder::new(self.opts.device_bytes).build());
-        let fs = Arc::new(
-            Denova::mkfs(
-                dev.clone(),
-                NovaOptions {
-                    num_inodes: self.opts.num_inodes,
-                    ..Default::default()
-                },
-                self.opts.dedup_mode,
-            )
-            .unwrap(),
-        );
-        // Inject latency only after formatting (mkfs zeroing is not part of
-        // any measurement), and in *blocking* mode so injected stalls sleep
-        // and overlap across shards even on a single-core host.
-        if let Some(profile) = self.opts.latency {
-            dev.set_latency(profile);
-            dev.set_blocking_latency(true);
-        }
-        fs
+        let dev = Arc::new(PmemBuilder::new(DEVICE_BYTES).build());
+        let opts = NovaOptions {
+            num_inodes: NUM_INODES,
+            ..Default::default()
+        };
+        Arc::new(Denova::mkfs(dev, opts, DEDUP_MODE).unwrap())
     }
 
     /// Build server + interceptor + replication for `fs` and register it on
     /// the hub at `addr`. Used by construction, crash-remount, and
     /// rebalance alike.
     pub fn spawn_node(&mut self, shard: u32, addr: &str, fs: Arc<Denova>) -> &NodeHandle {
-        let server = Arc::new(Server::new(
-            fs.clone(),
-            SvcConfig {
-                shards: self.opts.workers_per_node,
-                ..SvcConfig::default()
-            },
-        ));
+        let server = Arc::new(Server::new(fs.clone(), SvcConfig::default()));
         let repl = ReplPrimary::install(
             fs.clone(),
             Some(&server),
             ReplConfig {
-                sync_ack: self.opts.sync_ack,
                 shard: Some(shard),
                 ..Default::default()
             },
@@ -256,10 +200,10 @@ impl TestCluster {
             Denova::mount(
                 target_dev,
                 NovaOptions {
-                    num_inodes: self.opts.num_inodes,
+                    num_inodes: NUM_INODES,
                     ..Default::default()
                 },
-                self.opts.dedup_mode,
+                DEDUP_MODE,
             )
             .expect("rebalance mount"),
         );
@@ -334,7 +278,7 @@ mod tests {
 
     #[test]
     fn names_and_ginos_route_to_their_owners() {
-        let cluster = TestCluster::new(2, ClusterOptions::default());
+        let cluster = TestCluster::new(2);
         let mut c = cluster.client();
         let mut ginos = Vec::new();
         for i in 0..24 {
@@ -371,7 +315,7 @@ mod tests {
 
     #[test]
     fn stale_client_map_heals_on_wrong_shard_bounce() {
-        let mut cluster = TestCluster::new(2, ClusterOptions::default());
+        let mut cluster = TestCluster::new(2);
         let mut c = cluster.client();
         c.put("healme", b"v1").unwrap();
         // Rebalance the file's shard away; the client still holds the old
@@ -386,7 +330,7 @@ mod tests {
 
     #[test]
     fn rebalance_preserves_data_and_redirects_writes() {
-        let mut cluster = TestCluster::new(2, ClusterOptions::default());
+        let mut cluster = TestCluster::new(2);
         let mut c = cluster.client();
         for i in 0..16 {
             c.put(&format!("pre-{i}"), &vec![i as u8; 2048]).unwrap();
@@ -424,7 +368,7 @@ mod tests {
 
     #[test]
     fn cross_shard_rename_moves_content_and_leaves_no_residue() {
-        let cluster = TestCluster::new(2, ClusterOptions::default());
+        let cluster = TestCluster::new(2);
         let mut c = cluster.client();
         let (from, to) = cross_shard_pair(&cluster.map);
         let payload: Vec<u8> = (0..3 * 4096u32).map(|i| (i % 251) as u8).collect();
@@ -447,7 +391,7 @@ mod tests {
 
     #[test]
     fn cross_shard_link_copies_and_copies_diverge() {
-        let cluster = TestCluster::new(2, ClusterOptions::default());
+        let cluster = TestCluster::new(2);
         let mut c = cluster.client();
         let (from, to) = cross_shard_pair(&cluster.map);
         c.put(&from, b"shared v1").unwrap();
@@ -466,7 +410,7 @@ mod tests {
 
     #[test]
     fn reserved_prefix_names_are_rejected() {
-        let cluster = TestCluster::new(2, ClusterOptions::default());
+        let cluster = TestCluster::new(2);
         let mut c = cluster.client();
         c.put("ok", b"x").unwrap();
         assert!(c.create(".2pc.deadbeef").is_err());
@@ -478,7 +422,7 @@ mod tests {
 
     #[test]
     fn multi_threaded_workload_spreads_over_shards() {
-        let cluster = TestCluster::new(4, ClusterOptions::default());
+        let cluster = TestCluster::new(4);
         let spec = JobSpec::small_files(64, 0.0).with_threads(4);
         let report = run_store_write_job(|_t| Ok(cluster.client()), &spec);
         assert_eq!(report.failures, 0);

@@ -23,8 +23,8 @@
 //! * [`twophase`] — durable file-based transaction records under the
 //!   reserved `.2pc.` prefix (presumed abort, single-byte commit point).
 //! * [`harness`] — [`harness::TestCluster`], an in-process deterministic
-//!   cluster over [`denova_svc::loopback`] used by tests, crash matrices,
-//!   and the `cluster_scale` benchmark.
+//!   cluster over [`denova_svc::loopback`] used by tests and crash
+//!   matrices.
 
 #![warn(missing_docs)]
 
@@ -35,7 +35,7 @@ pub mod node;
 pub mod twophase;
 
 pub use client::ClusterClient;
-pub use harness::{ClusterOptions, NodeHandle, TestCluster};
+pub use harness::{NodeHandle, TestCluster};
 pub use map::{ClusterMap, ShardEntry, SharedMap};
 pub use node::{ClusterNode, Dialer, TxStep};
 pub use twophase::{TxKind, TxRecord};

@@ -1026,8 +1026,7 @@ mod tests {
         }
     }
 
-    /// `Threads:` from `/proc/self/status`, as `bench/src/svcconn.rs` reads
-    /// it (0 where unreadable).
+    /// `Threads:` from `/proc/self/status` (0 where unreadable).
     fn resident_threads() -> usize {
         std::fs::read_to_string("/proc/self/status")
             .ok()

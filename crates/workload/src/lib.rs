@@ -9,9 +9,6 @@
 //!   threads, think time);
 //! * [`data`] — a seeded generator that emits 4 KB pages with an *exact*
 //!   page-level duplicate ratio;
-//! * [`image`] — VM-image clone sets and backup-generation streams: long
-//!   duplicate *runs* plus sparse zero regions, the shapes extent-granular
-//!   dedup and hole elision are measured against;
 //! * [`runner`] — executes jobs against a [`denova::Denova`] mount and
 //!   measures throughput and latency;
 //! * [`remote`] — executes the same jobs through the `denova-svc` wire
@@ -21,14 +18,12 @@
 #![warn(missing_docs)]
 
 pub mod data;
-pub mod image;
 pub mod remote;
 pub mod runner;
 pub mod spec;
 pub mod stats;
 
 pub use data::DataGenerator;
-pub use image::{BackupGenerator, ImageSpec, VmImageSet};
 pub use remote::{
     run_remote_write_job, run_remote_write_job_tcp, run_store_write_job, RemoteReport, RemoteStore,
 };

@@ -4,14 +4,12 @@
 # Source this first (it sets the strict shell options), then:
 #
 #   smoke_init [cli-path]     resolve $CLI, make $WORK, install cleanup trap
-#   smoke_workdir             just $WORK + trap (scripts that never spawn $CLI)
 #   start_server <log> <a..>  background "$CLI <a..>" -> $SERVER_PID, tracked
 #   wait_addr <log> <pid>     scrape "listening on <addr>" (echoes the addr)
 #   wait_log <pat> <log> <pid> <what>   wait until <log> matches <pat>
 #   wait_exit <pid> <what>    wait for a clean self-exit (e.g. after shutdown)
 #   kill_hard <pid>           SIGKILL + reap (crash-injection step)
 #   fsck_image <img>          "$CLI <img> fsck"
-#   run_figures <exp..>       release-mode figures binary at smoke scale
 #   fail <msg..>              print "error: ..." and exit 1
 #
 # Every background pid started through start_server is killed by the EXIT
@@ -42,14 +40,10 @@ smoke_cleanup() {
     [ -n "$WORK" ] && rm -rf "$WORK"
 }
 
-smoke_workdir() {
-    WORK=$(mktemp -d)
-    trap smoke_cleanup EXIT
-}
-
 smoke_init() { # [cli-path]
     require_cli "${1:-}"
-    smoke_workdir
+    WORK=$(mktemp -d)
+    trap smoke_cleanup EXIT
 }
 
 track_pid() {
@@ -119,8 +113,4 @@ kill_hard() { # <pid>: SIGKILL, reap, stop tracking
 
 fsck_image() { # <img>
     "$CLI" "$1" fsck
-}
-
-run_figures() { # <experiment...>: smoke-scale figures run
-    cargo run --release -q -p denova-bench --bin figures -- --smoke "$@"
 }

@@ -56,7 +56,7 @@ pub mod prelude {
         Daemon, DaemonConfig, DaemonMode, DedupMode, DedupStats, Denova, DenovaHooks, Dwq, Fact,
         FpThrottle, NvDedupTable,
     };
-    pub use denova_cluster::{ClusterClient, ClusterMap, ClusterNode, ClusterOptions, TestCluster};
+    pub use denova_cluster::{ClusterClient, ClusterMap, ClusterNode, TestCluster};
     pub use denova_fingerprint::{chunk_pages, sha1, weak_fingerprint, Fingerprint};
     pub use denova_nova::{fsck, DedupeFlag, FileStat, Nova, NovaError, NovaOptions, BLOCK_SIZE};
     pub use denova_pmem::{CrashMode, LatencyProfile, PmemBuilder, PmemDevice, SimulatedCrash};

@@ -16,7 +16,7 @@
 
 use denova_repro::cluster::node::TxStep;
 use denova_repro::cluster::twophase::TxKind;
-use denova_repro::cluster::{ClusterMap, ClusterOptions, TestCluster};
+use denova_repro::cluster::{ClusterMap, TestCluster};
 use denova_repro::denova::{DedupMode, Denova};
 use denova_repro::nova::{fsck, NovaOptions};
 use denova_repro::pmem::{CrashMode, LatencyProfile, PmemDevice};
@@ -82,7 +82,7 @@ fn cross_shard_pair(map: &ClusterMap) -> (String, String) {
 /// remount, resolve orphans (coordinator first — participant records wait
 /// for the coordinator's durable decision), and audit both shards.
 fn run_crash_point(kind: TxKind, step: TxStep) {
-    let cluster = TestCluster::new(2, ClusterOptions::default());
+    let cluster = TestCluster::new(2);
     let mut c = cluster.client();
     let payload: Vec<u8> = (0..2 * 4096 + 17u32).map(|i| (i % 249) as u8).collect();
     let (from, to) = cross_shard_pair(&cluster.map);
@@ -119,7 +119,7 @@ fn run_crash_point(kind: TxKind, step: TxStep) {
             Arc::new(Denova::mount(dev, NovaOptions::default(), DedupMode::Immediate).unwrap())
         })
         .collect();
-    let cluster2 = TestCluster::from_stacks(stacks, ClusterOptions::default());
+    let cluster2 = TestCluster::from_stacks(stacks);
     cluster2.nodes[0].node.resolve_orphans();
     cluster2.nodes[1].node.resolve_orphans();
 
@@ -183,7 +183,7 @@ fn link_survives_coordinator_crash_at_every_step() {
 /// vanished entirely) resolves by presumed abort via `TxStatus → None`.
 #[test]
 fn participant_orphan_presumed_aborts_when_coordinator_knows_nothing() {
-    let cluster = TestCluster::new(2, ClusterOptions::default());
+    let cluster = TestCluster::new(2);
     let mut c = cluster.client();
     let (from, to) = cross_shard_pair(&cluster.map);
     c.put(&from, b"payload").unwrap();
@@ -210,7 +210,7 @@ fn participant_orphan_presumed_aborts_when_coordinator_knows_nothing() {
             Arc::new(Denova::mount(dev, NovaOptions::default(), DedupMode::Immediate).unwrap())
         })
         .collect();
-    let cluster2 = TestCluster::from_stacks(stacks, ClusterOptions::default());
+    let cluster2 = TestCluster::from_stacks(stacks);
     // Resolve the PARTICIPANT first this time: its record reads Prepared on
     // the coordinator, so it must be left alone on the first pass...
     cluster2.nodes[1].node.resolve_orphans();

@@ -228,6 +228,13 @@ fn resident_fingerprint_never_resolves_wrong_under_chain_churn() {
 // its model update — the race under test is daemon vs foreground, not
 // foreground vs foreground.
 //
+// Two readers run through the whole race, re-reading two files that hold
+// pool segments and that the daemon dedups against the moving ones. No
+// foreground thread writes them, so nearly every read must take the
+// optimistic path (no inode lock) however busy the writers and the daemon
+// are on other inodes. The floor is loose: a dedup remap of a read file
+// legitimately diverts the few reads that overlap it.
+//
 // Runs grow but never promote (the threshold is above the longest entry):
 // overwriting a *promoted* shared run is ROADMAP item 1's open defect —
 // with the default threshold this test fails before this change too
@@ -282,6 +289,34 @@ fn dedup_stage1_races_foreground_rewrites_of_the_same_inodes() {
     let models: Arc<Vec<Mutex<Option<Vec<u8>>>>> =
         Arc::new((0..FILES).map(|_| Mutex::new(None)).collect());
 
+    let read_files: Vec<u64> = (0..2)
+        .map(|r| {
+            let ino = fs.create(&format!("r{r}")).unwrap();
+            fs.write(ino, 0, &pool[r]).unwrap();
+            ino
+        })
+        .collect();
+    let optimistic_hits = || denova_nova::NovaStats::get(&fs.nova().stats().read_optimistic_hits);
+    let hits_before = optimistic_hits();
+    let stop = Arc::new(AtomicBool::new(false));
+    let reads_done = Arc::new(AtomicU64::new(0));
+    let readers: Vec<_> = (0..2usize)
+        .map(|r| {
+            let fs = fs.clone();
+            let pool = pool.clone();
+            let (ino, stop, reads_done) = (read_files[r], stop.clone(), reads_done.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) || reads_done.load(Ordering::Relaxed) < 256 {
+                    let got = fs.read(ino, 0, pool[r].len()).unwrap();
+                    assert!(got == pool[r], "r{r} content changed");
+                    reads_done.fetch_add(1, Ordering::Relaxed);
+                    // Paced, so the readers leave the cores to the race.
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+            })
+        })
+        .collect();
+
     let handles: Vec<_> = (0..4u64)
         .map(|t| {
             let fs = fs.clone();
@@ -330,6 +365,15 @@ fn dedup_stage1_races_foreground_rewrites_of_the_same_inodes() {
     for h in handles {
         h.join().unwrap();
     }
+    stop.store(true, Ordering::Relaxed);
+    for h in readers {
+        h.join().unwrap();
+    }
+    let (hits, reads) = (
+        optimistic_hits() - hits_before,
+        reads_done.load(Ordering::Relaxed),
+    );
+    assert!(hits * 10 >= reads * 9, "{hits} of {reads} reads optimistic");
 
     fs.drain();
     for (f, model) in models.iter().enumerate() {

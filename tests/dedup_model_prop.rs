@@ -1,6 +1,7 @@
 //! Property test: a random operation sequence against the full DeNova stack
 //! matches an in-memory model file system, and dedup invariants hold at the
-//! end.
+//! end. Plus the model of a dedup outcome: a generated backlog saves exactly
+//! its generator's duplicate pages, at any worker count.
 
 use denova_repro::prelude::*;
 use proptest::prelude::*;
@@ -173,4 +174,76 @@ proptest! {
         fs2.drain();
         check_against_model(&fs2, &model);
     }
+}
+
+/// Parallelism changes speed, never outcome: the same duplicate-heavy
+/// backlog drained by 1 and by 4 workers, while a foreground writer adds
+/// unique pages, saves exactly the generator's duplicate pages, and both
+/// end with a clean fsck, a clean FACT fsck and a scrub fixpoint.
+///
+/// At a 0.97 duplicate ratio the generator's pool holds a handful of pages,
+/// so every worker updates the same few FACT records. Fingerprinting sleeps
+/// out the paper's per-page cost, so the four workers overlap even on a
+/// host with fewer cores.
+#[test]
+fn dedup_outcome_is_worker_count_invariant() {
+    const FILES: usize = 128;
+    let drain_backlog = |workers: usize| {
+        let dev = Arc::new(PmemDevice::new(48 * 1024 * 1024));
+        let opts = NovaOptions {
+            num_inodes: 256,
+            dedup_workers: workers,
+            ..Default::default()
+        };
+        let fs = Denova::mkfs(dev, opts, DedupMode::Immediate).unwrap();
+        assert_eq!(fs.dedup_workers(), workers);
+        fs.fact().fp().set_paper_target();
+        fs.fact().fp().set_blocking(true);
+        let mut gen = DataGenerator::new(7, 0.97);
+        // The pool sits out the writes, so it meets the whole backlog at once.
+        fs.quiesce(|| {
+            for i in 0..FILES {
+                let ino = fs.create(&format!("f{i}")).unwrap();
+                fs.write(ino, 0, &gen.next_file(4 * 4096)).unwrap();
+            }
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for w in 0..16u8 {
+                    let ino = fs.create(&format!("fg{w}")).unwrap();
+                    fs.write(ino, 0, &[0x80 | w; 4096]).unwrap();
+                }
+            });
+            fs.drain();
+        });
+        fs.drain();
+        fs.fact().fp().clear();
+        // Every worker drained its own shard of the backlog.
+        let metrics = fs.nova().device().metrics();
+        let processed: Vec<u64> = (0..workers)
+            .map(|i| {
+                let name = format!("denova.daemon.shard.{i}.processed");
+                metrics.counter(&name).get()
+            })
+            .collect();
+        assert_eq!(processed.iter().sum::<u64>(), FILES as u64 + 16);
+        assert!(
+            processed.iter().all(|&n| n > 0),
+            "idle worker: {processed:?}"
+        );
+        let report = fsck(fs.nova(), true).unwrap();
+        assert!(
+            report.errors.is_empty(),
+            "{workers} workers: {:?}",
+            report.errors
+        );
+        let fact = denova::fsck::fsck_fact(fs.nova(), fs.fact()).unwrap();
+        assert!(fact.is_clean(), "{workers} workers: {:?}", fact.errors);
+        assert_eq!(fs.scrub().unwrap(), 0, "{workers} workers: scrub fixed");
+        (fs.bytes_saved(), gen.dup_pages() * 4096)
+    };
+    let (one, expected) = drain_backlog(1);
+    assert!(expected >= 480 * 4096, "backlog not duplicate-heavy");
+    assert_eq!(one, expected);
+    assert_eq!(drain_backlog(4), (one, expected));
 }

@@ -2,9 +2,12 @@
 //! DeNova stacks run the same random write/overwrite/truncate interleaving —
 //! one with run promotion enabled (threshold 4 pages), one per-block
 //! (threshold 0) — and every file must come out byte-identical across the
-//! two, matching an in-memory model. Afterwards the promoted stack is
-//! audited: FACT fsck is clean, and the fingerprints of run-interior pages
-//! stay absent from the lookup path through every later split/demote.
+//! two, matching an in-memory model. Aligned clones written afterwards save
+//! the same bytes on both stacks, tracked by one run record on the promoted
+//! one and by one record per page on the other.
+//! Then the promoted stack is audited: FACT fsck is clean, and the
+//! fingerprints of run-interior pages stay absent from the lookup path
+//! through every later split/demote.
 
 use denova_repro::denova::fsck::fsck_fact;
 use denova_repro::prelude::*;
@@ -180,6 +183,33 @@ proptest! {
                 prop_assert_eq!(&got, expect, "{} content mismatch", name);
             }
         }
+
+        // Same dedup outcome on aligned clones of one template, the shape
+        // VM images take: promotion changes how many FACT records track the
+        // duplicates (one run record instead of one per page), never how
+        // many pages dedup. The template's content
+        // (page_bytes values 64..72) is disjoint from every page the
+        // interleaving wrote. Over the interleaving itself the two outcomes
+        // may differ: a duplicate sequence that starts inside a promoted run
+        // finds no anchor, since run interiors stay out of the lookup path.
+        let template: Vec<u8> = (0..8).flat_map(|k| page_bytes(0, 64 + k)).collect();
+        let mut outcome = Vec::new();
+        for fs in [&extent, &per_block] {
+            let (saved, records) = (fs.bytes_saved(), fs.fact().occupied_count());
+            for c in 0..3 {
+                let ino = fs.create(&format!("clone{c}")).unwrap();
+                fs.write(ino, 0, &template).unwrap();
+                fs.drain();
+            }
+            outcome.push((
+                fs.bytes_saved() - saved,
+                fs.fact().occupied_count() - records,
+            ));
+        }
+        let ((e_saved, e_records), (p_saved, p_records)) = (outcome[0], outcome[1]);
+        prop_assert_eq!(e_saved, p_saved);
+        prop_assert_eq!(e_saved, 2 * template.len() as u64);
+        prop_assert_eq!((e_records, p_records), (1, 8), "FACT records, promoted vs per-block");
 
         // The promoted stack's dedup metadata is consistent...
         let report = fsck_fact(extent.nova(), extent.fact()).unwrap();
