@@ -27,6 +27,7 @@ use crate::twophase::{
 };
 use denova::Denova;
 use denova_nova::{NovaError, PREPARE_PREFIX};
+use denova_svc::codec::Wire;
 use denova_svc::{Body, Client, Intercept, Interceptor, Reply, Request, SvcError, TxState};
 use denova_telemetry::{Counter, Gauge};
 use parking_lot::Mutex;
@@ -192,7 +193,7 @@ impl ClusterNode {
     // ------------------------------------------------------------------
 
     fn handle_prepare(&self, txid: u64, data: &[u8]) -> Reply {
-        let chunk = PrepareChunk::decode(data)
+        let chunk = PrepareChunk::from_bytes(data)
             .map_err(|e| SvcError::service(SvcError::BAD_REQUEST, format!("bad prepare: {e}")))?;
         let stage = stage_name(txid);
         let sino = match self.fs.open(&stage) {
@@ -210,7 +211,7 @@ impl ClusterNode {
                     peer_shard: chunk.coord_shard,
                 };
                 let rino = self.fs.create(&record_name(txid)).map_err(wire)?;
-                self.fs.write(rino, 0, &rec.encode()).map_err(wire)?;
+                self.fs.write(rino, 0, &rec.to_bytes()).map_err(wire)?;
                 sino
             }
         };
@@ -263,7 +264,7 @@ impl ClusterNode {
         let ino = self.fs.open(name).ok()?;
         let size = self.fs.file_size(ino).ok()? as usize;
         let bytes = self.fs.read(ino, 0, size).ok()?;
-        TxRecord::decode(&bytes).ok()
+        TxRecord::from_bytes(&bytes).ok()
     }
 
     // ------------------------------------------------------------------
@@ -290,7 +291,7 @@ impl ClusterNode {
             peer_shard,
         };
         let rino = self.fs.create(&rec_file).map_err(wire)?;
-        self.fs.write(rino, 0, &rec.encode()).map_err(wire)?;
+        self.fs.write(rino, 0, &rec.to_bytes()).map_err(wire)?;
         self.hit_failpoint(TxStep::AfterLocalPrepare);
 
         // 2. Stream the content to the participant.
@@ -367,7 +368,7 @@ impl ClusterNode {
             };
             match peer.request(&Request::TxPrepare {
                 txid,
-                data: chunk.encode(),
+                data: chunk.to_bytes(),
             })? {
                 Body::Ino(_) => {}
                 other => {

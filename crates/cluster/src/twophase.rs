@@ -30,8 +30,7 @@
 //! [`crate::node::ClusterNode::resolve_orphans`] at startup.
 
 use denova_nova::PREPARE_PREFIX;
-use denova_svc::codec::{Dec, DecodeError, Enc};
-use denova_svc::TxState;
+use denova_svc::{wire_enum, wire_struct, TxState};
 
 /// Phase byte values (offset 0 of a record file, so the commit-point flip
 /// is a one-byte overwrite).
@@ -44,100 +43,53 @@ pub mod phase {
     pub const ABORTED: u8 = 3;
 }
 
-/// Which side of the transaction wrote this record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Owner of the source name; holds the commit point.
-    Coordinator,
-    /// Owner of the destination name; stages the content.
-    Participant,
-}
-
-/// The operation a transaction carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxKind {
-    /// Move `from` (coordinator shard) to `to` (participant shard).
-    Rename,
-    /// Copy `existing` (coordinator shard) to `new_name` (participant
-    /// shard). A cross-shard link cannot share an inode, so it degrades to
-    /// an independent copy — documented divergence from single-shard link.
-    Link,
-}
-
-impl TxKind {
-    fn to_wire(self) -> u8 {
-        match self {
-            TxKind::Rename => 1,
-            TxKind::Link => 2,
-        }
-    }
-
-    fn from_wire(v: u8) -> Result<TxKind, DecodeError> {
-        Ok(match v {
-            1 => TxKind::Rename,
-            2 => TxKind::Link,
-            _ => return Err(DecodeError("unknown tx kind")),
-        })
+wire_enum! {
+    /// Which side of the transaction wrote this record.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Role else "unknown tx role" {
+        /// Owner of the source name; holds the commit point.
+        1 "coordinator" Coordinator,
+        /// Owner of the destination name; stages the content.
+        2 "participant" Participant,
     }
 }
 
-/// A decoded `.2pc.<txid>` record (either role).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxRecord {
-    /// Current phase byte.
-    pub phase: u8,
-    /// Which side wrote it.
-    pub role: Role,
-    /// Operation kind.
-    pub kind: TxKind,
-    /// Source name (coordinator records only; empty for participants).
-    pub from: String,
-    /// Destination name.
-    pub to: String,
-    /// The other side's shard.
-    pub peer_shard: u32,
+wire_enum! {
+    /// The operation a transaction carries.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TxKind else "unknown tx kind" {
+        /// Move `from` (coordinator shard) to `to` (participant shard).
+        1 "rename" Rename,
+        /// Copy `existing` (coordinator shard) to `new_name` (participant
+        /// shard). A cross-shard link cannot share an inode, so it degrades
+        /// to an independent copy — documented divergence from single-shard
+        /// link.
+        2 "link" Link,
+    }
+}
+
+wire_struct! {
+    /// A `.2pc.<txid>` record (either role), as stored in its record file:
+    /// its fields in declaration order, so the phase byte lands at offset 0
+    /// ([`denova_svc::codec::Wire::to_bytes`] / `from_bytes`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TxRecord {
+        /// Current phase byte.
+        pub phase: u8,
+        /// Which side wrote it.
+        pub role: Role,
+        /// Operation kind.
+        pub kind: TxKind,
+        /// Source name (coordinator records only; empty for participants).
+        pub from: String,
+        /// Destination name.
+        pub to: String,
+        /// The other side's shard.
+        pub peer_shard: u32,
+    }
 }
 
 impl TxRecord {
-    /// Encode; the phase byte lands at offset 0.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u8(self.phase)
-            .u8(match self.role {
-                Role::Coordinator => 1,
-                Role::Participant => 2,
-            })
-            .u8(self.kind.to_wire())
-            .str(&self.from)
-            .str(&self.to)
-            .u32(self.peer_shard);
-        e.finish()
-    }
-
-    /// Decode a record file's contents.
-    pub fn decode(bytes: &[u8]) -> Result<TxRecord, DecodeError> {
-        let mut d = Dec::new(bytes);
-        let phase = d.u8()?;
-        let role = match d.u8()? {
-            1 => Role::Coordinator,
-            2 => Role::Participant,
-            _ => return Err(DecodeError("unknown tx role")),
-        };
-        let kind = TxKind::from_wire(d.u8()?)?;
-        let from = d.str()?.to_string();
-        let to = d.str()?.to_string();
-        let peer_shard = d.u32()?;
-        d.finish()?;
-        Ok(TxRecord {
-            phase,
-            role,
-            kind,
-            from,
-            to,
-            peer_shard,
-        })
-    }
-
     /// The [`TxState`] this record's phase answers to `TxStatus`.
     pub fn state(&self) -> TxState {
         match self.phase {
@@ -168,62 +120,32 @@ pub fn parse_record_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// One `TxPrepare` chunk: destination, kind, coordinator shard, then a slice
-/// of the staged content. `total` repeats in every chunk so the participant
-/// can validate completion without extra round trips.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrepareChunk {
-    /// Destination name on the participant shard.
-    pub to: String,
-    /// Operation kind.
-    pub kind: TxKind,
-    /// Coordinator's shard (where `TxStatus` is answered).
-    pub coord_shard: u32,
-    /// Byte offset of `data` within the staged content.
-    pub offset: u64,
-    /// Total staged-content size in bytes.
-    pub total: u64,
-    /// This chunk's bytes.
-    pub data: Vec<u8>,
-}
-
-impl PrepareChunk {
-    /// Encode as the opaque `TxPrepare` payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.str(&self.to)
-            .u8(self.kind.to_wire())
-            .u32(self.coord_shard)
-            .u64(self.offset)
-            .u64(self.total)
-            .bytes(&self.data);
-        e.finish()
-    }
-
-    /// Decode a `TxPrepare` payload.
-    pub fn decode(bytes: &[u8]) -> Result<PrepareChunk, DecodeError> {
-        let mut d = Dec::new(bytes);
-        let to = d.str()?.to_string();
-        let kind = TxKind::from_wire(d.u8()?)?;
-        let coord_shard = d.u32()?;
-        let offset = d.u64()?;
-        let total = d.u64()?;
-        let data = d.bytes()?.to_vec();
-        d.finish()?;
-        Ok(PrepareChunk {
-            to,
-            kind,
-            coord_shard,
-            offset,
-            total,
-            data,
-        })
+wire_struct! {
+    /// One `TxPrepare` chunk, the opaque payload of that request:
+    /// destination, kind, coordinator shard, then a slice of the staged
+    /// content. `total` repeats in every chunk so the participant can
+    /// validate completion without extra round trips.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PrepareChunk {
+        /// Destination name on the participant shard.
+        pub to: String,
+        /// Operation kind.
+        pub kind: TxKind,
+        /// Coordinator's shard (where `TxStatus` is answered).
+        pub coord_shard: u32,
+        /// Byte offset of `data` within the staged content.
+        pub offset: u64,
+        /// Total staged-content size in bytes.
+        pub total: u64,
+        /// This chunk's bytes.
+        pub data: Vec<u8>,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use denova_svc::codec::Wire;
 
     #[test]
     fn records_round_trip_and_flip_phase_in_place() {
@@ -235,12 +157,12 @@ mod tests {
             to: "b/dst".into(),
             peer_shard: 3,
         };
-        let mut bytes = rec.encode();
-        assert_eq!(TxRecord::decode(&bytes).unwrap(), rec);
+        let mut bytes = rec.to_bytes();
+        assert_eq!(TxRecord::from_bytes(&bytes).unwrap(), rec);
         assert_eq!(rec.state(), denova_svc::TxState::Prepared);
         // The commit point is a one-byte overwrite at offset 0.
         bytes[0] = phase::COMMITTED;
-        let committed = TxRecord::decode(&bytes).unwrap();
+        let committed = TxRecord::from_bytes(&bytes).unwrap();
         assert_eq!(committed.state(), denova_svc::TxState::Committed);
         assert_eq!(committed.to, "b/dst");
     }
@@ -265,7 +187,7 @@ mod tests {
             total: 8192,
             data: vec![7u8; 4096],
         };
-        assert_eq!(PrepareChunk::decode(&c.encode()).unwrap(), c);
-        assert!(PrepareChunk::decode(&[0, 1]).is_err());
+        assert_eq!(PrepareChunk::from_bytes(&c.to_bytes()).unwrap(), c);
+        assert!(PrepareChunk::from_bytes(&[0, 1]).is_err());
     }
 }

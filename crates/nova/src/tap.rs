@@ -74,18 +74,6 @@ pub enum FsOp {
 }
 
 impl FsOp {
-    /// Short name for logging/metrics.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FsOp::Create { .. } => "create",
-            FsOp::Write { .. } => "write",
-            FsOp::Unlink { .. } => "unlink",
-            FsOp::Link { .. } => "link",
-            FsOp::Rename { .. } => "rename",
-            FsOp::Truncate { .. } => "truncate",
-        }
-    }
-
     /// Payload bytes carried by the op (write data), for lag accounting.
     pub fn payload_bytes(&self) -> usize {
         match self {

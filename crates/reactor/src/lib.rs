@@ -233,6 +233,25 @@ impl ConnIo<'_> {
         *self.paused = false;
     }
 
+    /// Take, in send order, the frames other threads sent this connection
+    /// through its [`ReplyHandle`]s that the loop has not yet passed to
+    /// [`ConnHandler::on_reply`]. A handler about to [`ConnIo::send`] a
+    /// frame of its own delivers these first, so its frame cannot overtake
+    /// a reply that was already handed back.
+    pub fn take_replies(&mut self) -> Vec<Vec<u8>> {
+        let mut cmds = self.shared.cmds.lock();
+        let mut replies = Vec::new();
+        let mut rest = Vec::with_capacity(cmds.len());
+        for cmd in cmds.drain(..) {
+            match cmd {
+                Cmd::Reply(token, frame) if token == self.token => replies.push(frame),
+                other => rest.push(other),
+            }
+        }
+        *cmds = rest;
+        replies
+    }
+
     /// A handle for delivering replies to this connection from other
     /// threads.
     pub fn reply_handle(&self) -> ReplyHandle {
@@ -310,6 +329,10 @@ impl EventLoop {
             if batch.is_empty() {
                 return;
             }
+            // Every reply in the batch is delivered before any connection
+            // decodes another frame: a frame answered on this thread must
+            // not overtake a reply sitting later in the batch.
+            let mut replied = Vec::new();
             for cmd in batch {
                 match cmd {
                     Cmd::Register(sock, handler) => self.register_conn(sock, handler),
@@ -336,7 +359,7 @@ impl EventLoop {
                                 shared: &c.shared,
                             };
                             c.handler.on_reply(&mut io, frame);
-                            self.progress_conn(token);
+                            replied.push(token);
                         }
                     }
                     Cmd::Close(token) => {
@@ -360,6 +383,11 @@ impl EventLoop {
                         }
                     }
                 }
+            }
+            replied.sort_unstable();
+            replied.dedup();
+            for token in replied {
+                self.progress_conn(token);
             }
         }
     }

@@ -26,8 +26,8 @@
 use crate::journal::{EntriesFrom, Journal, JournalConfig};
 use denova::Denova;
 use denova_nova::{FsOp, OpTap};
-use denova_svc::codec::{read_frame, write_frame, FrameRead};
-use denova_svc::repl::{encode_entries_raw, encode_op, ReplMsg};
+use denova_svc::codec::{read_frame, write_frame, FrameRead, Wire};
+use denova_svc::repl::{encode_entries_raw, ReplMsg};
 use denova_svc::{Server, Stream};
 use denova_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -117,7 +117,7 @@ impl OpTap for JournalTap {
     /// Append phase: runs inside the committing critical section, so the
     /// journal serializes ops in commit order. Never blocks.
     fn op_committed(&self, op: FsOp) -> u64 {
-        self.shared.journal.append(encode_op(&op))
+        self.shared.journal.append(op.to_bytes())
     }
 
     /// Settle phase: runs after the committing locks are released. The

@@ -13,11 +13,17 @@
 //! | `u16`   | 2 bytes                      |
 //! | `u32`   | 4 bytes                      |
 //! | `u64`   | 8 bytes                      |
+//! | `bool`  | 1 byte, `0` or `1`           |
 //! | `bytes` | `u32` length + raw bytes     |
 //! | `str`   | `bytes`, contents UTF-8      |
 //!
 //! [`Enc`] builds payloads; [`Dec`] walks them, returning
 //! [`DecodeError`] (never panicking) on truncated or malformed input.
+//!
+//! Every message family is declared once, as rows of
+//! `tag "name" Variant { fields }` ([`wire_enum!`](crate::wire_enum);
+//! structs: [`wire_struct!`](crate::wire_struct)), and its [`Wire`] codec
+//! and accessors are generated from those rows.
 
 use denova_reactor::frame::write_frame_rest;
 use std::io::{self, Read, Write};
@@ -250,6 +256,20 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| DecodeError("invalid utf-8"))
     }
 
+    /// A `u32` count, then that many items read by `item`. The count is the
+    /// peer's claim, so no more than a sane bound is reserved up front.
+    pub fn counted<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let count = self.u32()? as usize;
+        let mut out = Vec::with_capacity(count.min(65_536));
+        for _ in 0..count {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
     /// Assert the whole payload was consumed.
     pub fn finish(&self) -> Result<(), DecodeError> {
         if self.pos == self.buf.len() {
@@ -258,6 +278,320 @@ impl<'a> Dec<'a> {
             Err(DecodeError("trailing bytes"))
         }
     }
+}
+
+/// A value with exactly one wire form: [`Wire::put`] appends it to a
+/// payload, [`Wire::take`] reads it back and is total — malformed input is a
+/// [`DecodeError`], never a panic.
+pub trait Wire: Sized {
+    /// Append this value.
+    fn put(&self, e: &mut Enc);
+
+    /// Read one value.
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
+
+    /// This value alone, as a payload.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.put(&mut e);
+        e.finish()
+    }
+
+    /// Decode a payload that holds exactly this one value (trailing bytes
+    /// are an error).
+    fn from_bytes(payload: &[u8]) -> Result<Self, DecodeError> {
+        let mut d = Dec::new(payload);
+        let v = Self::take(&mut d)?;
+        d.finish()?;
+        Ok(v)
+    }
+}
+
+macro_rules! wire_ints {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                e.$t(*self);
+            }
+
+            #[inline]
+            fn take(d: &mut Dec<'_>) -> Result<$t, DecodeError> {
+                d.$t()
+            }
+        }
+    )*};
+}
+
+wire_ints!(u8, u16, u32, u64);
+
+/// One byte, `0` or `1`. Anything else is rejected, so no two byte strings
+/// decode to the same message.
+impl Wire for bool {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.u8(*self as u8);
+    }
+
+    #[inline]
+    fn take(d: &mut Dec<'_>) -> Result<bool, DecodeError> {
+        match d.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError("bool is neither 0 nor 1")),
+        }
+    }
+}
+
+macro_rules! wire_owned {
+    ($($t:ty: $f:ident, $own:ident;)*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                e.$f(self);
+            }
+
+            #[inline]
+            fn take(d: &mut Dec<'_>) -> Result<$t, DecodeError> {
+                Ok(d.$f()?.$own())
+            }
+        }
+    )*};
+}
+
+// Strings and payload bytes: one copy in, one copy out, never a per-byte
+// loop.
+wire_owned!(String: str, to_owned; Vec<u8>: bytes, to_vec;);
+
+/// A `u32` count, then each string.
+impl Wire for Vec<String> {
+    fn put(&self, e: &mut Enc) {
+        e.u32(self.len() as u32);
+        for s in self {
+            e.str(s);
+        }
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Vec<String>, DecodeError> {
+        d.counted(String::take)
+    }
+}
+
+/// A message family declared with [`wire_enum!`](crate::wire_enum): its
+/// table, and the row each value belongs to.
+pub trait WireEnum: Wire {
+    /// `(tag, name)` of every row, in declaration order.
+    const ROWS: &'static [(u8, &'static str)];
+
+    /// This value's tag (its first byte on the wire).
+    fn tag(&self) -> u8;
+
+    /// This value's row name.
+    fn name(&self) -> &'static str;
+}
+
+/// The position of the row called `name` in `rows`, looked up at compile
+/// time by the paths that bypass the table. A name no row declares fails
+/// the build.
+pub const fn row_of(rows: &[(u8, &str)], name: &str) -> usize {
+    let mut i = 0;
+    while i < rows.len() {
+        let (row, want) = (rows[i].1.as_bytes(), name.as_bytes());
+        let mut j = 0;
+        while j < row.len() && j < want.len() && row[j] == want[j] {
+            j += 1;
+        }
+        if j == row.len() && j == want.len() {
+            return i;
+        }
+        i += 1;
+    }
+    panic!("no row has this name")
+}
+
+/// Declare a message family as one table and derive its codec from it.
+///
+/// ```
+/// denova_svc::wire_enum! {
+///     /// A tiny family.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Shape else "unknown shape" {
+///         /// No fields.
+///         1 "dot" Dot,
+///         /// Named fields, encoded in declaration order.
+///         2 "line" Line {
+///             /// Length.
+///             len: u32,
+///         },
+///         /// One unnamed field.
+///         3 "label" Label(String),
+///     }
+/// }
+/// use denova_svc::codec::{Wire, WireEnum};
+/// let line = Shape::Line { len: 7 };
+/// assert_eq!(line.to_bytes(), [2, 7, 0, 0, 0]);
+/// assert_eq!(Shape::from_bytes(&[2, 7, 0, 0, 0]), Ok(line));
+/// assert_eq!((Shape::Dot.tag(), Shape::Dot.name()), (1, "dot"));
+/// assert!(Shape::from_bytes(&[9]).is_err());
+/// ```
+///
+/// Each row is `tag "name" Variant`, then nothing (a unit variant), named
+/// fields in braces, or one unnamed field in parentheses; `///` docs on rows
+/// and fields are kept. A value's wire form is its tag byte, then each field's
+/// [`Wire`] form in declaration order. The header's `else "…"` is the
+/// [`DecodeError`] for a tag no row declares.
+///
+/// Generated: the enum, [`Wire`] and [`WireEnum`] for it, and with
+/// `metric "prefix."` in the header `METRICS`/`metric()`, each row's latency
+/// histogram `prefix<name>.ns`. `impl Type else "…" { rows }` implements the
+/// two traits for an enum declared elsewhere (its rows carry no docs).
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $E:ident else $unknown:literal $(metric $prefix:literal)? {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal $name:literal $V:ident $({ $($sf:tt)* })? $(( $($tf:tt)* ))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $E {
+            $( $(#[$vmeta])* $V $({ $($sf)* })? $(( $($tf)* ))?, )*
+        }
+
+        $crate::wire_enum! {
+            impl $E else $unknown {
+                $( $tag $name $V $({ $($sf)* })? $(( $($tf)* ))? ),*
+            }
+        }
+
+        $crate::wire_enum!(@metric $E $($prefix)? { $($V $name),* });
+    };
+
+    (
+        impl $E:ident else $unknown:literal {
+            $( $tag:literal $name:literal $V:ident $({ $($sf:tt)* })? $(( $($tf:tt)* ))? ),* $(,)?
+        }
+    ) => {
+        impl $crate::codec::Wire for $E {
+            #[inline]
+            fn put(&self, e: &mut $crate::codec::Enc) {
+                match self {
+                    $(
+                        $crate::wire_enum!(@pat v $V $({ $($sf)* })? $(( $($tf)* ))?) => {
+                            e.u8($tag);
+                            $crate::wire_enum!(@put e v $({ $($sf)* })? $(( $($tf)* ))?);
+                        }
+                    )*
+                }
+            }
+
+            #[inline]
+            fn take(
+                d: &mut $crate::codec::Dec<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::DecodeError> {
+                Ok(match d.u8()? {
+                    $( $tag => $crate::wire_enum!(@take d $V $({ $($sf)* })? $(( $($tf)* ))?), )*
+                    _ => return Err($crate::codec::DecodeError($unknown)),
+                })
+            }
+        }
+
+        impl $crate::codec::WireEnum for $E {
+            const ROWS: &'static [(u8, &'static str)] = &[$(($tag, $name)),*];
+
+            #[inline]
+            fn tag(&self) -> u8 {
+                match self {
+                    $( Self::$V { .. } => $tag, )*
+                }
+            }
+
+            fn name(&self) -> &'static str {
+                match self {
+                    $( Self::$V { .. } => $name, )*
+                }
+            }
+        }
+    };
+
+    // A row's pattern, binding its fields (by name, or the one unnamed
+    // field as `$v`).
+    (@pat $v:ident $V:ident { $( $(#[$m:meta])* $f:ident : $t:ty ),* $(,)? }) => {
+        Self::$V { $($f),* }
+    };
+    (@pat $v:ident $V:ident ( $(#[$m:meta])* $t:ty )) => { Self::$V($v) };
+    (@pat $v:ident $V:ident) => { Self::$V };
+
+    // Put the fields a row's pattern bound, in declaration order.
+    (@put $e:ident $v:ident { $( $(#[$m:meta])* $f:ident : $t:ty ),* $(,)? }) => {
+        $( $crate::codec::Wire::put($f, $e); )*
+    };
+    (@put $e:ident $v:ident ( $(#[$m:meta])* $t:ty )) => { $crate::codec::Wire::put($v, $e) };
+    (@put $e:ident $v:ident) => {};
+
+    // Take a row's fields, in declaration order.
+    (@take $d:ident $V:ident { $( $(#[$m:meta])* $f:ident : $t:ty ),* $(,)? }) => {
+        Self::$V { $( $f: $crate::codec::Wire::take($d)? ),* }
+    };
+    (@take $d:ident $V:ident ( $(#[$m:meta])* $t:ty )) => {
+        Self::$V($crate::codec::Wire::take($d)?)
+    };
+    (@take $d:ident $V:ident) => { Self::$V };
+
+    (@metric $E:ident { $($V:ident $name:literal),* }) => {};
+    (@metric $E:ident $prefix:literal { $($V:ident $name:literal),* }) => {
+        impl $E {
+            /// Each row's latency histogram, in row order.
+            pub const METRICS: &'static [&'static str] = &[$(concat!($prefix, $name, ".ns")),*];
+
+            /// The latency histogram this value's row records into.
+            pub fn metric(&self) -> &'static str {
+                match self {
+                    $( Self::$V { .. } => concat!($prefix, $name, ".ns"), )*
+                }
+            }
+        }
+    };
+}
+
+/// Declare a struct whose wire form is its fields' [`Wire`] forms in
+/// declaration order, and implement [`Wire`] for it; or, as
+/// `wire_struct!(impl Type { field, … })`, implement it for a struct
+/// declared elsewhere, fields in the order listed.
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $S:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $f:ident : $t:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $S {
+            $( $(#[$fmeta])* $fvis $f: $t, )*
+        }
+
+        $crate::wire_struct!(impl $S { $($f),* });
+    };
+
+    (impl $S:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::codec::Wire for $S {
+            #[inline]
+            fn put(&self, e: &mut $crate::codec::Enc) {
+                $( $crate::codec::Wire::put(&self.$f, e); )*
+            }
+
+            #[inline]
+            fn take(
+                d: &mut $crate::codec::Dec<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::DecodeError> {
+                Ok(Self { $( $f: $crate::codec::Wire::take(d)? ),* })
+            }
+        }
+    };
 }
 
 #[cfg(test)]

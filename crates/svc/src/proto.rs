@@ -6,7 +6,8 @@
 //! req_id:u64 | opcode:u8 | op-specific fields
 //! ```
 //!
-//! and the matching reply is
+//! with one row per opcode in [`Request`]'s table (see
+//! [`crate::wire_enum`]); the matching reply is
 //!
 //! ```text
 //! req_id:u64 | code:u16 | ok-body (code = 0)  or  detail:u64 msg:str (code ≠ 0)
@@ -18,220 +19,148 @@
 //! echoes it verbatim, so pipelined clients can have several requests in
 //! flight (bounded by the server's per-connection inflight cap).
 
-use crate::codec::{Dec, DecodeError, Enc};
+use crate::codec::{row_of, Dec, DecodeError, Enc, Wire, WireEnum};
+use crate::{wire_enum, wire_struct};
 use denova_nova::{FileStat, NovaError};
 
-/// Opcodes. Stable wire ABI — never renumber.
-pub mod op {
-    /// Liveness probe; echoes an empty body.
-    pub const PING: u8 = 1;
-    /// Create an empty file by name → inode number.
-    pub const CREATE: u8 = 2;
-    /// Look up a file by name → inode number.
-    pub const OPEN: u8 = 3;
-    /// Read `len` bytes at `offset` → bytes (short at EOF).
-    pub const READ: u8 = 4;
-    /// Write bytes at `offset` → bytes written.
-    pub const WRITE: u8 = 5;
-    /// Remove a file by name.
-    pub const UNLINK: u8 = 6;
-    /// Hard-link an existing file under a new name → inode number.
-    pub const LINK: u8 = 7;
-    /// Rename (clobbers the target).
-    pub const RENAME: u8 = 8;
-    /// File metadata by inode → stat body.
-    pub const STAT: u8 = 9;
-    /// List all file names.
-    pub const LIST: u8 = 10;
-    /// Flush: drain the dedup daemon so queued work is applied.
-    pub const FSYNC: u8 = 11;
-    /// Truncate a file to a byte size.
-    pub const TRUNCATE: u8 = 12;
-    /// Deduplication and space statistics → dedup-stats body.
-    pub const DEDUP_STATS: u8 = 13;
-    /// Rendered telemetry snapshot (text or JSON) → string body.
-    pub const TELEMETRY: u8 = 14;
-    /// Ask the server to drain and shut down (acknowledged before exit).
-    pub const SHUTDOWN: u8 = 15;
-    /// Promote a standby replica to primary (no-op acknowledged on a
-    /// server that is already primary).
-    pub const PROMOTE: u8 = 16;
-    /// Fetch the serving node's cluster map → bytes body (cluster-encoded).
-    pub const MAP_GET: u8 = 17;
-    /// Offer a cluster map; the node adopts it if newer and always replies
-    /// with its (possibly merged) current map → bytes body.
-    pub const MAP_PUSH: u8 = 18;
-    /// Two-phase-commit participant: durably stage a cross-shard operation
-    /// under `txid` → inode of the staged target.
-    pub const TX_PREPARE: u8 = 19;
-    /// Two-phase-commit participant: apply a prepared transaction
-    /// (idempotent — re-committing an already-applied txid acknowledges).
-    pub const TX_COMMIT: u8 = 20;
-    /// Two-phase-commit participant: discard a prepared transaction
-    /// (idempotent — aborting an unknown txid acknowledges).
-    pub const TX_ABORT: u8 = 21;
-    /// Query a coordinator's durable decision for `txid` → tx-state body.
-    pub const TX_STATUS: u8 = 22;
-    /// Declare the connection's tenant for QoS accounting and weighted-fair
-    /// scheduling. Connections that never send it run as the default tenant,
-    /// so pre-tenant clients keep working unchanged.
-    pub const HELLO: u8 = 23;
-}
-
-/// A decoded request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// See [`op::PING`].
-    Ping,
-    /// See [`op::CREATE`].
-    Create {
-        /// File name.
-        name: String,
-    },
-    /// See [`op::OPEN`].
-    Open {
-        /// File name.
-        name: String,
-    },
-    /// See [`op::READ`].
-    Read {
-        /// Inode number.
-        ino: u64,
-        /// Byte offset.
-        offset: u64,
-        /// Bytes requested.
-        len: u32,
-    },
-    /// See [`op::WRITE`].
-    Write {
-        /// Inode number.
-        ino: u64,
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to write.
-        data: Vec<u8>,
-    },
-    /// See [`op::UNLINK`].
-    Unlink {
-        /// File name.
-        name: String,
-    },
-    /// See [`op::LINK`].
-    Link {
-        /// Existing file name.
-        existing: String,
-        /// New name.
-        new_name: String,
-    },
-    /// See [`op::RENAME`].
-    Rename {
-        /// Current name.
-        from: String,
-        /// New name.
-        to: String,
-    },
-    /// See [`op::STAT`].
-    Stat {
-        /// Inode number.
-        ino: u64,
-    },
-    /// See [`op::LIST`].
-    List,
-    /// See [`op::FSYNC`].
-    Fsync {
-        /// Inode the caller is syncing (used for shard routing).
-        ino: u64,
-    },
-    /// See [`op::TRUNCATE`].
-    Truncate {
-        /// Inode number.
-        ino: u64,
-        /// New size in bytes.
-        size: u64,
-    },
-    /// See [`op::DEDUP_STATS`].
-    DedupStats,
-    /// See [`op::TELEMETRY`].
-    Telemetry {
-        /// `true` for JSON, `false` for human-readable text.
-        json: bool,
-    },
-    /// See [`op::SHUTDOWN`].
-    Shutdown,
-    /// See [`op::PROMOTE`].
-    Promote,
-    /// See [`op::MAP_GET`].
-    MapGet,
-    /// See [`op::MAP_PUSH`].
-    MapPush {
-        /// Cluster-map bytes (opaque to this layer; `crates/cluster` defines
-        /// the encoding so the wire protocol stays map-version agnostic).
-        map: Vec<u8>,
-    },
-    /// See [`op::TX_PREPARE`].
-    TxPrepare {
-        /// Cluster-wide transaction id (unique per coordinator decision).
-        txid: u64,
-        /// Opaque prepare payload defined by `crates/cluster` (operation
-        /// kind, target name, staged content chunk).
-        data: Vec<u8>,
-    },
-    /// See [`op::TX_COMMIT`].
-    TxCommit {
-        /// Transaction id to apply.
-        txid: u64,
-    },
-    /// See [`op::TX_ABORT`].
-    TxAbort {
-        /// Transaction id to discard.
-        txid: u64,
-    },
-    /// See [`op::TX_STATUS`].
-    TxStatus {
-        /// Transaction id to query.
-        txid: u64,
-    },
-    /// See [`op::HELLO`].
-    Hello {
-        /// Tenant name this connection's requests are accounted to. The
-        /// server interns the name; an empty string selects the default
-        /// tenant.
-        tenant: String,
-        /// Scheduling weight hint (0 = keep the server's current weight).
-        weight: u32,
-    },
+wire_enum! {
+    /// A decoded request. One row per opcode: the opcode is the stable wire
+    /// ABI (never renumber), the name keys per-op telemetry
+    /// (`svc.op.<name>.ns`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request else "unknown opcode" metric "svc.op." {
+        /// Liveness probe; echoes an empty body.
+        1 "ping" Ping,
+        /// Create an empty file by name → inode number.
+        2 "create" Create {
+            /// File name.
+            name: String,
+        },
+        /// Look up a file by name → inode number.
+        3 "open" Open {
+            /// File name.
+            name: String,
+        },
+        /// Read `len` bytes at `offset` → bytes (short at EOF).
+        4 "read" Read {
+            /// Inode number.
+            ino: u64,
+            /// Byte offset.
+            offset: u64,
+            /// Bytes requested.
+            len: u32,
+        },
+        /// Write bytes at `offset` → bytes written.
+        5 "write" Write {
+            /// Inode number.
+            ino: u64,
+            /// Byte offset.
+            offset: u64,
+            /// Bytes to write.
+            data: Vec<u8>,
+        },
+        /// Remove a file by name.
+        6 "unlink" Unlink {
+            /// File name.
+            name: String,
+        },
+        /// Hard-link an existing file under a new name → inode number.
+        7 "link" Link {
+            /// Existing file name.
+            existing: String,
+            /// New name.
+            new_name: String,
+        },
+        /// Rename (clobbers the target).
+        8 "rename" Rename {
+            /// Current name.
+            from: String,
+            /// New name.
+            to: String,
+        },
+        /// File metadata by inode → stat body.
+        9 "stat" Stat {
+            /// Inode number.
+            ino: u64,
+        },
+        /// List all file names.
+        10 "list" List,
+        /// Flush: drain the dedup daemon so queued work is applied.
+        11 "fsync" Fsync {
+            /// Inode the caller is syncing (used for shard routing).
+            ino: u64,
+        },
+        /// Truncate a file to a byte size.
+        12 "truncate" Truncate {
+            /// Inode number.
+            ino: u64,
+            /// New size in bytes.
+            size: u64,
+        },
+        /// Deduplication and space statistics → dedup-stats body.
+        13 "dedup_stats" DedupStats,
+        /// Rendered telemetry snapshot (text or JSON) → text body.
+        14 "telemetry" Telemetry {
+            /// `true` for JSON, `false` for human-readable text.
+            json: bool,
+        },
+        /// Ask the server to drain and shut down (acknowledged before exit).
+        15 "shutdown" Shutdown,
+        /// Promote a standby replica to primary (no-op acknowledged on a
+        /// server that is already primary).
+        16 "promote" Promote,
+        /// Fetch the serving node's cluster map → bytes body
+        /// (cluster-encoded).
+        17 "map_get" MapGet,
+        /// Offer a cluster map; the node adopts it if newer and always
+        /// replies with its (possibly merged) current map → bytes body.
+        18 "map_push" MapPush {
+            /// Cluster-map bytes (opaque to this layer; `crates/cluster`
+            /// defines the encoding so the wire protocol stays map-version
+            /// agnostic).
+            map: Vec<u8>,
+        },
+        /// Two-phase-commit participant: durably stage a cross-shard
+        /// operation under `txid` → inode of the staged target.
+        19 "tx_prepare" TxPrepare {
+            /// Cluster-wide transaction id (unique per coordinator decision).
+            txid: u64,
+            /// Opaque prepare payload defined by `crates/cluster` (operation
+            /// kind, target name, staged content chunk).
+            data: Vec<u8>,
+        },
+        /// Two-phase-commit participant: apply a prepared transaction
+        /// (idempotent — re-committing an already-applied txid acknowledges).
+        20 "tx_commit" TxCommit {
+            /// Transaction id to apply.
+            txid: u64,
+        },
+        /// Two-phase-commit participant: discard a prepared transaction
+        /// (idempotent — aborting an unknown txid acknowledges).
+        21 "tx_abort" TxAbort {
+            /// Transaction id to discard.
+            txid: u64,
+        },
+        /// Query a coordinator's durable decision for `txid` → tx-state body.
+        22 "tx_status" TxStatus {
+            /// Transaction id to query.
+            txid: u64,
+        },
+        /// Declare the connection's tenant for QoS accounting and
+        /// weighted-fair scheduling. Connections that never send it run as
+        /// the default tenant, so pre-tenant clients keep working unchanged.
+        23 "hello" Hello {
+            /// Tenant name this connection's requests are accounted to. The
+            /// server interns the name; an empty string selects the default
+            /// tenant.
+            tenant: String,
+            /// Scheduling weight hint (0 = keep the server's current weight).
+            weight: u32,
+        },
+    }
 }
 
 impl Request {
-    /// This request's opcode.
-    pub fn opcode(&self) -> u8 {
-        match self {
-            Request::Ping => op::PING,
-            Request::Create { .. } => op::CREATE,
-            Request::Open { .. } => op::OPEN,
-            Request::Read { .. } => op::READ,
-            Request::Write { .. } => op::WRITE,
-            Request::Unlink { .. } => op::UNLINK,
-            Request::Link { .. } => op::LINK,
-            Request::Rename { .. } => op::RENAME,
-            Request::Stat { .. } => op::STAT,
-            Request::List => op::LIST,
-            Request::Fsync { .. } => op::FSYNC,
-            Request::Truncate { .. } => op::TRUNCATE,
-            Request::DedupStats => op::DEDUP_STATS,
-            Request::Telemetry { .. } => op::TELEMETRY,
-            Request::Shutdown => op::SHUTDOWN,
-            Request::Promote => op::PROMOTE,
-            Request::MapGet => op::MAP_GET,
-            Request::MapPush { .. } => op::MAP_PUSH,
-            Request::TxPrepare { .. } => op::TX_PREPARE,
-            Request::TxCommit { .. } => op::TX_COMMIT,
-            Request::TxAbort { .. } => op::TX_ABORT,
-            Request::TxStatus { .. } => op::TX_STATUS,
-            Request::Hello { .. } => op::HELLO,
-        }
-    }
-
     /// True for requests that modify file-system state. A standby replica
     /// rejects these with [`SvcError::REPLICA_READ_ONLY`]; everything else
     /// (reads, stats, fsync, shutdown, promote) is served locally.
@@ -274,32 +203,7 @@ impl Request {
 
     /// Short name used for per-op telemetry metrics (`svc.op.<name>`).
     pub fn op_name(&self) -> &'static str {
-        match self.opcode() {
-            op::PING => "ping",
-            op::CREATE => "create",
-            op::OPEN => "open",
-            op::READ => "read",
-            op::WRITE => "write",
-            op::UNLINK => "unlink",
-            op::LINK => "link",
-            op::RENAME => "rename",
-            op::STAT => "stat",
-            op::LIST => "list",
-            op::FSYNC => "fsync",
-            op::TRUNCATE => "truncate",
-            op::DEDUP_STATS => "dedup_stats",
-            op::TELEMETRY => "telemetry",
-            op::SHUTDOWN => "shutdown",
-            op::PROMOTE => "promote",
-            op::MAP_GET => "map_get",
-            op::MAP_PUSH => "map_push",
-            op::TX_PREPARE => "tx_prepare",
-            op::TX_COMMIT => "tx_commit",
-            op::TX_ABORT => "tx_abort",
-            op::TX_STATUS => "tx_status",
-            op::HELLO => "hello",
-            _ => unreachable!(),
-        }
+        self.name()
     }
 
     /// Worker-pool routing key: requests with the same key execute in
@@ -336,54 +240,11 @@ impl Request {
         }
     }
 
-    /// Encode as a full request payload.
+    /// Encode as a full request payload: `req_id`, then the row.
     pub fn encode(&self, req_id: u64) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u64(req_id).u8(self.opcode());
-        match self {
-            Request::Ping
-            | Request::List
-            | Request::DedupStats
-            | Request::Shutdown
-            | Request::Promote
-            | Request::MapGet => {}
-            Request::Create { name } | Request::Open { name } | Request::Unlink { name } => {
-                e.str(name);
-            }
-            Request::Read { ino, offset, len } => {
-                e.u64(*ino).u64(*offset).u32(*len);
-            }
-            Request::Write { ino, offset, data } => {
-                e.u64(*ino).u64(*offset).bytes(data);
-            }
-            Request::Link { existing, new_name } => {
-                e.str(existing).str(new_name);
-            }
-            Request::Rename { from, to } => {
-                e.str(from).str(to);
-            }
-            Request::Stat { ino } | Request::Fsync { ino } => {
-                e.u64(*ino);
-            }
-            Request::Truncate { ino, size } => {
-                e.u64(*ino).u64(*size);
-            }
-            Request::Telemetry { json } => {
-                e.u8(*json as u8);
-            }
-            Request::MapPush { map } => {
-                e.bytes(map);
-            }
-            Request::TxPrepare { txid, data } => {
-                e.u64(*txid).bytes(data);
-            }
-            Request::TxCommit { txid } | Request::TxAbort { txid } | Request::TxStatus { txid } => {
-                e.u64(*txid);
-            }
-            Request::Hello { tenant, weight } => {
-                e.str(tenant).u32(*weight);
-            }
-        }
+        e.u64(req_id);
+        self.put(&mut e);
         e.finish()
     }
 
@@ -391,70 +252,13 @@ impl Request {
     pub fn decode(payload: &[u8]) -> Result<(u64, Request), DecodeError> {
         let mut d = Dec::new(payload);
         let req_id = d.u64()?;
-        let opcode = d.u8()?;
-        let req = match opcode {
-            op::PING => Request::Ping,
-            op::CREATE => Request::Create {
-                name: d.str()?.to_string(),
-            },
-            op::OPEN => Request::Open {
-                name: d.str()?.to_string(),
-            },
-            op::READ => Request::Read {
-                ino: d.u64()?,
-                offset: d.u64()?,
-                len: d.u32()?,
-            },
-            op::WRITE => Request::Write {
-                ino: d.u64()?,
-                offset: d.u64()?,
-                data: d.bytes()?.to_vec(),
-            },
-            op::UNLINK => Request::Unlink {
-                name: d.str()?.to_string(),
-            },
-            op::LINK => Request::Link {
-                existing: d.str()?.to_string(),
-                new_name: d.str()?.to_string(),
-            },
-            op::RENAME => Request::Rename {
-                from: d.str()?.to_string(),
-                to: d.str()?.to_string(),
-            },
-            op::STAT => Request::Stat { ino: d.u64()? },
-            op::LIST => Request::List,
-            op::FSYNC => Request::Fsync { ino: d.u64()? },
-            op::TRUNCATE => Request::Truncate {
-                ino: d.u64()?,
-                size: d.u64()?,
-            },
-            op::DEDUP_STATS => Request::DedupStats,
-            op::TELEMETRY => Request::Telemetry { json: d.u8()? != 0 },
-            op::SHUTDOWN => Request::Shutdown,
-            op::PROMOTE => Request::Promote,
-            op::MAP_GET => Request::MapGet,
-            op::MAP_PUSH => Request::MapPush {
-                map: d.bytes()?.to_vec(),
-            },
-            op::TX_PREPARE => Request::TxPrepare {
-                txid: d.u64()?,
-                data: d.bytes()?.to_vec(),
-            },
-            op::TX_COMMIT => Request::TxCommit { txid: d.u64()? },
-            op::TX_ABORT => Request::TxAbort { txid: d.u64()? },
-            op::TX_STATUS => Request::TxStatus { txid: d.u64()? },
-            op::HELLO => Request::Hello {
-                tenant: d.str()?.to_string(),
-                weight: d.u32()?,
-            },
-            _ => return Err(DecodeError("unknown opcode")),
-        };
+        let req = Request::take(&mut d)?;
         d.finish()?;
         Ok((req_id, req))
     }
 }
 
-/// A borrowed view of a [`op::WRITE`] request inside its undecoded frame
+/// A borrowed view of a [`Request::Write`] inside its undecoded frame
 /// payload: header fields parsed, data left in place. The zero-copy write
 /// path uses it to hand `&frame[data_off..]` straight to the file system's
 /// vectored write, so page-aligned payloads go socket buffer → PM extent
@@ -473,15 +277,21 @@ pub struct WriteRef {
     pub data_len: usize,
 }
 
+/// WRITE's row, for the zero-copy path that bypasses decoding.
+const WRITE: usize = row_of(Request::ROWS, "write");
+
+/// A write's latency histogram, also when it bypassed decoding.
+pub(crate) const WRITE_METRIC: &str = Request::METRICS[WRITE];
+
 /// Fixed prefix of a WRITE payload: req_id(8) + opcode(1) + ino(8) +
 /// offset(8) + data length(4).
 const WRITE_HEADER: usize = 29;
 
-/// Parse `payload` as a [`op::WRITE`] request without copying the data.
+/// Parse `payload` as a [`Request::Write`] without copying the data.
 /// Returns `None` for anything that is not a well-formed write — the caller
 /// falls back to [`Request::decode`], which produces the proper error reply.
 pub fn decode_write_ref(payload: &[u8]) -> Option<WriteRef> {
-    if payload.len() < WRITE_HEADER || payload[8] != op::WRITE {
+    if payload.len() < WRITE_HEADER || payload[8] != Request::ROWS[WRITE].0 {
         return None;
     }
     let u64_at = |i: usize| u64::from_le_bytes(payload[i..i + 8].try_into().unwrap());
@@ -511,111 +321,83 @@ pub fn hash_name(name: &str) -> u64 {
     h
 }
 
-/// Dedup/space statistics carried by [`Body::DedupStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RemoteDedupStats {
-    /// Session bytes saved (resets on remount).
-    pub bytes_saved: u64,
-    /// Bytes saved derived from persistent FACT reference counts.
-    pub persistent_bytes_saved: u64,
-    /// FACT capacity in entries.
-    pub fact_entries: u64,
-    /// Occupied FACT entries.
-    pub fact_occupied: u64,
-    /// Deduplication work-queue backlog.
-    pub dwq_len: u64,
-    /// DRAM consumed by dedup index structures (0 for FACT modes).
-    pub dedup_index_dram_bytes: u64,
-    /// Free data blocks.
-    pub free_blocks: u64,
-    /// Total data blocks.
-    pub data_blocks: u64,
-    /// Live files.
-    pub file_count: u64,
-    /// Device capacity in bytes.
-    pub device_bytes: u64,
-    /// Dedup worker threads the serving mount runs with.
-    pub dedup_workers: u64,
-    /// Nonzero when the serving node's sync-ack replication has been
-    /// degraded at least once (`repl.sync_degraded` latched): some op was
-    /// acknowledged without standby durability. Always 0 without
-    /// replication.
-    pub sync_degraded: u64,
-}
-
-/// Body tags inside an OK reply. Stable wire ABI.
-mod body_tag {
-    pub const EMPTY: u8 = 0;
-    pub const INO: u8 = 1;
-    pub const BYTES: u8 = 2;
-    pub const WRITTEN: u8 = 3;
-    pub const STAT: u8 = 4;
-    pub const NAMES: u8 = 5;
-    pub const DEDUP_STATS: u8 = 6;
-    pub const TEXT: u8 = 7;
-    pub const TX_STATE: u8 = 8;
-}
-
-/// Durable two-phase-commit state of a transaction, as answered by
-/// [`Request::TxStatus`]. `None` is the presumed-abort default: a coordinator
-/// that crashed before its durable commit point leaves no record, and the
-/// participant must roll back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxState {
-    /// No durable record — presumed abort.
-    None,
-    /// Prepared but not yet decided.
-    Prepared,
-    /// Durably decided: commit.
-    Committed,
-    /// Durably decided: abort.
-    Aborted,
-}
-
-impl TxState {
-    /// Stable wire value.
-    pub fn to_wire(self) -> u8 {
-        match self {
-            TxState::None => 0,
-            TxState::Prepared => 1,
-            TxState::Committed => 2,
-            TxState::Aborted => 3,
-        }
-    }
-
-    /// Decode a wire value.
-    pub fn from_wire(v: u8) -> Result<TxState, DecodeError> {
-        Ok(match v {
-            0 => TxState::None,
-            1 => TxState::Prepared,
-            2 => TxState::Committed,
-            3 => TxState::Aborted,
-            _ => return Err(DecodeError("unknown tx state")),
-        })
+wire_struct! {
+    /// Dedup/space statistics carried by [`Body::DedupStats`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct RemoteDedupStats {
+        /// Session bytes saved (resets on remount).
+        pub bytes_saved: u64,
+        /// Bytes saved derived from persistent FACT reference counts.
+        pub persistent_bytes_saved: u64,
+        /// FACT capacity in entries.
+        pub fact_entries: u64,
+        /// Occupied FACT entries.
+        pub fact_occupied: u64,
+        /// Deduplication work-queue backlog.
+        pub dwq_len: u64,
+        /// DRAM consumed by dedup index structures (0 for FACT modes).
+        pub dedup_index_dram_bytes: u64,
+        /// Free data blocks.
+        pub free_blocks: u64,
+        /// Total data blocks.
+        pub data_blocks: u64,
+        /// Live files.
+        pub file_count: u64,
+        /// Device capacity in bytes.
+        pub device_bytes: u64,
+        /// Dedup worker threads the serving mount runs with.
+        pub dedup_workers: u64,
+        /// Nonzero when the serving node's sync-ack replication has been
+        /// degraded at least once (`repl.sync_degraded` latched): some op was
+        /// acknowledged without standby durability. Always 0 without
+        /// replication.
+        pub sync_degraded: u64,
     }
 }
 
-/// The payload of a successful reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Body {
-    /// No payload.
-    Empty,
-    /// An inode number (create/open/link).
-    Ino(u64),
-    /// Raw file bytes (read).
-    Bytes(Vec<u8>),
-    /// Bytes written.
-    Written(u32),
-    /// File metadata.
-    Stat(FileStat),
-    /// File names (list).
-    Names(Vec<String>),
-    /// Dedup/space statistics.
-    DedupStats(RemoteDedupStats),
-    /// Rendered text (telemetry snapshot).
-    Text(String),
-    /// Two-phase-commit state ([`Request::TxStatus`]).
-    TxState(TxState),
+wire_struct!(impl FileStat { ino, size, blocks, nlink, log_pages, log_entries_live });
+
+wire_enum! {
+    /// Durable two-phase-commit state of a transaction, as answered by
+    /// [`Request::TxStatus`]. `None` is the presumed-abort default: a
+    /// coordinator that crashed before its durable commit point leaves no
+    /// record, and the participant must roll back.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TxState else "unknown tx state" {
+        /// No durable record — presumed abort.
+        0 "none" None,
+        /// Prepared but not yet decided.
+        1 "prepared" Prepared,
+        /// Durably decided: commit.
+        2 "committed" Committed,
+        /// Durably decided: abort.
+        3 "aborted" Aborted,
+    }
+}
+
+wire_enum! {
+    /// The payload of a successful reply, after its body tag.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Body else "unknown body tag" {
+        /// No payload.
+        0 "empty" Empty,
+        /// An inode number (create/open/link).
+        1 "ino" Ino(u64),
+        /// Raw file bytes (read).
+        2 "bytes" Bytes(Vec<u8>),
+        /// Bytes written.
+        3 "written" Written(u32),
+        /// File metadata.
+        4 "stat" Stat(FileStat),
+        /// File names (list).
+        5 "names" Names(Vec<String>),
+        /// Dedup/space statistics.
+        6 "dedup_stats" DedupStats(RemoteDedupStats),
+        /// Rendered text (telemetry snapshot).
+        7 "text" Text(String),
+        /// Two-phase-commit state ([`Request::TxStatus`]).
+        8 "tx_state" TxState(TxState),
+    }
 }
 
 /// A structured service error: a stable numeric code, an optional numeric
@@ -746,56 +528,7 @@ pub fn encode_reply(req_id: u64, reply: &Reply) -> Vec<u8> {
     match reply {
         Ok(body) => {
             e.u16(0);
-            match body {
-                Body::Empty => {
-                    e.u8(body_tag::EMPTY);
-                }
-                Body::Ino(ino) => {
-                    e.u8(body_tag::INO).u64(*ino);
-                }
-                Body::Bytes(data) => {
-                    e.u8(body_tag::BYTES).bytes(data);
-                }
-                Body::Written(n) => {
-                    e.u8(body_tag::WRITTEN).u32(*n);
-                }
-                Body::Stat(st) => {
-                    e.u8(body_tag::STAT)
-                        .u64(st.ino)
-                        .u64(st.size)
-                        .u64(st.blocks)
-                        .u64(st.nlink)
-                        .u64(st.log_pages)
-                        .u64(st.log_entries_live);
-                }
-                Body::Names(names) => {
-                    e.u8(body_tag::NAMES).u32(names.len() as u32);
-                    for n in names {
-                        e.str(n);
-                    }
-                }
-                Body::DedupStats(s) => {
-                    e.u8(body_tag::DEDUP_STATS)
-                        .u64(s.bytes_saved)
-                        .u64(s.persistent_bytes_saved)
-                        .u64(s.fact_entries)
-                        .u64(s.fact_occupied)
-                        .u64(s.dwq_len)
-                        .u64(s.dedup_index_dram_bytes)
-                        .u64(s.free_blocks)
-                        .u64(s.data_blocks)
-                        .u64(s.file_count)
-                        .u64(s.device_bytes)
-                        .u64(s.dedup_workers)
-                        .u64(s.sync_degraded);
-                }
-                Body::Text(t) => {
-                    e.u8(body_tag::TEXT).str(t);
-                }
-                Body::TxState(st) => {
-                    e.u8(body_tag::TX_STATE).u8(st.to_wire());
-                }
-            }
+            body.put(&mut e);
         }
         Err(err) => {
             debug_assert_ne!(err.code, 0, "error replies must have nonzero code");
@@ -809,61 +542,16 @@ pub fn encode_reply(req_id: u64, reply: &Reply) -> Vec<u8> {
 pub fn decode_reply(payload: &[u8]) -> Result<(u64, Reply), DecodeError> {
     let mut d = Dec::new(payload);
     let req_id = d.u64()?;
-    let code = d.u16()?;
-    if code != 0 {
-        let detail = d.u64()?;
-        let message = d.str()?.to_string();
-        d.finish()?;
-        return Ok((
-            req_id,
-            Err(SvcError {
-                code,
-                detail,
-                message,
-            }),
-        ));
-    }
-    let body = match d.u8()? {
-        body_tag::EMPTY => Body::Empty,
-        body_tag::INO => Body::Ino(d.u64()?),
-        body_tag::BYTES => Body::Bytes(d.bytes()?.to_vec()),
-        body_tag::WRITTEN => Body::Written(d.u32()?),
-        body_tag::STAT => Body::Stat(FileStat {
-            ino: d.u64()?,
-            size: d.u64()?,
-            blocks: d.u64()?,
-            nlink: d.u64()?,
-            log_pages: d.u64()?,
-            log_entries_live: d.u64()?,
+    let reply = match d.u16()? {
+        0 => Ok(Body::take(&mut d)?),
+        code => Err(SvcError {
+            code,
+            detail: d.u64()?,
+            message: String::take(&mut d)?,
         }),
-        body_tag::NAMES => {
-            let count = d.u32()? as usize;
-            let mut names = Vec::with_capacity(count.min(65_536));
-            for _ in 0..count {
-                names.push(d.str()?.to_string());
-            }
-            Body::Names(names)
-        }
-        body_tag::DEDUP_STATS => Body::DedupStats(RemoteDedupStats {
-            bytes_saved: d.u64()?,
-            persistent_bytes_saved: d.u64()?,
-            fact_entries: d.u64()?,
-            fact_occupied: d.u64()?,
-            dwq_len: d.u64()?,
-            dedup_index_dram_bytes: d.u64()?,
-            free_blocks: d.u64()?,
-            data_blocks: d.u64()?,
-            file_count: d.u64()?,
-            device_bytes: d.u64()?,
-            dedup_workers: d.u64()?,
-            sync_degraded: d.u64()?,
-        }),
-        body_tag::TEXT => Body::Text(d.str()?.to_string()),
-        body_tag::TX_STATE => Body::TxState(TxState::from_wire(d.u8()?)?),
-        _ => return Err(DecodeError("unknown body tag")),
     };
     d.finish()?;
-    Ok((req_id, Ok(body)))
+    Ok((req_id, reply))
 }
 
 #[cfg(test)]
@@ -1056,7 +744,7 @@ mod tests {
             let (_, reply) = decode_reply(&encode_reply(2, &Ok(Body::TxState(st)))).unwrap();
             assert_eq!(reply.unwrap(), Body::TxState(st));
         }
-        assert!(TxState::from_wire(9).is_err());
+        assert!(decode_reply(&Enc::new().u64(2).u16(0).u8(8).u8(9).finish()).is_err());
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! [`DecodeError`]; trailing garbage is rejected. (Property-tested in
 //! `tests/svc_wire_prop.rs`.)
 
-use crate::codec::{Dec, DecodeError, Enc};
+use crate::codec::{row_of, Dec, DecodeError, Enc, Wire, WireEnum};
+use crate::wire_enum;
 use denova_nova::FsOp;
 
 /// Sentinel opening every replication frame. Chosen so it cannot be a
@@ -30,80 +31,90 @@ use denova_nova::FsOp;
 /// increment; this is ~0xD5... with all high bytes set).
 pub const REPL_MAGIC: u64 = 0xD5E0_4E4F_5641_5250; // "DENOVA-RP" flavored
 
-/// Frame tags. Stable wire ABI — never renumber.
-mod tag {
-    pub const SUBSCRIBE: u8 = 1;
-    pub const SNAP_BEGIN: u8 = 2;
-    pub const SNAP_CHUNK: u8 = 3;
-    pub const SNAP_END: u8 = 4;
-    pub const ENTRIES: u8 = 5;
-    pub const ACK: u8 = 6;
-    pub const HEARTBEAT: u8 = 7;
-    pub const FELL_BEHIND: u8 = 8;
+wire_enum! {
+    /// One replication frame, after [`REPL_MAGIC`]. Tags are stable wire
+    /// ABI — never renumber.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ReplMsg else "unknown repl frame tag" {
+        /// Standby → primary, first frame on the connection: start
+        /// replication.
+        1 "subscribe" Subscribe {
+            /// Highest sequence number the standby has applied (0 = none).
+            last_seq: u64,
+            /// `true` to force a full snapshot (fresh standby with no state).
+            want_snapshot: bool,
+        },
+        /// Primary → standby: a full-state snapshot transfer begins.
+        2 "snapshot_begin" SnapshotBegin {
+            /// Journal sequence number the snapshot covers (entries ≤ this
+            /// are in the image; later entries will be streamed).
+            upto_seq: u64,
+            /// Total image size in bytes.
+            total_bytes: u64,
+            /// Number of [`ReplMsg::SnapshotChunk`] frames that follow.
+            chunk_count: u32,
+        },
+        /// One chunk of the snapshot image, in order.
+        3 "snapshot_chunk" SnapshotChunk {
+            /// Chunk index (0-based, sequential).
+            index: u32,
+            /// Image bytes.
+            data: Vec<u8>,
+        },
+        /// Snapshot transfer complete.
+        4 "snapshot_end" SnapshotEnd {
+            /// Total bytes sent, for verification.
+            total_bytes: u64,
+        },
+        /// A batch of journal entries with consecutive sequence numbers.
+        5 "entries" Entries {
+            /// Sequence number of `ops[0]`.
+            first_seq: u64,
+            /// The operations, in commit order.
+            ops: Vec<FsOp>,
+        },
+        /// Standby → primary: everything up to `seq` has been applied.
+        6 "ack" Ack {
+            /// Highest applied sequence number.
+            seq: u64,
+        },
+        /// Primary → standby, when idle: liveness + lag visibility.
+        7 "heartbeat" Heartbeat {
+            /// The primary's journal head.
+            head_seq: u64,
+        },
+        /// Primary → standby: your `last_seq` fell out of the bounded
+        /// journal; reconnect with `want_snapshot` to rebuild from a full
+        /// snapshot.
+        8 "fell_behind" FellBehind,
+    }
 }
 
-/// Op tags inside an [`ReplMsg::Entries`] batch. Stable wire ABI.
-mod op_tag {
-    pub const CREATE: u8 = 1;
-    pub const WRITE: u8 = 2;
-    pub const UNLINK: u8 = 3;
-    pub const LINK: u8 = 4;
-    pub const RENAME: u8 = 5;
-    pub const TRUNCATE: u8 = 6;
+// A journal entry, encoded once at tap time (`FsOp::to_bytes`).
+wire_enum! {
+    impl FsOp else "unknown repl op tag" {
+        1 "create" Create { name: String, ino: u64 },
+        2 "write" Write { ino: u64, offset: u64, data: Vec<u8> },
+        3 "unlink" Unlink { name: String },
+        4 "link" Link { existing: String, new_name: String, ino: u64 },
+        5 "rename" Rename { from: String, to: String },
+        6 "truncate" Truncate { ino: u64, size: u64 },
+    }
 }
 
-/// One replication frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplMsg {
-    /// Standby → primary, first frame on the connection: start replication.
-    Subscribe {
-        /// Highest sequence number the standby has applied (0 = none).
-        last_seq: u64,
-        /// `true` to force a full snapshot (fresh standby with no state).
-        want_snapshot: bool,
-    },
-    /// Primary → standby: a full-state snapshot transfer begins.
-    SnapshotBegin {
-        /// Journal sequence number the snapshot covers (entries ≤ this are
-        /// in the image; later entries will be streamed).
-        upto_seq: u64,
-        /// Total image size in bytes.
-        total_bytes: u64,
-        /// Number of [`ReplMsg::SnapshotChunk`] frames that follow.
-        chunk_count: u32,
-    },
-    /// One chunk of the snapshot image, in order.
-    SnapshotChunk {
-        /// Chunk index (0-based, sequential).
-        index: u32,
-        /// Image bytes.
-        data: Vec<u8>,
-    },
-    /// Snapshot transfer complete.
-    SnapshotEnd {
-        /// Total bytes sent, for verification.
-        total_bytes: u64,
-    },
-    /// A batch of journal entries with consecutive sequence numbers.
-    Entries {
-        /// Sequence number of `ops[0]`.
-        first_seq: u64,
-        /// The operations, in commit order.
-        ops: Vec<FsOp>,
-    },
-    /// Standby → primary: everything up to `seq` has been applied.
-    Ack {
-        /// Highest applied sequence number.
-        seq: u64,
-    },
-    /// Primary → standby, when idle: liveness + lag visibility.
-    Heartbeat {
-        /// The primary's journal head.
-        head_seq: u64,
-    },
-    /// Primary → standby: your `last_seq` fell out of the bounded journal;
-    /// reconnect with `want_snapshot` to rebuild from a full snapshot.
-    FellBehind,
+/// An [`ReplMsg::Entries`] batch: a `u32` count, then each op's standalone
+/// encoding as length-prefixed bytes (what [`encode_entries_raw`] ships).
+impl Wire for Vec<FsOp> {
+    fn put(&self, e: &mut Enc) {
+        e.u32(self.len() as u32);
+        for op in self {
+            e.bytes(&op.to_bytes());
+        }
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Vec<FsOp>, DecodeError> {
+        d.counted(|d| FsOp::from_bytes(d.bytes()?))
+    }
 }
 
 /// True when a frame payload is a replication frame (starts with
@@ -112,83 +123,13 @@ pub fn is_repl_frame(payload: &[u8]) -> bool {
     payload.len() >= 8 && payload[..8] == REPL_MAGIC.to_le_bytes()
 }
 
-/// Encode one op in its wire form (used standalone by the journal so
-/// entries are encoded once, at tap time).
-pub fn encode_op(op: &FsOp) -> Vec<u8> {
-    let mut e = Enc::new();
-    match op {
-        FsOp::Create { name, ino } => {
-            e.u8(op_tag::CREATE).str(name).u64(*ino);
-        }
-        FsOp::Write { ino, offset, data } => {
-            e.u8(op_tag::WRITE).u64(*ino).u64(*offset).bytes(data);
-        }
-        FsOp::Unlink { name } => {
-            e.u8(op_tag::UNLINK).str(name);
-        }
-        FsOp::Link {
-            existing,
-            new_name,
-            ino,
-        } => {
-            e.u8(op_tag::LINK).str(existing).str(new_name).u64(*ino);
-        }
-        FsOp::Rename { from, to } => {
-            e.u8(op_tag::RENAME).str(from).str(to);
-        }
-        FsOp::Truncate { ino, size } => {
-            e.u8(op_tag::TRUNCATE).u64(*ino).u64(*size);
-        }
-    }
-    e.finish()
-}
-
-/// Decode one op from its standalone wire form (the payload of one
-/// length-prefixed element inside an Entries frame).
-pub fn decode_op(payload: &[u8]) -> Result<FsOp, DecodeError> {
-    let mut d = Dec::new(payload);
-    let op = decode_op_fields(&mut d)?;
-    d.finish()?;
-    Ok(op)
-}
-
-fn decode_op_fields(d: &mut Dec<'_>) -> Result<FsOp, DecodeError> {
-    Ok(match d.u8()? {
-        op_tag::CREATE => FsOp::Create {
-            name: d.str()?.to_string(),
-            ino: d.u64()?,
-        },
-        op_tag::WRITE => FsOp::Write {
-            ino: d.u64()?,
-            offset: d.u64()?,
-            data: d.bytes()?.to_vec(),
-        },
-        op_tag::UNLINK => FsOp::Unlink {
-            name: d.str()?.to_string(),
-        },
-        op_tag::LINK => FsOp::Link {
-            existing: d.str()?.to_string(),
-            new_name: d.str()?.to_string(),
-            ino: d.u64()?,
-        },
-        op_tag::RENAME => FsOp::Rename {
-            from: d.str()?.to_string(),
-            to: d.str()?.to_string(),
-        },
-        op_tag::TRUNCATE => FsOp::Truncate {
-            ino: d.u64()?,
-            size: d.u64()?,
-        },
-        _ => return Err(DecodeError("unknown repl op tag")),
-    })
-}
-
 /// Build an `Entries` frame directly from pre-encoded ops (what the journal
 /// stores), avoiding a decode/re-encode round trip on the primary.
 pub fn encode_entries_raw(first_seq: u64, raw_ops: &[Vec<u8>]) -> Vec<u8> {
+    const ENTRIES: usize = row_of(ReplMsg::ROWS, "entries");
     let mut e = Enc::new();
     e.u64(REPL_MAGIC)
-        .u8(tag::ENTRIES)
+        .u8(ReplMsg::ROWS[ENTRIES].0)
         .u64(first_seq)
         .u32(raw_ops.len() as u32);
     for raw in raw_ops {
@@ -198,49 +139,11 @@ pub fn encode_entries_raw(first_seq: u64, raw_ops: &[Vec<u8>]) -> Vec<u8> {
 }
 
 impl ReplMsg {
-    /// Encode as a full frame payload.
+    /// Encode as a full frame payload: [`REPL_MAGIC`], then the row.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64(REPL_MAGIC);
-        match self {
-            ReplMsg::Subscribe {
-                last_seq,
-                want_snapshot,
-            } => {
-                e.u8(tag::SUBSCRIBE).u64(*last_seq).u8(*want_snapshot as u8);
-            }
-            ReplMsg::SnapshotBegin {
-                upto_seq,
-                total_bytes,
-                chunk_count,
-            } => {
-                e.u8(tag::SNAP_BEGIN)
-                    .u64(*upto_seq)
-                    .u64(*total_bytes)
-                    .u32(*chunk_count);
-            }
-            ReplMsg::SnapshotChunk { index, data } => {
-                e.u8(tag::SNAP_CHUNK).u32(*index).bytes(data);
-            }
-            ReplMsg::SnapshotEnd { total_bytes } => {
-                e.u8(tag::SNAP_END).u64(*total_bytes);
-            }
-            ReplMsg::Entries { first_seq, ops } => {
-                e.u8(tag::ENTRIES).u64(*first_seq).u32(ops.len() as u32);
-                for op in ops {
-                    e.bytes(&encode_op(op));
-                }
-            }
-            ReplMsg::Ack { seq } => {
-                e.u8(tag::ACK).u64(*seq);
-            }
-            ReplMsg::Heartbeat { head_seq } => {
-                e.u8(tag::HEARTBEAT).u64(*head_seq);
-            }
-            ReplMsg::FellBehind => {
-                e.u8(tag::FELL_BEHIND);
-            }
-        }
+        self.put(&mut e);
         e.finish()
     }
 
@@ -250,38 +153,7 @@ impl ReplMsg {
         if d.u64()? != REPL_MAGIC {
             return Err(DecodeError("not a repl frame"));
         }
-        let msg = match d.u8()? {
-            tag::SUBSCRIBE => ReplMsg::Subscribe {
-                last_seq: d.u64()?,
-                want_snapshot: d.u8()? != 0,
-            },
-            tag::SNAP_BEGIN => ReplMsg::SnapshotBegin {
-                upto_seq: d.u64()?,
-                total_bytes: d.u64()?,
-                chunk_count: d.u32()?,
-            },
-            tag::SNAP_CHUNK => ReplMsg::SnapshotChunk {
-                index: d.u32()?,
-                data: d.bytes()?.to_vec(),
-            },
-            tag::SNAP_END => ReplMsg::SnapshotEnd {
-                total_bytes: d.u64()?,
-            },
-            tag::ENTRIES => {
-                let first_seq = d.u64()?;
-                let count = d.u32()? as usize;
-                let mut ops = Vec::with_capacity(count.min(65_536));
-                for _ in 0..count {
-                    let raw = d.bytes()?;
-                    ops.push(decode_op(raw)?);
-                }
-                ReplMsg::Entries { first_seq, ops }
-            }
-            tag::ACK => ReplMsg::Ack { seq: d.u64()? },
-            tag::HEARTBEAT => ReplMsg::Heartbeat { head_seq: d.u64()? },
-            tag::FELL_BEHIND => ReplMsg::FellBehind,
-            _ => return Err(DecodeError("unknown repl frame tag")),
-        };
+        let msg = ReplMsg::take(&mut d)?;
         d.finish()?;
         Ok(msg)
     }
@@ -353,7 +225,7 @@ mod tests {
     #[test]
     fn raw_entries_encoding_matches_typed() {
         let ops = all_ops();
-        let raw: Vec<Vec<u8>> = ops.iter().map(encode_op).collect();
+        let raw: Vec<Vec<u8>> = ops.iter().map(FsOp::to_bytes).collect();
         let frame = encode_entries_raw(9, &raw);
         assert_eq!(
             ReplMsg::decode(&frame).unwrap(),
@@ -375,6 +247,6 @@ mod tests {
         let mut p = ReplMsg::Ack { seq: 1 }.encode();
         p.push(0); // trailing garbage
         assert!(ReplMsg::decode(&p).is_err());
-        assert!(decode_op(&[99]).is_err());
+        assert!(FsOp::from_bytes(&[99]).is_err());
     }
 }

@@ -32,9 +32,12 @@
 //! Everything else goes to the shared [`ShardedPool`] unchanged: a worker
 //! executes it and hands the reply back to the connection's owning loop
 //! through a [`denova_reactor::ReplyHandle`]; the loop flushes it when the
-//! socket is write-ready. Both placements run the same closure — tenant tag,
-//! panic guard, tenant accounting, `svc.request` span — and are counted in
-//! `svc.inline` and `svc.pool.jobs` respectively. A request run on the loop
+//! socket is write-ready. A reply produced on the loop queues behind every
+//! reply a worker already handed back ([`ConnIo::take_replies`]), so
+//! same-key replies leave in request order. Both placements run the same
+//! closure — tenant tag, panic guard, tenant accounting, `svc.request` span
+//! — and are counted in `svc.inline` and `svc.pool.jobs` respectively. A
+//! request run on the loop
 //! does not count toward the inflight window (it has replied before the
 //! next frame is decoded); its reply is bounded by the send queue's
 //! high-water mark like any other. Head-of-line blocking on the loop is
@@ -63,9 +66,10 @@
 //!   connection may be queued or executing; past that the reactor pauses
 //!   reads, which in turn backpressures the peer through its socket
 //!   buffer. Counted in `svc.backpressure_waits`.
-//! * **Structured errors** — malformed frames get a `BAD_REQUEST` reply; a
-//!   panicking operation gets `INTERNAL`; nothing crosses the wire as a
-//!   panic, and the connection survives both.
+//! * **Structured errors** — malformed frames, and requests whose reply
+//!   would exceed [`MAX_FRAME`], get a `BAD_REQUEST` reply; a panicking
+//!   operation gets `INTERNAL`; nothing crosses the wire as a panic, and the
+//!   connection survives all three.
 //! * **Graceful shutdown** — [`Server::request_shutdown`] (or a `Shutdown`
 //!   request from any client) stops intake and wakes the accept path via
 //!   its condvar — no sleep-polling. In-flight work replies, the pool
@@ -407,14 +411,23 @@ fn place(
         let t0 = Instant::now();
         // A panicking operation must still reply (INTERNAL) and release its
         // inflight slot, or the connection's drain would wait forever.
-        let reply =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(exec)).unwrap_or_else(|_| {
+        let mut reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(exec))
+            .unwrap_or_else(|_| {
                 Err(SvcError::service(
                     SvcError::INTERNAL,
                     "operation panicked server-side",
                 ))
             });
-        let out = encode_reply(req_id, &reply);
+        let mut out = encode_reply(req_id, &reply);
+        if out.len() > MAX_FRAME {
+            // The peer would refuse the frame and lose the connection with
+            // it: answer with an error it can read instead.
+            reply = Err(SvcError::service(
+                SvcError::BAD_REQUEST,
+                format!("reply of {} bytes exceeds MAX_FRAME", out.len()),
+            ));
+            out = encode_reply(req_id, &reply);
+        }
         tenant.record(
             req_bytes as u64,
             out.len() as u64,
@@ -539,6 +552,13 @@ impl ConnHandler for RConn {
         let first = std::mem::replace(&mut self.fresh, false);
         match classify(&self.inner, &mut self.tenant, frame) {
             Action::Inline(reply) => {
+                // A worker lets go of its shard after handing its reply
+                // back: a request that then ran here replies after it.
+                if self.inflight > 0 {
+                    for earlier in io.take_replies() {
+                        self.on_reply(io, earlier);
+                    }
+                }
                 io.send(reply);
                 FrameOutcome::Continue
             }
@@ -1164,6 +1184,105 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_run_on_the_loop_never_overtakes_one_already_handed_back() {
+        let h = serve_with(
+            Kind::Unix,
+            DedupMode::Baseline,
+            SvcConfig {
+                event_loops: 1,
+                ..Default::default()
+            },
+        );
+        let ino = h.client().create("f").unwrap();
+        let pool = &h.srv.inner.pool;
+        pool.drain();
+        // Write 1 queues behind a parked job on its shard.
+        let (release_worker, parked) = mpsc::channel::<()>();
+        assert!(pool.submit(
+            ino,
+            Box::new(move || {
+                let _ = parked.recv();
+            })
+        ));
+        wait_until("the shard parks", || pool.queued() == 0);
+        let mut end = h.dial();
+        write_frame(&mut end, &write4k(ino, 0, 1, 1)).unwrap();
+        wait_until("write 1 queues", || pool.queued() == 1);
+        // Hold the loop past its command pass: it accepts a connection on
+        // a listener whose handler factory blocks.
+        let (entered_tx, entered) = mpsc::channel();
+        let (release_loop, hold) = mpsc::channel::<()>();
+        let gate = Mutex::new((entered_tx, hold));
+        let factory = h.srv.handler_factory();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        h.srv.inner.reactor.add_listener(
+            listener,
+            Arc::new(move || {
+                let gate = gate.lock();
+                gate.0.send(()).unwrap();
+                gate.1.recv().unwrap();
+                factory()
+            }),
+        );
+        let _held = std::net::TcpStream::connect(addr).unwrap();
+        entered.recv().unwrap();
+        // Behind the held loop, write 2 arrives, and the worker runs write 1,
+        // hands its reply back and lets go of the shard.
+        write_frame(&mut end, &write4k(ino, 0, 2, 2)).unwrap();
+        release_worker.send(()).unwrap();
+        wait_until("the worker lets go of the shard", || pool.shard_idle(ino));
+        let inline = counter(&h, "svc.inline");
+        release_loop.send(()).unwrap();
+        // Write 2 finds its shard idle and runs on the loop, and still
+        // replies second.
+        let ids: Vec<u64> = (0..2)
+            .map(|_| decode_reply(&next_frame(&mut end)).unwrap().0)
+            .collect();
+        assert_eq!(ids, [1, 2], "replies reordered");
+        assert_eq!(counter(&h, "svc.inline"), inline + 1);
+        let page = h.client().read_at(ino, 0, BLOCK_SIZE).unwrap();
+        assert!(page.iter().all(|&b| b == 2));
+        drop(end);
+        h.stop();
+    }
+
+    #[test]
+    fn a_reply_too_large_for_a_frame_is_an_error_and_the_connection_survives() {
+        let dev = Arc::new(PmemDevice::new(64 << 20));
+        let opts = NovaOptions {
+            num_inodes: 16,
+            ..Default::default()
+        };
+        let fs = Denova::mkfs(dev, opts, DedupMode::Baseline).unwrap();
+        let srv = Server::new(Arc::new(fs), SvcConfig::default());
+        let size = 17u32 << 20;
+        let ino = {
+            let mut client = Client::from_stream(Box::new(srv.connect_loopback()));
+            let ino = client.create("big").unwrap();
+            client.write_at(ino, 0, &vec![0x3C; size as usize]).unwrap();
+            ino
+        };
+        // One raw read of the whole file: its reply cannot fit in a frame.
+        let mut end = srv.connect_loopback();
+        let read = Request::Read {
+            ino,
+            offset: 0,
+            len: size,
+        };
+        write_frame(&mut end, &read.encode(9)).unwrap();
+        let (id, reply) = decode_reply(&next_frame(&mut end)).unwrap();
+        assert_eq!((id, reply.unwrap_err().code), (9, SvcError::BAD_REQUEST));
+        write_frame(&mut end, &Request::Ping.encode(10)).unwrap();
+        assert_eq!(
+            decode_reply(&next_frame(&mut end)).unwrap(),
+            (10, Ok(Body::Empty))
+        );
+        drop(end);
+        srv.shutdown();
+    }
+
+    #[test]
     fn an_idle_shard_runs_short_requests_on_the_loop() {
         for kind in KINDS {
             let h = serve_with(kind, DedupMode::Baseline, SvcConfig::default());
@@ -1261,6 +1380,9 @@ mod tests {
                 let _ = parked.recv();
             })
         ));
+        // Parked, not merely queued: a worker picking the lanes' heads by
+        // weight could otherwise start a greedy write before it.
+        wait_until("the shard parks", || pool.queued() == 0);
         for i in 0..4 {
             write_frame(&mut greedy, &write4k(g_ino, i * 4096, i as u8, i + 1)).unwrap();
         }

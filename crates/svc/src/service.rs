@@ -7,7 +7,7 @@
 //! decides *where* `execute` runs (its event loop or the sharded worker
 //! pool), this type decides *what* it does.
 
-use crate::proto::{Body, RemoteDedupStats, Reply, Request, SvcError, WriteRef};
+use crate::proto::{Body, RemoteDedupStats, Reply, Request, SvcError, WriteRef, WRITE_METRIC};
 use denova::{DedupMode, Denova};
 use denova_nova::NovaError;
 use denova_telemetry::{Counter, Histogram, MetricsRegistry};
@@ -143,26 +143,30 @@ impl FileService {
     /// `svc.op.<name>.ns` latency histograms (always live) plus a
     /// `svc.request` span (when telemetry collection is enabled).
     pub fn execute(&self, req: &Request) -> Reply {
+        self.timed(req.metric(), || {
+            let interceptor = self.interceptor.read().clone();
+            let Some(ic) = interceptor else {
+                return self.dispatch(req);
+            };
+            let standby = self.role().map(|r| r.is_standby()).unwrap_or(false);
+            match ic.before(req, standby) {
+                Intercept::Reply(reply) => reply,
+                Intercept::Forward(Some(rewritten)) => ic.after(req, self.dispatch(&rewritten)),
+                Intercept::Forward(None) => ic.after(req, self.dispatch(req)),
+            }
+        })
+    }
+
+    /// Run one request under the `svc.request` span, counting it and
+    /// recording its latency into `svc.request.ns` and `metric`.
+    fn timed(&self, metric: &'static str, run: impl FnOnce() -> Reply) -> Reply {
         let _span = self.metrics.span("svc.request");
         let t0 = Instant::now();
         self.requests.inc();
-        let interceptor = self.interceptor.read().clone();
-        let reply = match interceptor {
-            Some(ic) => {
-                let standby = self.role().map(|r| r.is_standby()).unwrap_or(false);
-                match ic.before(req, standby) {
-                    Intercept::Reply(reply) => reply,
-                    Intercept::Forward(Some(rewritten)) => ic.after(req, self.dispatch(&rewritten)),
-                    Intercept::Forward(None) => ic.after(req, self.dispatch(req)),
-                }
-            }
-            None => self.dispatch(req),
-        };
+        let reply = run();
         let ns = t0.elapsed().as_nanos() as u64;
         self.request_ns.record(ns);
-        self.metrics
-            .histogram(op_hist_name(req.op_name()))
-            .record(ns);
+        self.metrics.histogram(metric).record(ns);
         if reply.is_err() {
             self.errors.inc();
         }
@@ -204,42 +208,29 @@ impl FileService {
     /// plus `svc.zero_copy_writes`. The caller must have checked
     /// [`FileService::zero_copy_eligible`].
     pub fn execute_write_ref(&self, wr: &WriteRef, frame: &[u8]) -> Reply {
-        let _span = self.metrics.span("svc.request");
-        let t0 = Instant::now();
-        self.requests.inc();
-        let reply = (|| {
-            if let Some(role) = self.role() {
-                if role.is_standby() {
-                    return Err(SvcError::service(
-                        SvcError::REPLICA_READ_ONLY,
-                        "standby replica is read-only; promote it or write to the primary",
-                    ));
-                }
-            }
+        self.timed(WRITE_METRIC, || {
+            self.check_writable()?;
             let data = &frame[wr.data_off..wr.data_off + wr.data_len];
             self.fs.write(wr.ino, wr.offset, data).map_err(wire)?;
             self.zero_copy_writes.inc();
             Ok(Body::Written(wr.data_len as u32))
-        })();
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.request_ns.record(ns);
-        self.metrics.histogram("svc.op.write.ns").record(ns);
-        if reply.is_err() {
-            self.errors.inc();
+        })
+    }
+
+    /// [`SvcError::REPLICA_READ_ONLY`] while this node is a standby.
+    fn check_writable(&self) -> Result<(), SvcError> {
+        match self.role() {
+            Some(role) if role.is_standby() => Err(SvcError::service(
+                SvcError::REPLICA_READ_ONLY,
+                "standby replica is read-only; promote it or write to the primary",
+            )),
+            _ => Ok(()),
         }
-        reply
     }
 
     fn dispatch(&self, req: &Request) -> Reply {
         if req.is_mutating() {
-            if let Some(role) = self.role() {
-                if role.is_standby() {
-                    return Err(SvcError::service(
-                        SvcError::REPLICA_READ_ONLY,
-                        "standby replica is read-only; promote it or write to the primary",
-                    ));
-                }
-            }
+            self.check_writable()?;
         }
         let fs = &self.fs;
         match req {
@@ -344,37 +335,6 @@ impl FileService {
 
 fn wire(e: NovaError) -> SvcError {
     SvcError::from_nova(&e)
-}
-
-/// `svc.op.<name>.ns` — interned so the hot path hands `&'static str` names
-/// to the registry without allocating.
-fn op_hist_name(op: &'static str) -> &'static str {
-    match op {
-        "ping" => "svc.op.ping.ns",
-        "create" => "svc.op.create.ns",
-        "open" => "svc.op.open.ns",
-        "read" => "svc.op.read.ns",
-        "write" => "svc.op.write.ns",
-        "unlink" => "svc.op.unlink.ns",
-        "link" => "svc.op.link.ns",
-        "rename" => "svc.op.rename.ns",
-        "stat" => "svc.op.stat.ns",
-        "list" => "svc.op.list.ns",
-        "fsync" => "svc.op.fsync.ns",
-        "truncate" => "svc.op.truncate.ns",
-        "dedup_stats" => "svc.op.dedup_stats.ns",
-        "telemetry" => "svc.op.telemetry.ns",
-        "shutdown" => "svc.op.shutdown.ns",
-        "promote" => "svc.op.promote.ns",
-        "map_get" => "svc.op.map_get.ns",
-        "map_push" => "svc.op.map_push.ns",
-        "tx_prepare" => "svc.op.tx_prepare.ns",
-        "tx_commit" => "svc.op.tx_commit.ns",
-        "tx_abort" => "svc.op.tx_abort.ns",
-        "tx_status" => "svc.op.tx_status.ns",
-        "hello" => "svc.op.hello.ns",
-        other => other,
-    }
 }
 
 #[cfg(test)]
