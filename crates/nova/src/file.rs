@@ -422,7 +422,8 @@ impl Nova {
         let pending = self.with_inode_write(ino, |ctx| {
             let txid = ctx.next_txid();
             let attr = crate::entry::AttrEntry { new_size, txid }.encode();
-            ctx.append(&[attr], "nova::truncate")?;
+            let off = ctx.append(&[attr], "nova::truncate")?[0];
+            ctx.mem.hold_page(off);
             if new_size < ctx.mem.size() {
                 let first_dead_pg = new_size.div_ceil(BLOCK_SIZE);
                 let removed = ctx.mem.radix.remove_from(first_dead_pg);

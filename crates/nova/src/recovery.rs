@@ -132,11 +132,29 @@ fn scan(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recovered> {
     walk.inode_blocks_read = (layout.num_inodes * INODE_SIZE).div_ceil(BLOCK_SIZE);
     let slot = |ino: u64| slot_of(&slots, ino);
     // A finished walk's page chain: occupied, and one device read each.
-    fn mark_pages(log: LogIter<'_>, occupied: &mut BlockBitmap, walk: &mut LogWalk) {
-        for page in log.into_pages() {
+    // Returns the chain through the tail's page, the one appends extend: a
+    // page linked behind it (an append that crashed between linking the
+    // page and committing its tail) is relinked past by the next append.
+    fn mark_pages(
+        log: LogIter<'_>,
+        pos: &LogPosition,
+        occupied: &mut BlockBitmap,
+        walk: &mut LogWalk,
+    ) -> Vec<u64> {
+        let mut chain = log.into_pages();
+        for &page in &chain {
             occupied.set(page);
             walk.log_pages_read += 1;
         }
+        let tail_page = if pos.tail == 0 {
+            pos.head
+        } else {
+            pos.tail / BLOCK_SIZE
+        };
+        if let Some(i) = chain.iter().position(|&p| p == tail_page) {
+            chain.truncate(i + 1);
+        }
+        chain
     }
 
     // Phase 1: replay the root directory log to learn the namespace.
@@ -165,7 +183,7 @@ fn scan(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recovered> {
             LogEntry::Attr(_) => {}
         }
     }
-    mark_pages(log, &mut occupied, &mut walk);
+    root_mem.log_chain = mark_pages(log, &root_mem.pos, &mut occupied, &mut walk);
     let mut orphan_prepares: Vec<String> = namespace
         .keys()
         .filter(|n| n.starts_with(crate::fs::PREPARE_PREFIX))
@@ -207,6 +225,7 @@ fn scan(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recovered> {
                 }
                 LogEntry::Attr(attr) => {
                     next_txid = next_txid.max(attr.txid + 1);
+                    mem.hold_page(off);
                     if attr.new_size < mem.size() {
                         let first_dead = attr.new_size.div_ceil(BLOCK_SIZE);
                         let removed = mem.radix.remove_from(first_dead);
@@ -222,7 +241,7 @@ fn scan(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recovered> {
                 }
             }
         }
-        mark_pages(log, &mut occupied, &mut walk);
+        mem.log_chain = mark_pages(log, &mem.pos, &mut occupied, &mut walk);
         mem.radix.for_each(|_, e| {
             if e.block != crate::layout::HOLE_BLOCK {
                 occupied.set(e.block);
