@@ -170,6 +170,7 @@ fn table_stats(table: &NvDedupTable) -> Arc<crate::stats::DedupStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fact::Fact;
     use crate::stats::DedupStats;
     use denova_nova::NovaOptions;
     use denova_pmem::PmemDevice;
@@ -186,11 +187,12 @@ mod tests {
             )
             .unwrap(),
         );
-        let table = Arc::new(NvDedupTable::new(
-            dev,
+        let fact = Arc::new(Fact::new(
+            dev.clone(),
             *nova.layout(),
             Arc::new(DedupStats::default()),
         ));
+        let table = Arc::new(NvDedupTable::new(dev, *nova.layout(), fact));
         nova.set_hooks(Arc::new(NvDedupHooks::new(table.clone())));
         (nova, table)
     }

@@ -390,8 +390,11 @@ impl Fact {
         &self.fp
     }
 
-    /// Fingerprint a chunk through the calibrated cost model.
+    /// Fingerprint a chunk through the calibrated cost model, counting the
+    /// 4 KB chunks it is charged for.
     pub fn fingerprint(&self, data: &[u8]) -> Fingerprint {
+        self.stats
+            .record_fingerprints(crate::fp::chunks_4k(data.len()));
         self.fp.fingerprint(data)
     }
 

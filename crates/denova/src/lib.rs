@@ -208,7 +208,7 @@ impl Denova {
                 let table = Arc::new(NvDedupTable::new(
                     nova.device().clone(),
                     *nova.layout(),
-                    stats.clone(),
+                    fact.clone(),
                 ));
                 nova.set_hooks(Arc::new(adaptive::NvDedupHooks::new(table.clone())));
                 nvd = Some(table);

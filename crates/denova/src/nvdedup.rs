@@ -12,7 +12,9 @@
 //!
 //! The cost model is exactly Eq. 4's: `T_fw + α·T_f + (1−α)·T_w` per chunk
 //! (worst case; a weak hit costs up to two strong fingerprints when the
-//! stored entry must be upgraded). The bench harness runs this variant
+//! stored entry must be upgraded). Every strong fingerprint goes through
+//! the same [`Fact::fingerprint`] cost model as DeNova's, so both schemes
+//! pay the same calibrated `T_f`. The bench harness runs this variant
 //! alongside the others to show that, on Optane-class latency, even the
 //! adaptive scheme cannot reach baseline NOVA — the paper's Eq. 5 claim.
 //!
@@ -23,6 +25,7 @@
 //! same degree as FACT — also per the original design, which flushes
 //! metadata entries but rebuilds indexes by scanning.
 
+use crate::fact::Fact;
 use crate::stats::DedupStats;
 use denova_fingerprint::{weak_fingerprint, Fingerprint, WeakFp};
 use denova_nova::{Layout, NovaError, Result};
@@ -55,7 +58,8 @@ pub struct NvDedupTable {
     dev: Arc<PmemDevice>,
     layout: Layout,
     inner: Mutex<Inner>,
-    stats: Arc<DedupStats>,
+    /// Supplies the strong-fingerprint cost model and the shared stats.
+    fact: Arc<Fact>,
 }
 
 struct Inner {
@@ -88,8 +92,9 @@ pub enum NvOutcome {
 }
 
 impl NvDedupTable {
-    /// Create a new instance.
-    pub fn new(dev: Arc<PmemDevice>, layout: Layout, stats: Arc<DedupStats>) -> NvDedupTable {
+    /// Create a new instance. `fact` lends its fingerprint cost model and
+    /// statistics; its region is the one this table reuses.
+    pub fn new(dev: Arc<PmemDevice>, layout: Layout, fact: Arc<Fact>) -> NvDedupTable {
         NvDedupTable {
             dev,
             layout,
@@ -102,7 +107,7 @@ impl NvDedupTable {
                 window_chunks: 0,
                 window_dups: 0,
             }),
-            stats,
+            fact,
         }
     }
 
@@ -144,7 +149,7 @@ impl NvDedupTable {
 
     /// Shared dedup statistics.
     pub fn stats(&self) -> &Arc<DedupStats> {
-        &self.stats
+        self.fact.stats()
     }
 
     fn write_entry(
@@ -191,9 +196,10 @@ impl NvDedupTable {
         image: &[u8],
         read_block: impl Fn(u64) -> Vec<u8>,
     ) -> (NvOutcome, WeakFp) {
+        let stats = self.stats();
         let t0 = Instant::now();
         let wfp = weak_fingerprint(image);
-        self.stats.record_fingerprint_time(t0.elapsed());
+        stats.record_fingerprint_time(t0.elapsed());
 
         let mut inner = self.inner.lock();
         inner.window_chunks += 1;
@@ -203,8 +209,8 @@ impl NvDedupTable {
         // Weak hit: "it generates a strong fingerprint to definitely
         // identify it."
         let t0 = Instant::now();
-        let strong = Fingerprint::of(image);
-        self.stats.record_fingerprint_time(t0.elapsed());
+        let strong = self.fact.fingerprint(image);
+        stats.record_fingerprint_time(t0.elapsed());
         let (flags, block) = {
             let off = self.entry_off(idx);
             (self.dev.read_u8(off), self.dev.read_u64(off + 36))
@@ -214,8 +220,8 @@ impl NvDedupTable {
             // case pays T_f twice on a weak collision).
             let data = read_block(block);
             let t0 = Instant::now();
-            let s = Fingerprint::of(&data);
-            self.stats.record_fingerprint_time(t0.elapsed());
+            let s = self.fact.fingerprint(&data);
+            stats.record_fingerprint_time(t0.elapsed());
             let rfc = self.read_rfc(idx);
             self.write_entry(idx, FLAG_STRONG, rfc, wfp, Some(&s), block);
             inner.strong_index.insert(s, idx);
@@ -229,7 +235,7 @@ impl NvDedupTable {
             inner.window_dups += 1;
             let rfc = self.read_rfc(idx);
             self.write_rfc(idx, rfc + 1);
-            self.stats.record_page(true);
+            stats.record_page(true);
             (NvOutcome::Duplicate { block }, wfp)
         } else {
             // Weak collision with different content. The chunk may still
@@ -240,7 +246,7 @@ impl NvDedupTable {
                 inner.window_dups += 1;
                 let rfc = self.read_rfc(sidx);
                 self.write_rfc(sidx, rfc + 1);
-                self.stats.record_page(true);
+                stats.record_page(true);
                 return (NvOutcome::Duplicate { block: blk }, wfp);
             }
             (NvOutcome::Unique, wfp)
@@ -268,13 +274,13 @@ impl NvDedupTable {
             // Weak FP aliases an existing different chunk: index this one by
             // its strong fingerprint instead.
             let t0 = Instant::now();
-            let s = Fingerprint::of(image);
-            self.stats.record_fingerprint_time(t0.elapsed());
+            let s = self.fact.fingerprint(image);
+            self.stats().record_fingerprint_time(t0.elapsed());
             inner.strong_index.insert(s, idx);
             self.write_entry(idx, FLAG_STRONG, 1, wfp, Some(&s), block);
         }
         inner.block_index.insert(block, idx);
-        self.stats.record_page(false);
+        self.stats().record_page(false);
         Ok(())
     }
 
@@ -314,11 +320,17 @@ impl NvDedupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn setup() -> (Arc<PmemDevice>, NvDedupTable) {
         let dev = Arc::new(PmemDevice::new(16 * 1024 * 1024));
         let layout = Layout::compute(dev.size() as u64, 64, 2);
-        let table = NvDedupTable::new(dev.clone(), layout, Arc::new(DedupStats::default()));
+        let fact = Arc::new(Fact::new(
+            dev.clone(),
+            layout,
+            Arc::new(DedupStats::default()),
+        ));
+        let table = NvDedupTable::new(dev.clone(), layout, fact);
         (dev, table)
     }
 
@@ -343,6 +355,25 @@ mod tests {
         });
         assert_eq!(out, NvOutcome::Duplicate { block: 500 });
         assert_eq!(t.entries(), 1);
+    }
+
+    #[test]
+    fn strong_fingerprints_pay_facts_calibrated_cost() {
+        // NV-Dedup's strong fingerprints go through the same throttle as
+        // DeNova's: with a 1 ms pad, the weak hit below (strong FP of the
+        // image, plus the lazy upgrade's FP of the stored block) records at
+        // least that much fingerprint time.
+        let (_dev, t) = setup();
+        let a = page(1);
+        let (_, wfp) = t.lookup_adaptive(&a, |_| unreachable!());
+        t.insert_unique(&a, wfp, 1).unwrap();
+        t.fact.fp().set_extra_ns_per_4k(1_000_000);
+        let before = t.stats().fingerprint_time();
+        let (out, _) = t.lookup_adaptive(&a, |_| a.clone());
+        assert_eq!(out, NvOutcome::Duplicate { block: 1 });
+        let spent = t.stats().fingerprint_time() - before;
+        assert!(spent >= Duration::from_millis(1), "{spent:?}");
+        assert_eq!(t.stats().fingerprints(), 2);
     }
 
     #[test]

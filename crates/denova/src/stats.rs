@@ -40,7 +40,9 @@ pub struct DedupStats {
     // lock.
     prefp_reused_pages: Counter,
     refingerprinted_pages: Counter,
-    // Latency breakdown (Table IV).
+    // Latency breakdown (Table IV): 4 KB chunks fingerprinted through the
+    // cost model, and the time spent on them and on everything else.
+    fingerprints: Counter,
     fingerprint_ns: Counter,
     other_ops_ns: Counter,
     // DWQ.
@@ -83,6 +85,7 @@ impl DedupStats {
             pages_skipped_stale: registry.counter("denova.pages_skipped_stale"),
             prefp_reused_pages: registry.counter("denova.prefp_reused_pages"),
             refingerprinted_pages: registry.counter("denova.refingerprinted_pages"),
+            fingerprints: registry.counter("denova.fingerprints"),
             fingerprint_ns: registry.counter("denova.fingerprint_ns"),
             other_ops_ns: registry.counter("denova.other_ops_ns"),
             enqueued: registry.counter("dwq.enqueued"),
@@ -167,6 +170,10 @@ impl DedupStats {
 
     pub(crate) fn record_refingerprinted(&self) {
         self.refingerprinted_pages.inc();
+    }
+
+    pub(crate) fn record_fingerprints(&self, chunks: u64) {
+        self.fingerprints.add(chunks);
     }
 
     pub(crate) fn record_fingerprint_time(&self, d: Duration) {
@@ -277,6 +284,12 @@ impl DedupStats {
     /// Bytes of storage saved by deduplication so far.
     pub fn bytes_saved(&self) -> u64 {
         self.duplicate_pages() * denova_pmem::PAGE_SIZE as u64
+    }
+
+    /// 4 KB chunks fingerprinted through the calibrated cost model
+    /// ([`crate::Fact::fingerprint`]), each charged one modelled `T_f`.
+    pub fn fingerprints(&self) -> u64 {
+        self.fingerprints.get()
     }
 
     /// Total fingerprinting time (Table IV "FP Time").

@@ -8,8 +8,13 @@
 //!
 //! Everything here is implemented from scratch — no external hashing crates —
 //! because the reproduction must own every substrate the paper depends on.
+//! SHA-1 runs on the CPU's SHA unit where there is one (as the kernel crypto
+//! API the paper measured does), else on a portable compression function;
+//! the fingerprint *cost* the paper's model uses is not this crate's speed
+//! but `denova::fp::FpThrottle`'s target, which pads up to it.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 mod chunk;
 mod sha1;
