@@ -2,17 +2,16 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test e2e-check fmt-check clippy one-conn-path figures serve-smoke repl-smoke cluster-smoke clean
+.PHONY: verify build test e2e-check fmt-check clippy one-conn-path figures serve-smoke repl-smoke clean
 
-# The tier-1 gate: what CI runs. The three smokes drive the real CLI across
-# processes (repl and cluster SIGKILL a server); none writes a tracked file.
-verify: build fmt-check clippy one-conn-path test e2e-check serve-smoke repl-smoke cluster-smoke
+# The tier-1 gate: what CI runs. The two smokes drive the real CLI across
+# processes (repl SIGKILLs a server); neither writes a tracked file.
+verify: build fmt-check clippy one-conn-path test e2e-check serve-smoke repl-smoke
 
 build:
 	$(CARGO) build --release
 
-# Every crate's unit tests plus the root integration tests, the chaos
-# scenario library included (a failing scenario test prints its journal).
+# Every crate's unit tests plus the root integration tests.
 test:
 	$(CARGO) test -q --workspace
 
@@ -56,12 +55,6 @@ serve-smoke: build
 # the standby over the wire, verify payloads byte-for-byte, fsck the image.
 repl-smoke: build
 	bash scripts/repl_smoke.sh
-
-# Sharded-cluster check: a 2-shard TCP cluster driven through the routing
-# client — hash placement, merged ls, a two-phase cross-shard rename,
-# SIGKILL failover with promotion + map rebalance, clean fsck on every image.
-cluster-smoke: build
-	bash scripts/cluster_smoke.sh
 
 # Smoke-scale run of every figure/table in the evaluation.
 figures:

@@ -58,8 +58,7 @@ pub struct FpThrottle {
     host_ns_per_4k: AtomicU64,
     /// When set, padding yields the CPU ([`denova_pmem::block_ns`]) instead
     /// of spinning, so concurrent fingerprints overlap on hosts with fewer
-    /// cores than dedup workers (same rationale as
-    /// `PmemDevice::set_blocking_latency`).
+    /// cores than dedup workers.
     blocking: AtomicBool,
 }
 
@@ -112,14 +111,10 @@ impl FpThrottle {
         self.set_target(PAPER_FP_NS_PER_4K);
     }
 
-    /// Disable padding.
-    pub fn clear(&self) {
-        self.extra_ns_per_4k.store(0, Ordering::Relaxed);
-    }
-
-    /// Set the padding directly, without re-measuring the host (the QoS
-    /// controller's knob: it scales a previously calibrated value).
-    pub fn set_extra_ns_per_4k(&self, extra: u64) {
+    /// Set the padding directly, without re-measuring the host. Tests only:
+    /// outside them the pad is the platform's `T_f`, fixed at calibration.
+    #[cfg(test)]
+    pub(crate) fn set_extra_ns_per_4k(&self, extra: u64) {
         self.extra_ns_per_4k.store(extra, Ordering::Relaxed);
     }
 
@@ -205,14 +200,6 @@ mod tests {
         // A partial chunk pads as a whole one; so does an empty input.
         assert_eq!(t.pad_ns(4 * 4096 + 1), 500_000);
         assert_eq!(t.pad_ns(0), 100_000);
-    }
-
-    #[test]
-    fn clear_restores_raw_speed() {
-        let t = FpThrottle::none();
-        t.set_target(1_000_000);
-        t.clear();
-        assert_eq!(t.extra_ns_per_4k(), 0);
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod fp;
 pub mod fsck;
 pub mod inline;
 pub mod nvdedup;
-pub mod qos;
 pub mod reclaim;
 pub mod recovery;
 pub mod reorder;
@@ -45,7 +44,6 @@ pub use dwq::{Dwq, DwqNode};
 pub use fact::{Fact, FactEntry, Survey, DEFAULT_EXTENT_THRESHOLD_PAGES, NIL};
 pub use fp::{FpThrottle, PAPER_FP_NS_PER_4K};
 pub use nvdedup::{NvDedupTable, NvOutcome};
-pub use qos::{QosMode, SloConfig, SloController, SloDriver};
 pub use reclaim::DenovaHooks;
 pub use recovery::{recover, scrub, RecoveryPhases, RecoveryReport};
 pub use reorder::{recover_reorder, reorder_chain};
@@ -123,8 +121,6 @@ pub struct Denova {
     daemon: Option<Daemon>,
     /// Dedup worker threads (and DWQ shards) this mount was assembled with.
     dedup_workers: usize,
-    /// Closed-loop SLO controller thread, when `slo_write_p99_ns` is set.
-    slo: Option<qos::SloDriver>,
     /// What dedup recovery did, when this mount ran it.
     last_recovery: Option<RecoveryReport>,
 }
@@ -134,7 +130,6 @@ impl Denova {
     pub fn mkfs(dev: Arc<PmemDevice>, mut opts: NovaOptions, mode: DedupMode) -> Result<Denova> {
         opts.dedup_enabled = mode.tags_writes();
         let workers = opts.dedup_workers.max(1);
-        let slo_target = opts.slo_write_p99_ns;
         let extent_threshold = opts.extent_threshold_pages;
         let nova = Arc::new(Nova::mkfs(dev.clone(), opts)?);
         let stats = Arc::new(DedupStats::new(dev.metrics()));
@@ -146,7 +141,7 @@ impl Denova {
             workers,
         ));
         Ok(Self::assemble_with_dwq(
-            nova, fact, dwq, stats, mode, workers, slo_target,
+            nova, fact, dwq, stats, mode, workers,
         ))
     }
 
@@ -158,7 +153,6 @@ impl Denova {
             superblock::read_superblock(&dev).is_ok() && superblock::was_clean_unmount(&dev);
         opts.dedup_enabled = mode.tags_writes();
         let workers = opts.dedup_workers.max(1);
-        let slo_target = opts.slo_write_p99_ns;
         let extent_threshold = opts.extent_threshold_pages;
         let nova = Arc::new(Nova::mount(dev.clone(), opts)?);
         let stats = Arc::new(DedupStats::new(dev.metrics()));
@@ -185,7 +179,7 @@ impl Denova {
             let report = recovery::recover(&nova, &fact, &dwq, survey)?;
             (Arc::new(fact), Some(report))
         };
-        let mut fs = Self::assemble_with_dwq(nova, fact, dwq, stats, mode, workers, slo_target);
+        let mut fs = Self::assemble_with_dwq(nova, fact, dwq, stats, mode, workers);
         fs.last_recovery = last_recovery;
         Ok(fs)
     }
@@ -197,7 +191,6 @@ impl Denova {
         stats: Arc<DedupStats>,
         mode: DedupMode,
         workers: usize,
-        slo_target: u64,
     ) -> Denova {
         let mut nvd = None;
         match mode {
@@ -229,15 +222,6 @@ impl Denova {
                 cfg.with_workers(workers),
             )
         });
-        let slo = (slo_target > 0).then(|| {
-            qos::SloDriver::spawn(
-                qos::SloConfig::new(slo_target),
-                nova.device().metrics(),
-                fact.clone(),
-                std::time::Duration::from_millis(100),
-                8,
-            )
-        });
         Denova {
             nova,
             fact,
@@ -247,7 +231,6 @@ impl Denova {
             mode,
             daemon,
             dedup_workers: workers,
-            slo,
             last_recovery: None,
         }
     }
@@ -344,12 +327,6 @@ impl Denova {
         &self.stats
     }
 
-    /// The closed-loop SLO controller, when this mount runs with
-    /// `NovaOptions::slo_write_p99_ns` set.
-    pub fn slo_controller(&self) -> Option<&Arc<SloController>> {
-        self.slo.as_ref().map(|d| d.controller())
-    }
-
     /// Block until the daemon has processed every queued node (no-op in
     /// Baseline/Inline modes).
     pub fn drain(&self) {
@@ -409,9 +386,6 @@ impl Denova {
     /// Cleanly unmount: stop the daemon, save the DWQ to PM, persist the
     /// clean flag. Consumes the handle.
     pub fn unmount(mut self) {
-        if let Some(mut s) = self.slo.take() {
-            s.stop();
-        }
         if let Some(d) = self.daemon.take() {
             d.stop();
         }
@@ -743,45 +717,6 @@ mod tests {
             .to_string(),
             "DeNova-Delayed(750,20000)"
         );
-    }
-
-    #[test]
-    fn slo_driver_relaxes_and_restores_throttle() {
-        use std::time::{Duration, Instant};
-        let device = dev();
-        let fs = Denova::mkfs(
-            device.clone(),
-            NovaOptions {
-                num_inodes: 128,
-                slo_write_p99_ns: 1_000_000,
-                ..Default::default()
-            },
-            DedupMode::Immediate,
-        )
-        .unwrap();
-        fs.fact().fp().set_extra_ns_per_4k(10_000); // late calibration
-        let hist = device.metrics().histogram("nova.write");
-        // Feed a breaching p99 until the closed loop sheds all padding.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while fs.fact().fp().extra_ns_per_4k() != 0 {
-            for _ in 0..16 {
-                hist.record(5_000_000);
-            }
-            assert!(Instant::now() < deadline, "controller never reached Bypass");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert_eq!(fs.slo_controller().unwrap().mode(), QosMode::Bypass);
-        // Feed a healthy p99; the calibrated padding must come back.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while fs.fact().fp().extra_ns_per_4k() != 10_000 {
-            for _ in 0..16 {
-                hist.record(100_000);
-            }
-            assert!(Instant::now() < deadline, "controller never recovered");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert_eq!(fs.slo_controller().unwrap().mode(), QosMode::Full);
-        fs.unmount();
     }
 
     #[test]

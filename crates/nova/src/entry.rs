@@ -4,12 +4,16 @@
 //! costs one flush + fence before the atomic tail commit. The `WriteEntry`
 //! carries the `dedupe_flag` byte that DeNova's consistency protocol is built
 //! on (Fig. 5): it is updated in place with a single-byte store + flush,
-//! which is atomic with respect to power failure at cache-line granularity.
+//! which is atomic with respect to power failure.
 //!
-//! Entries carry an FNV-1a checksum over their first 56 bytes so recovery can
-//! reject a torn append (an entry whose line was only partially persisted) —
-//! the NOVA paper relies on the tail pointer for this, and the checksum gives
-//! us an independent integrity check at negligible cost.
+//! Entries carry an FNV-1a checksum over their first 56 bytes, the flag byte
+//! read as zero, so recovery can reject a torn append (an entry whose line
+//! was only partially persisted) — the NOVA paper relies on the tail pointer
+//! for this, and the checksum gives us an independent integrity check at
+//! negligible cost. Leaving the flag out of the checksum is what makes its
+//! in-place update one store: a sealed entry stays valid whichever flag value
+//! a crash leaves in it, and [`decode`] checks instead that the flag fits
+//! the entry type.
 
 use crate::error::{NovaError, Result};
 use denova_pmem::PmemDevice;
@@ -147,8 +151,17 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The checksum of an entry: FNV-1a over bytes 0..56 with the dedupe flag
+/// read as zero.
+fn checksum(b: &[u8; 64]) -> u64 {
+    let mut sealed = [0u8; 56];
+    sealed.copy_from_slice(&b[..56]);
+    sealed[DEDUPE_FLAG_OFFSET as usize] = 0;
+    fnv64(&sealed)
+}
+
 fn finish(buf: &mut [u8; 64]) {
-    let csum = fnv64(&buf[..56]);
+    let csum = checksum(buf);
     buf[56..64].copy_from_slice(&csum.to_le_bytes());
 }
 
@@ -206,15 +219,25 @@ impl AttrEntry {
     }
 }
 
-/// Decode and checksum-verify a 64 B entry.
+/// Decode and checksum-verify a 64 B entry. The checksum does not cover the
+/// dedupe flag, so the flag must fit the entry type instead: a Write may
+/// carry any of the four (dedup-disabled and hole writes carry
+/// `NotApplicable`), a Dentry or Attr only `NotApplicable`.
 pub fn decode(b: &[u8; 64]) -> Result<LogEntry> {
     let stored = u64::from_le_bytes(b[56..64].try_into().unwrap());
-    if stored != fnv64(&b[..56]) {
+    if stored != checksum(b) {
         return Err(NovaError::Corrupt("log entry checksum mismatch"));
     }
-    match EntryType::from_u8(b[0])? {
+    let kind = EntryType::from_u8(b[0])?;
+    let flag = DedupeFlag::from_u8(b[DEDUPE_FLAG_OFFSET as usize])?;
+    if kind != EntryType::Write && flag != DedupeFlag::NotApplicable {
+        return Err(NovaError::Corrupt(
+            "dedupe flag does not fit the entry type",
+        ));
+    }
+    match kind {
         EntryType::Write => Ok(LogEntry::Write(WriteEntry {
-            dedupe_flag: DedupeFlag::from_u8(b[1])?,
+            dedupe_flag: flag,
             num_pages: u32::from_le_bytes(b[4..8].try_into().unwrap()),
             file_pgoff: u64::from_le_bytes(b[8..16].try_into().unwrap()),
             block: u64::from_le_bytes(b[16..24].try_into().unwrap()),
@@ -258,20 +281,11 @@ pub fn read_dedupe_flag(dev: &PmemDevice, off: u64) -> Result<DedupeFlag> {
 
 /// Update the dedupe flag of the entry at `off` in place: a single-byte
 /// store, flush, and fence ("the dedupe-flag is updated in place with an
-/// atomic write operation").
-///
-/// Note: the checksum intentionally does *not* cover the flag byte — the flag
-/// mutates after the entry is sealed. The encoder writes the flag before
-/// checksumming, so we exclude byte 1 from the checksummed region... it is
-/// simpler and faster to recompute: the flag lives inside bytes 0..56, so we
-/// rewrite the checksum too, within the same cache line (still one flush).
+/// atomic write operation"). The checksum does not cover the flag, so it is
+/// not rewritten: a crash leaves the old flag or the new one, never an entry
+/// that fails its checksum.
 pub fn write_dedupe_flag(dev: &PmemDevice, off: u64, flag: DedupeFlag) {
-    let mut b = [0u8; 64];
-    dev.read_into(off, &mut b);
-    b[DEDUPE_FLAG_OFFSET as usize] = flag as u8;
-    finish(&mut b);
     dev.write_u8(off + DEDUPE_FLAG_OFFSET, flag as u8);
-    dev.write(off + 56, &b[56..64]);
     dev.persist(off, 64);
 }
 
@@ -403,7 +417,7 @@ mod tests {
         dev.write_persist(128, &e.encode());
         write_dedupe_flag(&dev, 128, DedupeFlag::InProcess);
         assert_eq!(read_dedupe_flag(&dev, 128).unwrap(), DedupeFlag::InProcess);
-        // The whole entry must still decode (checksum was refreshed).
+        // The whole entry must still decode.
         match read_entry(&dev, 128).unwrap() {
             LogEntry::Write(w) => {
                 assert_eq!(w.dedupe_flag, DedupeFlag::InProcess);
@@ -411,6 +425,56 @@ mod tests {
             }
             other => panic!("unexpected entry {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_flag_byte_alone_leaves_a_valid_entry() {
+        // What an eviction can leave on media mid-update: the sealed entry
+        // with only its flag byte changed.
+        let dev = PmemDevice::new(4096);
+        dev.write_persist(0, &we().encode());
+        dev.write_u8(DEDUPE_FLAG_OFFSET, DedupeFlag::InProcess as u8);
+        dev.persist(DEDUPE_FLAG_OFFSET, 1);
+        let after = dev.crash_clone(denova_pmem::CrashMode::Strict);
+        match read_entry(&after, 0).unwrap() {
+            LogEntry::Write(w) => assert_eq!(
+                w,
+                WriteEntry {
+                    dedupe_flag: DedupeFlag::InProcess,
+                    ..we()
+                }
+            ),
+            other => panic!("unexpected entry {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_flag_that_does_not_fit_the_entry_type_is_corrupt() {
+        let dentry = DentryEntry {
+            add: true,
+            ino: 9,
+            name: "a".to_string(),
+            txid: 1,
+        };
+        for mut b in [
+            dentry.encode().unwrap(),
+            AttrEntry {
+                new_size: 1,
+                txid: 1,
+            }
+            .encode(),
+        ] {
+            b[DEDUPE_FLAG_OFFSET as usize] = DedupeFlag::Needed as u8;
+            assert_eq!(
+                decode(&b),
+                Err(NovaError::Corrupt(
+                    "dedupe flag does not fit the entry type"
+                ))
+            );
+        }
+        let mut b = we().encode();
+        b[DEDUPE_FLAG_OFFSET as usize] = 4;
+        assert!(decode(&b).is_err());
     }
 
     #[test]

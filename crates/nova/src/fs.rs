@@ -37,12 +37,6 @@ pub struct NovaOptions {
     /// (CLI, service, benches) configures the pool through one options
     /// struct.
     pub dedup_workers: usize,
-    /// Foreground write SLO: target `nova.write` p99 in nanoseconds. When
-    /// nonzero the dedup layer runs a closed-loop controller that backs
-    /// fingerprint cost off while the live p99 breaches this target. NOVA
-    /// itself ignores the value (same rationale as `dedup_workers`). 0
-    /// disables the loop.
-    pub slo_write_p99_ns: u64,
     /// Minimum duplicate-run length, in pages, at which the dedup layer
     /// promotes per-page FACT records into a single extent-run record. 0
     /// disables promotion (per-block dedup baseline). NOVA itself ignores
@@ -58,7 +52,6 @@ impl Default for NovaOptions {
             cpus: 4,
             dedup_enabled: false,
             dedup_workers: 1,
-            slo_write_p99_ns: 0,
             extent_threshold_pages: 16,
         }
     }
@@ -389,12 +382,6 @@ pub struct Nova {
     /// stays tiny and full pages never touch a bounce buffer. A lock-free
     /// Treiber stack so concurrent unaligned writers never contend on it.
     scratch: denova_sync::Stack<Box<[u8; BLOCK_SIZE as usize]>>,
-    /// Names of two-phase-commit prepare/staging records
-    /// ([`PREPARE_PREFIX`]) found in the namespace by mount-time recovery.
-    /// A crashed cross-shard transaction leaves these behind; the cluster
-    /// layer resolves each against its peer before serving. Empty after
-    /// `mkfs` and after a mount that found none.
-    orphan_prepares: Vec<String>,
     /// Write entries mount-time recovery found flagged `Needed` /
     /// `InProcess`, until the dedup layer takes them
     /// ([`Nova::take_dedup_pending`]).
@@ -402,12 +389,6 @@ pub struct Nova {
     /// What the mount's log walk read (all zero after `mkfs`).
     mount_walk: LogWalk,
 }
-
-/// Name prefix reserved for cluster two-phase-commit records. The cluster
-/// layer stores prepare decisions and staged content as ordinary files under
-/// this prefix, which buys them NOVA's crash consistency for free; recovery
-/// surfaces any that survive a crash via [`Nova::orphan_prepares`].
-pub const PREPARE_PREFIX: &str = ".2pc.";
 
 /// Upper bound on pooled scratch pages; beyond this, returned pages are
 /// simply dropped (two concurrent unaligned writers need at most two each).
@@ -442,7 +423,6 @@ impl Nova {
             op_tap: RwLock::new(None),
             stats: NovaStats::new(dev.metrics()),
             scratch: denova_sync::Stack::new(),
-            orphan_prepares: Vec::new(),
             dedup_pending: Mutex::new(DedupPending::default()),
             mount_walk: LogWalk::default(),
             layout,
@@ -462,11 +442,6 @@ impl Nova {
         let layout = superblock::read_superblock(&dev)?;
         let recovered = crate::recovery::recover(&dev, &layout, opts.cpus)?;
         superblock::set_clean_unmount(&dev, false);
-        if !recovered.orphan_prepares.is_empty() {
-            dev.metrics()
-                .counter("nova.recovery.orphan_prepares")
-                .add(recovered.orphan_prepares.len() as u64);
-        }
         let inode_map = ShardedInodeMap::new();
         for (ino, mut mem) in recovered.inodes {
             mem.refresh_hints();
@@ -483,21 +458,11 @@ impl Nova {
             op_tap: RwLock::new(None),
             stats: NovaStats::new(dev.metrics()),
             scratch: denova_sync::Stack::new(),
-            orphan_prepares: recovered.orphan_prepares,
             dedup_pending: Mutex::new(recovered.dedup_pending),
             mount_walk: recovered.walk,
             layout,
             dev,
         })
-    }
-
-    /// Two-phase-commit records ([`PREPARE_PREFIX`] names) that mount-time
-    /// recovery found in the namespace — the debris of a cross-shard
-    /// transaction interrupted by a crash. The cluster layer must resolve
-    /// every one (commit forward or roll back against the peer) before the
-    /// node serves requests; a standalone mount may ignore them.
-    pub fn orphan_prepares(&self) -> &[String] {
-        &self.orphan_prepares
     }
 
     /// The write entries mount-time recovery found still flagged for (or

@@ -41,7 +41,7 @@ pub mod tap;
 pub use alloc::{Allocator, BlockBitmap};
 pub use entry::{AttrEntry, DedupeFlag, DentryEntry, EntryType, LogEntry, WriteEntry};
 pub use error::{NovaError, Result};
-pub use fs::{FileStat, InodeCtx, InodeMem, Nova, NovaOptions, PREPARE_PREFIX};
+pub use fs::{FileStat, InodeCtx, InodeMem, Nova, NovaOptions};
 pub use fsck::{check as fsck, FsckError, FsckReport};
 pub use hooks::{NoHooks, NovaHooks, ReclaimDecision};
 pub use index::{EntryRef, RadixTree};

@@ -94,11 +94,6 @@ pub struct Recovered {
     pub alloc: Allocator,
     /// One past the largest transaction id seen in any log.
     pub next_txid: u64,
-    /// Names beginning with [`crate::fs::PREPARE_PREFIX`] that survived the
-    /// crash: two-phase-commit records of in-flight cross-shard transactions.
-    /// The cluster layer resolves them; a standalone mount treats them as
-    /// ordinary files.
-    pub orphan_prepares: Vec<String>,
     /// Write entries still flagged for (or inside) a dedup transaction.
     pub dedup_pending: DedupPending,
     /// Device work of the walk.
@@ -184,12 +179,6 @@ fn scan(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recovered> {
         }
     }
     root_mem.log_chain = mark_pages(log, &root_mem.pos, &mut occupied, &mut walk);
-    let mut orphan_prepares: Vec<String> = namespace
-        .keys()
-        .filter(|n| n.starts_with(crate::fs::PREPARE_PREFIX))
-        .cloned()
-        .collect();
-    orphan_prepares.sort();
 
     // Phase 2: rebuild each live file's radix tree from its log; mark its
     // log pages and currently-referenced data pages occupied. Hard links
@@ -270,7 +259,6 @@ fn scan(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recovered> {
         inodes,
         alloc,
         next_txid,
-        orphan_prepares,
         dedup_pending,
         walk,
     })
@@ -278,6 +266,7 @@ fn scan(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recovered> {
 
 #[cfg(test)]
 mod tests {
+    use crate::entry::DedupeFlag;
     use crate::fs::{Nova, NovaOptions};
     use denova_pmem::{CrashMode, PmemDevice};
     use std::sync::Arc;
@@ -454,21 +443,28 @@ mod tests {
     }
 
     #[test]
-    fn orphan_prepare_records_are_surfaced_after_mount() {
+    fn a_dedupe_flag_update_cut_short_mounts() {
+        // The flag update's store persisted, nothing else of the entry's
+        // line changed: the entry decodes with the new flag, and the mount
+        // hands it to dedup recovery as in-process.
         let dev = Arc::new(PmemDevice::new(32 * 1024 * 1024));
-        let fs = Nova::mkfs(dev, opts()).unwrap();
-        fs.create("normal").unwrap();
-        let t = fs.create(".2pc.42").unwrap();
-        fs.write(t, 0, b"prepare record").unwrap();
-        fs.create(".2pc.stage.42").unwrap();
+        let dedup = NovaOptions {
+            dedup_enabled: true,
+            ..opts()
+        };
+        let fs = Nova::mkfs(dev, dedup).unwrap();
+        let a = fs.create("a").unwrap();
+        fs.write(a, 0, &[7u8; 4096]).unwrap();
         let fs2 = crash_and_mount(&fs);
-        assert_eq!(fs2.orphan_prepares(), [".2pc.42", ".2pc.stage.42"]);
-        // A resolved (unlinked) record no longer shows up.
-        fs2.unlink(".2pc.42").unwrap();
-        fs2.unlink(".2pc.stage.42").unwrap();
+        let needed = fs2.take_dedup_pending().needed;
+        assert_eq!(needed.len(), 1);
+        let (ino, off) = needed[0];
+        let flag_at = off + crate::entry::DEDUPE_FLAG_OFFSET;
+        fs2.device().write_u8(flag_at, DedupeFlag::InProcess as u8);
+        fs2.device().persist(flag_at, 1);
         let fs3 = crash_and_mount(&fs2);
-        assert!(fs3.orphan_prepares().is_empty());
-        assert!(fs3.exists("normal"));
+        assert_eq!(fs3.take_dedup_pending().in_process, [(ino, off)]);
+        assert_eq!(fs3.read(a, 0, 4096).unwrap(), vec![7u8; 4096]);
     }
 
     #[test]

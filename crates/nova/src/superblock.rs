@@ -5,7 +5,9 @@ use crate::layout::Layout;
 use denova_pmem::PmemDevice;
 
 const MAGIC: u64 = 0x4445_4E4F_5641_4653; // "DENOVAFS"
-const VERSION: u64 = 1;
+/// 2: log-entry checksums read the dedupe flag as zero. A version-1 image
+/// checksummed the flag, so it is refused rather than misread.
+const VERSION: u64 = 2;
 
 // Field offsets within block 0.
 const OFF_MAGIC: u64 = 0;
@@ -110,6 +112,17 @@ mod tests {
         let layout = test_layout(&dev);
         write_superblock(&dev, &layout);
         assert_eq!(read_superblock(&dev).unwrap(), layout);
+    }
+
+    #[test]
+    fn a_version_1_image_is_refused() {
+        let dev = PmemDevice::new(16 * 1024 * 1024);
+        write_superblock(&dev, &test_layout(&dev));
+        dev.write_u64(OFF_VERSION, 1);
+        assert_eq!(
+            read_superblock(&dev),
+            Err(NovaError::Corrupt("unsupported version"))
+        );
     }
 
     #[test]

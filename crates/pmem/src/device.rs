@@ -13,14 +13,14 @@
 //! consistency on — is exposed separately and is always race-free.
 
 use crate::crash::{CrashMode, CrashPointRegistry, SimulatedCrash};
-use crate::latency::{inject_ns, LatencyProfile};
+use crate::latency::{spin_ns, LatencyProfile};
 use crate::stats::PmemStats;
 use crate::{lines_spanned, CACHE_LINE, PAGE_SIZE};
 use denova_telemetry::{Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of lock shards for the dirty-page shadow maps.
 const NSHARDS: usize = 64;
@@ -156,7 +156,6 @@ impl PmemBuilder {
             metrics,
             flush_lines,
             crash_points: CrashPointRegistry::new(),
-            blocking_latency: AtomicBool::new(false),
         }
     }
 }
@@ -174,10 +173,6 @@ pub struct PmemDevice {
     /// path never does a name lookup.
     flush_lines: Histogram,
     crash_points: CrashPointRegistry,
-    /// When set, injected delays yield the CPU (see
-    /// [`crate::latency::block_ns`]) instead of spinning, so concurrent
-    /// device operations overlap on hosts with fewer cores than threads.
-    blocking_latency: AtomicBool,
 }
 
 // SAFETY: interior mutability of `buf` is raced only if callers race plain
@@ -225,29 +220,6 @@ impl PmemDevice {
     /// Current latency profile.
     pub fn latency(&self) -> LatencyProfile {
         *self.latency.lock()
-    }
-
-    /// Switch injected delays between spinning (default; models the issuing
-    /// core stalling) and yielding the CPU (so concurrent operations overlap
-    /// on hosts with fewer cores than threads — see
-    /// [`crate::latency::block_ns`] for the trade-off).
-    pub fn set_blocking_latency(&self, on: bool) {
-        self.blocking_latency.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether injected delays currently yield the CPU.
-    pub fn blocking_latency(&self) -> bool {
-        self.blocking_latency.load(Ordering::Relaxed)
-    }
-
-    /// Route an injected delay through the configured wait mechanism.
-    #[inline]
-    fn inject(&self, ns: u64) {
-        if self.blocking_latency() {
-            crate::latency::block_ns(ns);
-        } else {
-            inject_ns(ns);
-        }
     }
 
     /// Set the crash mode applied when an armed crash point fires.
@@ -396,7 +368,7 @@ impl PmemDevice {
         if !profile.is_zero() {
             let ns = profile.read_cost_ns(lines_spanned(off, len));
             self.stats.record_injected(ns);
-            self.inject(ns);
+            spin_ns(ns);
         }
     }
 
@@ -539,7 +511,7 @@ impl PmemDevice {
         if !profile.is_zero() {
             let ns = profile.write_cost_ns(lines);
             self.stats.record_injected(ns);
-            self.inject(ns);
+            spin_ns(ns);
         }
     }
 
@@ -573,7 +545,7 @@ impl PmemDevice {
         if !profile.is_zero() {
             let ns = profile.write_cost_ns(total_lines);
             self.stats.record_injected(ns);
-            self.inject(ns);
+            spin_ns(ns);
         }
     }
 
@@ -727,7 +699,7 @@ impl PmemDevice {
             if profile.fence_ns > 0 {
                 let ns = profile.fence_ns as u64;
                 self.stats.record_injected(ns);
-                self.inject(ns);
+                spin_ns(ns);
             }
         }
     }
@@ -783,7 +755,6 @@ impl PmemDevice {
         let clone = PmemBuilder::new(self.size())
             .latency(self.latency())
             .build();
-        clone.set_blocking_latency(self.blocking_latency());
         // Copy the current (volatile) view...
         unsafe {
             std::ptr::copy_nonoverlapping(self.ptr(), clone.ptr(), self.size());

@@ -205,11 +205,11 @@ const BLOCKING_MIN_NS: u64 = 5_000;
 /// The default spin injection models what a store/flush stall does to the
 /// issuing core — it stays busy — which is faithful per-thread but means a
 /// host with fewer cores than worker threads cannot overlap the stalls of
-/// concurrent requests the way independent memory channels do. Service-layer
-/// scaling experiments (`denova-svc`'s sharded worker pool) opt into this
-/// blocking mode via [`crate::PmemDevice::set_blocking_latency`] so that
-/// concurrent device operations overlap even on small hosts; absolute
-/// latencies become sleep-granularity coarse, so it is never the default.
+/// concurrent requests the way independent memory channels do. The
+/// fingerprint pad opts into this blocking mode (`FpThrottle::set_blocking`
+/// in the `denova` crate) so that concurrent fingerprints overlap even on
+/// small hosts; waits become sleep-granularity coarse, so it is never the
+/// default.
 #[inline]
 pub fn block_ns(ns: u64) {
     if ns >= BLOCKING_MIN_NS {
@@ -217,12 +217,6 @@ pub fn block_ns(ns: u64) {
     } else {
         spin_ns(ns);
     }
-}
-
-/// Crate-internal alias retained by the device code.
-#[inline]
-pub(crate) fn inject_ns(ns: u64) {
-    spin_ns(ns);
 }
 
 #[cfg(test)]

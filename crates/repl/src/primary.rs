@@ -59,11 +59,6 @@ pub struct ReplConfig {
     pub heartbeat: Duration,
     /// Snapshot transfer chunk size.
     pub snapshot_chunk: usize,
-    /// Cluster shard this journal replicates, if the primary is one shard
-    /// of a sharded namespace. Surfaces as the `repl.shard` gauge so one
-    /// metrics dump from a multi-shard process can be told apart; `None`
-    /// (standalone replication) leaves the gauge unset.
-    pub shard: Option<u32>,
 }
 
 impl Default for ReplConfig {
@@ -77,7 +72,6 @@ impl Default for ReplConfig {
             batch_bytes: 2 << 20,
             heartbeat: Duration::from_millis(500),
             snapshot_chunk: 4 << 20,
-            shard: None,
         }
     }
 }
@@ -145,9 +139,6 @@ impl ReplPrimary {
     /// (in-process) standby serving and for shutdown.
     pub fn install(fs: Arc<Denova>, server: Option<&Server>, cfg: ReplConfig) -> Arc<ReplPrimary> {
         let metrics = fs.nova().device().metrics().clone();
-        if let Some(shard) = cfg.shard {
-            metrics.gauge("repl.shard").set(shard as i64);
-        }
         let shared = Arc::new(Shared {
             journal: Journal::new(cfg.journal, &metrics),
             cfg,
@@ -189,16 +180,6 @@ impl ReplPrimary {
     /// Unacknowledged ops (`repl.lag_ops` at this instant).
     pub fn lag_ops(&self) -> u64 {
         self.shared.journal.head() - self.shared.journal.acked()
-    }
-
-    /// Block until every streaming standby has acknowledged the current
-    /// journal head (the journal is *drained*), or `timeout` passes.
-    /// Rebalancing calls this after freezing writes to a shard so the
-    /// takeover target provably holds every committed op before promotion.
-    /// Returns `true` once drained; `false` on timeout.
-    pub fn wait_drained(&self, timeout: Duration) -> bool {
-        let head = self.shared.journal.head();
-        self.shared.journal.wait_acked(head, timeout)
     }
 
     /// Whether sync-ack durability has been downgraded at least once: some

@@ -404,12 +404,10 @@ impl Client {
         }
     }
 
-    /// Send an arbitrary request and return the raw body. The typed methods
-    /// below cover the file API; this is for layered protocols (the cluster
-    /// layer's map exchange and two-phase-commit ops) that extend the wire
-    /// protocol without teaching this client their semantics. The usual
-    /// retry rules apply: only idempotent requests are re-sent after a
-    /// transport failure.
+    /// Send an arbitrary request and return the raw body, for callers that
+    /// already hold a [`Request`] (a benchmark replaying a generated op
+    /// stream). The usual retry rules apply: only idempotent requests are
+    /// re-sent after a transport failure.
     pub fn request(&mut self, req: &Request) -> Result<Body, SvcError> {
         self.call(req)
     }

@@ -13,10 +13,8 @@
 //! * [`pool`] — [`ShardedPool`]: worker threads keyed by
 //!   `shard_key % shards`, so same-inode operations serialize while
 //!   different files proceed in parallel.
-//! * [`transport`] / [`loopback`] — the [`Stream`] abstraction the client
-//!   side is written against (TCP and Unix-domain sockets implement it), and
-//!   in-process connections: a socket pair per connection, plus a [`Hub`] to
-//!   dial several servers in one process by name.
+//! * [`transport`] — the [`Stream`] abstraction the client side is written
+//!   against (TCP and Unix-domain sockets implement it).
 //! * [`server`] / [`client`] — the connection machinery ([`Server`]: one
 //!   connection state machine, on the reactor) and the synchronous typed
 //!   [`Client`].
@@ -32,7 +30,6 @@
 
 pub mod client;
 pub mod codec;
-pub mod loopback;
 pub mod pool;
 pub mod proto;
 pub mod repl;
@@ -42,11 +39,10 @@ pub mod tenant;
 pub mod transport;
 
 pub use client::{dial_tcp, Backoff, Client, Connector, RetryPolicy};
-pub use loopback::Hub;
 pub use pool::ShardedPool;
-pub use proto::{hash_name, Body, RemoteDedupStats, Reply, Request, SvcError, TxState};
+pub use proto::{hash_name, Body, RemoteDedupStats, Reply, Request, SvcError};
 pub use repl::{is_repl_frame, ReplMsg, REPL_MAGIC};
 pub use server::{ReplSink, Server, SvcConfig};
-pub use service::{FileService, Intercept, Interceptor, ReplRole};
+pub use service::{FileService, ReplRole};
 pub use tenant::{Tenant, TenantRegistry, DEFAULT_TENANT};
 pub use transport::Stream;

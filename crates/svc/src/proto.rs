@@ -109,43 +109,9 @@ wire_enum! {
         /// Promote a standby replica to primary (no-op acknowledged on a
         /// server that is already primary).
         16 "promote" Promote,
-        /// Fetch the serving node's cluster map → bytes body
-        /// (cluster-encoded).
-        17 "map_get" MapGet,
-        /// Offer a cluster map; the node adopts it if newer and always
-        /// replies with its (possibly merged) current map → bytes body.
-        18 "map_push" MapPush {
-            /// Cluster-map bytes (opaque to this layer; `crates/cluster`
-            /// defines the encoding so the wire protocol stays map-version
-            /// agnostic).
-            map: Vec<u8>,
-        },
-        /// Two-phase-commit participant: durably stage a cross-shard
-        /// operation under `txid` → inode of the staged target.
-        19 "tx_prepare" TxPrepare {
-            /// Cluster-wide transaction id (unique per coordinator decision).
-            txid: u64,
-            /// Opaque prepare payload defined by `crates/cluster` (operation
-            /// kind, target name, staged content chunk).
-            data: Vec<u8>,
-        },
-        /// Two-phase-commit participant: apply a prepared transaction
-        /// (idempotent — re-committing an already-applied txid acknowledges).
-        20 "tx_commit" TxCommit {
-            /// Transaction id to apply.
-            txid: u64,
-        },
-        /// Two-phase-commit participant: discard a prepared transaction
-        /// (idempotent — aborting an unknown txid acknowledges).
-        21 "tx_abort" TxAbort {
-            /// Transaction id to discard.
-            txid: u64,
-        },
-        /// Query a coordinator's durable decision for `txid` → tx-state body.
-        22 "tx_status" TxStatus {
-            /// Transaction id to query.
-            txid: u64,
-        },
+        // Tags 17-22 carried the retired cluster protocol (map exchange and
+        // two-phase commit). They stay reserved and decode as an unknown
+        // opcode, so a frame carrying one gets a `BAD_REQUEST` reply.
         /// Declare the connection's tenant for QoS accounting and
         /// weighted-fair scheduling. Connections that never send it run as
         /// the default tenant, so pre-tenant clients keep working unchanged.
@@ -173,9 +139,6 @@ impl Request {
                 | Request::Link { .. }
                 | Request::Rename { .. }
                 | Request::Truncate { .. }
-                | Request::TxPrepare { .. }
-                | Request::TxCommit { .. }
-                | Request::TxAbort { .. }
         )
     }
 
@@ -194,9 +157,6 @@ impl Request {
                 | Request::Fsync { .. }
                 | Request::DedupStats
                 | Request::Telemetry { .. }
-                | Request::MapGet
-                | Request::MapPush { .. }
-                | Request::TxStatus { .. }
                 | Request::Hello { .. }
         )
     }
@@ -222,20 +182,12 @@ impl Request {
             }
             Request::Link { existing, .. } => hash_name(existing),
             Request::Rename { from, .. } => hash_name(from),
-            // All phases of one transaction serialize on one worker shard,
-            // so a commit can never race its own prepare.
-            Request::TxPrepare { txid, .. }
-            | Request::TxCommit { txid }
-            | Request::TxAbort { txid }
-            | Request::TxStatus { txid } => *txid,
             Request::Ping
             | Request::List
             | Request::DedupStats
             | Request::Telemetry { .. }
             | Request::Shutdown
             | Request::Promote
-            | Request::MapGet
-            | Request::MapPush { .. }
             | Request::Hello { .. } => 0,
         }
     }
@@ -308,9 +260,8 @@ pub fn decode_write_ref(payload: &[u8]) -> Option<WriteRef> {
     })
 }
 
-/// Stable cross-process name hash, shared by worker-pool routing and the
-/// cluster layer's `hash(name) % shards` namespace partitioning (both sides
-/// of the wire must agree on it, so it is part of the protocol).
+/// Stable cross-process name hash: the worker-pool routing key of the
+/// namespace ops.
 pub fn hash_name(name: &str) -> u64 {
     // FNV-1a: stable across processes (no RandomState), cheap, good spread.
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -358,24 +309,6 @@ wire_struct! {
 wire_struct!(impl FileStat { ino, size, blocks, nlink, log_pages, log_entries_live });
 
 wire_enum! {
-    /// Durable two-phase-commit state of a transaction, as answered by
-    /// [`Request::TxStatus`]. `None` is the presumed-abort default: a
-    /// coordinator that crashed before its durable commit point leaves no
-    /// record, and the participant must roll back.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TxState else "unknown tx state" {
-        /// No durable record — presumed abort.
-        0 "none" None,
-        /// Prepared but not yet decided.
-        1 "prepared" Prepared,
-        /// Durably decided: commit.
-        2 "committed" Committed,
-        /// Durably decided: abort.
-        3 "aborted" Aborted,
-    }
-}
-
-wire_enum! {
     /// The payload of a successful reply, after its body tag.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Body else "unknown body tag" {
@@ -395,8 +328,8 @@ wire_enum! {
         6 "dedup_stats" DedupStats(RemoteDedupStats),
         /// Rendered text (telemetry snapshot).
         7 "text" Text(String),
-        /// Two-phase-commit state ([`Request::TxStatus`]).
-        8 "tx_state" TxState(TxState),
+        // Tag 8 carried the retired two-phase-commit state; it stays
+        // reserved and decodes as an unknown body tag.
     }
 }
 
@@ -428,12 +361,8 @@ impl SvcError {
     /// Mutating request sent to a standby replica; retry against the
     /// primary, or promote this node first.
     pub const REPLICA_READ_ONLY: u16 = 105;
-    /// Request routed to a node that does not own the target's shard.
-    /// `detail` packs the owning shard in the low 32 bits and the rejecting
-    /// node's map epoch in the high 32 bits; `message` names the owner's
-    /// address. The client should refresh its cluster map and re-dial —
-    /// the request was never executed, so a single retry is always safe.
-    pub const WRONG_SHARD: u16 = 106;
+    // Code 106 marked a request routed to the wrong cluster shard; it
+    // stays reserved and is never reused.
     /// Transport-level failure, client-side only (never on the wire).
     pub const IO: u16 = 110;
     /// No reply within the client's deadline, client-side only. The request
@@ -470,29 +399,6 @@ impl SvcError {
             detail: 0,
             message: message.into(),
         }
-    }
-
-    /// A [`SvcError::WRONG_SHARD`] rejection: the target belongs to
-    /// `owner_shard`, served at `owner_addr`, per the rejecting node's map
-    /// at `epoch` (truncated to 32 bits for the wire — epochs are bumped by
-    /// failovers and rebalances, far below 2³²).
-    pub fn wrong_shard(owner_shard: u32, epoch: u64, owner_addr: &str) -> SvcError {
-        SvcError {
-            code: Self::WRONG_SHARD,
-            detail: ((epoch & 0xFFFF_FFFF) << 32) | owner_shard as u64,
-            message: owner_addr.to_string(),
-        }
-    }
-
-    /// The owning shard carried by a [`SvcError::WRONG_SHARD`] reply.
-    pub fn wrong_shard_owner(&self) -> u32 {
-        self.detail as u32
-    }
-
-    /// The rejecting node's map epoch carried by a
-    /// [`SvcError::WRONG_SHARD`] reply.
-    pub fn wrong_shard_epoch(&self) -> u32 {
-        (self.detail >> 32) as u32
     }
 
     /// A client-side transport error (not a wire code).
@@ -590,17 +496,6 @@ mod tests {
             Request::Telemetry { json: true },
             Request::Shutdown,
             Request::Promote,
-            Request::MapGet,
-            Request::MapPush {
-                map: vec![1, 2, 3, 4],
-            },
-            Request::TxPrepare {
-                txid: 99,
-                data: vec![5; 64],
-            },
-            Request::TxCommit { txid: 99 },
-            Request::TxAbort { txid: 99 },
-            Request::TxStatus { txid: 99 },
             Request::Hello {
                 tenant: "acme".into(),
                 weight: 4,
@@ -698,17 +593,7 @@ mod tests {
             .collect();
         assert_eq!(
             mutating,
-            [
-                "create",
-                "write",
-                "unlink",
-                "link",
-                "rename",
-                "truncate",
-                "tx_prepare",
-                "tx_commit",
-                "tx_abort"
-            ]
+            ["create", "write", "unlink", "link", "rename", "truncate"]
         );
         for req in all_requests() {
             assert!(
@@ -720,42 +605,6 @@ mod tests {
         // One-shot control ops are neither.
         assert!(!Request::Shutdown.is_idempotent());
         assert!(!Request::Promote.is_idempotent());
-    }
-
-    #[test]
-    fn wrong_shard_packs_owner_and_epoch() {
-        let err = SvcError::wrong_shard(3, 17, "10.0.0.3:7070");
-        assert_eq!(err.code, SvcError::WRONG_SHARD);
-        assert_eq!(err.wrong_shard_owner(), 3);
-        assert_eq!(err.wrong_shard_epoch(), 17);
-        assert_eq!(err.message, "10.0.0.3:7070");
-        let (_, reply) = decode_reply(&encode_reply(1, &Err(err.clone()))).unwrap();
-        assert_eq!(reply.unwrap_err(), err);
-    }
-
-    #[test]
-    fn tx_state_bodies_round_trip() {
-        for st in [
-            TxState::None,
-            TxState::Prepared,
-            TxState::Committed,
-            TxState::Aborted,
-        ] {
-            let (_, reply) = decode_reply(&encode_reply(2, &Ok(Body::TxState(st)))).unwrap();
-            assert_eq!(reply.unwrap(), Body::TxState(st));
-        }
-        assert!(decode_reply(&Enc::new().u64(2).u16(0).u8(8).u8(9).finish()).is_err());
-    }
-
-    #[test]
-    fn tx_phases_share_a_shard_key() {
-        let p = Request::TxPrepare {
-            txid: 7,
-            data: vec![],
-        };
-        assert_eq!(p.shard_key(), Request::TxCommit { txid: 7 }.shard_key());
-        assert_eq!(p.shard_key(), Request::TxAbort { txid: 7 }.shard_key());
-        assert_ne!(p.shard_key(), Request::TxCommit { txid: 8 }.shard_key());
     }
 
     #[test]

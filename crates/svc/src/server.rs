@@ -21,9 +21,8 @@
 //!    weighted-fair order are unchanged: lanes only hold requests that had
 //!    to wait.
 //! 3. **The stack cannot park it** ([`FileService::never_parks`]) — dedup is
-//!    offline (the inline modes' fingerprint pad may sleep), no op tap is
-//!    installed (a sync-ack replication tap waits for its standby), no
-//!    interceptor is installed (a cluster node forwards).
+//!    offline (the inline modes' fingerprint pad may sleep) and no op tap is
+//!    installed (a sync-ack replication tap waits for its standby).
 //! 4. **Its inode is not write-locked at that instant** — the inode's
 //!    seqlock is even ([`denova_nova::Nova::inode_write_locked`]); with the
 //!    daemon's stage 2 or another writer inside, the request would park the
@@ -46,11 +45,10 @@
 //! writes), so another connection on that loop waits behind at most that
 //! many short requests.
 //!
-//! A loopback connection ([`Server::connect_loopback`], or a dial through a
-//! [`crate::loopback::Hub`]) is a Unix-domain `socketpair` whose server end
-//! is registered with the same reactor through the same handler factory as
-//! an accepted TCP socket, so tests, chaos scenarios and in-process benches
-//! drive the connection code a deployed server runs.
+//! A loopback connection ([`Server::connect_loopback`]) is a Unix-domain
+//! `socketpair` whose server end is registered with the same reactor
+//! through the same handler factory as an accepted TCP socket, so tests and
+//! in-process benches drive the connection code a deployed server runs.
 //!
 //! ## Zero-copy writes
 //!
@@ -253,34 +251,16 @@ impl Server {
         self.inner.begin_shutdown();
     }
 
-    /// Serve one connected socket: the same handler, on the same reactor,
-    /// whether a listener accepted it or a loopback dial made it.
-    fn accept(&self, sock: impl Into<Socket>) {
-        self.inner
-            .reactor
-            .register(sock, (self.handler_factory())());
-    }
-
-    /// Register this server on an in-process [`crate::loopback::Hub`] under
-    /// `addr`, so cluster harnesses can dial it by address like a TCP
-    /// endpoint. Only a weak reference is held: after the server is dropped
-    /// a dial yields a socket that reads EOF, just like a dead peer.
-    pub fn register_loopback(self: &Arc<Self>, hub: &crate::loopback::Hub, addr: &str) {
-        let srv = Arc::downgrade(self);
-        hub.register(addr, move |end| {
-            if let Some(s) = srv.upgrade() {
-                s.accept(end);
-            }
-        });
-    }
-
     /// Open an in-process loopback connection to this server and return the
     /// client end of the socket pair. No port, no Nagle, no host network
-    /// configuration involved.
+    /// configuration involved: the server end gets the same handler, on the
+    /// same reactor, as an accepted TCP socket.
     pub fn connect_loopback(&self) -> UnixStream {
         let (client_end, server_end) =
             UnixStream::pair().expect("socketpair for a loopback connection");
-        self.accept(server_end);
+        self.inner
+            .reactor
+            .register(server_end, (self.handler_factory())());
         client_end
     }
 
@@ -1019,9 +999,20 @@ mod tests {
             );
             let mut end = h.dial();
             let ino = h.client().create("f").unwrap();
+            // Park the only shard, so no reply can free an inflight slot
+            // while the frames below are decoded.
+            let pool = &h.srv.inner.pool;
+            let (release, parked) = mpsc::channel::<()>();
+            assert!(pool.submit(
+                0,
+                Box::new(move || {
+                    let _ = parked.recv();
+                })
+            ));
+            wait_until("the shard parks", || pool.queued() == 0);
             // Fire 64 pipelined writes without reading replies: far beyond
             // the inflight cap, so the loop must pause reads rather than
-            // queue them all.
+            // queue them all. It queues exactly the cap and stops.
             for i in 0..64u64 {
                 let req = Request::Write {
                     ino,
@@ -1030,16 +1021,16 @@ mod tests {
                 };
                 write_frame(&mut end, &req.encode(i)).unwrap();
             }
+            wait_until("the loop queues the cap and pauses reads", || {
+                counter(&h, "svc.backpressure_waits") > 0 && pool.queued() == 2
+            });
+            release.send(()).unwrap();
             // Every reply still arrives, in submission order (single shard).
-            end.set_stream_timeouts(Some(Duration::from_millis(100)), None)
-                .unwrap();
-            for i in 0..64u64 {
-                let (id, reply) = decode_reply(&next_frame(&mut end)).unwrap();
-                assert_eq!(id, i);
+            let replies = replies_in_order_or_hang(&*end, 64, "pipelined writes");
+            for (i, (id, reply)) in replies.into_iter().enumerate() {
+                assert_eq!(id, i as u64);
                 assert_eq!(reply.unwrap(), Body::Written(512));
             }
-            let snap = h.srv.service().metrics().snapshot();
-            assert!(snap.counter("svc.backpressure_waits").unwrap_or(0) > 0);
             drop(end);
             let fs = h.stop();
             assert_eq!(fs.file_size(ino).unwrap(), 64 * 512);
@@ -1106,6 +1097,13 @@ mod tests {
     /// event loop parked) fails the test instead of wedging it. The bound
     /// is a hang detector, not a latency assertion.
     fn replies_or_hang(stream: &dyn Stream, n: usize, what: &str) -> HashMap<u64, Reply> {
+        replies_in_order_or_hang(stream, n, what)
+            .into_iter()
+            .collect()
+    }
+
+    /// [`replies_or_hang`], in arrival order.
+    fn replies_in_order_or_hang(stream: &dyn Stream, n: usize, what: &str) -> Vec<(u64, Reply)> {
         let mut end = stream.try_clone_stream().unwrap();
         let (tx, rx) = mpsc::channel();
         let reader = std::thread::spawn(move || {

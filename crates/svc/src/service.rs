@@ -53,35 +53,6 @@ impl ReplRole {
     }
 }
 
-/// What an [`Interceptor`] decided about a request before dispatch.
-pub enum Intercept {
-    /// Dispatch normally — with the rewritten request when `Some` (e.g. a
-    /// cluster node translating global inode numbers to local ones).
-    Forward(Option<Request>),
-    /// Short-circuit with this reply; the request never reaches the file
-    /// system (ownership rejections, cluster control ops, 2PC participant
-    /// ops).
-    Reply(Reply),
-}
-
-/// An around-dispatch hook. A cluster node installs one to enforce shard
-/// ownership, translate inode numbers, and serve cluster control operations,
-/// without the dispatch logic knowing anything about clustering.
-pub trait Interceptor: Send + Sync {
-    /// Inspect `req` before dispatch. `standby` reports whether this node is
-    /// currently a read-only replica, so interceptor-handled mutating ops can
-    /// apply the same rejection dispatch would.
-    fn before(&self, req: &Request, standby: bool) -> Intercept;
-
-    /// Rewrite the reply of a forwarded request (e.g. local → global inode
-    /// translation). Called only when `before` returned
-    /// [`Intercept::Forward`].
-    fn after(&self, req: &Request, reply: Reply) -> Reply {
-        let _ = req;
-        reply
-    }
-}
-
 /// Executes requests against a mounted file system.
 pub struct FileService {
     fs: Arc<Denova>,
@@ -92,7 +63,6 @@ pub struct FileService {
     zero_copy_writes: Counter,
     staged_writes: Counter,
     role: RwLock<Option<Arc<ReplRole>>>,
-    interceptor: RwLock<Option<Arc<dyn Interceptor>>>,
 }
 
 impl FileService {
@@ -108,7 +78,6 @@ impl FileService {
             metrics,
             fs,
             role: RwLock::new(None),
-            interceptor: RwLock::new(None),
         }
     }
 
@@ -128,11 +97,6 @@ impl FileService {
         self.role.read().clone()
     }
 
-    /// Install (or clear) the around-dispatch [`Interceptor`].
-    pub fn set_interceptor(&self, interceptor: Option<Arc<dyn Interceptor>>) {
-        *self.interceptor.write() = interceptor;
-    }
-
     /// The registry this service records into.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -143,18 +107,7 @@ impl FileService {
     /// `svc.op.<name>.ns` latency histograms (always live) plus a
     /// `svc.request` span (when telemetry collection is enabled).
     pub fn execute(&self, req: &Request) -> Reply {
-        self.timed(req.metric(), || {
-            let interceptor = self.interceptor.read().clone();
-            let Some(ic) = interceptor else {
-                return self.dispatch(req);
-            };
-            let standby = self.role().map(|r| r.is_standby()).unwrap_or(false);
-            match ic.before(req, standby) {
-                Intercept::Reply(reply) => reply,
-                Intercept::Forward(Some(rewritten)) => ic.after(req, self.dispatch(&rewritten)),
-                Intercept::Forward(None) => ic.after(req, self.dispatch(req)),
-            }
-        })
+        self.timed(req.metric(), || self.dispatch(req))
     }
 
     /// Run one request under the `svc.request` span, counting it and
@@ -175,30 +128,26 @@ impl FileService {
 
     /// True when nothing stacked around the file system can park a request:
     /// dedup is offline (the inline modes pace SHA-1 with the `FpThrottle`
-    /// pad, which may sleep), no op tap is installed (a sync-ack replication
-    /// tap waits up to its `sync_timeout` in `op_settled`), and no
-    /// interceptor is installed (a cluster node forwards over the network).
-    /// The server runs short requests on its event loop only while this
+    /// pad, which may sleep) and no op tap is installed (a sync-ack
+    /// replication tap waits up to its `sync_timeout` in `op_settled`). The
+    /// server runs short requests on its event loop only while this
     /// holds.
     pub fn never_parks(&self) -> bool {
         !matches!(
             self.fs.mode(),
             DedupMode::Inline | DedupMode::InlineAdaptive
         ) && !self.fs.nova().has_op_tap()
-            && self.interceptor.read().is_none()
     }
 
     /// True when a [`WriteRef`] at `offset`/`data_len` may bypass
     /// [`Request::decode`]'s payload copy and write straight from the wire
-    /// frame. Requires whole aligned blocks (so the vectored write stages
-    /// nothing) and no installed interceptor (a cluster node rewrites inode
-    /// numbers, which needs the decoded form).
+    /// frame. Requires whole aligned blocks, so the vectored write stages
+    /// nothing.
     pub fn zero_copy_eligible(&self, wr: &WriteRef) -> bool {
         const BLOCK: u64 = denova_nova::BLOCK_SIZE;
         wr.data_len > 0
             && wr.offset.is_multiple_of(BLOCK)
             && (wr.data_len as u64).is_multiple_of(BLOCK)
-            && self.interceptor.read().is_none()
     }
 
     /// Execute a write directly from its wire frame: the data slice
@@ -313,18 +262,6 @@ impl FileService {
                 // replication role) acknowledges without effect.
                 Ok(Body::Empty)
             }
-            // Cluster control and 2PC participant ops are served by the
-            // installed Interceptor (crates/cluster); a plain server has no
-            // map and no transaction log to answer from.
-            Request::MapGet
-            | Request::MapPush { .. }
-            | Request::TxPrepare { .. }
-            | Request::TxCommit { .. }
-            | Request::TxAbort { .. }
-            | Request::TxStatus { .. } => Err(SvcError::service(
-                SvcError::UNKNOWN_OP,
-                "cluster operations require a cluster node",
-            )),
             // Hello is connection-scoped and answered by the server's
             // reader thread; executing it directly (e.g. in loopback tests)
             // is a no-op ack.
@@ -546,65 +483,6 @@ mod tests {
         svc.execute(&Request::Create { name: "f".into() }).unwrap();
         // Promote again: acknowledged, callback not re-run (it was taken).
         svc.execute(&Request::Promote).unwrap();
-    }
-
-    #[test]
-    fn cluster_ops_without_interceptor_are_unknown() {
-        let svc = service();
-        for req in [
-            Request::MapGet,
-            Request::MapPush { map: vec![] },
-            Request::TxStatus { txid: 1 },
-        ] {
-            let err = svc.execute(&req).unwrap_err();
-            assert_eq!(err.code, SvcError::UNKNOWN_OP);
-        }
-    }
-
-    #[test]
-    fn interceptor_can_rewrite_short_circuit_and_post_process() {
-        struct Doubler;
-        impl Interceptor for Doubler {
-            fn before(&self, req: &Request, standby: bool) -> Intercept {
-                assert!(!standby);
-                match req {
-                    // Short-circuit: answer MapGet without touching the fs.
-                    Request::MapGet => Intercept::Reply(Ok(Body::Bytes(vec![0xAB]))),
-                    // Rewrite: halve the wire ino to the local one.
-                    Request::Stat { ino } => {
-                        Intercept::Forward(Some(Request::Stat { ino: ino / 2 }))
-                    }
-                    _ => Intercept::Forward(None),
-                }
-            }
-            fn after(&self, _req: &Request, reply: Reply) -> Reply {
-                // Translate local inos back to wire inos.
-                match reply {
-                    Ok(Body::Ino(ino)) => Ok(Body::Ino(ino * 2)),
-                    Ok(Body::Stat(mut st)) => {
-                        st.ino *= 2;
-                        Ok(Body::Stat(st))
-                    }
-                    other => other,
-                }
-            }
-        }
-        let svc = service();
-        svc.set_interceptor(Some(Arc::new(Doubler)));
-        match svc.execute(&Request::MapGet).unwrap() {
-            Body::Bytes(b) => assert_eq!(b, vec![0xAB]),
-            other => panic!("{other:?}"),
-        }
-        let wire_ino = ino_of(svc.execute(&Request::Create { name: "f".into() }));
-        assert_eq!(wire_ino % 2, 0);
-        match svc.execute(&Request::Stat { ino: wire_ino }).unwrap() {
-            Body::Stat(st) => assert_eq!(st.ino, wire_ino),
-            other => panic!("{other:?}"),
-        }
-        // Clearing the interceptor restores plain dispatch.
-        svc.set_interceptor(None);
-        let err = svc.execute(&Request::MapGet).unwrap_err();
-        assert_eq!(err.code, SvcError::UNKNOWN_OP);
     }
 
     #[test]

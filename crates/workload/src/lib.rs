@@ -24,9 +24,7 @@ pub mod spec;
 pub mod stats;
 
 pub use data::DataGenerator;
-pub use remote::{
-    run_remote_write_job, run_remote_write_job_tcp, run_store_write_job, RemoteReport, RemoteStore,
-};
+pub use remote::{run_remote_write_job, run_remote_write_job_tcp, RemoteReport};
 pub use runner::{run_read_job, run_write_job, ReadReport, WriteReport};
 pub use spec::{JobSpec, ThinkTime, WriteKind};
 pub use stats::{cdf_points, mean, percentile, Summary};

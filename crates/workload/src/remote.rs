@@ -15,32 +15,6 @@ use crate::stats::Summary;
 use denova_svc::{Client, SvcError};
 use std::time::{Duration, Instant};
 
-/// The minimal store surface a remote write job drives. Implemented by the
-/// single-server [`Client`] and by the cluster layer's routing client, so
-/// one job runner measures both a standalone server and a sharded cluster.
-pub trait RemoteStore {
-    /// Create an empty file → inode (global across the store).
-    fn create(&mut self, name: &str) -> Result<u64, SvcError>;
-    /// Look up a file → inode.
-    fn open(&mut self, name: &str) -> Result<u64, SvcError>;
-    /// Write at offset → bytes written.
-    fn write_at(&mut self, ino: u64, offset: u64, data: &[u8]) -> Result<u64, SvcError>;
-}
-
-impl RemoteStore for Client {
-    fn create(&mut self, name: &str) -> Result<u64, SvcError> {
-        Client::create(self, name)
-    }
-
-    fn open(&mut self, name: &str) -> Result<u64, SvcError> {
-        Client::open(self, name)
-    }
-
-    fn write_at(&mut self, ino: u64, offset: u64, data: &[u8]) -> Result<u64, SvcError> {
-        Client::write_at(self, ino, offset, data)
-    }
-}
-
 /// Results of a remote write job.
 #[derive(Debug, Clone)]
 pub struct RemoteReport {
@@ -87,17 +61,6 @@ impl RemoteReport {
 pub fn run_remote_write_job<F>(connect: F, spec: &JobSpec) -> RemoteReport
 where
     F: Fn(usize) -> Result<Client, SvcError> + Sync,
-{
-    run_store_write_job(connect, spec)
-}
-
-/// [`run_remote_write_job`] generalized over any [`RemoteStore`] — the
-/// cluster benchmarks hand out routing clients here and get the same
-/// report, so single-server and sharded numbers are directly comparable.
-pub fn run_store_write_job<S, F>(connect: F, spec: &JobSpec) -> RemoteReport
-where
-    S: RemoteStore,
-    F: Fn(usize) -> Result<S, SvcError> + Sync,
 {
     let per_thread = spec.file_count / spec.threads;
     let start = Instant::now();
@@ -146,10 +109,9 @@ struct ThreadResult {
     completed: Vec<String>,
 }
 
-fn run_thread<S, F>(t: usize, connect: &F, spec: &JobSpec, per_thread: usize) -> ThreadResult
+fn run_thread<F>(t: usize, connect: &F, spec: &JobSpec, per_thread: usize) -> ThreadResult
 where
-    S: RemoteStore,
-    F: Fn(usize) -> Result<S, SvcError> + Sync,
+    F: Fn(usize) -> Result<Client, SvcError> + Sync,
 {
     let mut result = ThreadResult {
         files: 0,

@@ -35,7 +35,6 @@
 //! histograms and the event ring).
 
 use denova_repro::prelude::*;
-use denova_repro::svc::Request;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -62,7 +61,6 @@ fn usage() -> ! {
          \x20 serve [--listen <host:port>] [--shards <n>] [--loops <n>]\n\
          \x20       [--repl-sync]\n\
          \x20       [--replica-of <host:port>]\n\
-         \x20       [--shard <k> --cluster <a0,a1,...>] [--advertise <addr>]\n\
          \x20                               serve the image over TCP (local only).\n\
          \x20                               Connections ride the epoll event loops\n\
          \x20                               (--loops, default one per core).\n\
@@ -70,22 +68,10 @@ fn usage() -> ! {
          \x20                               standby replicating from the primary;\n\
          \x20                               --repl-sync makes writes wait for\n\
          \x20                               standby acks once one attaches.\n\
-         \x20                               With --shard/--cluster, join a sharded\n\
-         \x20                               cluster as shard k of the given primary\n\
-         \x20                               list (--advertise overrides the address\n\
-         \x20                               this node is known by in the map)\n\
          \x20 shutdown                      drain and stop a served image (remote only)\n\
          \x20 promote                       promote a standby to primary (remote only)\n\
-         \x20 cluster status                print the cluster map (remote only)\n\
-         \x20 cluster rebalance <k> <addr>  repoint shard k at a caught-up node:\n\
-         \x20                               bump the map epoch and push it to every\n\
-         \x20                               primary (remote only; promote the\n\
-         \x20                               target first if it was a standby)\n\
          options (any local command, including serve):\n\
          \x20 --dedup-workers <n>           dedup worker threads for the mount (default 1)\n\
-         \x20 --slo-p99-us <n>              closed-loop QoS: back fingerprint cost off\n\
-         \x20                               while the live write p99 exceeds n microseconds\n\
-         \x20                               (0 = off, the default)\n\
          options (any remote command):\n\
          \x20 --tenant <name>               account + fair-schedule this client's\n\
          \x20                               requests under the named tenant\n\
@@ -114,12 +100,11 @@ fn telemetry_env_on() -> bool {
         .unwrap_or(false)
 }
 
-fn open_fs(image: &Path, dedup_workers: usize, slo_write_p99_ns: u64) -> Result<Denova, String> {
+fn open_fs(image: &Path, dedup_workers: usize) -> Result<Denova, String> {
     let dev = PmemDevice::load_image(image, LatencyProfile::none())
         .map_err(|e| format!("cannot read image {}: {e}", image.display()))?;
     let opts = NovaOptions {
         dedup_workers,
-        slo_write_p99_ns,
         ..Default::default()
     };
     mount_reporting(Arc::new(dev), opts)
@@ -166,19 +151,6 @@ fn run() -> Result<(), String> {
             .ok_or_else(|| format!("bad --dedup-workers '{n}'"))?;
         args.drain(i..i + 2);
     }
-    // `--slo-p99-us <n>` arms the closed-loop QoS controller on the local
-    // mount: fingerprint cost backs off while the live write p99 breaches
-    // the target. 0 (the default) disables it.
-    let mut slo_p99_ns = 0u64;
-    if let Some(i) = args.iter().position(|a| a == "--slo-p99-us") {
-        let n = args.get(i + 1).cloned().unwrap_or_default();
-        slo_p99_ns = n
-            .parse::<u64>()
-            .ok()
-            .map(|us| us * 1_000)
-            .ok_or_else(|| format!("bad --slo-p99-us '{n}'"))?;
-        args.drain(i..i + 2);
-    }
     // `--tenant <name>` tags every remote connection via the wire hello,
     // so the server accounts and fair-schedules this client's requests
     // under that tenant.
@@ -217,7 +189,6 @@ fn run() -> Result<(), String> {
             let dev = Arc::new(PmemDevice::new(size));
             let opts = NovaOptions {
                 dedup_workers,
-                slo_write_p99_ns: slo_p99_ns,
                 ..Default::default()
             };
             let fs = Denova::mkfs(dev, opts, DedupMode::Immediate)
@@ -236,7 +207,7 @@ fn run() -> Result<(), String> {
         }
         ("put", [name, host]) => {
             let data = std::fs::read(host).map_err(|e| format!("read {host}: {e}"))?;
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let ino = match fs.open(name) {
                 Ok(ino) => ino,
                 Err(_) => fs.create(name).map_err(|e| e.to_string())?,
@@ -257,7 +228,7 @@ fn run() -> Result<(), String> {
             close_fs(fs, &image)
         }
         ("get", [name, host]) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let ino = fs.open(name).map_err(|e| e.to_string())?;
             let size = fs.file_size(ino).map_err(|e| e.to_string())?;
             let data = fs.read(ino, 0, size as usize).map_err(|e| e.to_string())?;
@@ -266,7 +237,7 @@ fn run() -> Result<(), String> {
             close_fs(fs, &image)
         }
         ("cat", [name]) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let ino = fs.open(name).map_err(|e| e.to_string())?;
             let size = fs.file_size(ino).map_err(|e| e.to_string())?;
             let data = fs.read(ino, 0, size as usize).map_err(|e| e.to_string())?;
@@ -277,7 +248,7 @@ fn run() -> Result<(), String> {
             close_fs(fs, &image)
         }
         ("ls", []) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let mut names = fs.nova().list();
             names.sort();
             for name in names {
@@ -288,25 +259,25 @@ fn run() -> Result<(), String> {
             close_fs(fs, &image)
         }
         ("rm", [name]) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             fs.unlink(name).map_err(|e| e.to_string())?;
             println!("removed {name}");
             close_fs(fs, &image)
         }
         ("ln", [existing, new]) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let ino = fs.nova().link(existing, new).map_err(|e| e.to_string())?;
             println!("{new} => ino {ino} (also {existing})");
             close_fs(fs, &image)
         }
         ("mv", [from, to]) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             fs.nova().rename(from, to).map_err(|e| e.to_string())?;
             println!("{from} -> {to}");
             close_fs(fs, &image)
         }
         ("stat", [name]) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let ino = fs.open(name).map_err(|e| e.to_string())?;
             let st = fs.nova().stat(ino).map_err(|e| e.to_string())?;
             println!(
@@ -316,7 +287,7 @@ fn run() -> Result<(), String> {
             close_fs(fs, &image)
         }
         ("df", []) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let layout = *fs.nova().layout();
             let free = fs.nova().free_blocks();
             let total = layout.data_blocks();
@@ -338,7 +309,7 @@ fn run() -> Result<(), String> {
             close_fs(fs, &image)
         }
         ("fsck", []) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let report = denova_repro::nova::fsck(fs.nova(), true).map_err(|e| e.to_string())?;
             println!(
                 "fsck: {} referenced blocks, {} shared, {} log pages",
@@ -366,7 +337,7 @@ fn run() -> Result<(), String> {
             }
         }
         ("scrub", []) => {
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let fixed = fs.scrub().map_err(|e| e.to_string())?;
             println!("scrub: {fixed} FACT entries reconciled");
             close_fs(fs, &image)
@@ -376,9 +347,6 @@ fn run() -> Result<(), String> {
             let mut config = SvcConfig::default();
             let mut replica_of: Option<String> = None;
             let mut repl_sync = false;
-            let mut shard: Option<u32> = None;
-            let mut cluster_addrs: Vec<String> = Vec::new();
-            let mut advertise: Option<String> = None;
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -395,40 +363,14 @@ fn run() -> Result<(), String> {
                         replica_of = Some(it.next().cloned().unwrap_or_else(|| usage()));
                     }
                     "--repl-sync" => repl_sync = true,
-                    "--shard" => {
-                        let k = it.next().cloned().unwrap_or_else(|| usage());
-                        shard = Some(k.parse().map_err(|_| format!("bad --shard '{k}'"))?);
-                    }
-                    "--cluster" => {
-                        let list = it.next().cloned().unwrap_or_else(|| usage());
-                        cluster_addrs = list.split(',').map(|s| s.trim().to_string()).collect();
-                    }
-                    "--advertise" => {
-                        advertise = Some(it.next().cloned().unwrap_or_else(|| usage()));
-                    }
                     _ => usage(),
                 }
             }
-            let cluster = match (shard, cluster_addrs.is_empty()) {
-                (Some(k), false) => {
-                    if (k as usize) >= cluster_addrs.len() {
-                        return Err(format!(
-                            "--shard {k} is out of range for a {}-entry --cluster list",
-                            cluster_addrs.len()
-                        ));
-                    }
-                    Some((k, cluster_addrs))
-                }
-                (None, true) => None,
-                _ => return Err("--shard and --cluster must be given together".into()),
-            };
             let listener = std::net::TcpListener::bind(&listen)
                 .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
             let addr = listener.local_addr().map_err(|e| e.to_string())?;
-            let advertise = advertise.unwrap_or_else(|| addr.to_string());
             let repl_cfg = ReplConfig {
                 sync_ack: repl_sync,
-                shard: cluster.as_ref().map(|(k, _)| *k),
                 ..Default::default()
             };
             if let Some(primary_addr) = replica_of {
@@ -439,11 +381,9 @@ fn run() -> Result<(), String> {
                     config,
                     repl_cfg,
                     dedup_workers,
-                    cluster,
-                    &advertise,
                 );
             }
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             // Scraped by scripts driving ephemeral ports — keep the format.
             println!("listening on {addr}");
             let server = Server::new(Arc::new(fs), config);
@@ -452,11 +392,6 @@ fn run() -> Result<(), String> {
             // is attached.
             let engine =
                 ReplPrimary::install(server.service().fs().clone(), Some(&server), repl_cfg);
-            let mut orphan_join = None;
-            if let Some((k, addrs)) = &cluster {
-                let (_node, join) = install_cluster_node(&server, *k, addrs, &advertise, true);
-                orphan_join = join;
-            }
             server.serve(listener).map_err(|e| format!("serve: {e}"))?;
             // A client sent `shutdown`: drain in-flight work and the dedup
             // pipeline, then persist the image like any other command.
@@ -464,9 +399,6 @@ fn run() -> Result<(), String> {
             server.set_repl_sink(None);
             let fs = server.shutdown();
             drop(engine);
-            if let Some(j) = orphan_join {
-                let _ = j.join();
-            }
             let fs = Arc::try_unwrap(fs)
                 .map_err(|_| "connections still hold the file system".to_string())?;
             println!("shutting down");
@@ -478,7 +410,7 @@ fn run() -> Result<(), String> {
                 [flag] if flag == "--json" => true,
                 _ => usage(),
             };
-            let fs = open_fs(&image, dedup_workers, slo_p99_ns)?;
+            let fs = open_fs(&image, dedup_workers)?;
             let metrics = fs.nova().device().metrics().clone();
             metrics.set_enabled(true);
             // Quickstart-style probe: a handful of duplicate files written,
@@ -568,66 +500,11 @@ fn text_counter(text: &str, name: &str) -> Option<u64> {
     })
 }
 
-/// Join a serving node to a sharded cluster: build the epoch-1 map from the
-/// `--cluster` primary list, name this node `advertise` in it, and install
-/// the routing/2PC interceptor. Peers gossip newer epochs in over
-/// `MapPush`, so the boot map only has to be right about the *initial*
-/// placement (standbys joining mid-life are wrong about ownership on
-/// purpose — they bounce every shard until an operator pushes a map naming
-/// them).
-///
-/// With `recover_orphans`, a background pass resolves cross-shard
-/// transaction records a previous incarnation left behind. Best-effort and
-/// one-shot: records whose peers are unreachable stay put for the next
-/// restart. Standbys must not take this pass — their state is the
-/// primary's journal, and resolving locally would diverge from it.
-fn install_cluster_node(
-    server: &Server,
-    shard: u32,
-    addrs: &[String],
-    advertise: &str,
-    recover_orphans: bool,
-) -> (Arc<ClusterNode>, Option<std::thread::JoinHandle<()>>) {
-    let dial: denova_repro::cluster::Dialer = Arc::new(|addr: &str| Client::connect_tcp(addr));
-    let node = ClusterNode::new(
-        shard,
-        advertise,
-        server.service().fs().clone(),
-        ClusterMap::new(addrs),
-        dial,
-    );
-    server.service().set_interceptor(Some(node.clone()));
-    let join = recover_orphans.then(|| spawn_orphan_resolution(node.clone()));
-    (node, join)
-}
-
-/// One-shot, delayed, background cross-shard transaction recovery — the
-/// delay lets peers of a whole-cluster restart come up first. The thread
-/// holds the node (and through it the mounted stack): callers must join
-/// the handle before tearing the stack down, or an early shutdown races
-/// the sleep and `Arc::try_unwrap` on the file system fails.
-fn spawn_orphan_resolution(node: Arc<ClusterNode>) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_millis(500));
-        let n = node.resolve_orphans();
-        if n > 0 {
-            eprintln!("cluster: resolved {n} orphaned cross-shard transaction(s)");
-        }
-    })
-}
-
 /// Run as a standby replica: bootstrap a crash-consistent snapshot from the
 /// primary, serve it read-only, and apply the primary's journal stream until
 /// promoted (keep serving as primary), told to re-bootstrap (fell behind),
 /// or shut down. The local `image` path receives the standby's state on
 /// exit, exactly like a normal serve.
-///
-/// With `cluster`, the standby carries the routing interceptor from the
-/// start: it bounces every shard (the boot map names the primaries, not
-/// us), which is exactly right — clients must not read a lagging replica.
-/// After promotion it keeps bouncing until `cluster rebalance` pushes a map
-/// naming `advertise` as its shard's primary, at which point it serves.
-#[allow(clippy::too_many_arguments)]
 fn serve_replica(
     image: &Path,
     primary_addr: &str,
@@ -635,8 +512,6 @@ fn serve_replica(
     config: SvcConfig,
     repl_cfg: ReplConfig,
     dedup_workers: usize,
-    cluster: Option<(u32, Vec<String>)>,
-    advertise: &str,
 ) -> Result<(), String> {
     use denova_repro::repl::{bootstrap, Standby, StandbyConfig, StandbyExit};
     use denova_repro::svc::{client::Connector, dial_tcp};
@@ -675,9 +550,6 @@ fn serve_replica(
         server.set_role(Some(ReplRole::standby(move || {
             flag.store(true, Ordering::Release)
         })));
-        let cluster_node = cluster
-            .as_ref()
-            .map(|(k, addrs)| install_cluster_node(&server, *k, addrs, advertise, false).0);
         eprintln!(
             "standby: snapshot mounted ({} bytes, covers seq {})",
             boot.image.len(),
@@ -710,9 +582,6 @@ fn serve_replica(
                 // subscriptions of our own.
                 server.set_role(None);
                 let engine = ReplPrimary::install(fs.clone(), Some(&server), repl_cfg);
-                // The dead primary may have died mid-cross-shard
-                // transaction; its journaled records are in our image now.
-                let orphan_join = cluster_node.clone().map(spawn_orphan_resolution);
                 drop(fs);
                 serve_thread
                     .join()
@@ -724,13 +593,6 @@ fn serve_replica(
                     Arc::try_unwrap(server).map_err(|_| "server still referenced".to_string())?;
                 let fs = server.shutdown();
                 drop(engine);
-                // The interceptor slot dropped with the server; the orphan
-                // thread and this local handle are the last things pinning
-                // the stack.
-                if let Some(j) = orphan_join {
-                    let _ = j.join();
-                }
-                drop(cluster_node);
                 let fs = Arc::try_unwrap(fs)
                     .map_err(|_| "connections still hold the file system".to_string())?;
                 println!("shutting down");
@@ -752,7 +614,6 @@ fn serve_replica(
                     Arc::try_unwrap(server).map_err(|_| "server still referenced".to_string())?;
                 let fs_arc = server.shutdown();
                 drop(fs);
-                drop(cluster_node);
                 let fs = Arc::try_unwrap(fs_arc)
                     .map_err(|_| "connections still hold the file system".to_string())?;
                 println!("shutting down");
@@ -772,21 +633,6 @@ fn run_remote(addr: &str, cmd: &str, rest: &[String], tenant: Option<&str>) -> R
     if let Some(t) = tenant {
         // Weight 0 = keep the tenant's current weight (1 if new).
         client.hello(t, 0).map_err(e)?;
-    }
-    // Against a cluster node, data commands route to the owning shard: a
-    // successful `MapGet` probe means the server is cluster-enabled, and a
-    // plain single-node connection would bounce `WRONG_SHARD` for every
-    // name the addressed node does not own. Node-scoped commands
-    // (stats/df/shutdown/promote/cluster) stay on the direct connection —
-    // they are *about* the addressed node.
-    if matches!(
-        cmd,
-        "put" | "get" | "cat" | "ls" | "rm" | "ln" | "mv" | "stat"
-    ) {
-        if let Ok(denova_repro::svc::Body::Bytes(_)) = client.request(&Request::MapGet) {
-            drop(client);
-            return run_remote_routed(addr, cmd, rest, tenant);
-        }
     }
     match (cmd, rest) {
         ("put", [name, host]) => {
@@ -898,184 +744,7 @@ fn run_remote(addr: &str, cmd: &str, rest: &[String], tenant: Option<&str>) -> R
             println!("standby at {addr} promoted to primary");
             Ok(())
         }
-        ("cluster", rest) => match rest {
-            [sub] if sub == "status" => {
-                let map = fetch_cluster_map(&mut client)?;
-                println!("cluster map, epoch {}", map.epoch);
-                for (k, s) in map.shards.iter().enumerate() {
-                    // Probe each primary for a latched sync-ack downgrade;
-                    // unreachable nodes just print without the marker.
-                    let degraded = Client::connect_tcp(&s.primary)
-                        .and_then(|mut c| c.dedup_stats())
-                        .map(|d| d.sync_degraded != 0)
-                        .unwrap_or(false);
-                    let mark = if degraded { "  [SYNC-DEGRADED]" } else { "" };
-                    if s.standbys.is_empty() {
-                        println!("  shard {k}: {}{mark}", s.primary);
-                    } else {
-                        println!(
-                            "  shard {k}: {} (standbys: {}){mark}",
-                            s.primary,
-                            s.standbys.join(", ")
-                        );
-                    }
-                }
-                for (prefix, k) in &map.overrides {
-                    println!("  override: {prefix}* -> shard {k}");
-                }
-                Ok(())
-            }
-            [sub, k, new_addr] if sub == "rebalance" => {
-                let k: u32 = k.parse().map_err(|_| format!("bad shard '{k}'"))?;
-                let mut map = fetch_cluster_map(&mut client)?;
-                if (k as usize) >= map.shards.len() {
-                    return Err(format!(
-                        "shard {k} is out of range for a {}-shard map",
-                        map.shards.len()
-                    ));
-                }
-                let old = std::mem::replace(&mut map.shards[k as usize].primary, new_addr.clone());
-                map.epoch += 1;
-                // Push the new epoch to every primary it names, plus the
-                // node being demoted — that one must start bouncing its
-                // old shard immediately, and only the map tells it to.
-                let push = Request::MapPush { map: map.encode() };
-                let mut targets: Vec<String> =
-                    map.shards.iter().map(|s| s.primary.clone()).collect();
-                if !targets.contains(&old) {
-                    targets.push(old.clone());
-                }
-                let mut seen = std::collections::HashSet::new();
-                targets.retain(|t| seen.insert(t.clone()));
-                let mut failed = 0usize;
-                for t in &targets {
-                    let pushed = Client::connect_tcp(t).and_then(|mut c| c.request(&push));
-                    match pushed {
-                        Ok(_) => println!("  {t}: adopted epoch {}", map.epoch),
-                        Err(err) => {
-                            failed += 1;
-                            eprintln!("  {t}: push failed ({err}); it will catch up by gossip");
-                        }
-                    }
-                }
-                println!("shard {k}: {old} -> {new_addr} (map epoch {})", map.epoch);
-                if failed == targets.len() {
-                    return Err("no node adopted the new map".into());
-                }
-                Ok(())
-            }
-            _ => usage(),
-        },
         _ => usage(),
-    }
-}
-
-/// Data commands against a sharded cluster, dispatched through the routing
-/// [`ClusterClient`]: each name goes straight to its owner, `WRONG_SHARD`
-/// bounces self-heal, and `ls` merges every shard's namespace.
-fn run_remote_routed(
-    addr: &str,
-    cmd: &str,
-    rest: &[String],
-    tenant: Option<&str>,
-) -> Result<(), String> {
-    let tenant = tenant.map(|t| t.to_string());
-    let dial: denova_repro::cluster::Dialer = Arc::new(move |a: &str| {
-        let mut c = Client::connect_tcp(a)?;
-        if let Some(t) = &tenant {
-            c.hello(t, 0)?;
-        }
-        Ok(c)
-    });
-    let mut client = ClusterClient::connect(addr, dial)
-        .map_err(|e| format!("cannot reach the cluster via {addr}: {e}"))?;
-    let e = |e: SvcError| e.to_string();
-    match (cmd, rest) {
-        ("put", [name, host]) => {
-            let data = std::fs::read(host).map_err(|err| format!("read {host}: {err}"))?;
-            // Open-or-create like the local path: overwrite in place, then
-            // commit the new size.
-            let gino = match client.open(name) {
-                Ok(gino) => gino,
-                Err(_) => client.create(name).map_err(e)?,
-            };
-            client.write_at(gino, 0, &data).map_err(e)?;
-            client.truncate(gino, data.len() as u64).map_err(e)?;
-            println!(
-                "{name}: {} bytes -> shard {}",
-                data.len(),
-                client.map().shard_of_name(name)
-            );
-            Ok(())
-        }
-        ("get", [name, host]) => {
-            let data = client.get(name).map_err(e)?;
-            std::fs::write(host, &data).map_err(|err| format!("write {host}: {err}"))?;
-            println!("{name}: {} bytes -> {host}", data.len());
-            Ok(())
-        }
-        ("cat", [name]) => {
-            let data = client.get(name).map_err(e)?;
-            use std::io::Write;
-            std::io::stdout()
-                .write_all(&data)
-                .map_err(|err| err.to_string())
-        }
-        ("ls", []) => {
-            let mut names = client.list().map_err(e)?;
-            names.sort();
-            for name in names {
-                let gino = client.open(&name).map_err(e)?;
-                let st = client.stat(gino).map_err(e)?;
-                println!("{:>12}  {}", st.size, name);
-            }
-            Ok(())
-        }
-        ("rm", [name]) => {
-            client.unlink(name).map_err(e)?;
-            println!("removed {name}");
-            Ok(())
-        }
-        ("ln", [existing, new]) => {
-            let gino = client.link(existing, new).map_err(e)?;
-            println!("{new} => gino {gino} (also {existing})");
-            Ok(())
-        }
-        ("mv", [from, to]) => {
-            client.rename(from, to).map_err(e)?;
-            println!("{from} -> {to}");
-            Ok(())
-        }
-        ("stat", [name]) => {
-            let gino = client.open(name).map_err(e)?;
-            let st = client.stat(gino).map_err(e)?;
-            println!(
-                "{name}: gino {gino} shard {} size {} B, {} data pages, {} log pages, {} live entries",
-                client.map().shard_of_name(name),
-                st.size,
-                st.blocks,
-                st.log_pages,
-                st.log_entries_live
-            );
-            Ok(())
-        }
-        _ => usage(),
-    }
-}
-
-/// `MapGet` against an already-connected node, decoded.
-fn fetch_cluster_map(client: &mut Client) -> Result<ClusterMap, String> {
-    use denova_repro::svc::Body;
-    match client
-        .request(&Request::MapGet)
-        .map_err(|e| e.to_string())?
-    {
-        Body::Bytes(bytes) => {
-            ClusterMap::decode(&bytes).map_err(|e| format!("bad cluster map: {e}"))
-        }
-        other => Err(format!(
-            "unexpected MapGet reply: {other:?} (is the server cluster-enabled?)"
-        )),
     }
 }
 

@@ -16,9 +16,6 @@
 //!   epoll event loops, eventfd wakeups, per-connection frame machines;
 //! * [`repl`] — crash-consistent snapshots and log-shipping replication
 //!   with standby failover;
-//! * [`cluster`] — sharded multi-primary namespace service: versioned
-//!   cluster map, owner-direct routing, per-shard replication, rebalancing,
-//!   and two-phase cross-shard rename/link;
 //! * [`telemetry`] — the shared metrics registry (counters, histograms,
 //!   spans, events) every layer above records into.
 //!
@@ -40,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub use denova;
-pub use denova_cluster as cluster;
 pub use denova_fingerprint as fingerprint;
 pub use denova_nova as nova;
 pub use denova_pmem as pmem;
@@ -56,7 +52,6 @@ pub mod prelude {
         Daemon, DaemonConfig, DaemonMode, DedupMode, DedupStats, Denova, DenovaHooks, Dwq, Fact,
         FpThrottle, NvDedupTable,
     };
-    pub use denova_cluster::{ClusterClient, ClusterMap, ClusterNode, TestCluster};
     pub use denova_fingerprint::{chunk_pages, sha1, weak_fingerprint, Fingerprint};
     pub use denova_nova::{fsck, DedupeFlag, FileStat, Nova, NovaError, NovaOptions, BLOCK_SIZE};
     pub use denova_pmem::{CrashMode, LatencyProfile, PmemBuilder, PmemDevice, SimulatedCrash};

@@ -217,7 +217,6 @@ fn dedup_outcome_is_worker_count_invariant() {
             fs.drain();
         });
         fs.drain();
-        fs.fact().fp().clear();
         // Every worker drained its own shard of the backlog.
         let metrics = fs.nova().device().metrics();
         let processed: Vec<u64> = (0..workers)

@@ -12,8 +12,9 @@ use denova_repro::prelude::*;
 use denova_repro::repl::bootstrap;
 use denova_repro::svc::client::Connector;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn mkfs(inodes: u64) -> Arc<Denova> {
     let dev = Arc::new(PmemDevice::new(64 * 1024 * 1024));
@@ -76,7 +77,19 @@ fn attach_standby(
     Connector,
 ) {
     let srv = server.clone();
-    let connector: Connector = Arc::new(move || Ok(Box::new(srv.connect_loopback()) as _));
+    attach_standby_via(Arc::new(move || Ok(Box::new(srv.connect_loopback()) as _)))
+}
+
+/// [`attach_standby`] over the connections `connector` dials.
+#[allow(clippy::type_complexity)]
+fn attach_standby_via(
+    connector: Connector,
+) -> (
+    Arc<Denova>,
+    Arc<AtomicBool>,
+    std::thread::JoinHandle<StandbyExit>,
+    Connector,
+) {
     let boot = bootstrap(&connector).unwrap();
     let standby_fs = Arc::new(
         Denova::mount(
@@ -317,5 +330,164 @@ fn protocol_promote_flips_standby_to_writable() {
         .shutdown();
     Arc::try_unwrap(primary_server)
         .unwrap_or_else(|_| panic!("primary server still referenced"))
+        .shutdown();
+}
+
+/// A stream that parks, in both directions, while a shared flag is set, and
+/// counts the calls it parked.
+struct StallStream {
+    inner: Box<dyn denova_repro::svc::Stream>,
+    stalled: Arc<AtomicBool>,
+    parked: Arc<AtomicU64>,
+}
+
+impl StallStream {
+    fn park_while_stalled(&self) {
+        if self.stalled.load(Ordering::Acquire) {
+            self.parked.fetch_add(1, Ordering::Relaxed);
+            while self.stalled.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+    }
+}
+
+impl std::io::Read for StallStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.park_while_stalled();
+        self.inner.read(buf)
+    }
+}
+
+impl std::io::Write for StallStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.park_while_stalled();
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl denova_repro::svc::Stream for StallStream {
+    fn try_clone_stream(&self) -> std::io::Result<Box<dyn denova_repro::svc::Stream>> {
+        Ok(Box::new(StallStream {
+            inner: self.inner.try_clone_stream()?,
+            stalled: self.stalled.clone(),
+            parked: self.parked.clone(),
+        }))
+    }
+
+    fn set_stream_timeouts(
+        &self,
+        read: Option<Duration>,
+        write: Option<Duration>,
+    ) -> std::io::Result<()> {
+        self.inner.set_stream_timeouts(read, write)
+    }
+
+    fn shutdown_stream(&self) {
+        self.inner.shutdown_stream()
+    }
+}
+
+/// Sync-ack mode with a standby that stops reading: writes keep succeeding,
+/// each one after the sync timeout, and the degradation latches in
+/// `ReplPrimary::sync_degraded` and the `repl.sync_degraded` gauge. Once
+/// the standby resumes it catches up, and the promoted standby holds every
+/// write byte-for-byte.
+#[test]
+fn degraded_sync_latches_and_recovers() {
+    const STALLED_FILES: u64 = 2;
+    let primary = mkfs(256);
+    let server = Arc::new(Server::new(primary.clone(), SvcConfig::default()));
+    let engine = ReplPrimary::install(
+        primary.clone(),
+        Some(&server),
+        ReplConfig {
+            sync_ack: true,
+            sync_timeout: Duration::from_millis(250),
+            ..Default::default()
+        },
+    );
+    let stalled = Arc::new(AtomicBool::new(false));
+    let parked = Arc::new(AtomicU64::new(0));
+    let connector: Connector = {
+        let (srv, stalled, parked) = (server.clone(), stalled.clone(), parked.clone());
+        Arc::new(move || {
+            Ok(Box::new(StallStream {
+                inner: Box::new(srv.connect_loopback()),
+                stalled: stalled.clone(),
+                parked: parked.clone(),
+            }) as _)
+        })
+    };
+    let (standby_fs, promoted, apply_thread, connector) = attach_standby_via(connector);
+
+    let mut shadow: HashMap<String, Vec<u8>> = HashMap::new();
+    let put = |shadow: &mut HashMap<String, Vec<u8>>, i: u64| {
+        let name = format!("s{i}");
+        let data = vec![i as u8 + 1; 4096];
+        let ino = primary.create(&name).unwrap();
+        primary.write(ino, 0, &data).unwrap();
+        shadow.insert(name, data);
+    };
+    let wait_converged = |what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while engine.lag_ops() > 0 {
+            assert!(Instant::now() < deadline, "standby never {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+
+    // A streaming standby first: the write reaches it, nothing degrades.
+    put(&mut shadow, 0);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while standby_fs.open("s0").is_err() {
+        assert!(Instant::now() < deadline, "standby never started streaming");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    wait_converged("caught up before the stall");
+    let metrics = primary.nova().device().metrics().clone();
+    assert!(!engine.sync_degraded());
+    assert_eq!(metrics.counter("repl.sync_timeouts").get(), 0);
+
+    // The standby stops reading and acknowledging. Every op (a create and a
+    // write per file) now waits out the sync timeout, then succeeds.
+    stalled.store(true, Ordering::Release);
+    let t0 = Instant::now();
+    for i in 1..=STALLED_FILES {
+        put(&mut shadow, i);
+    }
+    assert!(t0.elapsed() >= Duration::from_millis(250) * 2 * STALLED_FILES as u32);
+    assert_eq!(
+        metrics.counter("repl.sync_timeouts").get(),
+        2 * STALLED_FILES
+    );
+    assert!(engine.sync_degraded());
+    assert_eq!(metrics.gauge("repl.sync_degraded").get(), 1);
+    assert!(parked.load(Ordering::Relaxed) > 0, "the stall never bit");
+    assert!(engine.lag_ops() > 0);
+
+    // Resumed, the standby catches up; the latch stays set.
+    stalled.store(false, Ordering::Release);
+    wait_converged("caught up after the stall");
+    put(&mut shadow, STALLED_FILES + 1);
+    assert!(engine.sync_degraded());
+    assert_eq!(metrics.gauge("repl.sync_degraded").get(), 1);
+
+    engine.stop();
+    promoted.store(true, Ordering::Release);
+    assert_eq!(apply_thread.join().unwrap(), StandbyExit::Promoted);
+    assert_matches_shadow(&primary, &shadow);
+    assert_matches_shadow(&standby_fs, &shadow);
+    assert_eq!(standby_fs.nova().file_count(), shadow.len());
+    audit(&primary);
+    audit(&standby_fs);
+
+    drop(connector);
+    Arc::try_unwrap(server)
+        .unwrap_or_else(|_| panic!("server still referenced"))
         .shutdown();
 }

@@ -52,15 +52,6 @@ fn sample_requests(ino: u64, text: String, data: Vec<u8>) -> Vec<Request> {
         },
         Request::Shutdown,
         Request::Promote,
-        Request::MapGet,
-        Request::MapPush { map: data.clone() },
-        Request::TxPrepare {
-            txid: ino,
-            data: data.clone(),
-        },
-        Request::TxCommit { txid: ino },
-        Request::TxAbort { txid: ino },
-        Request::TxStatus { txid: ino },
         Request::Hello {
             tenant: text,
             weight: (ino % 9) as u32,

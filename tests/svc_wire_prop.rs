@@ -12,7 +12,7 @@ use denova_repro::nova::{FileStat, FsOp};
 use denova_repro::svc::codec::WireEnum;
 use denova_repro::svc::proto::{decode_reply, encode_reply, Request};
 use denova_repro::svc::repl::ReplMsg;
-use denova_repro::svc::{Body, RemoteDedupStats, Reply, SvcError, TxState};
+use denova_repro::svc::{Body, RemoteDedupStats, Reply, SvcError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -51,15 +51,6 @@ fn sample_requests(ino: u64, text: String, data: Vec<u8>) -> Vec<Request> {
         },
         Request::Shutdown,
         Request::Promote,
-        Request::MapGet,
-        Request::MapPush { map: data.clone() },
-        Request::TxPrepare {
-            txid: ino,
-            data: data.clone(),
-        },
-        Request::TxCommit { txid: ino },
-        Request::TxAbort { txid: ino },
-        Request::TxStatus { txid: ino },
         Request::Hello {
             tenant: text,
             weight: data.len() as u32,
@@ -67,8 +58,7 @@ fn sample_requests(ino: u64, text: String, data: Vec<u8>) -> Vec<Request> {
     ]
 }
 
-/// One reply of every body shape (every `TxState` among them), plus an
-/// error reply.
+/// One reply of every body shape, plus an error reply.
 fn sample_replies(n: u64, text: String, data: Vec<u8>) -> Vec<Reply> {
     let mut replies: Vec<Reply> = vec![
         Ok(Body::Empty),
@@ -91,14 +81,6 @@ fn sample_replies(n: u64, text: String, data: Vec<u8>) -> Vec<Reply> {
         })),
         Ok(Body::Text(text.clone())),
     ];
-    for st in [
-        TxState::None,
-        TxState::Prepared,
-        TxState::Committed,
-        TxState::Aborted,
-    ] {
-        replies.push(Ok(Body::TxState(st)));
-    }
     replies.push(Err(SvcError {
         code: 1 + (n % 200) as u16,
         detail: n,
@@ -305,11 +287,6 @@ fn samples_cover_every_row_of_every_table() {
     let replies = sample_replies(1, "f".into(), vec![1]);
     let bodies: Vec<&Body> = replies.iter().filter_map(|r| r.as_ref().ok()).collect();
     assert_eq!(tags(bodies.iter().copied()), table::<Body>());
-    let states = bodies.iter().filter_map(|b| match b {
-        Body::TxState(st) => Some(st),
-        _ => None,
-    });
-    assert_eq!(tags(states), table::<TxState>());
     assert!(replies.iter().any(Result::is_err), "no error reply");
     let msgs = sample_repl_msgs(1, vec![1]);
     assert_eq!(tags(&msgs), table::<ReplMsg>());

@@ -1,18 +1,18 @@
-//! The wire ABI, pinned byte for byte: every request, reply body, `TxState`,
-//! replication frame (carrying every `FsOp`), two-phase-commit record and
-//! prepare chunk, encoded from fixed field values and compared with the hex
-//! it has always produced. Two of these formats are durable — 2PC records
-//! live in PM files, journal entries are shipped to standbys — so a codec
-//! change that moves one byte must fail here, not in a mixed-version
-//! cluster. The op names and the `svc.op.<name>.ns` histograms they feed
-//! are pinned the same way.
+//! The wire ABI, pinned byte for byte: every request, reply body and
+//! replication frame (carrying every `FsOp`), encoded from fixed field
+//! values and compared with the hex it has always produced. Journal entries
+//! are shipped to standbys, so a codec change that moves one byte must fail
+//! here, not between a primary and a standby of different versions. The op
+//! names and the `svc.op.<name>.ns` histograms they feed are pinned the same
+//! way, and so is the rejection of the retired tags: request tags 17-22
+//! and reply body tag 8 stay reserved and decode to `BAD_REQUEST`.
 
-use denova_repro::cluster::twophase::{PrepareChunk, Role, TxKind, TxRecord};
 use denova_repro::nova::{FileStat, FsOp};
 use denova_repro::prelude::*;
-use denova_repro::svc::codec::Wire;
+use denova_repro::svc::codec::{read_frame, write_frame, FrameRead};
 use denova_repro::svc::proto::{decode_reply, encode_reply};
-use denova_repro::svc::{Body, FileService, RemoteDedupStats, ReplMsg, Reply, Request, TxState};
+use denova_repro::svc::{Body, FileService, RemoteDedupStats, ReplMsg, Reply, Request};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
 /// Request id carried by every pinned request and reply: distinct bytes,
@@ -53,17 +53,6 @@ fn requests() -> Vec<Request> {
         Request::Telemetry { json: true },
         Request::Shutdown,
         Request::Promote,
-        Request::MapGet,
-        Request::MapPush {
-            map: vec![1, 2, 3, 4],
-        },
-        Request::TxPrepare {
-            txid: 0x99,
-            data: vec![5; 3],
-        },
-        Request::TxCommit { txid: 0x99 },
-        Request::TxAbort { txid: 0x9A },
-        Request::TxStatus { txid: 0x9B },
         Request::Hello {
             tenant: "acme".into(),
             weight: 4,
@@ -72,7 +61,7 @@ fn requests() -> Vec<Request> {
 }
 
 fn replies() -> Vec<Reply> {
-    let mut out: Vec<Reply> = vec![
+    vec![
         Ok(Body::Empty),
         Ok(Body::Ino(42)),
         Ok(Body::Bytes(vec![9, 8, 7])),
@@ -101,21 +90,14 @@ fn replies() -> Vec<Reply> {
             sync_degraded: 12,
         })),
         Ok(Body::Text("snap".into())),
-    ];
-    for st in [
-        TxState::None,
-        TxState::Prepared,
-        TxState::Committed,
-        TxState::Aborted,
-    ] {
-        out.push(Ok(Body::TxState(st)));
-    }
-    out.push(Err(SvcError {
-        code: SvcError::WRONG_SHARD,
-        detail: 0x1122_3344_5566_7788,
-        message: "owner".into(),
-    }));
-    out
+        // Pinned with code 106, which is retired and reserved: an error
+        // reply carries any nonzero code in the same layout.
+        Err(SvcError {
+            code: 106,
+            detail: 0x1122_3344_5566_7788,
+            message: "owner".into(),
+        }),
+    ]
 }
 
 fn fs_ops() -> Vec<FsOp> {
@@ -171,38 +153,6 @@ fn repl_msgs() -> Vec<ReplMsg> {
     ]
 }
 
-fn records() -> Vec<TxRecord> {
-    vec![
-        TxRecord {
-            phase: 1,
-            role: Role::Coordinator,
-            kind: TxKind::Rename,
-            from: "a/src".into(),
-            to: "b/dst".into(),
-            peer_shard: 3,
-        },
-        TxRecord {
-            phase: 2,
-            role: Role::Participant,
-            kind: TxKind::Link,
-            from: String::new(),
-            to: "dst".into(),
-            peer_shard: 0,
-        },
-    ]
-}
-
-fn chunk() -> PrepareChunk {
-    PrepareChunk {
-        to: "dst".into(),
-        kind: TxKind::Link,
-        coord_shard: 1,
-        offset: 4096,
-        total: 8192,
-        data: vec![7; 4],
-    }
-}
-
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -219,8 +169,6 @@ fn encodings() -> Vec<Vec<u8>> {
     let mut out: Vec<Vec<u8>> = requests().iter().map(|r| r.encode(REQ_ID)).collect();
     out.extend(replies().iter().map(|r| encode_reply(REQ_ID, r)));
     out.extend(repl_msgs().iter().map(ReplMsg::encode));
-    out.extend(records().iter().map(TxRecord::to_bytes));
-    out.push(chunk().to_bytes());
     out
 }
 
@@ -246,18 +194,11 @@ fn pinned_bytes_decode_to_the_same_values() {
     for msg in repl_msgs() {
         assert_eq!(ReplMsg::decode(at.next().unwrap()).unwrap(), msg);
     }
-    for rec in records() {
-        assert_eq!(TxRecord::from_bytes(at.next().unwrap()).unwrap(), rec);
-    }
-    assert_eq!(
-        PrepareChunk::from_bytes(at.next().unwrap()).unwrap(),
-        chunk()
-    );
     assert!(at.next().is_none());
 }
 
 /// Each request's op name, and the latency histogram executing it feeds.
-const OP_NAMES: [(&str, &str); 23] = [
+const OP_NAMES: [(&str, &str); 17] = [
     ("ping", "svc.op.ping.ns"),
     ("create", "svc.op.create.ns"),
     ("open", "svc.op.open.ns"),
@@ -274,12 +215,6 @@ const OP_NAMES: [(&str, &str); 23] = [
     ("telemetry", "svc.op.telemetry.ns"),
     ("shutdown", "svc.op.shutdown.ns"),
     ("promote", "svc.op.promote.ns"),
-    ("map_get", "svc.op.map_get.ns"),
-    ("map_push", "svc.op.map_push.ns"),
-    ("tx_prepare", "svc.op.tx_prepare.ns"),
-    ("tx_commit", "svc.op.tx_commit.ns"),
-    ("tx_abort", "svc.op.tx_abort.ns"),
-    ("tx_status", "svc.op.tx_status.ns"),
     ("hello", "svc.op.hello.ns"),
 ];
 
@@ -296,7 +231,7 @@ fn op_names_and_their_histograms_are_pinned() {
     assert_eq!(reqs.len(), OP_NAMES.len());
     for (req, (name, _)) in reqs.iter().zip(OP_NAMES) {
         assert_eq!(req.op_name(), name);
-        // Errors (no such inode, no cluster) still record latency.
+        // Errors (no such inode) still record latency.
         let _ = service.execute(req);
     }
     let snap = service.metrics().snapshot();
@@ -304,6 +239,100 @@ fn op_names_and_their_histograms_are_pinned() {
         let h = snap.histogram(hist);
         assert_eq!(h.map(|h| h.count), Some(1), "{name} records into {hist}");
     }
+}
+
+/// The bytes the retired request rows 17-22 (`map_get`, `map_push`,
+/// `tx_prepare`, `tx_commit`, `tx_abort`, `tx_status`) encoded to. Their
+/// tags stay reserved: a frame carrying one is an unknown opcode.
+const RETIRED_REQUESTS: [&str; 6] = [
+    "010203040506070811",
+    "0102030405060708120400000001020304",
+    "010203040506070813990000000000000003000000050505",
+    "0102030405060708149900000000000000",
+    "0102030405060708159a00000000000000",
+    "0102030405060708169b00000000000000",
+];
+
+/// The bytes of the retired reply body tag 8 (a two-phase-commit state,
+/// 0-3), for request [`REQ_ID`].
+const RETIRED_BODIES: [&str; 4] = [
+    "010203040506070800000800",
+    "010203040506070800000801",
+    "010203040506070800000802",
+    "010203040506070800000803",
+];
+
+fn served() -> Server {
+    let dev = Arc::new(PmemDevice::new(16 << 20));
+    let opts = NovaOptions {
+        num_inodes: 64,
+        ..Default::default()
+    };
+    let fs = Denova::mkfs(dev, opts, DedupMode::Baseline).unwrap();
+    Server::new(Arc::new(fs), SvcConfig::default())
+}
+
+fn next_frame(stream: &mut UnixStream) -> Vec<u8> {
+    loop {
+        match read_frame(stream).unwrap() {
+            FrameRead::Frame(f) => return f,
+            FrameRead::Idle => continue,
+            FrameRead::Eof => panic!("peer closed the connection"),
+        }
+    }
+}
+
+#[test]
+fn reserved_request_tags_get_bad_request_and_the_connection_survives() {
+    let srv = served();
+    let mut conn = srv.connect_loopback();
+    for (i, retired) in RETIRED_REQUESTS.iter().enumerate() {
+        let bytes = unhex(retired);
+        assert_eq!(bytes[8], 17 + i as u8);
+        assert!(Request::decode(&bytes).is_err(), "tag {} decoded", bytes[8]);
+        write_frame(&mut conn, &bytes).unwrap();
+        let (id, reply) = decode_reply(&next_frame(&mut conn)).unwrap();
+        assert_eq!(id, REQ_ID);
+        assert_eq!(reply.unwrap_err().code, SvcError::BAD_REQUEST);
+        // The next request on the same connection is served.
+        write_frame(&mut conn, &Request::Ping.encode(7)).unwrap();
+        assert_eq!(
+            decode_reply(&next_frame(&mut conn)).unwrap(),
+            (7, Ok(Body::Empty))
+        );
+    }
+    drop(conn);
+    srv.shutdown();
+}
+
+#[test]
+fn reserved_reply_body_tag_is_bad_request_and_the_client_keeps_going() {
+    for retired in RETIRED_BODIES {
+        assert!(decode_reply(&unhex(retired)).is_err());
+    }
+    // A peer that answers each ping with one retired body, then a good
+    // reply: the client reports `BAD_REQUEST` and its next call succeeds.
+    let (client_end, mut peer) = UnixStream::pair().unwrap();
+    let peer = std::thread::spawn(move || {
+        for retired in RETIRED_BODIES {
+            for good in [false, true] {
+                let (id, req) = Request::decode(&next_frame(&mut peer)).unwrap();
+                assert_eq!(req, Request::Ping);
+                let mut reply = unhex(retired);
+                reply[..8].copy_from_slice(&id.to_le_bytes());
+                if good {
+                    reply = encode_reply(id, &Ok(Body::Empty));
+                }
+                write_frame(&mut peer, &reply).unwrap();
+            }
+        }
+    });
+    let mut client = Client::from_stream(Box::new(client_end));
+    for _ in RETIRED_BODIES {
+        assert_eq!(client.ping().unwrap_err().code, SvcError::BAD_REQUEST);
+        client.ping().unwrap();
+    }
+    peer.join().unwrap();
 }
 
 /// `(what, hex)` per sample, in [`encodings`] order.
@@ -324,12 +353,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("request telemetry", "01020304050607080e01"),
     ("request shutdown", "01020304050607080f"),
     ("request promote", "010203040506070810"),
-    ("request map_get", "010203040506070811"),
-    ("request map_push", "0102030405060708120400000001020304"),
-    ("request tx_prepare", "010203040506070813990000000000000003000000050505"),
-    ("request tx_commit", "0102030405060708149900000000000000"),
-    ("request tx_abort", "0102030405060708159a00000000000000"),
-    ("request tx_status", "0102030405060708169b00000000000000"),
     ("request hello", "0102030405060708170400000061636d6504000000"),
     ("reply empty", "0102030405060708000000"),
     ("reply ino", "01020304050607080000012a00000000000000"),
@@ -345,10 +368,6 @@ const GOLDEN: &[(&str, &str)] = &[
         "01020304050607080000060100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000",
     ),
     ("reply text", "010203040506070800000704000000736e6170"),
-    ("reply tx_state none", "010203040506070800000800"),
-    ("reply tx_state prepared", "010203040506070800000801"),
-    ("reply tx_state committed", "010203040506070800000802"),
-    ("reply tx_state aborted", "010203040506070800000803"),
     ("reply error", "01020304050607086a008877665544332211050000006f776e6572"),
     ("repl Subscribe", "505241564f4ee0d501110000000000000001"),
     ("repl SnapshotBegin", "505241564f4ee0d5021100000000000000000010000000000004000000"),
@@ -361,7 +380,4 @@ const GOLDEN: &[(&str, &str)] = &[
     ("repl Ack", "505241564f4ee0d5061700000000000000"),
     ("repl Heartbeat", "505241564f4ee0d5071800000000000000"),
     ("repl FellBehind", "505241564f4ee0d508"),
-    ("tx record coordinator", "01010105000000612f73726305000000622f64737403000000"),
-    ("tx record participant", "020202000000000300000064737400000000"),
-    ("prepare chunk", "030000006473740201000000001000000000000000200000000000000400000007070707"),
 ];
