@@ -204,8 +204,8 @@ fn bench_fact_ops(c: &mut Criterion) {
     let fps: Vec<Fingerprint> = (0..512u64)
         .map(|i| {
             let fp = Fingerprint::of(&i.to_le_bytes());
-            let (idx, _) = fact.reserve_or_insert(&fp, layout.data_start + i).unwrap();
-            fact.commit_uc_to_rfc(idx);
+            let (idx, e) = fact.reserve_or_insert(&fp, layout.data_start + i).unwrap();
+            fact.commit_uc_to_rfc(idx, &e);
             fp
         })
         .collect();
@@ -230,8 +230,8 @@ fn bench_fact_ops(c: &mut Criterion) {
     g.bench_function("reserve_commit_roundtrip", |b| {
         let fp = Fingerprint::of(b"counter");
         b.iter(|| {
-            let (idx, _) = fact.reserve_or_insert(&fp, 99).unwrap();
-            fact.commit_uc_to_rfc(idx);
+            let (idx, e) = fact.reserve_or_insert(&fp, 99).unwrap();
+            fact.commit_uc_to_rfc(idx, &e);
         });
     });
     g.finish();

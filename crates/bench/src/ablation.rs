@@ -72,12 +72,12 @@ pub fn reorder(chain_len: usize, lookups: usize) -> ReorderAblation {
     // Cold entries first (RFC 1), hot entry last (RFC 100).
     for i in 0..chain_len - 1 {
         let fp = fp_with_prefix(&fact, prefix, i as u16 + 1);
-        let (idx, _) = fact.reserve_or_insert(&fp, 1000 + i as u64).unwrap();
-        fact.commit_uc_to_rfc(idx);
+        let (idx, e) = fact.reserve_or_insert(&fp, 1000 + i as u64).unwrap();
+        fact.commit_uc_to_rfc(idx, &e);
     }
     let hot = fp_with_prefix(&fact, prefix, chain_len as u16 + 7);
-    let (hot_idx, _) = fact.reserve_or_insert(&hot, 5000).unwrap();
-    fact.commit_uc_to_rfc(hot_idx);
+    let (hot_idx, e) = fact.reserve_or_insert(&hot, 5000).unwrap();
+    fact.commit_uc_to_rfc(hot_idx, &e);
     fact.set_rfc(hot_idx, 100);
 
     let measure = |fact: &Fact| -> (f64, u64) {
@@ -140,8 +140,8 @@ pub fn delete_ptr(ops: usize) -> DeletePtrAblation {
         dev.write(layout.block_off(b), &page);
         dev.persist(layout.block_off(b), PAGE_SIZE);
         let fp = Fingerprint::of(&page);
-        let (idx, _) = fact.reserve_or_insert(&fp, b).unwrap();
-        fact.commit_uc_to_rfc(idx);
+        let (idx, e) = fact.reserve_or_insert(&fp, b).unwrap();
+        fact.commit_uc_to_rfc(idx, &e);
     }
 
     // Path A: delete pointer (the paper's "exactly two reads").

@@ -19,7 +19,10 @@
 //!
 //! A crash in any window leaves state that the recovery handlers
 //! (Inconsistency Handling I/II/III, `recovery.rs`) repair exactly as the
-//! paper prescribes.
+//! paper prescribes. Each ordering point is fenced once (`fact.rs`, "One
+//! fence per ordering point"): the step ③ increments ride the log append's
+//! fence before step ⑤'s tail commit, and the step ⑥ commits share one
+//! fence before the first `dedupe_complete` flag.
 //!
 //! **Two-stage lock split.** SHA-1 dominates the transaction (Table IV:
 //! 11.78 µs per page vs 2.85 µs to write one), and a foreground write needs
@@ -27,8 +30,8 @@
 //! the read lock included — stalls the writer for the whole hash. The
 //! transaction therefore runs in two stages:
 //!
-//! * **Stage 1 (no lock, `prefingerprint`):** on an unlocked snapshot of
-//!   the inode ([`Nova::with_inode_snapshot`]: epoch pinned, nothing
+//! * **Stage 1 (no inode lock, `prefingerprint`):** on an unlocked snapshot
+//!   of the inode ([`Nova::with_inode_snapshot`]: epoch pinned, nothing
 //!   validated) read the target entry, take each page's liveness from the
 //!   radix tree, and fingerprint the live pages straight from the device's
 //!   mapped bytes (zero copy) — exactly what `Nova::read`'s optimistic path
@@ -47,6 +50,14 @@
 //! "mapped continuously since the write committed" ⇒ "the block was never
 //! freed" ⇒ "its bytes were stable through all of stage 1", and the
 //! fingerprint taken with no lock is the fingerprint of what stage 2 sees.
+//! The other side of a memcmp prediction is a canonical block, and stage 1
+//! **pins before it compares**: it reserves the canonical's FACT record
+//! (`UC += 1`) first, and a record with a reservation in flight is never
+//! removed, so its block is neither freed nor rewritten while stage 1 reads
+//! it. A prediction stage 1 made is therefore still true in stage 2, which
+//! takes the pin over as the page's reservation with no second reserve and
+//! no second compare; every pin stage 2 does not take (a stale page,
+//! `AlreadyProcessed`, `FileGone`, `Corrupt`, an error exit) is given back.
 //! Everything else stage 1 saw may be garbage — a torn `(entry_off, block)`
 //! pair from a racing radix insert, a freed block another inode is
 //! rewriting, a released inode's log page reused as data — and is merely
@@ -54,44 +65,29 @@
 //! touched, nothing read unlocked is indexed by or panicked on, and a target
 //! that does not decode to a `Needed` write entry inside the device yields
 //! an empty list. Stage 1 never fails; `AlreadyProcessed`, `FileGone` and
-//! `Corrupt` are stage 2's answers, given under the lock. `Grown` and
-//! `RunCovered` predictions are byte-compared again in stage 2 after the
-//! reservation pins the canonical record.
+//! `Corrupt` are stage 2's answers, given under the lock.
 //!
 //! Correctness does not depend on stage 1 at all: stage 2 alone is the old
 //! single-stage algorithm with a fingerprint cache in front. A live page
 //! with no usable result is fingerprinted under the write lock
-//! (`denova.refingerprinted_pages`): a memcmp prediction that fails its
-//! stage-2 re-check, as before — and, since a page live at stage 2 was live
-//! for all of stage 1, otherwise only a page stage 1 saw *absent* through a
-//! torn radix `(root, height)` pair, the tree growing a level under it.
+//! (`denova.refingerprinted_pages`): since a page live at stage 2 was live
+//! for all of stage 1, only a page stage 1 saw *absent* through a torn
+//! radix `(root, height)` pair, the tree growing a level under it.
 //!
 //! **Extent growth.** SHA-1 dominates (Table IV), so once one page of a
 //! write matches a canonical block the daemon *grows* the match along the
-//! run instead of hashing every page: the next candidate page is compared
-//! to the next canonical block with a plain `memcmp` (stage 1 predicts the
-//! canonical from the previous hit; stage 2 re-verifies under the write
-//! lock after pinning the record with `UC += 1`). Growth is forward-greedy;
-//! a backward probe would be redundant because pages are classified in file
-//! order and fingerprint lookup is content-exact — an earlier page whose
-//! bytes matched `canonical - 1` would already have hit it by fingerprint.
-//!
-//! Consecutive duplicate pages whose canonical blocks are also consecutive
-//! collapse into **one** shared-extent write entry (`num_pages = N`), and
-//! once a run reaches `Fact::extent_threshold_pages` the canonical per-page
-//! FACT records are promoted into a single extent-run record
-//! ([`Fact::merge_run`]). A candidate that matches a run *anchor* shares the
-//! prefix it matches (memcmp-verified page by page); a divergence inside
-//! the run splits it there ([`Fact::split_run`]) — head and tail stay
-//! extent-granular, each with its own owner count, exactly like a partial
-//! overwrite in an extent store. Interior pages of a run have no FACT
-//! records of their own, so a candidate aligned to the *middle* of an
-//! existing run is not deduplicated — the classic extent-granularity
-//! trade-off the threshold knob balances (0 disables growth entirely:
-//! per-block baseline).
+//! run instead of hashing every page: stage 1 pins the record of the next
+//! canonical block and compares the next candidate page to it with a plain
+//! `memcmp`. Growth is forward-greedy; a backward probe would be redundant
+//! because pages are classified in file order and fingerprint lookup is
+//! content-exact — an earlier page whose bytes matched `canonical - 1`
+//! would already have hit it by fingerprint. Consecutive duplicate pages
+//! whose canonical blocks are also consecutive collapse into **one**
+//! shared-extent write entry (`num_pages = N`), so reads of deduplicated
+//! data still coalesce; FACT keeps one record per canonical block.
 
 use crate::dwq::DwqNode;
-use crate::fact::{Count, Fact, Released};
+use crate::fact::{Count, Fact, FactEntry, Released};
 use denova_fingerprint::Fingerprint;
 use denova_nova::{
     entry::{read_dedupe_flag, read_entry, write_dedupe_flag},
@@ -114,16 +110,10 @@ fn blocks_equal(dev: &PmemDevice, layout: &Layout, a: u64, b: u64) -> bool {
 enum Prep {
     /// Fingerprinted; stage 2 takes the fingerprint path.
     Fp(Fingerprint),
-    /// Predicted duplicate of `canonical` by memcmp growth — no hash
-    /// computed. Stage 2 re-verifies and falls back to hashing on any
-    /// mismatch.
-    Grown {
-        /// Canonical block this page's bytes matched in stage 1.
-        canonical: u64,
-    },
-    /// Covered by a whole-run anchor match starting at an earlier page —
-    /// no hash computed; stage 2's run verification re-checks the bytes.
-    RunCovered,
+    /// Predicted by memcmp growth to duplicate the canonical block of the
+    /// record stage 1 pinned before comparing — the reservation's slot and
+    /// the record as reserved. No hash computed.
+    Pinned(u64, FactEntry),
 }
 
 /// One coalesced duplicate run: `len` candidate pages starting at `pgoff`
@@ -176,13 +166,33 @@ pub fn dedup_entry(nova: &Nova, fact: &Fact, node: &DwqNode) -> Result<DedupOutc
     }
 }
 
+/// Give back a reservation this transaction will not commit; if every
+/// owner let go while it was out, the canonical block is left to us to
+/// free.
+fn give_back(nova: &Nova, fact: &Fact, canonical: u64) {
+    if fact.release(canonical, Count::Uc) == Released::Removed {
+        nova.allocator().free_range(canonical, 1);
+        nova.stats().blocks_freed.add(1);
+    }
+}
+
+/// Give back the stage-1 pins among `prefps`.
+fn give_back_pins(nova: &Nova, fact: &Fact, prefps: &[Prefp]) {
+    for &(_, _, prep) in prefps {
+        if let Prep::Pinned(_, record) = prep {
+            give_back(nova, fact, record.block);
+        }
+    }
+}
+
 /// Stage 1: prefingerprint the target's live pages on an unlocked snapshot
 /// of the inode, hashing straight from the mapped PM bytes. When the
-/// previous page matched a canonical block, the next page is first probed
-/// against the *next* canonical block with a memcmp — on a match the SHA-1
-/// is skipped entirely (extent growth). No stale-page accounting here —
-/// stage 2 is the single point of truth for that, so a page superseded
-/// before stage 2 is never double-counted.
+/// previous page matched a canonical block, the record of the *next*
+/// canonical block is pinned and the next page compared to it with a
+/// memcmp — on a match the SHA-1 is skipped entirely (extent growth) and the
+/// pin goes to stage 2; on a mismatch it is given back at once. No
+/// stale-page accounting here — stage 2 is the single point of truth for
+/// that, so a page superseded before stage 2 is never double-counted.
 ///
 /// Nothing here is validated (the module doc's snapshot rule says why it
 /// need not be), so nothing here may fail: whatever does not look like a
@@ -193,10 +203,19 @@ fn prefingerprint(nova: &Nova, fact: &Fact, node: &DwqNode, fp_time: &mut Durati
     let dev = nova.device();
     let layout = nova.layout();
     let total_blocks = layout.total_blocks;
-    let threshold = fact.extent_threshold_pages();
-    // Byte-compare two blocks that may both be garbage numbers.
-    let same_bytes =
-        |a: u64, b: u64| a < total_blocks && b < total_blocks && blocks_equal(dev, layout, a, b);
+    // Pin the record of canonical block `c` — a number that may be garbage
+    // — and keep the pin if `block` holds the same bytes.
+    let pin_if_equal = |c: u64, block: u64| {
+        if c >= total_blocks {
+            return None;
+        }
+        let pin = fact.reserve_block(c)?;
+        if blocks_equal(dev, layout, block, c) {
+            return Some(pin);
+        }
+        give_back(nova, fact, c);
+        None
+    };
     let scan = |mem: &InodeMem| {
         let mut fps = Vec::new();
         let target = match read_entry(dev, node.entry_off) {
@@ -212,83 +231,42 @@ fn prefingerprint(nova: &Nova, fact: &Fact, node: &DwqNode, fp_time: &mut Durati
             return Ok(fps);
         }
         fps.reserve(n as usize);
-        // A page is live while the radix maps it to this entry *and* this
-        // block: the tree stores the two as separate atomics, and a racing
-        // insert can pair the old offset with the new block.
-        let live = |k: u64| {
-            mem.radix
-                .get(target.file_pgoff + k)
-                .is_some_and(|er| er.entry_off == node.entry_off && er.block == target.block + k)
-        };
         // Canonical block predicted for the next page, when the previous
         // page matched the preceding one. A stale page breaks the run.
         let mut pred: Option<u64> = None;
-        let mut i = 0u64;
-        while i < n {
+        for i in 0..n {
             let pgoff = target.file_pgoff + i;
             let block = target.block + i;
-            if !live(i) {
+            // A page is live while the radix maps it to this entry *and*
+            // this block: the tree stores the two as separate atomics, and a
+            // racing insert can pair the old offset with the new block.
+            let live = mem
+                .radix
+                .get(pgoff)
+                .is_some_and(|er| er.entry_off == node.entry_off && er.block == block);
+            if !live {
                 pred = None;
-                i += 1;
                 continue;
             }
-            // Growth fast path: memcmp against the predicted canonical.
-            if threshold > 0 {
-                if let Some(c) = pred {
-                    let per_page = fact
-                        .resolve_block(c)
-                        .is_some_and(|(_, ce)| ce.run_pages == 1 && ce.block == c);
-                    if per_page && same_bytes(block, c) {
-                        fps.push((pgoff, block, Prep::Grown { canonical: c }));
-                        pred = Some(c + 1);
-                        i += 1;
-                        continue;
-                    }
-                }
+            // Growth fast path: pin the predicted canonical, then compare.
+            if let Some((slot, record)) = pred.and_then(|c| pin_if_equal(c, block)) {
+                fps.push((pgoff, block, Prep::Pinned(slot, record)));
+                pred = Some(record.block + 1);
+                continue;
             }
-            pred = None;
             let t_fp = Instant::now();
             let fp = dev.with_slice(layout.block_off(block), BLOCK_SIZE as usize, |page| {
                 fact.fingerprint(page)
             });
             *fp_time += t_fp.elapsed();
             // FACT's unlocked lookup can hand back a record caught
-            // mid-update; one whose run leaves the device is no hit.
-            let hit = fact.lookup(&fp).map(|(_, e)| e).filter(|e| {
-                e.block != block
-                    && e.block
-                        .checked_add(e.run_pages as u64)
-                        .is_some_and(|end| end <= total_blocks)
-            });
-            if let Some(e) = hit {
-                let run = e.run_pages as u64;
-                if threshold > 0 && run > 1 {
-                    // Anchor hit: probe the whole run. Pages the run
-                    // covers skip hashing; stage 2 re-verifies them.
-                    let mut covered = 1u64;
-                    while covered < run
-                        && i + covered < n
-                        && live(i + covered)
-                        && same_bytes(block + covered, e.block + covered)
-                    {
-                        covered += 1;
-                    }
-                    if covered == run {
-                        fps.push((pgoff, block, Prep::Fp(fp)));
-                        for k in 1..run {
-                            fps.push((pgoff + k, block + k, Prep::RunCovered));
-                        }
-                        pred = Some(e.block + run);
-                        i += run;
-                        continue;
-                    }
-                    // Partial anchor match: stage 2 demotes the run.
-                } else if run == 1 {
-                    pred = Some(e.block + 1);
-                }
-            }
+            // mid-update; growth then merely pins nothing.
+            pred = fact
+                .lookup(&fp)
+                .map(|(_, e)| e.block)
+                .filter(|&c| c != block)
+                .and_then(|c| c.checked_add(1));
             fps.push((pgoff, block, Prep::Fp(fp)));
-            i += 1;
         }
         Ok(fps)
     };
@@ -299,7 +277,9 @@ fn prefingerprint(nova: &Nova, fact: &Fact, node: &DwqNode, fp_time: &mut Durati
 
 /// Stage 2: the transaction proper, under the inode write lock — steps
 /// ②–⑥ with their crash points. `prefps` is stage 1's page-ordered list; an
-/// empty one makes this the single-stage algorithm.
+/// empty one makes this the single-stage algorithm. Every stage-1 pin is
+/// either taken over as a page's reservation or given back, whatever the
+/// outcome (short of a crash).
 fn commit(
     nova: &Nova,
     fact: &Fact,
@@ -310,8 +290,11 @@ fn commit(
     let stats = fact.stats();
     let dev = nova.device();
     let layout = nova.layout();
-    nova.with_inode_write(node.ino, |ctx| {
-        let _held = dev.metrics().span("denova.dedup.write_lock_hold");
+    // `prefps[held..]` still holds its pins: the loop below advances past
+    // every result whose pin it took over or gave back.
+    let mut held = 0usize;
+    let outcome = nova.with_inode_write(node.ino, |ctx| {
+        let _hold = dev.metrics().span("denova.dedup.write_lock_hold");
         // Re-read the target entry under the write lock; skip if another
         // pass (or a pre-crash run, Inconsistency Handling III) already
         // handled it in the stage-1 → stage-2 window.
@@ -323,47 +306,38 @@ fn commit(
             return Ok(DedupOutcome::AlreadyProcessed);
         }
 
-        // Steps ②③: revalidate each page, reusing the stage-1 fingerprint
-        // (or growth prediction) when its (pgoff, block) mapping still
-        // holds, then reserve the transaction with UC += 1 (insert with
-        // UC = 1 for unique chunks). Adjacent duplicates of adjacent
+        // Steps ②③: revalidate each page, taking over the stage-1 pin (or
+        // reusing the fingerprint) when its (pgoff, block) mapping still
+        // holds, otherwise reserving the transaction with UC += 1 (insert
+        // with UC = 1 for unique chunks). Adjacent duplicates of adjacent
         // canonical blocks coalesce into runs as they are found.
-        // One `(FACT index, canonical block)` per reserved record.
-        let mut reservations: Vec<(u64, u64)> = Vec::new();
+        // One `(slot, record)` per reservation, for the commit by hint.
+        let mut reservations: Vec<(u64, FactEntry)> = Vec::new();
         let mut duplicates: Vec<DupRun> = Vec::new();
         let mut uniques = 0u32;
-        let mut dup_pages = 0u32;
-        let push_dup = |dups: &mut Vec<DupRun>, pgoff: u64, c: u64, len: u64| {
+        let push_dup = |dups: &mut Vec<DupRun>, pgoff: u64, c: u64| {
             if let Some(last) = dups.last_mut() {
                 if last.pgoff + last.len == pgoff && last.canonical + last.len == c {
-                    last.len += len;
+                    last.len += 1;
                     return;
                 }
             }
             dups.push(DupRun {
                 pgoff,
                 canonical: c,
-                len,
+                len: 1,
             });
         };
-        // A reservation this transaction will not commit goes back through
-        // FACT's release; if every owner let go while it was out, the
-        // canonical block is left to us to free.
-        let give_back = |canonical: u64| {
-            if fact.release(canonical, Count::Uc) == Released::Removed {
-                nova.allocator().free_range(canonical, 1);
-                nova.stats().blocks_freed.add(1);
-            }
-        };
         // An error exit (FACT/IAA full, log or PM full) commits nothing:
-        // every reservation taken so far goes back the same way, or the
-        // records would sit at `UC ≥ 1` — unreclaimable — until the next
-        // crash mount discards them. A canonical block the target entry
-        // itself still maps (a fresh insert, or a later page of the entry
-        // duplicating it) only drops its record, never the block.
+        // every reservation taken so far goes back, or the records would
+        // sit at `UC ≥ 1` — unreclaimable — until the next crash mount
+        // discards them. A canonical block the target entry itself still
+        // maps (a fresh insert, or a later page of the entry duplicating it)
+        // only drops its record, never the block.
         let give_all_back =
-            |reservations: &[(u64, u64)], target: &WriteEntry, mem: &denova_nova::InodeMem| {
-                for &(_, canonical) in reservations {
+            |reservations: &[(u64, FactEntry)], target: &WriteEntry, mem: &InodeMem| {
+                for (_, e) in reservations {
+                    let canonical = e.block;
                     let own = canonical
                         .checked_sub(target.block)
                         .filter(|&k| k < target.num_pages as u64)
@@ -372,14 +346,11 @@ fn commit(
                     if own {
                         fact.release(canonical, Count::Uc);
                     } else {
-                        give_back(canonical);
+                        give_back(nova, fact, canonical);
                     }
                 }
             };
-        let n_pages = target.num_pages as u64;
-        let mut cursor = prefps.iter().peekable();
-        let mut i = 0u64;
-        while i < n_pages {
+        for i in 0..target.num_pages as u64 {
             let pgoff = target.file_pgoff + i;
             let block = target.block + i;
             // Page superseded by a newer write since enqueue? Skip it.
@@ -387,57 +358,40 @@ fn commit(
                 Some(er) if er.entry_off == node.entry_off && er.block == block => {}
                 _ => {
                     stats.record_stale_page();
-                    i += 1;
                     continue;
                 }
             }
-            // Both this loop and stage 1's list run in page order.
-            while cursor.peek().is_some_and(|&&(p, ..)| p < pgoff) {
-                cursor.next();
+            // Both this loop and stage 1's list run in page order: results
+            // this loop passed over were for pages that went stale.
+            while prefps.get(held).is_some_and(|&(p, ..)| p < pgoff) {
+                give_back_pins(nova, fact, &prefps[held..held + 1]);
+                held += 1;
             }
-            let prep = cursor
-                .peek()
-                .filter(|&&&(p, b, _)| p == pgoff && b == block)
-                .map(|&&(_, _, prep)| prep);
+            let prep = prefps
+                .get(held)
+                .filter(|&&(p, b, _)| p == pgoff && b == block)
+                .map(|&(.., prep)| prep);
+            held += prep.is_some() as usize;
 
-            // Growth fast path: the stage-1 memcmp predicted this page
-            // duplicates `canonical`. Reserve on the record that owns it —
-            // which verifies, under the record's lock, that it is still a
-            // per-page record for that block — and re-compare the bytes now
-            // that the reservation pins them: the record could have been
-            // removed and a different chunk re-registered at the same block
-            // in the window. Any mismatch falls back to the fingerprint
-            // path below.
-            if let Some(Prep::Grown { canonical }) = prep {
-                let shared = fact.reserve_block(canonical).is_some_and(|(cidx, _)| {
-                    if blocks_equal(dev, layout, block, canonical) {
-                        reservations.push((cidx, canonical));
-                        true
-                    } else {
-                        give_back(canonical);
-                        false
-                    }
-                });
-                if shared {
+            let fp = match prep {
+                // The snapshot rule: the page mapped continuously since the
+                // write, and the pin kept the canonical bytes it was
+                // compared with — the prediction holds.
+                Some(Prep::Pinned(slot, e)) => {
                     stats.record_prefp_reused();
                     stats.record_page(true);
-                    dup_pages += 1;
-                    push_dup(&mut duplicates, pgoff, canonical, 1);
-                    i += 1;
+                    reservations.push((slot, e));
+                    push_dup(&mut duplicates, pgoff, e.block);
                     continue;
                 }
-            }
-
-            // Fingerprint path.
-            let fp = match prep {
                 Some(Prep::Fp(fp)) => {
                     stats.record_prefp_reused();
                     fp
                 }
-                _ => {
-                    // Not prefingerprinted (revalidation miss, or a growth
-                    // prediction that fell through): hash under the write
-                    // lock, as the single-stage algorithm did.
+                None => {
+                    // Not prefingerprinted (stage 1 saw the page absent):
+                    // hash under the write lock, as the single-stage
+                    // algorithm did.
                     let t_fp = Instant::now();
                     let fp = dev.with_slice(layout.block_off(block), BLOCK_SIZE as usize, |page| {
                         fact.fingerprint(page)
@@ -448,77 +402,20 @@ fn commit(
                 }
             };
 
-            let (idx, existing) = match fact.reserve_or_insert(&fp, block) {
+            let (slot, e) = match fact.reserve_or_insert(&fp, block) {
                 Ok(reserved) => reserved,
-                Err(e) => {
+                Err(err) => {
                     give_all_back(&reservations, &target, ctx.mem);
-                    return Err(e);
+                    return Err(err);
                 }
             };
-            if existing.block == block {
-                reservations.push((idx, block));
+            reservations.push((slot, e));
+            stats.record_page(e.block != block);
+            if e.block == block {
                 uniques += 1;
-                stats.record_page(false);
-                i += 1;
-                continue;
+            } else {
+                push_dup(&mut duplicates, pgoff, e.block);
             }
-
-            // Duplicate. A run anchor stands for its whole run; the entry
-            // matches some prefix of it (the fingerprint hit is on the
-            // anchor, so the match starts at the run's first block). Verify
-            // how far the match extends; a divergence inside the run splits
-            // it there — the head (which the reservation taken on the
-            // anchor then covers exactly) stays shared, the divergent block
-            // goes per-page, and the rest re-forms as its own run so the
-            // pages beyond the divergence still share wholesale on the next
-            // iterations of this loop.
-            let mut len = 1u64;
-            let run = existing.run_pages as u64;
-            if run > 1 {
-                let matched = 1 + (1..run)
-                    .take_while(|&k| {
-                        i + k < n_pages
-                            && matches!(
-                                ctx.mem.radix.get(pgoff + k),
-                                Some(er) if er.entry_off == node.entry_off && er.block == block + k
-                            )
-                            && blocks_equal(dev, layout, block + k, existing.block + k)
-                    })
-                    .count() as u64;
-                if matched == run {
-                    // One reservation on the anchor: committing UC → RFC
-                    // adds exactly one owner to every covered block.
-                    len = run;
-                } else if fact.split_run(idx, matched as u32).is_ok() {
-                    len = matched;
-                    // Peel the first divergent block off the tail run so
-                    // its interior — which this entry *does* duplicate —
-                    // is anchored at a fingerprint the entry's next pages
-                    // will hit. Only worth it while the entry has pages
-                    // left; best effort — on failure the tail merely stays
-                    // opaque to this entry.
-                    if run - matched >= 2 && i + matched < n_pages {
-                        if let Some((tidx, te)) = fact.resolve_block(existing.block + matched) {
-                            if te.block == existing.block + matched && te.run_pages > 1 {
-                                let _ = fact.split_run(tidx, 1);
-                            }
-                        }
-                    }
-                } else {
-                    // Could not split (e.g. FACT full): give this page up
-                    // rather than share a misaligned run.
-                    give_back(existing.block);
-                    i += 1;
-                    continue;
-                }
-            }
-            reservations.push((idx, existing.block));
-            for _ in 0..len {
-                stats.record_page(true);
-            }
-            dup_pages += len as u32;
-            push_dup(&mut duplicates, pgoff, existing.block, len);
-            i += len;
         }
         dev.crash_point("denova::dedup::after_reserve");
 
@@ -539,8 +436,9 @@ fn commit(
             })
             .collect();
         let encoded: Vec<[u8; 64]> = new_entries.iter().map(|e| e.encode()).collect();
-        // Step ⑤ happens inside append: the atomic tail commit (with crash
-        // points denova::dedup::{before,after}_tail_commit).
+        // Step ⑤ happens inside append: the fence that makes every UC
+        // increment durable, then the atomic tail commit (with crash points
+        // denova::dedup::{before,after}_tail_commit).
         let offs = match ctx.append(&encoded, "denova::dedup") {
             Ok(offs) => offs,
             Err(e) => {
@@ -561,13 +459,15 @@ fn commit(
         }
 
         // Step ⑥: commit every reservation — UC -= 1, RFC += 1, one atomic
-        // 64-bit store per FACT entry.
-        for (n, (idx, _)) in reservations.iter().enumerate() {
-            fact.commit_uc_to_rfc(*idx);
+        // 64-bit store per FACT entry — and fence once, so every RFC is
+        // durable before the first flag says the transaction is complete.
+        for (n, (slot, e)) in reservations.iter().enumerate() {
+            fact.commit_uc_to_rfc(*slot, e);
             if n == 0 {
                 dev.crash_point("denova::dedup::mid_commit_counts");
             }
         }
+        dev.fence();
         dev.crash_point("denova::dedup::after_commit_counts");
 
         // Flags: appended entries and the target become dedupe_complete.
@@ -581,52 +481,13 @@ fn commit(
         for block in obsolete {
             ctx.reclaim_block(block);
         }
-
-        // Extent promotion: a duplicate run long enough collapses its
-        // canonical per-page FACT records into one extent-run record. Best
-        // effort — `merge_run` re-checks its preconditions (equal RFC, no
-        // in-flight UC, still per-page, still consecutive) under the stripe
-        // locks and declines if anything moved; the run stays per-page and
-        // a later pass may promote it.
-        let threshold = fact.extent_threshold_pages() as u64;
-        if threshold > 0 {
-            for d in duplicates.iter().filter(|d| d.len >= threshold) {
-                // merge_run needs one uniform reference count across the
-                // whole run, and overwrite history legitimately leaves
-                // neighbouring canonical blocks with different owner
-                // counts. Promote every maximal equal-RFC stretch that
-                // still clears the threshold instead of insisting on the
-                // full duplicate run — otherwise one historically mutated
-                // block starves the segment forever.
-                let mut seg: Vec<(u64, crate::fact::FactEntry)> = Vec::new();
-                for k in 0..=d.len {
-                    let m = (k < d.len)
-                        .then(|| {
-                            fact.resolve_block(d.canonical + k).filter(|(_, e)| {
-                                e.run_pages == 1 && e.block == d.canonical + k && e.uc == 0
-                            })
-                        })
-                        .flatten();
-                    match m {
-                        Some(m) if seg.last().is_none_or(|(_, prev)| prev.rfc == m.1.rfc) => {
-                            seg.push(m);
-                        }
-                        _ => {
-                            if seg.len() as u64 >= threshold {
-                                fact.merge_run(&seg);
-                            }
-                            seg.clear();
-                            seg.extend(m);
-                        }
-                    }
-                }
-            }
-        }
         Ok(DedupOutcome::Done {
-            duplicates: dup_pages,
+            duplicates: duplicates.iter().map(|d| d.len as u32).sum(),
             uniques,
         })
-    })
+    });
+    give_back_pins(nova, fact, &prefps[held..]);
+    outcome
 }
 
 /// Resume a transaction from step ⑥ for an entry found `in_process` during
@@ -643,42 +504,24 @@ pub fn resume_in_process(nova: &Nova, fact: &Fact, ino: u64, entry_off: u64) -> 
             return Ok(());
         }
         let layout = *nova.layout();
-        let mut i = 0u64;
-        while i < we.num_pages as u64 {
-            let pgoff = we.file_pgoff + i;
-            let block = we.block + i;
+        for i in 0..we.num_pages as u64 {
             // Only pages this entry still backs participate.
-            match ctx.mem.radix.get(pgoff) {
+            match ctx.mem.radix.get(we.file_pgoff + i) {
                 Some(er) if er.entry_off == entry_off => {}
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            }
-            // A whole-run share reserved exactly one UC on the run anchor
-            // (interior blocks have no fingerprints of their own), so a run
-            // commits once and skips the pages it covers.
-            if let Some((idx, e)) = fact.resolve_block(block) {
-                if e.run_pages > 1 {
-                    if block == e.block {
-                        fact.commit_uc_to_rfc(idx);
-                    }
-                    i += (e.run_pages as u64 - (block - e.block)).max(1);
-                    continue;
-                }
+                _ => continue,
             }
             let fp = dev.with_slice(
-                layout.block_off(block),
+                layout.block_off(we.block + i),
                 BLOCK_SIZE as usize,
                 Fingerprint::of,
             );
-            if let Some((idx, _)) = fact.lookup(&fp) {
+            if let Some((slot, e)) = fact.lookup(&fp) {
                 // Commit at most the UC this transaction reserved; a zero UC
                 // means the commit already happened before the crash.
-                fact.commit_uc_to_rfc(idx);
+                fact.commit_uc_to_rfc(slot, &e);
             }
-            i += 1;
         }
+        dev.fence();
         write_dedupe_flag(&dev, entry_off, DedupeFlag::Complete);
         Ok(())
     })
@@ -1018,233 +861,6 @@ mod tests {
         assert_eq!(fact.counters(idx), (1, 0));
     }
 
-    /// 8 pages of distinct, non-zero content (zero pages would become
-    /// holes and never reach the DWQ).
-    fn run_data() -> Vec<u8> {
-        let mut data = vec![0u8; 8 * 4096];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (i / 4096 + 1) as u8;
-        }
-        data
-    }
-
-    #[test]
-    fn long_duplicate_run_promotes_to_extent_record() {
-        let (nova, fact, dwq) = setup();
-        fact.set_extent_threshold_pages(4);
-        let data = run_data();
-        let a = nova.create("a").unwrap();
-        nova.write(a, 0, &data).unwrap();
-        drain(&nova, &fact, &dwq);
-        assert_eq!(fact.occupied_count(), 8);
-        let b = nova.create("b").unwrap();
-        nova.write(b, 0, &data).unwrap();
-        let free_before = nova.free_blocks();
-        drain(&nova, &fact, &dwq);
-        // All 8 of b's pages deduplicated...
-        assert_eq!(nova.free_blocks(), free_before + 8);
-        // ...and the canonical per-page records collapsed into one run.
-        assert_eq!(fact.occupied_count(), 1);
-        assert_eq!(fact.stats().promoted_runs(), 1);
-        assert_eq!(fact.stats().promoted_run_pages(), 8);
-        let (idx, e) = fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        assert_eq!(e.run_pages, 8);
-        assert_eq!(fact.counters(idx), (2, 0));
-        assert_eq!(nova.read(a, 0, data.len()).unwrap(), data);
-        assert_eq!(nova.read(b, 0, data.len()).unwrap(), data);
-    }
-
-    #[test]
-    fn run_below_threshold_stays_per_page() {
-        let (nova, fact, dwq) = setup();
-        fact.set_extent_threshold_pages(16);
-        let data = run_data(); // 8 pages < 16
-        let a = nova.create("a").unwrap();
-        let b = nova.create("b").unwrap();
-        nova.write(a, 0, &data).unwrap();
-        nova.write(b, 0, &data).unwrap();
-        drain(&nova, &fact, &dwq);
-        assert_eq!(fact.occupied_count(), 8);
-        assert_eq!(fact.stats().promoted_runs(), 0);
-    }
-
-    #[test]
-    fn threshold_zero_is_per_block_baseline() {
-        let (nova, fact, dwq) = setup();
-        fact.set_extent_threshold_pages(0);
-        let data = run_data();
-        let a = nova.create("a").unwrap();
-        let b = nova.create("b").unwrap();
-        nova.write(a, 0, &data).unwrap();
-        nova.write(b, 0, &data).unwrap();
-        let free_before = nova.free_blocks();
-        drain(&nova, &fact, &dwq);
-        // Same dedup ratio, no runs.
-        assert_eq!(nova.free_blocks(), free_before + 8);
-        assert_eq!(fact.occupied_count(), 8);
-        assert_eq!(fact.stats().promoted_runs(), 0);
-    }
-
-    #[test]
-    fn third_copy_shares_the_whole_run_via_the_anchor() {
-        let (nova, fact, dwq) = setup();
-        fact.set_extent_threshold_pages(4);
-        let data = run_data();
-        for name in ["a", "b"] {
-            let ino = nova.create(name).unwrap();
-            nova.write(ino, 0, &data).unwrap();
-        }
-        drain(&nova, &fact, &dwq);
-        assert_eq!(fact.occupied_count(), 1);
-        // c matches the run anchor: one reservation covers the whole run.
-        let c = nova.create("c").unwrap();
-        nova.write(c, 0, &data).unwrap();
-        let free_before = nova.free_blocks();
-        drain(&nova, &fact, &dwq);
-        assert_eq!(nova.free_blocks(), free_before + 8);
-        assert_eq!(fact.occupied_count(), 1);
-        let (idx, e) = fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        assert_eq!(e.run_pages, 8);
-        assert_eq!(fact.counters(idx), (3, 0));
-        assert_eq!(nova.read(c, 0, data.len()).unwrap(), data);
-    }
-
-    #[test]
-    fn partial_anchor_match_splits_the_run() {
-        let (nova, fact, dwq) = setup();
-        fact.set_extent_threshold_pages(4);
-        let data = run_data();
-        for name in ["a", "b"] {
-            let ino = nova.create(name).unwrap();
-            nova.write(ino, 0, &data).unwrap();
-        }
-        drain(&nova, &fact, &dwq);
-        assert_eq!(fact.occupied_count(), 1);
-        // d holds only the first 3 pages: the run splits at the divergence.
-        // The head gains d as an owner; the tail re-forms as its own run
-        // keeping a and b only.
-        let d = nova.create("d").unwrap();
-        nova.write(d, 0, &data[..3 * 4096]).unwrap();
-        let free_before = nova.free_blocks();
-        drain(&nova, &fact, &dwq);
-        assert_eq!(nova.free_blocks(), free_before + 3);
-        assert_eq!(fact.occupied_count(), 2);
-        let (hidx, he) = fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        assert_eq!(he.run_pages, 3);
-        assert_eq!(fact.counters(hidx), (3, 0));
-        let (tidx, te) = fact
-            .lookup(&Fingerprint::of(&data[3 * 4096..][..4096]))
-            .unwrap();
-        assert_eq!(te.run_pages, 5);
-        assert_eq!(fact.counters(tidx), (2, 0));
-        // Every block resolves through its half's anchor; interior
-        // fingerprints stay absent.
-        for k in 0..8u64 {
-            let (idx, _) = fact.resolve_block(he.block + k).unwrap();
-            assert_eq!(idx, if k < 3 { hidx } else { tidx }, "block {k}");
-        }
-        assert!(fact
-            .lookup(&Fingerprint::of(&data[4096..][..4096]))
-            .is_none());
-        assert_eq!(nova.read(d, 0, 3 * 4096).unwrap(), &data[..3 * 4096]);
-        for name in ["a", "b"] {
-            let ino = nova.open(name).unwrap();
-            assert_eq!(nova.read(ino, 0, data.len()).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn divergent_interior_page_peels_and_shares_the_tail() {
-        let (nova, fact, dwq) = setup();
-        fact.set_extent_threshold_pages(4);
-        let data = run_data();
-        for name in ["a", "b"] {
-            let ino = nova.create(name).unwrap();
-            nova.write(ino, 0, &data).unwrap();
-        }
-        drain(&nova, &fact, &dwq);
-        assert_eq!(fact.occupied_count(), 1);
-        // e duplicates the whole run except page 2: the run splits into
-        // head [0..2), the peeled divergent block 2, and tail [3..8) — and
-        // e shares head AND tail, storing only its one unique page.
-        let mut edited = data.clone();
-        edited[2 * 4096..3 * 4096].fill(0xEE);
-        let e = nova.create("e").unwrap();
-        nova.write(e, 0, &edited).unwrap();
-        let free_before = nova.free_blocks();
-        drain(&nova, &fact, &dwq);
-        assert_eq!(nova.free_blocks(), free_before + 7);
-        let (hidx, he) = fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        assert_eq!(he.run_pages, 2);
-        assert_eq!(fact.counters(hidx), (3, 0));
-        let (midx, me) = fact
-            .lookup(&Fingerprint::of(&data[2 * 4096..][..4096]))
-            .unwrap();
-        assert_eq!(me.run_pages, 1);
-        assert_eq!(fact.counters(midx), (2, 0));
-        let (tidx, te) = fact
-            .lookup(&Fingerprint::of(&data[3 * 4096..][..4096]))
-            .unwrap();
-        assert_eq!(te.run_pages, 5);
-        assert_eq!(fact.counters(tidx), (3, 0));
-        assert_eq!(nova.read(e, 0, data.len()).unwrap(), edited);
-        for name in ["a", "b"] {
-            let ino = nova.open(name).unwrap();
-            assert_eq!(nova.read(ino, 0, data.len()).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn interior_fingerprints_stay_absent_after_promotion() {
-        let (nova, fact, dwq) = setup();
-        fact.set_extent_threshold_pages(4);
-        let data = run_data();
-        for name in ["a", "b"] {
-            let ino = nova.create(name).unwrap();
-            nova.write(ino, 0, &data).unwrap();
-        }
-        drain(&nova, &fact, &dwq);
-        for k in 1..8usize {
-            assert!(
-                fact.lookup(&Fingerprint::of(&data[k * 4096..][..4096]))
-                    .is_none(),
-                "interior fp {k} must answer absent after promotion"
-            );
-        }
-    }
-
-    #[test]
-    fn resume_commits_a_whole_run_share_exactly_once() {
-        let (nova, fact, dwq) = setup();
-        fact.set_extent_threshold_pages(4);
-        let data = run_data();
-        for name in ["a", "b", "c"] {
-            let ino = nova.create(name).unwrap();
-            nova.write(ino, 0, &data).unwrap();
-        }
-        drain(&nova, &fact, &dwq);
-        let (idx, _) = fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        assert_eq!(fact.counters(idx), (3, 0));
-        // Rewind c's shared-extent entry to the in_process window: UC
-        // reserved on the anchor, counts not yet committed.
-        let c = nova.open("c").unwrap();
-        let off = nova
-            .with_inode_read(c, |mem| Ok(mem.radix.get(0).unwrap().entry_off))
-            .unwrap();
-        write_dedupe_flag(nova.device(), off, DedupeFlag::InProcess);
-        fact.inc_uc(idx);
-        resume_in_process(&nova, &fact, c, off).unwrap();
-        // One commit for the run, not one per page.
-        assert_eq!(fact.counters(idx), (4, 0));
-        assert_eq!(
-            read_dedupe_flag(nova.device(), off).unwrap(),
-            DedupeFlag::Complete
-        );
-        // Resuming again is harmless.
-        resume_in_process(&nova, &fact, c, off).unwrap();
-        assert_eq!(fact.counters(idx), (4, 0));
-    }
-
     // -- Between the halves ------------------------------------------------
     //
     // Stage 1 validates nothing, so whatever the foreground does between
@@ -1265,21 +881,16 @@ mod tests {
     }
 
     /// A stack whose DWQ holds one node: file `a`'s 256-page write, its
-    /// first half duplicating file `b1` (already deduplicated; with
-    /// `promoted`, `b2` too, so the canonical blocks are one extent run and
-    /// stage 1 answers `RunCovered` instead of `Grown`), its second half
-    /// unique. File `other` is there to be renamed over `a`.
-    fn one_pending_entry(promoted: bool) -> (Arc<Nova>, Arc<Fact>, Arc<Dwq>, DwqNode) {
+    /// first half duplicating file `b1` (already deduplicated), its second
+    /// half unique. File `other` is there to be renamed over `a`.
+    fn one_pending_entry() -> (Arc<Nova>, Arc<Fact>, Arc<Dwq>, DwqNode) {
         let (nova, fact, dwq) = setup();
         let shared = pages(1, ENTRY_PAGES / 2);
-        for name in ["b1", "b2"].iter().take(1 + promoted as usize) {
-            let ino = nova.create(name).unwrap();
-            nova.write(ino, 0, &shared).unwrap();
-        }
+        let b1 = nova.create("b1").unwrap();
+        nova.write(b1, 0, &shared).unwrap();
         let other = nova.create("other").unwrap();
         nova.write(other, 0, &pages(2, 4)).unwrap();
         drain(&nova, &fact, &dwq);
-        assert_eq!(fact.stats().promoted_runs(), promoted as u64);
         let a = nova.create("a").unwrap();
         let data = [shared, pages(3, ENTRY_PAGES / 2)].concat();
         nova.write(a, 0, &data).unwrap();
@@ -1294,8 +905,8 @@ mod tests {
         outcome: DedupOutcome,
         /// `(name, contents)` of every file, by name.
         files: Vec<(String, Vec<u8>)>,
-        /// `(block, run_pages, rfc, uc)` of every FACT record, by block.
-        records: Vec<(u64, u32, u32, u32)>,
+        /// `(block, rfc, uc)` of every FACT record, by block.
+        records: Vec<(u64, u32, u32)>,
         free_blocks: u64,
     }
 
@@ -1317,7 +928,7 @@ mod tests {
             .collect();
         files.sort();
         let mut records = Vec::new();
-        fact.for_each_occupied(|_, e| records.push((e.block, e.run_pages, e.rfc, e.uc)));
+        fact.for_each_occupied(|_, e| records.push((e.block, e.rfc, e.uc)));
         records.sort();
         Observed {
             outcome,
@@ -1328,28 +939,29 @@ mod tests {
     }
 
     /// Run `op` between the halves and before both; both orders must end
-    /// the same, right after stage 2 and again once the entries `op` itself
-    /// queued are deduplicated. Returns the common result after stage 2.
-    fn between_the_halves(promoted: bool, op: impl Fn(&Nova, &DwqNode)) -> Observed {
+    /// the same — FACT audited clean, so no pin is left behind as a `UC` —
+    /// right after stage 2 and again once the entries `op` itself queued
+    /// are deduplicated. Returns the common result after stage 2.
+    fn between_the_halves(op: impl Fn(&Nova, &Fact, &DwqNode)) -> Observed {
         let run = |interleaved: bool| {
-            let (nova, fact, dwq, node) = one_pending_entry(promoted);
+            let (nova, fact, dwq, node) = one_pending_entry();
             let mut fp_time = Duration::ZERO;
             if !interleaved {
-                op(&nova, &node);
+                op(&nova, &fact, &node);
             }
             let prefps = prefingerprint(&nova, &fact, &node, &mut fp_time);
             if interleaved {
                 // Stage 1 saw the entry whole: every page has a result, the
-                // duplicate half past its first page by memcmp prediction.
+                // duplicate half past its first page by a pinned memcmp
+                // prediction.
                 assert_eq!(prefps.len(), ENTRY_PAGES);
-                assert!(prefps[1..ENTRY_PAGES / 2].iter().all(|&(_, _, prep)| {
-                    match prep {
-                        Prep::Grown { .. } => !promoted,
-                        Prep::RunCovered => promoted,
-                        Prep::Fp(_) => false,
-                    }
-                }));
-                op(&nova, &node);
+                assert!(prefps[1..ENTRY_PAGES / 2]
+                    .iter()
+                    .all(|&(_, _, prep)| matches!(prep, Prep::Pinned(..))));
+                assert!(prefps[ENTRY_PAGES / 2..]
+                    .iter()
+                    .all(|&(_, _, prep)| matches!(prep, Prep::Fp(_))));
+                op(&nova, &fact, &node);
             }
             let outcome = match commit(&nova, &fact, &node, &prefps, &mut fp_time) {
                 Err(NovaError::BadInode(_)) => DedupOutcome::FileGone,
@@ -1377,70 +989,74 @@ mod tests {
 
     #[test]
     fn overwrite_of_every_page_between_the_halves() {
-        for promoted in [false, true] {
-            let seen = between_the_halves(promoted, |nova, node| {
-                nova.write(node.ino, 0, &pages(9, ENTRY_PAGES)).unwrap();
-            });
-            assert_eq!(
-                seen.outcome,
-                DedupOutcome::Done {
-                    duplicates: 0,
-                    uniques: 0
-                }
-            );
-        }
+        let seen = between_the_halves(|nova, _, node| {
+            nova.write(node.ino, 0, &pages(9, ENTRY_PAGES)).unwrap();
+        });
+        assert_eq!(
+            seen.outcome,
+            DedupOutcome::Done {
+                duplicates: 0,
+                uniques: 0
+            }
+        );
     }
 
     #[test]
     fn overwrite_of_some_pages_between_the_halves() {
-        for promoted in [false, true] {
-            // Pages 100..140 straddle the duplicate and the unique half.
-            let seen = between_the_halves(promoted, |nova, node| {
-                nova.write(node.ino, 100 * 4096, &pages(9, 40)).unwrap();
-            });
-            assert_eq!(
-                seen.outcome,
-                DedupOutcome::Done {
-                    duplicates: 100,
-                    uniques: ENTRY_PAGES as u32 - 140
-                }
-            );
-        }
+        // Pages 100..140 straddle the duplicate and the unique half.
+        let seen = between_the_halves(|nova, _, node| {
+            nova.write(node.ino, 100 * 4096, &pages(9, 40)).unwrap();
+        });
+        assert_eq!(
+            seen.outcome,
+            DedupOutcome::Done {
+                duplicates: 100,
+                uniques: ENTRY_PAGES as u32 - 140
+            }
+        );
     }
 
     #[test]
     fn truncate_into_the_entry_between_the_halves() {
-        for promoted in [false, true] {
-            let seen = between_the_halves(promoted, |nova, node| {
-                nova.truncate(node.ino, 60 * 4096).unwrap();
-            });
-            assert_eq!(
-                seen.outcome,
-                DedupOutcome::Done {
-                    duplicates: 60,
-                    uniques: 0
-                }
-            );
-        }
+        let seen = between_the_halves(|nova, _, node| {
+            nova.truncate(node.ino, 60 * 4096).unwrap();
+        });
+        assert_eq!(
+            seen.outcome,
+            DedupOutcome::Done {
+                duplicates: 60,
+                uniques: 0
+            }
+        );
     }
 
     #[test]
     fn unlink_between_the_halves() {
-        for promoted in [false, true] {
-            let seen = between_the_halves(promoted, |nova, _| nova.unlink("a").unwrap());
-            assert_eq!(seen.outcome, DedupOutcome::FileGone);
-        }
+        let seen = between_the_halves(|nova, _, _| nova.unlink("a").unwrap());
+        assert_eq!(seen.outcome, DedupOutcome::FileGone);
     }
 
     #[test]
     fn rename_over_the_file_between_the_halves() {
-        for promoted in [false, true] {
-            let seen = between_the_halves(promoted, |nova, _| {
-                nova.rename("other", "a").unwrap();
-            });
-            assert_eq!(seen.outcome, DedupOutcome::FileGone);
-            assert!(seen.files.contains(&("a".to_string(), pages(2, 4))));
-        }
+        let seen = between_the_halves(|nova, _, _| {
+            nova.rename("other", "a").unwrap();
+        });
+        assert_eq!(seen.outcome, DedupOutcome::FileGone);
+        assert!(seen.files.contains(&("a".to_string(), pages(2, 4))));
+    }
+
+    /// Another pass deduplicates the entry first (its own stage 1 pins the
+    /// same records): this one finds it `AlreadyProcessed` and gives every
+    /// pin back.
+    #[test]
+    fn a_whole_pass_between_the_halves() {
+        let seen = between_the_halves(|nova, fact, node| {
+            assert!(matches!(
+                dedup_entry(nova, fact, node).unwrap(),
+                DedupOutcome::Done { .. }
+            ));
+        });
+        assert_eq!(seen.outcome, DedupOutcome::AlreadyProcessed);
     }
 
     /// The overwritten pages' blocks are freed, handed to another inode and
@@ -1448,26 +1064,135 @@ mod tests {
     /// predictions for them describe bytes that no longer exist.
     #[test]
     fn freed_blocks_rewritten_by_another_inode_between_the_halves() {
-        for promoted in [false, true] {
-            let seen = between_the_halves(promoted, |nova, node| {
-                let old = blocks_of(nova, node.ino, 64..192);
-                nova.write(node.ino, 64 * 4096, &pages(9, 128)).unwrap();
-                let c = nova.create("c").unwrap();
-                nova.write(c, 0, &pages(10, 128)).unwrap();
-                let reused = blocks_of(nova, c, 0..128);
-                assert!(
-                    old.iter().any(|b| reused.contains(b)),
-                    "the scenario needs c to land on a's freed blocks"
-                );
-            });
-            assert_eq!(
-                seen.outcome,
-                DedupOutcome::Done {
-                    duplicates: 64,
-                    uniques: 64
-                }
+        let seen = between_the_halves(|nova, _, node| {
+            let old = blocks_of(nova, node.ino, 64..192);
+            nova.write(node.ino, 64 * 4096, &pages(9, 128)).unwrap();
+            let c = nova.create("c").unwrap();
+            nova.write(c, 0, &pages(10, 128)).unwrap();
+            let reused = blocks_of(nova, c, 0..128);
+            assert!(
+                old.iter().any(|b| reused.contains(b)),
+                "the scenario needs c to land on a's freed blocks"
             );
+        });
+        assert_eq!(
+            seen.outcome,
+            DedupOutcome::Done {
+                duplicates: 64,
+                uniques: 64
+            }
+        );
+    }
+
+    /// A stage-1 pin outlives the last owner of its canonical block: the
+    /// block is freed exactly when stage 2 gives the pin back, and never
+    /// while the pin is out.
+    #[test]
+    fn a_pinned_canonical_is_freed_when_its_pin_goes_back() {
+        let (nova, fact, _dwq, node) = one_pending_entry();
+        let prefps = prefingerprint(&nova, &fact, &node, &mut Duration::default());
+        let pinned: Vec<u64> = prefps
+            .iter()
+            .filter_map(|&(.., prep)| match prep {
+                Prep::Pinned(_, e) => Some(e.block),
+                Prep::Fp(_) => None,
+            })
+            .collect();
+        assert_eq!(pinned.len(), ENTRY_PAGES / 2 - 1);
+        // The canonical blocks' one owner lets go, and `a`'s duplicate half
+        // is overwritten: nothing but the pins holds them now.
+        nova.unlink("b1").unwrap();
+        nova.write(node.ino, 0, &pages(9, ENTRY_PAGES / 2)).unwrap();
+        for &c in &pinned {
+            let (idx, _) = fact.resolve_block(c).expect("a pinned record stays");
+            assert_eq!(fact.counters(idx), (0, 1));
         }
+        // Never while the pin is out: fresh allocations do not get them.
+        let c = nova.create("c").unwrap();
+        nova.write(c, 0, &pages(10, ENTRY_PAGES)).unwrap();
+        let fresh = blocks_of(&nova, c, 0..ENTRY_PAGES as u64);
+        assert!(pinned.iter().all(|b| !fresh.contains(b)));
+        // Exactly when it goes back: stage 2 finds every pinned page stale
+        // and each release frees its block.
+        let free = nova.free_blocks();
+        assert_eq!(
+            commit(&nova, &fact, &node, &prefps, &mut Duration::default()),
+            Ok(DedupOutcome::Done {
+                duplicates: 0,
+                uniques: ENTRY_PAGES as u32 / 2
+            })
+        );
+        assert_eq!(nova.free_blocks(), free + pinned.len() as u64);
+        assert!(pinned.iter().all(|&b| fact.resolve_block(b).is_none()));
+        let audit = crate::fsck::fsck_fact(&nova, &fact).unwrap();
+        assert!(audit.is_clean(), "{:?}", audit.errors);
+    }
+
+    /// Extent growth: a clone hashes its first page, pins and memcmps the
+    /// rest along the canonical run, and maps all of it through one
+    /// shared-extent entry. FACT keeps one record per canonical block.
+    #[test]
+    fn a_clone_grows_by_memcmp_into_one_shared_extent() {
+        let (nova, fact, dwq) = setup();
+        let image = pages(4, 8);
+        let a = nova.create("a").unwrap();
+        nova.write(a, 0, &image).unwrap();
+        drain(&nova, &fact, &dwq);
+        let b = nova.create("b").unwrap();
+        nova.write(b, 0, &image).unwrap();
+        let (free, hashed) = (nova.free_blocks(), fact.stats().fingerprints());
+        drain(&nova, &fact, &dwq);
+        assert_eq!(fact.stats().fingerprints() - hashed, 1);
+        assert_eq!(nova.free_blocks(), free + 8);
+        assert_eq!(blocks_of(&nova, b, 0..8), blocks_of(&nova, a, 0..8));
+        let entries: std::collections::HashSet<u64> = nova
+            .with_inode_read(b, |mem| {
+                Ok((0..8)
+                    .map(|pg| mem.radix.get(pg).unwrap().entry_off)
+                    .collect())
+            })
+            .unwrap();
+        assert_eq!(entries.len(), 1, "one shared-extent entry");
+        assert_eq!(fact.occupied_count(), 8);
+        fact.for_each_occupied(|idx, _| assert_eq!(fact.counters(idx), (2, 0)));
+        assert_eq!(nova.read(b, 0, image.len()).unwrap(), image);
+    }
+
+    /// The counted cost of deduplicating clones: a 64-page image, then 8
+    /// clones of it with one page changed each, drained on this thread with
+    /// latency off. Fences, PM reads and FACT lookups are exact counts of
+    /// this trace, so this gates the transaction's per-page work, not its
+    /// wall time. 504 of the 512 clone pages are duplicates.
+    #[test]
+    fn a_clone_drain_costs_the_counted_fences_reads_and_lookups() {
+        let (nova, fact, dwq) = setup();
+        let image = pages(5, 64);
+        let base = nova.create("image").unwrap();
+        nova.write(base, 0, &image).unwrap();
+        drain(&nova, &fact, &dwq);
+        for k in 0..8u32 {
+            let mut clone = image.clone();
+            let pg = (k as usize * 7 + 3) % 64;
+            clone[pg * 4096 + 8..][..4].copy_from_slice(&(1000 + k).to_le_bytes());
+            let ino = nova.create(&format!("clone{k}")).unwrap();
+            nova.write(ino, 0, &clone).unwrap();
+        }
+        let dev = nova.device();
+        let stats = fact.stats();
+        let before = (
+            dev.thread_fences(),
+            dev.stats().snapshot().reads,
+            stats.lookups(),
+            stats.duplicate_pages(),
+        );
+        drain(&nova, &fact, &dwq);
+        let counted = (
+            dev.thread_fences() - before.0,
+            dev.stats().snapshot().reads - before.1,
+            stats.lookups() - before.2,
+            stats.duplicate_pages() - before.3,
+        );
+        assert_eq!(counted, (72, 4120, 48, 504));
     }
 
     /// The structural claim: stage 1 takes no inode lock. A foreground

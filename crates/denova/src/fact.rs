@@ -30,41 +30,17 @@
 //! 0..4    RFC  (u32)     reference count
 //! 4..8    UC   (u32)     update count (in-flight dedup transactions)
 //! 8..28   FP   (20 B)    SHA-1 fingerprint
-//! 28..36  block (u64)    canonical data block (first block of a run)
+//! 28..36  block (u64)    canonical data block
 //! 36..44  prev (i64)     IAA chain predecessor (0 = chain head sentinel)
 //! 44..52  next (i64)     IAA chain successor (-1 = none)
 //! 52..60  delete pointer (i64, -1 = none)
-//! 60..64  run_pages (u32, 0 or 1 = per-page record)
+//! 60..64  reserved
 //! ```
 //!
-//! **Extent runs.** A record with `run_pages = N > 1` is a *run anchor*: it
-//! stands for the `N` physically consecutive canonical blocks
-//! `block .. block + N`, all sharing one reference count — `RFC = R` means
-//! *each* block of the run has exactly `R` owners. The delete pointers of
-//! every covered block point at the anchor, so reclaim still resolves any
-//! run block in two PM reads. The anchor's fingerprint is that of the
-//! *first* block; the interior per-page records are removed at promotion
-//! ([`Fact::merge_run`]) and recreated — re-fingerprinted from the
-//! canonical bytes — when per-block granularity is needed again
-//! ([`Fact::demote_run`]). `run_pages` is written with its own 4-byte
-//! persist and serves as the commit point for both directions;
-//! [`Fact::repair_runs`] finishes a half-done promotion after a crash by
-//! absorbing leftover per-page records into the range their anchor claims.
+//! Every record stands for one block. Images of superblock version 2 could
+//! carry extent-run records in the reserved bytes; version 3 refuses them.
 //!
-//! **Anchor first.** Demotion and splitting re-create per-page records for
-//! blocks whose content may already be registered under another canonical
-//! block, so one chain can hold several records with the same fingerprint.
-//! A lookup stops at the first match, and only an anchor hit shares a run's
-//! tail wholesale (interior fingerprints are invisible), so the rule is:
-//! *when a run anchor and a per-page record share a fingerprint, a chain
-//! walk meets the anchor first*. It is enforced where anchors are made
-//! ([`Fact::merge_run`], and through it [`Fact::split_run`]): per-page
-//! records ahead of the anchor-to-be move to the chain tail before the run
-//! commits. Inserts append at the tail and the reorderer never sorts a
-//! per-page record ahead of an anchor with its fingerprint, so nothing else
-//! can break it; `fsck_fact` asserts it.
-//!
-//! **Concurrency: one reserve, one release.** `Fact` keeps no per-
+//! **Concurrency: reserve, commit by hint, release.** `Fact` keeps no per-
 //! fingerprint DRAM state; [`Fact::lookup`] is the DAA read plus the IAA
 //! walk, takes no lock, and is advisory (it can race a chain mutation and
 //! miss). Everything that decides takes the fingerprint's stripe lock:
@@ -72,15 +48,30 @@
 //! * *reserve* ([`Fact::reserve_or_insert`], [`Fact::reserve_existing`],
 //!   [`Fact::reserve_block`]) walks the chain once under the lock and either
 //!   adds `UC += 1` to the record it finds or inserts a fresh one with
-//!   `UC = 1`;
+//!   `UC = 1`. It returns the slot and the record as found: the
+//!   reservation's hint and its identity, `(fp, canonical block)`;
+//! * *commit* ([`Fact::commit_uc_to_rfc`], step ⑥) takes the same lock,
+//!   checks that the hinted slot still holds that record — removing a DAA
+//!   entry promotes its IAA chain head into the DAA slot, so a record can
+//!   move while reserved — re-resolves it by block if not, and moves
+//!   `UC → RFC` with one CAS from the counter word it just read;
 //! * *release* ([`Fact::release`]: an owner's RFC for reclaim, or the UC of
 //!   a reservation given back) re-resolves the block under the same lock,
 //!   drops one count, and removes the record when that leaves `(0, 0)`.
 //!
 //! A record seen at `(0, 0)` therefore cannot gain a sharer before it is
-//! cleared, and a record with a sharer in flight is never cleared. The
-//! UC → RFC commit stays a lock-free atomic on the slot the reservation
-//! returned.
+//! cleared, and a record with a sharer in flight is never cleared — nor is
+//! its block freed or rewritten, which is what lets the dedup daemon
+//! byte-compare a pinned canonical block with no inode lock.
+//!
+//! **One fence per ordering point.** The count protocol orders three
+//! things (§IV-B): UC durable before the log tail commits, RFC durable
+//! before the `Complete` flag, and each count update one atomic store. A
+//! reservation's `UC += 1` and a commit's `UC → RFC` are therefore stored
+//! and flushed here but not fenced: the log append fences on the same
+//! thread before its tail commit, and the dedup transaction fences once
+//! after its last commit, before its first `Complete` flag. Everything else
+//! — inserts, removals, releases, recovery's resets — persists itself.
 
 use crate::stats::DedupStats;
 use denova_fingerprint::Fingerprint;
@@ -89,12 +80,11 @@ use denova_nova::{Layout, NovaError, PhaseCost, Result};
 use denova_pmem::PmemDevice;
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Number of chain-lock stripes, by FP prefix. A stripe serializes chain-
-/// structure mutations (insert/remove/reorder) and the reserve/release
-/// decisions on the records of its chains.
+/// structure mutations (insert/remove/reorder) and the reserve, commit and
+/// release decisions on the records of its chains.
 const STRIPES: usize = 256;
 
 /// Section IV-E's dual-threshold reorder trigger: a reservation that walked
@@ -107,14 +97,11 @@ const OFF_COUNTERS: u64 = 0;
 const OFF_PREV: u64 = 36;
 const OFF_NEXT: u64 = 44;
 const OFF_DELETE_PTR: u64 = 52;
-const OFF_RUN_PAGES: u64 = 60;
+/// Bytes of a slot's dedup metadata: counters through `next`.
+const METADATA_LEN: usize = 52;
 
 /// Chain-terminator / empty-field sentinel for `prev`, `next`, `delete_ptr`.
 pub const NIL: i64 = -1;
-
-/// Default extent promotion threshold: 16 pages = 64 KiB of consecutive
-/// duplicate data.
-pub const DEFAULT_EXTENT_THRESHOLD_PAGES: u32 = 16;
 
 /// A decoded FACT entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,10 +120,6 @@ pub struct FactEntry {
     pub next: i64,
     /// The `delete_ptr` value.
     pub delete_ptr: i64,
-    /// Pages covered by this record: 1 for a per-page record, `N > 1` for a
-    /// run anchor standing for blocks `block .. block + N` (a stored 0 —
-    /// pre-extent images — decodes as 1).
-    pub run_pages: u32,
 }
 
 impl FactEntry {
@@ -150,7 +133,6 @@ impl FactEntry {
             prev: i64::from_le_bytes(b[36..44].try_into().unwrap()),
             next: i64::from_le_bytes(b[44..52].try_into().unwrap()),
             delete_ptr: i64::from_le_bytes(b[52..60].try_into().unwrap()),
-            run_pages: u32::from_le_bytes(b[60..64].try_into().unwrap()).max(1),
         }
     }
 
@@ -160,10 +142,14 @@ impl FactEntry {
         !self.fp.is_zero()
     }
 
-    /// Whether this (occupied) record stands for `block`: its canonical
-    /// block, or any block of the run it anchors.
+    /// Whether this (occupied) record stands for `block`.
     fn covers(&self, block: u64) -> bool {
-        self.is_occupied() && block >= self.block && block - self.block < self.run_pages as u64
+        self.is_occupied() && self.block == block
+    }
+
+    /// The (RFC, UC) pair as the one 64-bit word it is stored as.
+    fn counter_word(&self) -> u64 {
+        self.rfc as u64 | (self.uc as u64) << 32
     }
 }
 
@@ -184,14 +170,6 @@ pub struct Fact {
     reorder_candidates: Mutex<HashSet<u64>>,
     /// Calibrated fingerprint cost model shared by every dedup path.
     fp: crate::fp::FpThrottle,
-    /// Duplicate runs at least this many pages long are promoted into one
-    /// extent-run record ([`Fact::merge_run`]). 0 disables promotion — the
-    /// per-block baseline the bench harness compares against.
-    extent_threshold_pages: AtomicU32,
-    /// Serializes run-granularity transitions ([`Fact::merge_run`] /
-    /// [`Fact::demote_run`]): two overlapping transitions on the same range
-    /// would double-cover blocks. Always taken *before* any stripe lock.
-    run_lock: Mutex<()>,
 }
 
 #[derive(Debug)]
@@ -224,9 +202,8 @@ pub enum Released {
 }
 
 /// What one streaming pass over the table ([`Fact::survey`]) saw: every
-/// consumer that used to walk FACT itself — the mount's free-slot scan, both
-/// halves of run repair, UC discard, reorder repair, the scrub, fsck — reads
-/// this instead, in DRAM.
+/// consumer that used to walk FACT itself — the mount's free-slot scan, UC
+/// discard, reorder repair, the scrub, fsck — reads this instead, in DRAM.
 ///
 /// A survey is a *transient* picture of the persistent table, dropped when
 /// its consumer returns: it indexes nothing, no lookup or reclaim ever sees
@@ -300,8 +277,6 @@ impl Fact {
             stripes: (0..STRIPES).map(|_| Mutex::new(())).collect(),
             reorder_candidates: Mutex::new(HashSet::new()),
             fp: crate::fp::FpThrottle::none(),
-            extent_threshold_pages: AtomicU32::new(DEFAULT_EXTENT_THRESHOLD_PAGES),
-            run_lock: Mutex::new(()),
             dev,
             layout,
             stats,
@@ -327,7 +302,7 @@ impl Fact {
 
     /// [`Fact::mount`] for a crash mount: one streaming pass over the
     /// *whole* table yields the IAA free-slot stack and the [`Survey`] that
-    /// run repair, UC discard, reorder repair and the scrub of
+    /// UC discard, reorder repair and the scrub of
     /// [`crate::recovery::recover`] consume, so recovery walks FACT once.
     pub fn mount_surveyed(
         dev: Arc<PmemDevice>,
@@ -347,17 +322,6 @@ impl Fact {
             stack,
             cursor: self.entries(),
         };
-    }
-
-    /// Set the extent promotion threshold in pages (0 disables promotion).
-    pub fn set_extent_threshold_pages(&self, pages: u32) {
-        self.extent_threshold_pages.store(pages, Ordering::Relaxed);
-    }
-
-    /// Duplicate-run length (pages) at which the dedup daemon promotes the
-    /// run's per-page records into one extent record; 0 = never.
-    pub fn extent_threshold_pages(&self) -> u32 {
-        self.extent_threshold_pages.load(Ordering::Relaxed)
     }
 
     /// Total entries (DAA + IAA).
@@ -466,12 +430,18 @@ impl Fact {
         survey
     }
 
-    /// Write the dedup-metadata fields (counters, FP, block, prev, next,
-    /// run_pages) of slot `idx`, *preserving* its delete-pointer field, and
-    /// persist with a single flush (one cache line).
-    fn write_metadata(&self, idx: u64, e: &FactEntry) {
+    /// Flush `[off, off + len)` of one slot (durable at this thread's next
+    /// fence), counted as one FACT entry flush.
+    fn flush(&self, off: u64, len: usize) {
+        self.dev.flush(off, len);
+        self.stats.bump_flushes(1);
+    }
+
+    /// Store the dedup-metadata fields (counters, FP, block, prev, next) of
+    /// slot `idx`, *preserving* its delete-pointer field, and flush the line.
+    fn store_metadata(&self, idx: u64, e: &FactEntry) {
         let base = self.off(idx);
-        let mut head = [0u8; 52];
+        let mut head = [0u8; METADATA_LEN];
         head[0..4].copy_from_slice(&e.rfc.to_le_bytes());
         head[4..8].copy_from_slice(&e.uc.to_le_bytes());
         head[8..28].copy_from_slice(e.fp.as_bytes());
@@ -479,10 +449,13 @@ impl Fact {
         head[36..44].copy_from_slice(&e.prev.to_le_bytes());
         head[44..52].copy_from_slice(&e.next.to_le_bytes());
         self.dev.write(base, &head);
-        self.dev
-            .write(base + OFF_RUN_PAGES, &e.run_pages.max(1).to_le_bytes());
-        self.dev.persist(base, 64);
-        self.stats.bump_flushes(1);
+        self.flush(base, METADATA_LEN);
+    }
+
+    /// [`Fact::store_metadata`], persisted (one line, one fence).
+    fn write_metadata(&self, idx: u64, e: &FactEntry) {
+        self.store_metadata(idx, e);
+        self.dev.fence();
     }
 
     /// Clear the dedup-metadata fields of slot `idx` (delete pointer
@@ -499,7 +472,6 @@ impl Fact {
                 prev: NIL,
                 next: NIL,
                 delete_ptr: NIL, // ignored by write_metadata
-                run_pages: 1,
             },
         );
     }
@@ -530,15 +502,20 @@ impl Fact {
         i64::from_le_bytes(b)
     }
 
-    /// Set the delete pointer stored in slot `block` to `fact_idx` ("the
-    /// block address B is used as an index to set the delete pointer
-    /// field").
-    fn set_delete_ptr(&self, block: u64, fact_idx: i64) {
+    /// Store the delete pointer in slot `block` as `fact_idx` ("the block
+    /// address B is used as an index to set the delete pointer field") and
+    /// flush it.
+    fn store_delete_ptr(&self, block: u64, fact_idx: i64) {
         debug_assert!(block < self.entries(), "block exceeds FACT range");
         let off = self.off(block) + OFF_DELETE_PTR;
         self.dev.write(off, &fact_idx.to_le_bytes());
-        self.dev.persist(off, 8);
-        self.stats.bump_flushes(1);
+        self.flush(off, 8);
+    }
+
+    /// [`Fact::store_delete_ptr`], persisted.
+    fn set_delete_ptr(&self, block: u64, fact_idx: i64) {
+        self.store_delete_ptr(block, fact_idx);
+        self.dev.fence();
     }
 
     /// The delete pointer stored in slot `block` (the reverse index cell).
@@ -548,17 +525,8 @@ impl Fact {
         i64::from_le_bytes(b)
     }
 
-    /// Persist `run_pages` of slot `idx` with one 4-byte flush — the commit
-    /// point for run promotion (`1 → N`) and demotion (`N → 1`).
-    fn write_run_pages(&self, idx: u64, n: u32) {
-        let off = self.off(idx) + OFF_RUN_PAGES;
-        self.dev.write(off, &n.max(1).to_le_bytes());
-        self.dev.persist(off, 4);
-        self.stats.bump_flushes(1);
-    }
-
     // ------------------------------------------------------------------
-    // Counters (atomic, lock-free)
+    // Counters (one atomic 64-bit word per slot)
     // ------------------------------------------------------------------
 
     /// Current (RFC, UC) of slot `idx`.
@@ -567,48 +535,82 @@ impl Fact {
         ((v & 0xFFFF_FFFF) as u32, (v >> 32) as u32)
     }
 
+    /// Move slot `idx`'s (RFC, UC) by `f` with one 64-bit CAS, starting from
+    /// `cur`, the counter word as the caller last read it (a CAS that finds
+    /// another value retries from that). Stores only; `None` — nothing
+    /// stored — when `f` declines.
+    fn cas_from(
+        &self,
+        idx: u64,
+        mut cur: u64,
+        f: impl Fn(u32, u32) -> Option<(u32, u32)>,
+    ) -> Option<(u32, u32)> {
+        let off = self.off(idx) + OFF_COUNTERS;
+        loop {
+            let (nrfc, nuc) = f((cur & 0xFFFF_FFFF) as u32, (cur >> 32) as u32)?;
+            let new = nrfc as u64 | ((nuc as u64) << 32);
+            match self.dev.atomic_cas_u64(off, cur, new) {
+                Ok(_) => return Some((nrfc, nuc)),
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    /// [`Fact::cas_from`] a fresh load of the word, persisted with a fence
+    /// of its own on success.
     fn cas_counters(
         &self,
         idx: u64,
         f: impl Fn(u32, u32) -> Option<(u32, u32)>,
     ) -> Option<(u32, u32)> {
         let off = self.off(idx) + OFF_COUNTERS;
-        let mut cur = self.dev.atomic_load_u64(off);
-        loop {
-            let rfc = (cur & 0xFFFF_FFFF) as u32;
-            let uc = (cur >> 32) as u32;
-            let (nrfc, nuc) = f(rfc, uc)?;
-            let new = nrfc as u64 | ((nuc as u64) << 32);
-            match self.dev.atomic_cas_u64(off, cur, new) {
-                Ok(_) => {
-                    self.dev.persist(off, 8);
-                    self.stats.bump_flushes(1);
-                    return Some((nrfc, nuc));
-                }
-                Err(actual) => cur = actual,
-            }
-        }
+        let done = self.cas_from(idx, self.dev.atomic_load_u64(off), f)?;
+        self.flush(off, 8);
+        self.dev.fence();
+        Some(done)
     }
 
-    /// Step ③ of the dedup flow: register an in-flight transaction
-    /// (`UC += 1`). Adding a sharer to a live record is only sound under
-    /// the record's stripe lock — the reserve calls are the way in.
+    /// Step ③ of the dedup flow on a record just read under its stripe
+    /// lock: `UC += 1`, flushed but not fenced (module doc: the log append's
+    /// fence makes it durable before the tail commit).
+    fn pin(&self, idx: u64, e: &FactEntry) {
+        self.cas_from(idx, e.counter_word(), |rfc, uc| Some((rfc, uc + 1)));
+        self.flush(self.off(idx) + OFF_COUNTERS, 8);
+    }
+
+    /// `UC += 1`, persisted — a reservation forged by tests; the reserve
+    /// calls are the way in.
+    #[cfg(test)]
     pub(crate) fn inc_uc(&self, idx: u64) {
         self.cas_counters(idx, |rfc, uc| Some((rfc, uc + 1)));
     }
 
-    /// Step ⑥: the transaction is persistent — atomically `UC -= 1,
-    /// RFC += 1` in one 64-bit store. Returns false if `UC` was already 0
-    /// (recovery discarded it; nothing to commit).
-    pub fn commit_uc_to_rfc(&self, idx: u64) -> bool {
-        self.cas_counters(idx, |rfc, uc| {
-            if uc == 0 {
-                None
-            } else {
-                Some((rfc + 1, uc - 1))
+    /// Step ⑥ for one reservation: `UC -= 1, RFC += 1` in one 64-bit store.
+    /// `slot` and `held` are what the reserve call returned — the record's
+    /// slot then, and the record, whose `(fp, block)` identify it. Under the
+    /// stripe lock of `held.fp` the slot is checked to still hold that
+    /// record; if a chain removal moved it, it is found again by its block.
+    /// The store is flushed, not fenced: the caller fences before anything
+    /// that must follow it (module doc). Returns false if there was no UC to
+    /// commit (recovery discarded it) or no such record.
+    pub fn commit_uc_to_rfc(&self, slot: u64, held: &FactEntry) -> bool {
+        let _guard = self.lock_chain(held.fp.prefix(self.prefix_bits()));
+        let e = self.read_entry(slot);
+        let (idx, e) = if e.fp == held.fp && e.covers(held.block) {
+            (slot, e)
+        } else {
+            match self.resolve_block(held.block) {
+                Some((idx, e)) if e.fp == held.fp => (idx, e),
+                _ => return false,
             }
-        })
-        .is_some()
+        };
+        let moved = self.cas_from(idx, e.counter_word(), |rfc, uc| {
+            (uc > 0).then(|| (rfc + 1, uc - 1))
+        });
+        if moved.is_some() {
+            self.flush(self.off(idx) + OFF_COUNTERS, 8);
+        }
+        moved.is_some()
     }
 
     /// `UC -= 1` without the RFC credit. Returns the counters after the
@@ -709,7 +711,7 @@ impl Fact {
         if reads > REORDER_WALK && entry.rfc >= REORDER_RFC {
             self.reorder_candidates.lock().insert(prefix);
         }
-        self.inc_uc(idx);
+        self.pin(idx, &entry);
         self.stats.bump_hits();
         self.dev
             .metrics()
@@ -761,15 +763,11 @@ impl Fact {
         }
     }
 
-    /// Reserve against the per-page record whose canonical block is `block`
-    /// — extent growth reaches its next record by block number, not by
-    /// fingerprint.
+    /// Reserve against the record whose canonical block is `block` — extent
+    /// growth reaches its next record by block number, not by fingerprint.
     pub fn reserve_block(&self, block: u64) -> Option<(u64, FactEntry)> {
         let (_guard, idx, e) = self.lock_record(block)?;
-        if e.run_pages > 1 {
-            return None;
-        }
-        self.inc_uc(idx);
+        self.pin(idx, &e);
         Some((idx, e))
     }
 
@@ -780,40 +778,27 @@ impl Fact {
     /// reservation given back: every owner let go while it was out and their
     /// reclaim answered `Keep` — so the block is the caller's to free.
     pub fn release(&self, block: u64, count: Count) -> Released {
-        loop {
-            let Some((guard, idx, e)) = self.lock_record(block) else {
-                return Released::Untracked;
-            };
-            let dropped = match (count, e.run_pages > 1) {
-                (Count::Uc, _) => self.abort_uc(idx),
-                (Count::Rfc, false) => self.dec_rfc(idx),
-                // A run's single RFC counts owners of *every* covered block.
-                // Releasing one block must move one block's count only, so
-                // split the run back into per-page records first. If the
-                // split cannot register records (FACT full), keep the page
-                // — leaking a block beats corrupting shared counts.
-                (Count::Rfc, true) => {
-                    drop(guard); // run_lock comes before any stripe lock
-                    if self.demote_run(idx).is_err() {
-                        return Released::Kept;
-                    }
-                    continue;
-                }
-            };
-            // Nothing to drop (RFC or UC already 0 — recovery discarded it,
-            // or the scrubber owes a sweep): decide on what is there.
-            let left = dropped.unwrap_or_else(|| self.counters(idx));
-            if left != (0, 0) || e.run_pages > 1 {
-                return Released::Kept;
-            }
-            let _ = self.remove_locked(idx);
-            return Released::Removed;
+        let Some((_guard, idx, _)) = self.lock_record(block) else {
+            return Released::Untracked;
+        };
+        let dropped = match count {
+            Count::Uc => self.abort_uc(idx),
+            Count::Rfc => self.dec_rfc(idx),
+        };
+        // Nothing to drop (RFC or UC already 0 — recovery discarded it, or
+        // the scrubber owes a sweep): decide on what is there.
+        if dropped.unwrap_or_else(|| self.counters(idx)) != (0, 0) {
+            return Released::Kept;
         }
+        let _ = self.remove_locked(idx);
+        Released::Removed
     }
 
-    /// Write a per-page record for `(fp, block)` with the given `(RFC, UC)`
-    /// and link it behind `tail` (`None`: into the free DAA slot). Caller
-    /// holds the stripe lock and has `tail` from a walk under it.
+    /// Write a record for `(fp, block)` with the given `(RFC, UC)` and link
+    /// it behind `tail` (`None`: into the free DAA slot). Caller holds the
+    /// stripe lock and has `tail` from a walk under it. The record body and
+    /// its reverse-index cell share one fence; an IAA record is then linked
+    /// behind a second.
     fn insert_at(
         &self,
         prefix: u64,
@@ -830,13 +815,12 @@ impl Fact {
             prev: NIL,
             next: NIL,
             delete_ptr: NIL,
-            run_pages: 1,
         };
         let Some(tail) = tail else {
-            // The DAA slot itself is free: one entry write, one delete-ptr
-            // write.
-            self.write_metadata(prefix, &e);
-            self.set_delete_ptr(block, prefix as i64);
+            // The DAA slot itself is free: the entry and its delete pointer.
+            self.store_metadata(prefix, &e);
+            self.store_delete_ptr(block, prefix as i64);
+            self.dev.fence();
             return Ok((prefix, e));
         };
         // Prefix collision: allocate an IAA slot and append at the chain
@@ -849,8 +833,9 @@ impl Fact {
         e.prev = if tail == prefix { 0 } else { tail as i64 };
         // Write the new entry completely before linking it: a crash between
         // the two leaves it unreachable (and the IAA scan reclaims it).
-        self.write_metadata(idx, &e);
-        self.set_delete_ptr(block, idx as i64);
+        self.store_metadata(idx, &e);
+        self.store_delete_ptr(block, idx as i64);
+        self.dev.fence();
         self.dev.crash_point("denova::fact::before_chain_link");
         self.write_next(tail, idx as i64);
         self.stats.bump_iaa_inserts();
@@ -872,9 +857,7 @@ impl Fact {
 
     /// Resolve a data block to its FACT entry via the delete pointer — the
     /// reclaim-path lookup that costs exactly two PM reads (Section IV-C
-    /// steps 1–3). A block covered by an extent run resolves to the run's
-    /// anchor record (still two reads: `run_pages` rides in the same cache
-    /// line as the rest of the entry).
+    /// steps 1–3).
     pub fn resolve_block(&self, block: u64) -> Option<(u64, FactEntry)> {
         if block >= self.entries() {
             return None;
@@ -885,372 +868,9 @@ impl Fact {
             return None;
         }
         // Read 2: the entry it points at. Stale pointers (left behind by
-        // removals) are detected by the block-range check.
+        // removals) are detected by the block check.
         let e = self.read_entry(ptr as u64);
         e.covers(block).then_some((ptr as u64, e))
-    }
-
-    // ------------------------------------------------------------------
-    // Extent runs (promotion / demotion / crash repair)
-    // ------------------------------------------------------------------
-
-    /// Promote `members` — the per-page records of physically consecutive
-    /// canonical blocks, in block order — into one extent-run record
-    /// anchored at `members[0]`. Requires (and re-verifies) that every
-    /// member still covers its block with the same reference count and no
-    /// in-flight reservations; returns `false` without touching the table
-    /// if the precondition no longer holds, `true` once the run is live.
-    ///
-    /// Protocol (each step one cache-line persist, repairable forward by
-    /// [`Fact::repair_runs`] from the `run_pages` commit on):
-    ///
-    /// 1. persist `run_pages = N` on the anchor — the commit point;
-    /// 2. per interior block, left to right: point its reverse index at
-    ///    the anchor (resolve_block never misses: before the store it
-    ///    finds the per-page record, after it the anchor), then gate with
-    ///    a counter CAS `(R, 0) → (0, 0)` — a reservation taken since the
-    ///    sweep makes the CAS fail and rolls the promotion back — and remove
-    ///    the absorbed per-page record (interior fps answer *absent* after
-    ///    promotion).
-    ///
-    /// Before step 1, per-page records sharing the anchor's fingerprint
-    /// that sit ahead of it in its chain yield to it (the module's
-    /// anchor-first rule).
-    ///
-    /// The reference-count meaning is unchanged throughout: before, each
-    /// of the N records held `RFC = R` for its block; after, the single
-    /// anchor holds `RFC = R` *for each* covered block.
-    pub fn merge_run(&self, members: &[(u64, FactEntry)]) -> bool {
-        // One granularity transition at a time: a demotion overlapping this
-        // promotion would re-insert per-page records the absorb loop is
-        // removing, double-covering blocks.
-        let _run = self.run_lock.lock();
-        self.merge_run_locked(members)
-    }
-
-    /// [`Fact::merge_run`] body, for callers ([`Fact::split_run`]) already
-    /// holding `run_lock`.
-    fn merge_run_locked(&self, members: &[(u64, FactEntry)]) -> bool {
-        let n = members.len();
-        if n < 2 {
-            return false;
-        }
-        let (mut anchor, a) = members[0];
-        let b0 = a.block;
-        // Records can be *relocated* between slots while keeping their
-        // identity: removing a DAA entry promotes its IAA chain head into
-        // the freed slot (see `remove`). Every such move happens under the
-        // stripe lock of the record's prefix, so holding every member's
-        // stripe for the whole protocol pins the member indices the caller
-        // captured. Acquired in sorted order and this is the only
-        // multi-stripe taker, so lock order is consistent.
-        let mut stripe_ids: Vec<usize> = members
-            .iter()
-            .map(|(_, e)| (e.fp.prefix(self.prefix_bits()) as usize) % STRIPES)
-            .collect();
-        stripe_ids.sort_unstable();
-        stripe_ids.dedup();
-        let _guards: Vec<_> = stripe_ids.iter().map(|&s| self.stripes[s].lock()).collect();
-        let (rfc, _) = self.counters(anchor);
-        if rfc == 0 {
-            return false; // mid-reclaim; not worth anchoring a run on
-        }
-        // Precondition sweep: occupied, same fp, consecutive blocks, all
-        // per-page, still named by the reverse index (a stale index from
-        // before a relocation fails here), counters exactly (rfc, 0).
-        for (k, &(idx, ref snap)) in members.iter().enumerate() {
-            let cur = self.read_entry(idx);
-            if !cur.is_occupied()
-                || cur.fp != snap.fp
-                || cur.block != b0 + k as u64
-                || cur.run_pages != 1
-                || self.read_delete_ptr(b0 + k as u64) != idx as i64
-                || self.counters(idx) != (rfc, 0)
-            {
-                return false;
-            }
-        }
-        match self.yield_to_anchor(anchor, &a) {
-            Some(slot) => anchor = slot,
-            None => return false,
-        }
-        // Commit point: the anchor now claims the whole range.
-        self.write_run_pages(anchor, n as u32);
-        self.dev
-            .crash_point("denova::fact::merge::after_run_commit");
-        for (k, _) in members.iter().enumerate().skip(1) {
-            let block = b0 + k as u64;
-            // Re-resolve the slot through the reverse index: removing an
-            // earlier member may have promoted this one's record into a
-            // freed DAA chain-head slot (the promotion re-points the cell,
-            // and the held stripe locks exclude every other mover).
-            let ptr = self.read_delete_ptr(block);
-            let idx = ptr as u64;
-            // Reverse index first: any reclaim arriving now resolves the
-            // anchor (whose range already covers `block`).
-            self.set_delete_ptr(block, anchor as i64);
-            self.dev.crash_point("denova::fact::merge::mid_absorb");
-            // Gate: zero the counters by CAS. A reservation that slipped in
-            // since the sweep makes this fail — roll back rather than drop
-            // the reserver's reference on the floor.
-            if self
-                .cas_counters(idx, |r, u| {
-                    if (r, u) == (rfc, 0) {
-                        Some((0, 0))
-                    } else {
-                        None
-                    }
-                })
-                .is_none()
-            {
-                self.set_delete_ptr(block, ptr);
-                self.unwind_merge(anchor, members, k, rfc);
-                return false;
-            }
-            let _ = self.remove_locked(idx);
-        }
-        self.stats.record_promoted_run(n as u64);
-        true
-    }
-
-    /// Roll a half-done [`Fact::merge_run`] back: re-create the per-page
-    /// records already absorbed (blocks `b0+1 .. b0+upto`) and reset the
-    /// anchor to per-page granularity. `members` still holds their
-    /// fingerprints, so no data needs re-hashing. Runs with the caller
-    /// (`merge_run`) already holding every member's stripe lock.
-    fn unwind_merge(&self, anchor: u64, members: &[(u64, FactEntry)], upto: usize, rfc: u32) {
-        let b0 = members[0].1.block;
-        for (k, (_, snap)) in members.iter().enumerate().take(upto).skip(1) {
-            let _ = self.insert_with_rfc(&snap.fp, b0 + k as u64, rfc);
-        }
-        self.write_run_pages(anchor, 1);
-    }
-
-    /// Make room at the front for a record about to become a run anchor
-    /// (the module's anchor-first rule): every per-page record with the
-    /// anchor's fingerprint that a chain walk meets before `anchor` moves to
-    /// the chain tail — a copy is appended (the block's reverse cell follows
-    /// it), then the old slot is removed, so a crash in between leaves a
-    /// duplicate the reverse cell disowns, which [`Fact::repair_runs`]
-    /// drops. Returns the anchor's slot afterwards (removing a DAA entry
-    /// promotes the IAA head, possibly the anchor itself), or `None` —
-    /// decline the promotion — if such a record has a reservation in flight
-    /// (its holder addresses it by slot) or FACT is full. Caller holds the
-    /// stripe lock of the anchor's prefix.
-    fn yield_to_anchor(&self, mut anchor: u64, a: &FactEntry) -> Option<u64> {
-        let prefix = a.fp.prefix(self.prefix_bits());
-        loop {
-            let Some((idx, e)) = self
-                .chain(prefix)
-                .into_iter()
-                .take_while(|&(idx, _)| idx != anchor)
-                .find(|(_, e)| e.fp == a.fp && e.run_pages == 1)
-            else {
-                return Some(anchor);
-            };
-            if e.uc > 0 {
-                return None;
-            }
-            self.insert_with_rfc(&e.fp, e.block, e.rfc).ok()?;
-            self.dev.crash_point("denova::fact::merge::mid_yield");
-            let _ = self.remove_locked(idx);
-            anchor = self.resolve_block(a.block)?.0;
-        }
-    }
-
-    /// Split the extent run anchored at `anchor` back into per-page records
-    /// — the inverse of [`Fact::merge_run`], needed before per-block
-    /// reclaim or partial sharing. Each interior block is re-fingerprinted
-    /// from its canonical bytes in PM and gets a fresh record carrying the
-    /// run's reference count; the final `run_pages = 1` store commits the
-    /// demotion (a crash before it re-merges cleanly on recovery). Returns
-    /// the number of pages the run covered (1 if there was nothing to do).
-    pub fn demote_run(&self, anchor: u64) -> Result<u32> {
-        // Serialize against merge_run (see `run_lock`): splitting a run
-        // that a concurrent promotion is still absorbing would re-create
-        // per-page records under the anchor's claimed range.
-        let _run = self.run_lock.lock();
-        let a = self.read_entry(anchor);
-        if !a.is_occupied() || a.run_pages <= 1 {
-            return Ok(1);
-        }
-        let n = a.run_pages;
-        let (rfc, _) = self.counters(anchor);
-        for k in 1..n as u64 {
-            let block = a.block + k;
-            self.respawn(block, rfc)?;
-            self.dev.crash_point("denova::fact::demote::mid_split");
-        }
-        // Commit point: back to per-page granularity.
-        self.commit_run_pages(a.block, 1);
-        self.stats.record_demoted_run();
-        Ok(n)
-    }
-
-    /// Persist a new `run_pages` on the run record whose first block is
-    /// `first_block`. The record may have been relocated (DAA chain-head
-    /// promotion in `remove`) since the caller read it; its reverse cell
-    /// tracks the move, so [`Fact::lock_record`] finds the current slot
-    /// under the stripe lock that serializes relocation.
-    fn commit_run_pages(&self, first_block: u64, n: u32) {
-        if let Some((_guard, slot, _)) = self.lock_record(first_block) {
-            self.write_run_pages(slot, n);
-        }
-    }
-
-    /// Split the extent run anchored at `anchor` at relative page `at`
-    /// (`1 ≤ at < run_pages`): the anchor keeps the first `at` pages, and
-    /// the tail becomes its own record — a run again if it spans several
-    /// pages — carrying the same per-block reference count. This is the
-    /// partial-overwrite path of extent sharing: a writer that diverges
-    /// inside a run splits it there instead of dissolving the whole run to
-    /// per-page records.
-    ///
-    /// Built from the existing repairable protocols: the tail blocks are
-    /// first re-created per-page (exactly the demote protocol — a crash
-    /// rolls the half-split back into the full run), the anchor's claim
-    /// then shrinks (the commit), and the tail re-merges into a run (the
-    /// merge protocol, rolled forward by [`Fact::repair_runs`]).
-    pub fn split_run(&self, anchor: u64, at: u32) -> Result<()> {
-        let _run = self.run_lock.lock();
-        let a = self.read_entry(anchor);
-        if !a.is_occupied() || at == 0 || a.run_pages <= at {
-            return Ok(()); // caller's view was stale; nothing to split
-        }
-        let n = a.run_pages;
-        let (rfc, _) = self.counters(anchor);
-        // Tail blocks become per-page records first; each insert re-points
-        // the block's reverse cell, so every block stays resolvable
-        // throughout.
-        let mut members: Vec<(u64, FactEntry)> = Vec::new();
-        for k in at as u64..n as u64 {
-            let block = a.block + k;
-            let idx = match self.respawn(block, rfc) {
-                Ok(idx) => idx,
-                Err(e) => {
-                    // Roll the half-built tail back into the run: re-point
-                    // each cell at the anchor, then drop the per-page
-                    // record (the mount-time repair does the same).
-                    let cur = self.resolve_block(a.block).map_or(anchor, |(slot, _)| slot);
-                    for &(m, ref me) in &members {
-                        self.set_delete_ptr(me.block, cur as i64);
-                        self.cas_counters(m, |_, _| Some((0, 0)));
-                        let _ = self.remove(m);
-                    }
-                    return Err(e);
-                }
-            };
-            members.push((idx, self.read_entry(idx)));
-            self.dev.crash_point("denova::fact::split::mid_tail");
-        }
-        // Commit point: the anchor's claim shrinks to the head.
-        self.commit_run_pages(a.block, at);
-        // Re-form the tail as its own run (a single-page tail stays
-        // per-page). Best effort: if a racing reservation declines the
-        // merge, the tail simply stays per-page.
-        if members.len() >= 2 {
-            self.merge_run_locked(&members);
-        }
-        Ok(())
-    }
-
-    /// Re-create the per-page record of `block`, a run's interior block,
-    /// re-fingerprinted from its canonical bytes in PM and carrying the
-    /// run's reference count.
-    fn respawn(&self, block: u64, rfc: u32) -> Result<u64> {
-        let page = denova_nova::BLOCK_SIZE as usize;
-        let off = self.layout.block_off(block);
-        let fp = self
-            .dev
-            .with_slice(off, page, |page| self.fingerprint(page));
-        let _guard = self.lock_chain(fp.prefix(self.prefix_bits()));
-        self.insert_with_rfc(&fp, block, rfc)
-    }
-
-    /// Append a per-page record for `(fp, block)` with a preset reference
-    /// count; caller holds the stripe lock of `fp`'s prefix. The fingerprint
-    /// may already be in the chain (the same content stored again under
-    /// another canonical block since the run formed): lookups keep resolving
-    /// whichever comes first — the module's anchor-first rule says which
-    /// that must be — while this one is reachable through `block`'s reverse
-    /// index, which is all reclaim needs.
-    pub(crate) fn insert_with_rfc(&self, fp: &Fingerprint, block: u64, rfc: u32) -> Result<u64> {
-        let prefix = fp.prefix(self.prefix_bits());
-        let tail = self.chain(prefix).last().map(|&(idx, _)| idx);
-        let (idx, _) = self.insert_at(prefix, tail, fp, block, (rfc, 0))?;
-        self.stats.bump_inserts();
-        Ok(idx)
-    }
-
-    /// Recovery: finish half-done run promotions. For every anchor claiming
-    /// `run_pages > 1`, point each covered block's reverse index at the
-    /// anchor and absorb leftover per-page records inside the claimed range
-    /// (their counts are already represented by the anchor). Idempotent;
-    /// returns the number of repairs applied.
-    ///
-    /// Damage is *found* in `survey` — a healthy table costs no device read
-    /// here — and each suspect is then re-read from the device before it is
-    /// touched, because an earlier repair in the same pass can move records
-    /// (removing a DAA entry promotes its IAA chain head into the slot).
-    pub fn repair_runs(&self, survey: &Survey) -> u64 {
-        let mut repairs = 0u64;
-        for (anchor, a) in survey.occupied.iter().filter(|(_, e)| e.run_pages > 1) {
-            for block in a.block + 1..a.block + a.run_pages as u64 {
-                if survey.delete_ptr.get(block as usize) == Some(&(*anchor as i64)) {
-                    continue;
-                }
-                repairs += self.absorb_into_run(a.block, block) as u64;
-            }
-        }
-        // Orphans: per-page records whose block's reverse index resolves to
-        // another record — a run's interior block whose absorption crashed
-        // between the delete-ptr store and the removal, or the old slot of
-        // a record that was yielding to an anchor. A record the surveyed
-        // column does not resolve to is a suspect (the absorption above may
-        // since have re-aimed the cell at an anchor); the device decides.
-        for &(idx, e) in survey.occupied.iter().filter(|(_, e)| e.run_pages == 1) {
-            if survey
-                .resolve(e.block)
-                .is_some_and(|(owner, _)| owner == idx)
-            {
-                continue;
-            }
-            let cur = self.read_entry(idx);
-            if cur.is_occupied()
-                && cur.run_pages == 1
-                && self
-                    .resolve_block(cur.block)
-                    .is_some_and(|(owner, _)| owner != idx)
-            {
-                self.cas_counters(idx, |_, _| Some((0, 0)));
-                let _ = self.remove(idx);
-                repairs += 1;
-            }
-        }
-        repairs
-    }
-
-    /// Point `block`'s reverse index at the run anchored at `first_block`,
-    /// which claims it, and absorb the leftover per-page record the cell
-    /// still names (reverse index first, as in `merge_run`). Works on the
-    /// device's current state; `false` if there was nothing to do.
-    fn absorb_into_run(&self, first_block: u64, block: u64) -> bool {
-        let Some((anchor, a)) = self.resolve_block(first_block) else {
-            return false;
-        };
-        let ptr = self.read_delete_ptr(block);
-        if !a.covers(block) || ptr == anchor as i64 {
-            return false;
-        }
-        self.set_delete_ptr(block, anchor as i64);
-        if ptr >= 0 && (ptr as u64) < self.entries() {
-            let left = self.read_entry(ptr as u64);
-            if left.is_occupied() && left.block == block && left.run_pages == 1 {
-                self.cas_counters(ptr as u64, |_, _| Some((0, 0)));
-                let _ = self.remove(ptr as u64);
-            }
-        }
-        true
     }
 
     /// Remove the entry at `idx` (its RFC reached 0), unlinking it from its
@@ -1267,8 +887,8 @@ impl Fact {
         self.remove_locked(idx)
     }
 
-    /// [`Fact::remove`] body, for callers (merge promotion) that already
-    /// hold the stripe lock of the entry's prefix.
+    /// [`Fact::remove`] body, for callers that already hold the stripe lock
+    /// of the entry's prefix.
     fn remove_locked(&self, idx: u64) -> Result<()> {
         // Re-read under the lock.
         let e = self.read_entry(idx);
@@ -1296,11 +916,7 @@ impl Fact {
                             ..h
                         },
                     );
-                    // A promoted run anchor carries its whole range's
-                    // reverse index along, not just its first block.
-                    for k in 0..h.run_pages as u64 {
-                        self.set_delete_ptr(h.block + k, idx as i64);
-                    }
+                    self.set_delete_ptr(h.block, idx as i64);
                     if h.next != NIL {
                         // The new IAA head's prev becomes the sentinel 0.
                         self.write_prev(h.next as u64, 0);
@@ -1478,11 +1094,11 @@ mod tests {
     fn commit_moves_uc_to_rfc_atomically() {
         let (_dev, fact) = setup();
         let fp = Fingerprint::of(b"x");
-        let (idx, _) = fact.reserve_or_insert(&fp, 7).unwrap();
-        assert!(fact.commit_uc_to_rfc(idx));
+        let (idx, e) = fact.reserve_or_insert(&fp, 7).unwrap();
+        assert!(fact.commit_uc_to_rfc(idx, &e));
         assert_eq!(fact.counters(idx), (1, 0));
         // Nothing left to commit.
-        assert!(!fact.commit_uc_to_rfc(idx));
+        assert!(!fact.commit_uc_to_rfc(idx, &e));
     }
 
     #[test]
@@ -1547,8 +1163,8 @@ mod tests {
     fn stale_delete_pointer_rejected_by_block_check() {
         let (_dev, fact) = setup();
         let a = Fingerprint::of(b"a");
-        let (ia, _) = fact.reserve_or_insert(&a, 50).unwrap();
-        fact.commit_uc_to_rfc(ia);
+        let (ia, e) = fact.reserve_or_insert(&a, 50).unwrap();
+        fact.commit_uc_to_rfc(ia, &e);
         fact.dec_rfc(ia);
         fact.remove(ia).unwrap();
         // The delete pointer at slot 50 still exists but must not resolve.
@@ -1645,8 +1261,8 @@ mod tests {
     fn dec_rfc_stops_at_zero() {
         let (_dev, fact) = setup();
         let fp = Fingerprint::of(b"z");
-        let (idx, _) = fact.reserve_or_insert(&fp, 77).unwrap();
-        fact.commit_uc_to_rfc(idx);
+        let (idx, e) = fact.reserve_or_insert(&fp, 77).unwrap();
+        fact.commit_uc_to_rfc(idx, &e);
         assert_eq!(fact.dec_rfc(idx), Some((0, 0)));
         assert_eq!(fact.dec_rfc(idx), None);
         assert_eq!(fact.counters(idx), (0, 0));
@@ -1670,10 +1286,11 @@ mod tests {
     fn counter_update_is_failure_atomic() {
         let (dev, fact) = setup();
         let fp = Fingerprint::of(b"fa");
-        let (idx, _) = fact.reserve_or_insert(&fp, 99).unwrap();
-        fact.commit_uc_to_rfc(idx); // (1, 0) persisted
-                                    // A torn crash right after an unpersisted counter store must revert
-                                    // to the last persisted pair, never a mix.
+        let (idx, e) = fact.reserve_or_insert(&fp, 99).unwrap();
+        fact.commit_uc_to_rfc(idx, &e);
+        dev.fence(); // the caller's fence: (1, 0) persisted
+                     // A torn crash right after an unpersisted counter store must revert
+                     // to the last persisted pair, never a mix.
         let off = fact.off(idx) + OFF_COUNTERS;
         dev.atomic_store_u64(off, 5 | (7 << 32)); // not persisted
         let after = dev.crash_clone(denova_pmem::CrashMode::Strict);
@@ -1686,8 +1303,8 @@ mod tests {
     fn concurrent_counter_updates_are_exact() {
         let (_dev, fact) = setup();
         let fp = Fingerprint::of(b"conc");
-        let (idx, _) = fact.reserve_or_insert(&fp, 40).unwrap();
-        fact.commit_uc_to_rfc(idx);
+        let (idx, e) = fact.reserve_or_insert(&fp, 40).unwrap();
+        fact.commit_uc_to_rfc(idx, &e);
         let fact = Arc::new(fact);
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -1695,7 +1312,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for _ in 0..250 {
                     f.inc_uc(idx);
-                    f.commit_uc_to_rfc(idx);
+                    f.commit_uc_to_rfc(idx, &e);
                 }
             }));
         }
@@ -1780,346 +1397,82 @@ mod tests {
         assert_eq!(blocks, (100..110).collect::<Vec<u64>>());
     }
 
-    // -- Extent runs -------------------------------------------------------
-
-    /// Store distinct page contents at consecutive blocks `b0..b0+n`, insert
-    /// per-page records with `RFC = rfc`, and return `(idx, entry)` members
-    /// in block order (as `merge_run` wants them).
-    fn build_members(
-        dev: &Arc<PmemDevice>,
-        fact: &Fact,
-        b0: u64,
-        n: u64,
-        rfc: u32,
-    ) -> Vec<(u64, FactEntry)> {
-        let layout = Layout::compute(dev.size() as u64, 64, 2);
-        (0..n)
-            .map(|k| {
-                let block = b0 + k;
-                let mut page = vec![0u8; denova_nova::BLOCK_SIZE as usize];
-                page[..8].copy_from_slice(&(0xABCD_0000 + block).to_le_bytes());
-                dev.write(layout.block_off(block), &page);
-                let fp = Fingerprint::of(&page);
-                let (idx, _) = fact.reserve_or_insert(&fp, block).unwrap();
-                fact.commit_uc_to_rfc(idx);
-                for _ in 1..rfc {
-                    fact.inc_uc(idx);
-                    fact.commit_uc_to_rfc(idx);
-                }
-                (idx, fact.read_entry(idx))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn merge_run_resolves_every_block_to_the_anchor() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 600, 8, 3);
-        let anchor = members[0].0;
-        let before = fact.occupied_count();
-        assert!(fact.merge_run(&members));
-        // 7 interior records absorbed.
-        assert_eq!(fact.occupied_count(), before - 7);
-        assert_eq!(fact.read_entry(anchor).run_pages, 8);
-        for k in 0..8u64 {
-            let (idx, e) = fact.resolve_block(600 + k).expect("run block resolves");
-            assert_eq!(idx, anchor);
-            assert_eq!(e.block, 600);
-            assert_eq!(e.run_pages, 8);
-        }
-        // The run's count is unchanged: R per covered block.
-        assert_eq!(fact.counters(anchor), (3, 0));
-        // Outside the run: no resolution.
-        assert!(fact.resolve_block(608).is_none());
-        assert_eq!(fact.stats().promoted_runs(), 1);
-        assert_eq!(fact.stats().promoted_run_pages(), 8);
-    }
-
-    #[test]
-    fn run_block_still_resolves_in_two_pm_reads() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 640, 4, 1);
-        assert!(fact.merge_run(&members));
-        let before = dev.stats().snapshot();
-        fact.resolve_block(642).unwrap();
-        let delta = dev.stats().snapshot().delta(&before);
-        assert_eq!(delta.reads, 2, "run resolution must stay two PM reads");
-    }
-
-    /// Regression: a merge whose captured member indices went stale (the
-    /// record moved slots — e.g. a concurrent remove promoted a chain head
-    /// into the freed DAA slot) must decline instead of absorbing through
-    /// the wrong slot. The precondition sweep cross-checks every member
-    /// against the reverse index, which always names the current slot.
-    #[test]
-    fn merge_declines_stale_member_slots() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 660, 4, 2);
-        // Swap two members' slot indices: both records are live and match
-        // every other precondition, but the reverse cells disagree.
-        let mut stale = members.clone();
-        let tmp = stale[1].0;
-        stale[1].0 = stale[2].0;
-        stale[2].0 = tmp;
-        assert!(!fact.merge_run(&stale), "stale member slots must decline");
-        // Nothing was absorbed or relocated: all records stay per-page and
-        // resolvable through the reverse index.
-        for (idx, e) in &members {
-            assert_eq!(fact.read_entry(*idx).run_pages, 1);
-            let (ridx, re) = fact.resolve_block(e.block).unwrap();
-            assert_eq!(ridx, *idx);
-            assert_eq!(re.fp, e.fp);
-        }
-        // The genuine member list still merges cleanly afterwards.
-        assert!(fact.merge_run(&members));
-    }
-
-    #[test]
-    fn merge_removes_interior_fingerprints_from_lookup() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 700, 4, 2);
-        let interior_fps: Vec<Fingerprint> = members[1..].iter().map(|(_, e)| e.fp).collect();
-        assert!(fact.merge_run(&members));
-        for fp in &interior_fps {
-            assert!(fact.lookup(fp).is_none(), "interior fp must be absent");
-        }
-        // The anchor fp still resolves.
-        assert!(fact.lookup(&members[0].1.fp).is_some());
-    }
-
-    #[test]
-    fn merge_refuses_unequal_rfcs_and_inflight_uc() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 720, 4, 2);
-        // Unequal RFC on one member.
-        fact.inc_uc(members[2].0);
-        assert!(!fact.merge_run(&members), "UC reservation must block merge");
-        fact.abort_uc(members[2].0);
-        fact.inc_uc(members[2].0);
-        fact.commit_uc_to_rfc(members[2].0); // RFC now 3 ≠ 2
-        assert!(!fact.merge_run(&members), "unequal RFC must block merge");
-        // Table untouched: everything still per-page.
-        for &(idx, _) in &members {
-            assert_eq!(fact.read_entry(idx).run_pages, 1);
-        }
-    }
-
-    #[test]
-    fn demote_run_recreates_per_page_records_with_the_runs_count() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 760, 6, 4);
-        let fps: Vec<Fingerprint> = members.iter().map(|(_, e)| e.fp).collect();
-        let anchor = members[0].0;
-        assert!(fact.merge_run(&members));
-        assert_eq!(fact.demote_run(anchor).unwrap(), 6);
-        assert_eq!(fact.read_entry(anchor).run_pages, 1);
-        // Every block resolves again to a per-page record carrying RFC 4,
-        // and the re-fingerprinted interior fps are findable again.
-        for (k, fp) in fps.iter().enumerate() {
-            let (idx, e) = fact.resolve_block(760 + k as u64).unwrap();
-            assert_eq!(e.block, 760 + k as u64);
-            assert_eq!(e.run_pages, 1);
-            assert_eq!(fact.counters(idx).0, 4);
-            assert_eq!(fact.lookup(fp).unwrap().0, idx);
-        }
-        // Demoting a per-page record is a no-op.
-        assert_eq!(fact.demote_run(anchor).unwrap(), 1);
-        assert_eq!(fact.stats().demoted_runs(), 1);
-    }
-
-    #[test]
-    fn repair_runs_completes_interrupted_merge() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 800, 5, 2);
-        let anchor = members[0].0;
-        // Crash after the run committed but mid-absorption of the interior
-        // records (second mid_absorb hit: one block already absorbed).
-        dev.crash_points().arm("denova::fact::merge::mid_absorb", 1);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fact.merge_run(&members);
-        }));
-        assert!(r.is_err());
-        let dev2 = Arc::new(dev.crash_clone(denova_pmem::CrashMode::Strict));
-        let layout = Layout::compute(dev2.size() as u64, 64, 2);
-        let (fact2, survey) = Fact::mount_surveyed(dev2, layout, Arc::new(DedupStats::default()));
-        assert!(fact2.repair_runs(&survey) > 0);
-        // The run is whole: every block resolves to the anchor with RFC 2,
-        // and no leftover per-page record survives inside the range.
-        for k in 0..5u64 {
-            let (idx, e) = fact2.resolve_block(800 + k).unwrap();
-            assert_eq!(idx, anchor);
-            assert_eq!(e.run_pages, 5);
-        }
-        assert_eq!(fact2.counters(anchor), (2, 0));
-        for (_, e) in &members[1..] {
-            assert!(fact2.lookup(&e.fp).is_none(), "absorbed fp resolvable");
-        }
-        // Idempotent.
-        assert_eq!(fact2.repair_runs(&fact2.survey()), 0);
-    }
-
-    #[test]
-    fn repair_runs_is_noop_on_clean_table() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 840, 4, 1);
-        assert!(fact.merge_run(&members));
-        assert_eq!(fact.repair_runs(&fact.survey()), 0);
-    }
-
-    #[test]
-    fn runs_survive_remount() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 860, 4, 2);
-        let anchor = members[0].0;
-        assert!(fact.merge_run(&members));
-        let dev2 = Arc::new(dev.crash_clone(denova_pmem::CrashMode::Strict));
-        let layout = Layout::compute(dev2.size() as u64, 64, 2);
-        let fact2 = Fact::mount(dev2, layout, Arc::new(DedupStats::default()));
-        for k in 0..4u64 {
-            let (idx, e) = fact2.resolve_block(860 + k).unwrap();
-            assert_eq!(idx, anchor);
-            assert_eq!(e.run_pages, 4);
-        }
-        assert_eq!(fact2.lookup(&members[0].1.fp).unwrap().0, anchor);
-    }
-
-    #[test]
-    fn extent_threshold_knob_defaults_and_sets() {
-        let (_dev, fact) = setup();
-        assert_eq!(
-            fact.extent_threshold_pages(),
-            DEFAULT_EXTENT_THRESHOLD_PAGES
-        );
-        fact.set_extent_threshold_pages(0);
-        assert_eq!(fact.extent_threshold_pages(), 0);
-    }
-
-    // -- Anchor first -------------------------------------------------------
-
-    /// The `split_run` sequence that leaves two records with one
-    /// fingerprint in a chain: a run's interior page is stored again
-    /// elsewhere (interior fps are invisible, so it registers per-page, at
-    /// the front of its chain), then a partial share splits the run right
-    /// there and the tail re-forms as a run anchored at that fingerprint.
-    /// Returns the members, the shared fingerprint and the older record.
-    fn run_with_older_twin(
-        dev: &Arc<PmemDevice>,
-        fact: &Fact,
-    ) -> (Vec<(u64, FactEntry)>, Fingerprint, u64) {
-        let members = build_members(dev, fact, 600, 8, 2);
-        assert!(fact.merge_run(&members));
-        let fp = members[3].1.fp;
-        let (older, e) = fact.reserve_or_insert(&fp, 900).unwrap();
-        assert_eq!(e.block, 900, "interior fp must have been invisible");
-        (members, fp, older)
-    }
-
-    #[test]
-    fn new_anchor_goes_ahead_of_an_older_same_fp_record() {
-        let (dev, fact) = setup();
-        let (members, fp, older) = run_with_older_twin(&dev, &fact);
-        // While the twin's inserting transaction is in flight (UC = 1) its
-        // holder addresses it by slot, so it cannot move: the split leaves
-        // the tail per-page rather than form an anchor behind it.
-        fact.split_run(members[0].0, 3).unwrap();
-        assert_eq!(fact.lookup(&fp).unwrap().0, older);
-        let tail: Vec<_> = (603..608).map(|b| fact.resolve_block(b).unwrap()).collect();
-        assert!(tail.iter().all(|(_, e)| e.run_pages == 1));
-        assert_eq!(fact.counters(older), (0, 1));
-        // Once it has committed, promoting the tail moves the twin behind
-        // the new anchor.
-        fact.commit_uc_to_rfc(older);
-        assert!(fact.merge_run(&tail));
-        let (anchor, a) = fact.lookup(&fp).expect("the fingerprint resolves");
-        assert_eq!(
-            (a.block, a.run_pages),
-            (603, 5),
-            "a chain walk must meet the anchor first"
-        );
-        for k in 3..8 {
-            assert_eq!(fact.resolve_block(600 + k).unwrap().0, anchor);
-        }
-        // The twin gave way but is intact behind its reverse index.
-        let (twin, t) = fact.resolve_block(900).unwrap();
-        assert_ne!(twin, anchor);
-        assert_eq!((t.fp, t.run_pages), (fp, 1));
-        assert_eq!(fact.counters(twin), (1, 0));
-        assert_eq!(fact.occupied_count(), 3, "head run, tail run, twin");
-    }
-
-    #[test]
-    fn crash_while_yielding_leaves_one_record_per_block() {
-        let (dev, fact) = setup();
-        let (members, fp, older) = run_with_older_twin(&dev, &fact);
-        fact.commit_uc_to_rfc(older);
-        dev.crash_points().arm("denova::fact::merge::mid_yield", 0);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = fact.split_run(members[0].0, 3);
-        }));
-        assert!(r.is_err());
-        let dev2 = Arc::new(dev.crash_clone(denova_pmem::CrashMode::Strict));
-        let (fact2, survey) =
-            Fact::mount_surveyed(dev2, fact.layout, Arc::new(DedupStats::default()));
-        assert!(fact2.repair_runs(&survey) > 0);
-        // The copy the reverse cell names survived; the disowned slot is
-        // gone, and every record is the one its block resolves to.
-        let mut twins = 0;
-        fact2.for_each_occupied(|idx, e| {
-            assert_eq!(fact2.resolve_block(e.block).unwrap().0, idx);
-            twins += (e.block == 900) as u32;
-        });
-        assert_eq!(twins, 1);
-        assert_eq!(fact2.counters(fact2.resolve_block(900).unwrap().0), (1, 0));
-        assert!(fact2.lookup(&fp).is_some());
-        assert_eq!(fact2.repair_runs(&fact2.survey()), 0);
-    }
-
-    #[test]
-    fn reorder_keeps_the_anchor_ahead_of_a_hotter_twin() {
-        let (_dev, fact) = setup();
-        // Chain on prefix 21: DAA entry, IAA head, then a 2-page run anchor
-        // (RFC 1), a filler, and a per-page twin of the anchor with RFC 9.
-        // The run's second page lives on another chain.
-        let fps: Vec<Fingerprint> = (1..=4).map(|s| fp_with_prefix(&fact, 21, s)).collect();
-        let elsewhere = fp_with_prefix(&fact, 22, 1);
-        for (fp, block) in fps
-            .iter()
-            .zip([300, 301, 302, 310])
-            .chain([(&elsewhere, 303)])
-        {
-            let (idx, _) = fact.reserve_or_insert(fp, block).unwrap();
-            fact.commit_uc_to_rfc(idx);
-        }
-        let run: Vec<(u64, FactEntry)> = [302, 303]
-            .iter()
-            .map(|&b| fact.resolve_block(b).unwrap())
-            .collect();
-        assert!(fact.merge_run(&run));
-        let twin = fact.insert_with_rfc(&fps[2], 950, 9).unwrap();
-        assert!(crate::reorder::reorder_chain(&fact, 21).unwrap());
-        let order: Vec<u64> = fact.chain(21).iter().map(|(i, _)| *i).collect();
-        let pos = |idx: u64| order.iter().position(|&i| i == idx).unwrap();
-        assert!(
-            pos(run[0].0) < pos(twin),
-            "anchor must stay ahead: {order:?}"
-        );
-        assert_eq!(fact.lookup(&fps[2]).unwrap().1.run_pages, 2);
-    }
-
     // -- Reserve / release --------------------------------------------------
 
     #[test]
-    fn reserve_block_pins_per_page_records_only() {
-        let (dev, fact) = setup();
-        let members = build_members(&dev, &fact, 640, 4, 1);
-        let (idx, e) = fact.reserve_block(641).unwrap();
-        assert_eq!((idx, e.block), (members[1].0, 641));
+    fn reserve_block_pins_the_record_of_its_block() {
+        let (_dev, fact) = setup();
+        let (idx, e) = fact.reserve_or_insert(&Fingerprint::of(b"b"), 641).unwrap();
+        fact.commit_uc_to_rfc(idx, &e);
+        let (pinned, pe) = fact.reserve_block(641).unwrap();
+        assert_eq!((pinned, pe.block), (idx, 641));
         assert_eq!(fact.counters(idx), (1, 1));
         assert_eq!(fact.release(641, Count::Uc), Released::Kept);
-        assert!(fact.merge_run(&members));
-        assert!(fact.reserve_block(641).is_none(), "run interior");
-        assert!(fact.reserve_block(640).is_none(), "run anchor");
         assert!(fact.reserve_block(999).is_none(), "untracked");
+    }
+
+    /// Defect A: a reservation is taken on the IAA chain head, then the
+    /// last owner of the chain's DAA entry lets go, and removing that entry
+    /// promotes the reserved record into the DAA slot. The commit addressed
+    /// by slot alone landed on the cleared IAA slot and was lost, leaving
+    /// the moved record at `(0, 1)`; by hint it follows the record.
+    #[test]
+    fn a_commit_follows_a_record_its_daa_head_promoted() {
+        let (_dev, fact) = setup();
+        let (head, e) = fact
+            .reserve_or_insert(&fp_with_prefix(&fact, 9, 1), 100)
+            .unwrap();
+        assert!(fact.commit_uc_to_rfc(head, &e));
+        let (slot, held) = fact
+            .reserve_or_insert(&fp_with_prefix(&fact, 9, 2), 101)
+            .unwrap();
+        assert!(
+            slot >= fact.daa_entries(),
+            "the reservation sits in the IAA"
+        );
+        assert_eq!(fact.release(100, Count::Rfc), Released::Removed);
+        assert_eq!(fact.resolve_block(101).unwrap().0, head, "promoted");
+        assert!(!fact.read_entry(slot).is_occupied(), "hinted slot cleared");
+        assert!(fact.commit_uc_to_rfc(slot, &held));
+        assert_eq!(fact.counters(head), (1, 0));
+        assert_eq!(fact.counters(slot), (0, 0));
+    }
+
+    /// A reservation's `UC += 1` and a commit's `UC → RFC` are stored and
+    /// flushed but fenced by the caller — the log append before its tail
+    /// commit, the transaction before its first `Complete` flag — so neither
+    /// is durable until the caller's fence. An insert fences itself: once
+    /// in the DAA, and once more before an IAA record is linked.
+    #[test]
+    fn counter_steps_wait_for_the_callers_fence_and_inserts_do_not() {
+        let (dev, fact) = setup();
+        let fences = |f: &dyn Fn()| {
+            let before = dev.thread_fences();
+            f();
+            dev.thread_fences() - before
+        };
+        let persisted = |idx: u64| {
+            let v = dev
+                .crash_clone(denova_pmem::CrashMode::Strict)
+                .read_u64(fact.off(idx) + OFF_COUNTERS);
+            ((v & 0xFFFF_FFFF) as u32, (v >> 32) as u32)
+        };
+        let (a, b) = (fp_with_prefix(&fact, 3, 1), fp_with_prefix(&fact, 3, 2));
+        assert_eq!(
+            fences(&|| assert!(fact.reserve_or_insert(&a, 30).is_ok())),
+            1
+        );
+        assert_eq!(
+            fences(&|| assert!(fact.reserve_or_insert(&b, 31).is_ok())),
+            2
+        );
+        let (idx, e) = fact.lookup(&a).unwrap();
+        assert_eq!(persisted(idx), (0, 1));
+        assert_eq!(fences(&|| assert!(fact.reserve_existing(&a).is_some())), 0);
+        assert_eq!(fences(&|| assert!(fact.commit_uc_to_rfc(idx, &e))), 0);
+        assert_eq!(persisted(idx), (0, 1), "nothing durable before the fence");
+        dev.fence();
+        assert_eq!(persisted(idx), (1, 1));
     }
 
     /// The step the premature free slipped through: the last owner's
@@ -2132,8 +1485,8 @@ mod tests {
         let fact = Arc::new(fact);
         let fp = Fingerprint::of(b"last owner");
         let prefix = fp.prefix(fact.prefix_bits());
-        let (idx, _) = fact.reserve_or_insert(&fp, 70).unwrap();
-        fact.commit_uc_to_rfc(idx); // (1, 0): one owner, nothing in flight
+        let (idx, e) = fact.reserve_or_insert(&fp, 70).unwrap();
+        fact.commit_uc_to_rfc(idx, &e); // (1, 0): one owner, nothing in flight
         let guard = fact.lock_chain(prefix);
         let releaser = {
             let fact = fact.clone();

@@ -12,7 +12,7 @@
 //! uses (UC reserve → atomic tail commit → UC→RFC transfer), so crash
 //! recovery is shared.
 
-use crate::fact::{Count, Fact};
+use crate::fact::{Fact, FactEntry};
 use denova_fingerprint::is_zero_page;
 use denova_nova::{
     DedupeFlag, FsOp, Nova, NovaError, Result, WriteEntry, BLOCK_SIZE, HOLE_BLOCK, ROOT_INO,
@@ -66,7 +66,7 @@ pub fn write_inline(nova: &Nova, fact: &Fact, ino: u64, offset: u64, data: &[u8]
         // T_f-per-chunk cost that sits squarely on the critical path.
         let txid = ctx.next_txid();
         let mut entries: Vec<WriteEntry> = Vec::with_capacity(num_pages as usize);
-        let mut reservations: Vec<u64> = Vec::with_capacity(num_pages as usize);
+        let mut reservations: Vec<(u64, FactEntry)> = Vec::with_capacity(num_pages as usize);
         for i in 0..num_pages {
             let image = &pages[(i * BLOCK_SIZE) as usize..((i + 1) * BLOCK_SIZE) as usize];
             // Zero-block elision: an all-zero page image maps as a hole —
@@ -96,22 +96,11 @@ pub fn write_inline(nova: &Nova, fact: &Fact, ino: u64, offset: u64, data: &[u8]
             let fp = fact.fingerprint(image);
             fp_time += t_fp.elapsed();
 
-            // Peek first so we only allocate for unique chunks.
-            let hit = loop {
-                match fact.reserve_existing(&fp) {
-                    // A run anchor stands for its whole run, but inline
-                    // writes share one page at a time: give the reservation
-                    // back, split the run into per-page records, and reserve
-                    // again so the count moves on this block only.
-                    Some((idx, e)) if e.run_pages > 1 => {
-                        fact.release(e.block, Count::Uc);
-                        fact.demote_run(idx)?;
-                    }
-                    hit => break hit,
-                }
-            };
-            let (idx, block, duplicate) = match hit {
-                Some((idx, e)) => (idx, e.block, true),
+            // Peek first so we only allocate for unique chunks. A
+            // reservation is flushed, not fenced: the append below fences
+            // before its tail commit.
+            let (reserved, duplicate) = match fact.reserve_existing(&fp) {
+                Some(hit) => (hit, true),
                 None => {
                     let block = nova
                         .allocator()
@@ -121,25 +110,25 @@ pub fn write_inline(nova: &Nova, fact: &Fact, ino: u64, offset: u64, data: &[u8]
                     let dst = layout.block_off(block);
                     dev.write(dst, image);
                     dev.flush(dst, BLOCK_SIZE as usize);
-                    let (idx, e) = fact.reserve_or_insert(&fp, block)?;
-                    if e.block != block {
+                    let reserved = fact.reserve_or_insert(&fp, block)?;
+                    if reserved.1.block != block {
                         // Another writer registered this fingerprint between
                         // our peek and the locked insert: point at their
                         // canonical block and return ours.
                         nova.allocator().free_range(block, 1);
-                        (idx, e.block, true)
+                        (reserved, true)
                     } else {
-                        (idx, block, false)
+                        (reserved, false)
                     }
                 }
             };
-            reservations.push(idx);
+            reservations.push(reserved);
             stats.record_page(duplicate);
             entries.push(WriteEntry {
                 dedupe_flag: DedupeFlag::Complete,
                 file_pgoff: first_pg + i,
                 num_pages: 1,
-                block,
+                block: reserved.1.block,
                 size_after: new_size,
                 txid,
                 hole: false,
@@ -156,9 +145,10 @@ pub fn write_inline(nova: &Nova, fact: &Fact, ino: u64, offset: u64, data: &[u8]
             obsolete.extend(ctx.apply_write_entry(*off, we));
         }
         ctx.commit_size(new_size)?;
-        for idx in &reservations {
-            fact.commit_uc_to_rfc(*idx);
+        for (slot, held) in &reservations {
+            fact.commit_uc_to_rfc(*slot, held);
         }
+        dev.fence();
         for block in obsolete {
             ctx.reclaim_block(block);
         }

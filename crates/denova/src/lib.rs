@@ -41,7 +41,7 @@ pub use adaptive::{write_inline_adaptive, NvDedupHooks};
 pub use daemon::{Daemon, DaemonConfig, DaemonMode};
 pub use dedup::{dedup_entry, DedupOutcome};
 pub use dwq::{Dwq, DwqNode};
-pub use fact::{Fact, FactEntry, Survey, DEFAULT_EXTENT_THRESHOLD_PAGES, NIL};
+pub use fact::{Fact, FactEntry, Survey, NIL};
 pub use fp::{FpThrottle, PAPER_FP_NS_PER_4K};
 pub use nvdedup::{NvDedupTable, NvOutcome};
 pub use reclaim::DenovaHooks;
@@ -130,11 +130,9 @@ impl Denova {
     pub fn mkfs(dev: Arc<PmemDevice>, mut opts: NovaOptions, mode: DedupMode) -> Result<Denova> {
         opts.dedup_enabled = mode.tags_writes();
         let workers = opts.dedup_workers.max(1);
-        let extent_threshold = opts.extent_threshold_pages;
         let nova = Arc::new(Nova::mkfs(dev.clone(), opts)?);
         let stats = Arc::new(DedupStats::new(dev.metrics()));
         let fact = Arc::new(Fact::new(dev, *nova.layout(), stats.clone()));
-        fact.set_extent_threshold_pages(extent_threshold);
         let dwq = Arc::new(Dwq::with_shards(
             stats.clone(),
             nova.device().metrics().clone(),
@@ -153,7 +151,6 @@ impl Denova {
             superblock::read_superblock(&dev).is_ok() && superblock::was_clean_unmount(&dev);
         opts.dedup_enabled = mode.tags_writes();
         let workers = opts.dedup_workers.max(1);
-        let extent_threshold = opts.extent_threshold_pages;
         let nova = Arc::new(Nova::mount(dev.clone(), opts)?);
         let stats = Arc::new(DedupStats::new(dev.metrics()));
         let dwq = Arc::new(Dwq::with_shards(
@@ -163,7 +160,6 @@ impl Denova {
         ));
         let (fact, last_recovery) = if mode == DedupMode::Baseline || was_clean {
             let fact = Fact::mount(dev.clone(), *nova.layout(), stats.clone());
-            fact.set_extent_threshold_pages(extent_threshold);
             if mode != DedupMode::Baseline {
                 dwq.restore(&dev, nova.layout());
             }
@@ -175,7 +171,6 @@ impl Denova {
             // Crash mount: the one streaming pass over FACT that rebuilds
             // the free-slot stack is also recovery's survey.
             let (fact, survey) = Fact::mount_surveyed(dev.clone(), *nova.layout(), stats.clone());
-            fact.set_extent_threshold_pages(extent_threshold);
             let report = recovery::recover(&nova, &fact, &dwq, survey)?;
             (Arc::new(fact), Some(report))
         };
@@ -506,6 +501,48 @@ mod tests {
         assert_eq!(fs2.stats().dequeued(), 1);
         let a2 = fs2.open("a").unwrap();
         assert_eq!(fs2.read(a2, 0, 4096).unwrap(), vec![1u8; 4096]);
+    }
+
+    /// An image written before extent runs went (superblock version 2) may
+    /// hold run records. Here one is forged the way such an image laid a
+    /// 2-page run out — the run length in the anchor's last 4 bytes, the
+    /// interior block's reverse cell on the anchor, no interior record — and
+    /// both mounts refuse the image rather than read the anchor as a record
+    /// of its first block alone.
+    #[test]
+    fn an_image_with_a_run_record_is_refused() {
+        let device = dev();
+        let fs = Denova::mkfs(device.clone(), opts(), DedupMode::Immediate).unwrap();
+        let data: Vec<u8> = (1..=2u8).flat_map(|k| vec![k; 4096]).collect();
+        for name in ["a", "b"] {
+            let ino = fs.create(name).unwrap();
+            fs.write(ino, 0, &data).unwrap();
+        }
+        fs.drain();
+        let layout = *fs.nova().layout();
+        let fp = denova_fingerprint::Fingerprint::of(&data[..4096]);
+        let (anchor, a) = fs.fact().lookup(&fp).unwrap();
+        let (interior, _) = fs.fact().resolve_block(a.block + 1).unwrap();
+        fs.unmount();
+        assert!(superblock::was_clean_unmount(&device));
+        device.write(layout.fact_entry_off(anchor) + 60, &2u32.to_le_bytes());
+        device.write(
+            layout.fact_entry_off(a.block + 1) + 52,
+            &(anchor as i64).to_le_bytes(),
+        );
+        device.memset(layout.fact_entry_off(interior), 52, 0);
+        device.write_u64(8, 2); // the superblock's format version
+        for clean in [true, false] {
+            superblock::set_clean_unmount(&device, clean);
+            let mounted = Denova::mount(device.clone(), opts(), DedupMode::Immediate);
+            assert!(
+                matches!(
+                    mounted,
+                    Err(denova_nova::NovaError::Corrupt("unsupported version"))
+                ),
+                "clean = {clean}"
+            );
+        }
     }
 
     #[test]

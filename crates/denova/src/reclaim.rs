@@ -102,10 +102,10 @@ mod tests {
     fn shared_block_kept_until_last_reference() {
         let fact = setup();
         let fp = Fingerprint::of(b"shared");
-        let (idx, _) = fact.reserve_or_insert(&fp, 42).unwrap();
-        fact.commit_uc_to_rfc(idx);
+        let (idx, e) = fact.reserve_or_insert(&fp, 42).unwrap();
+        fact.commit_uc_to_rfc(idx, &e);
         fact.inc_uc(idx);
-        fact.commit_uc_to_rfc(idx); // RFC = 2: two write entries share block 42
+        fact.commit_uc_to_rfc(idx, &e); // RFC = 2: two write entries share block 42
         assert_eq!(reclaim_block(&fact, 42), ReclaimDecision::Keep);
         assert_eq!(fact.counters(idx), (1, 0));
         assert_eq!(reclaim_block(&fact, 42), ReclaimDecision::Free);
@@ -118,9 +118,9 @@ mod tests {
     fn in_flight_transaction_blocks_free() {
         let fact = setup();
         let fp = Fingerprint::of(b"inflight");
-        let (idx, _) = fact.reserve_or_insert(&fp, 9).unwrap(); // UC = 1, RFC = 0
+        let (idx, e) = fact.reserve_or_insert(&fp, 9).unwrap(); // UC = 1, RFC = 0
         assert_eq!(reclaim_block(&fact, 9), ReclaimDecision::Keep);
-        fact.commit_uc_to_rfc(idx);
+        fact.commit_uc_to_rfc(idx, &e);
         assert_eq!(reclaim_block(&fact, 9), ReclaimDecision::Free);
     }
 
@@ -149,7 +149,7 @@ mod tests {
                         fact.release(e.block, Count::Uc);
                         continue;
                     }
-                    fact.commit_uc_to_rfc(idx);
+                    fact.commit_uc_to_rfc(idx, &e);
                     if reclaim_block(&fact, 100) == ReclaimDecision::Free && held.load(SeqCst) {
                         violations.fetch_add(1, SeqCst);
                     }
@@ -183,41 +183,6 @@ mod tests {
         fact.reset_uc(idx); // recovery discarded the UC: (0, 0) but occupied
         assert_eq!(reclaim_block(&fact, 5), ReclaimDecision::Free);
         assert!(fact.lookup(&fp).is_none());
-    }
-
-    #[test]
-    fn reclaiming_inside_a_run_demotes_and_frees_only_that_block() {
-        let fact = setup();
-        let dev = fact.device().clone();
-        let layout = Layout::compute(dev.size() as u64, 64, 2);
-        let mut members = Vec::new();
-        for k in 0..4u64 {
-            let block = 300 + k;
-            let mut page = vec![0u8; denova_nova::BLOCK_SIZE as usize];
-            page[..8].copy_from_slice(&block.to_le_bytes());
-            dev.write(layout.block_off(block), &page);
-            let (idx, _) = fact
-                .reserve_or_insert(&Fingerprint::of(&page), block)
-                .unwrap();
-            fact.commit_uc_to_rfc(idx);
-            fact.inc_uc(idx);
-            fact.commit_uc_to_rfc(idx); // RFC = 2: two owners per block
-            members.push((idx, fact.read_entry(idx)));
-        }
-        assert!(fact.merge_run(&members));
-        // One owner releases the run's third block: the run splits and only
-        // that block's count moves.
-        assert_eq!(reclaim_block(&fact, 302), ReclaimDecision::Keep);
-        for k in 0..4u64 {
-            let (idx, e) = fact.resolve_block(300 + k).unwrap();
-            assert_eq!(e.run_pages, 1);
-            let want = if k == 2 { 1 } else { 2 };
-            assert_eq!(fact.counters(idx).0, want, "block {}", 300 + k);
-        }
-        // The last owner's release frees the page and drops the record.
-        assert_eq!(reclaim_block(&fact, 302), ReclaimDecision::Free);
-        assert!(fact.resolve_block(302).is_none());
-        assert!(fact.resolve_block(301).is_some());
     }
 
     #[test]

@@ -25,14 +25,13 @@
 //! flagged write entries come from the mount's single log walk
 //! ([`Nova::take_dedup_pending`]), and everything about FACT comes from the
 //! [`Survey`] the mount took in one streaming pass (64 slots per device
-//! read): run anchors and the delete-pointer column for run repair, the
-//! slots with `UC > 0`, the chained DAA prefixes and their IAA heads' commit
-//! flags, and the `(block, rfc, run_pages)` of every occupied slot for the
+//! read): the slots with `UC > 0`, the chained DAA prefixes and their IAA
+//! heads' commit flags, and the `(block, rfc)` of every occupied slot for the
 //! scrub. Only slots a repair actually touches are read again, one by one —
-//! work proportional to crash damage, not to table size. If run repair or a
-//! resumed transaction changed the table, the survey is retaken before the
-//! steps that follow: **at most two streaming passes over FACT per crash
-//! mount**, one when there was nothing to repair.
+//! work proportional to crash damage, not to table size. If a resumed
+//! transaction changed the table, the survey is retaken before the steps
+//! that follow: **at most two streaming passes over FACT per crash mount**,
+//! one when there was nothing to resume.
 
 use crate::dedup::resume_in_process;
 use crate::dwq::Dwq;
@@ -49,8 +48,6 @@ pub struct RecoveryPhases {
     /// Streaming passes over FACT (the mount's survey, plus the retake after
     /// repairs when there was one).
     pub fact_survey: PhaseCost,
-    /// Completing interrupted extent-run merges/demotes.
-    pub run_repair: PhaseCost,
     /// Resuming `in_process` transactions from step ⑥ and re-queueing the
     /// `needed` ones.
     pub resume: PhaseCost,
@@ -64,11 +61,10 @@ pub struct RecoveryPhases {
 
 impl RecoveryPhases {
     /// Every phase with its display name, in the order they run.
-    pub fn all(&self) -> [(&'static str, PhaseCost); 7] {
+    pub fn all(&self) -> [(&'static str, PhaseCost); 6] {
         [
             ("nova log walk", self.log_walk),
             ("FACT survey", self.fact_survey),
-            ("run repair", self.run_repair),
             ("resume", self.resume),
             ("UC discard", self.uc_discard),
             ("reorder repair", self.reorder_repair),
@@ -88,9 +84,6 @@ pub struct RecoveryReport {
     pub stale_ucs_discarded: u64,
     /// Chains whose interrupted reorder was repaired.
     pub reorders_repaired: u64,
-    /// Extent-run records completed forward after an interrupted merge or
-    /// demote (delete pointers re-aimed, leftover per-page records absorbed).
-    pub runs_repaired: u64,
     /// FACT entries dropped or RFC-corrected by the scrubber.
     pub scrubbed: u64,
     /// Inode-table blocks NOVA's walk read (one device read each).
@@ -120,17 +113,13 @@ impl RecoveryReport {
     /// report describes: two streaming passes over FACT, every live log
     /// page and every inode-table block once, and
     /// [`Self::READS_PER_REPAIR`] single reads per unit of crash damage (a
-    /// re-aimed run block, a resumed entry, a discarded UC, a repaired
-    /// chain, a scrubbed record) — plus 64 such units for what every mount
+    /// resumed entry, a discarded UC, a repaired chain, a scrubbed record) — plus 64 such units for what every mount
     /// reads regardless (superblock fields, clean flag). A per-entry read
     /// that creeps back into a scan costs 64× the streaming term and lands
     /// far outside.
     pub fn read_budget(&self) -> u64 {
-        let damage = self.runs_repaired
-            + self.resumed
-            + self.stale_ucs_discarded
-            + self.reorders_repaired
-            + self.scrubbed;
+        let damage =
+            self.resumed + self.stale_ucs_discarded + self.reorders_repaired + self.scrubbed;
         2 * self.fact_blocks
             + self.log_pages_read
             + self.inode_blocks_read
@@ -147,12 +136,11 @@ impl std::fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "recovery: requeued {} resumed {} stale UCs {} reorders {} runs repaired {} scrubbed {}",
+            "recovery: requeued {} resumed {} stale UCs {} reorders {} scrubbed {}",
             self.requeued,
             self.resumed,
             self.stale_ucs_discarded,
             self.reorders_repaired,
-            self.runs_repaired,
             self.scrubbed
         )?;
         writeln!(
@@ -192,13 +180,6 @@ pub fn recover(nova: &Nova, fact: &Fact, dwq: &Dwq, mut survey: Survey) -> Resul
     phases.log_walk = walk.cost;
     phases.fact_survey = survey.cost();
 
-    // Phase A0: complete interrupted extent-run merges/demotes forward,
-    // toward whatever each anchor's committed `run_pages` says. Runs first
-    // so everything below (resume, scrub) sees a consistent reverse index.
-    (report.runs_repaired, phases.run_repair) = phase(&dev, "denova.recovery.run_repair", || {
-        fact.repair_runs(&survey)
-    });
-
     // Phase A is NOVA's: its one walk over every live inode's log handed up
     // the flagged write entries (live inodes ascending, root last, log
     // order within an inode).
@@ -222,9 +203,9 @@ pub fn recover(nova: &Nova, fact: &Fact, dwq: &Dwq, mut survey: Survey) -> Resul
     report.requeued = pending.needed.len() as u64;
     drop(pending);
 
-    // Repairs and resumed commits moved records and counts under the
-    // survey: take it again (the second and last streaming pass).
-    if report.runs_repaired + report.resumed > 0 {
+    // Resumed commits moved counts under the survey: take it again (the
+    // second and last streaming pass).
+    if report.resumed > 0 {
         survey = fact.survey();
         phases.fact_survey.reads += survey.cost().reads;
         phases.fact_survey.ns += survey.cost().ns;
@@ -294,7 +275,6 @@ pub fn recover(nova: &Nova, fact: &Fact, dwq: &Dwq, mut survey: Survey) -> Resul
             ("resumed", report.resumed),
             ("stale_ucs_discarded", report.stale_ucs_discarded),
             ("reorders_repaired", report.reorders_repaired),
-            ("runs_repaired", report.runs_repaired),
             ("scrubbed", report.scrubbed),
             ("inode_blocks_read", report.inode_blocks_read),
             ("log_pages_read", report.log_pages_read),
@@ -327,21 +307,10 @@ fn reconcile(nova: &Nova, fact: &Fact, occupied: &[(u64, FactEntry)]) -> Result<
     let mut fixed = 0;
     let mut doomed: Vec<u64> = Vec::new();
     let mut adjust: Vec<(u64, u32)> = Vec::new();
-    let mut bad_runs: Vec<(u64, u64, u64)> = Vec::new(); // (idx, block, pages)
     for &(idx, e) in occupied {
         if e.uc > 0 {
             // In-flight transaction (only possible in a non-quiescent call);
             // leave it alone.
-            continue;
-        }
-        if e.run_pages > 1 {
-            // A run's single RFC claims every covered block has exactly
-            // that many owners; verify per block.
-            let n = e.run_pages as u64;
-            let uniform = (0..n).all(|k| counts.get(&(e.block + k)).copied().unwrap_or(0) == e.rfc);
-            if !uniform {
-                bad_runs.push((idx, e.block, n));
-            }
             continue;
         }
         let actual = counts.get(&e.block).copied().unwrap_or(0);
@@ -349,30 +318,6 @@ fn reconcile(nova: &Nova, fact: &Fact, occupied: &[(u64, FactEntry)]) -> Result<
             doomed.push(idx);
         } else if e.rfc != actual {
             adjust.push((idx, actual));
-        }
-    }
-    // Run anchors whose per-block ownership diverged (a crash between a run
-    // share and its count commit, or a partial release): split the run and
-    // reconcile each block independently.
-    for (idx, block, n) in bad_runs {
-        if fact.demote_run(idx).is_err() {
-            // FACT full — leave the run for a later sweep rather than lose
-            // shared state.
-            continue;
-        }
-        for k in 0..n {
-            let Some((pidx, _)) = fact.resolve_block(block + k) else {
-                continue;
-            };
-            let actual = counts.get(&(block + k)).copied().unwrap_or(0);
-            let (rfc, _) = fact.counters(pidx);
-            if actual == 0 {
-                fact.remove(pidx)?;
-                fixed += 1;
-            } else if rfc != actual {
-                fact.set_rfc(pidx, actual);
-                fixed += 1;
-            }
         }
     }
     for idx in doomed {
@@ -517,147 +462,6 @@ mod tests {
         }
     }
 
-    /// 8 pages of distinct, non-zero content.
-    fn run_data() -> Vec<u8> {
-        let mut data = vec![0u8; 8 * 4096];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (i / 4096 + 1) as u8;
-        }
-        data
-    }
-
-    /// Verify both files read back and FACT agrees exactly with the live
-    /// write entries (scrub finds nothing).
-    fn assert_consistent(s: &Stack, data: &[u8], point: &str) {
-        for name in ["a", "b"] {
-            let ino = s.nova.open(name).unwrap();
-            assert_eq!(s.nova.read(ino, 0, data.len()).unwrap(), data, "{point}");
-        }
-        let mut uc_residue = 0;
-        s.fact.for_each_occupied(|_, e| {
-            if e.uc != 0 {
-                uc_residue += 1;
-            }
-        });
-        assert_eq!(uc_residue, 0, "{point}: UC residue");
-        assert_eq!(scrub(&s.nova, &s.fact).unwrap(), 0, "{point}");
-    }
-
-    #[test]
-    fn crash_matrix_over_extent_merge_points() {
-        // Kill a worker mid-run-rewrite: the run commit and each absorption
-        // step. Recovery's repair pass must complete the merge forward and
-        // leave counts exact.
-        let data = run_data();
-        for point in [
-            "denova::fact::merge::after_run_commit",
-            "denova::fact::merge::mid_absorb",
-        ] {
-            let s = mkfs();
-            s.fact.set_extent_threshold_pages(4);
-            let a = s.nova.create("a").unwrap();
-            let b = s.nova.create("b").unwrap();
-            s.nova.write(a, 0, &data).unwrap();
-            s.nova.write(b, 0, &data).unwrap();
-            let nodes = s.dwq.pop_batch(2);
-            dedup_entry(&s.nova, &s.fact, &nodes[0]).unwrap();
-            // The second node's transaction promotes the run; crash inside.
-            s.nova.device().crash_points().arm(point, 0);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dedup_entry(&s.nova, &s.fact, &nodes[1]).unwrap();
-            }));
-            assert!(r.is_err(), "{point} did not fire");
-
-            let (s2, report) = crash_and_recover(&s);
-            drain(&s2);
-            if point == "denova::fact::merge::mid_absorb" {
-                assert!(report.runs_repaired > 0, "{point}: nothing repaired");
-            }
-            // The run is whole: every canonical block resolves through the
-            // anchor, with the committed owner count.
-            let (anchor, e) = s2.fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-            assert_eq!(e.run_pages, 8, "{point}");
-            for k in 0..8u64 {
-                let (idx, _) = s2.fact.resolve_block(e.block + k).expect(point);
-                assert_eq!(idx, anchor, "{point}: block {k} off-anchor");
-            }
-            assert_eq!(s2.fact.counters(anchor), (2, 0), "{point}");
-            assert_consistent(&s2, &data, point);
-        }
-    }
-
-    #[test]
-    fn crash_matrix_over_demote_point() {
-        // Kill a demotion mid-split. repair_runs re-absorbs the
-        // half-inserted per-page records back into the whole run, with
-        // counts exact.
-        let data = run_data();
-        let point = "denova::fact::demote::mid_split";
-        let s = mkfs();
-        s.fact.set_extent_threshold_pages(4);
-        let a = s.nova.create("a").unwrap();
-        let b = s.nova.create("b").unwrap();
-        s.nova.write(a, 0, &data).unwrap();
-        s.nova.write(b, 0, &data).unwrap();
-        drain(&s);
-        assert_eq!(s.fact.occupied_count(), 1);
-        let (anchor, _) = s.fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        s.nova.device().crash_points().arm(point, 0);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.fact.demote_run(anchor).unwrap();
-        }));
-        assert!(r.is_err(), "{point} did not fire");
-
-        let (s2, report) = crash_and_recover(&s);
-        assert!(report.runs_repaired > 0, "{point}: nothing repaired");
-        let (anchor2, e2) = s2.fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        assert_eq!(e2.run_pages, 8, "{point}");
-        assert_eq!(s2.fact.counters(anchor2), (2, 0), "{point}");
-        assert_consistent(&s2, &data, point);
-    }
-
-    #[test]
-    fn crash_matrix_over_split_point() {
-        // Kill a worker mid-run-rewrite: a partial anchor match splitting
-        // the run. repair_runs re-absorbs the half-built tail into the
-        // whole run, and the re-queued transaction completes the split.
-        let data = run_data();
-        let point = "denova::fact::split::mid_tail";
-        let s = mkfs();
-        s.fact.set_extent_threshold_pages(4);
-        let a = s.nova.create("a").unwrap();
-        let b = s.nova.create("b").unwrap();
-        s.nova.write(a, 0, &data).unwrap();
-        s.nova.write(b, 0, &data).unwrap();
-        drain(&s);
-        assert_eq!(s.fact.occupied_count(), 1);
-        // d overlaps only the run's head: its transaction must split.
-        let d = s.nova.create("d").unwrap();
-        s.nova.write(d, 0, &data[..3 * 4096]).unwrap();
-        let node = s.dwq.pop_batch(1)[0];
-        s.nova.device().crash_points().arm(point, 0);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dedup_entry(&s.nova, &s.fact, &node).unwrap();
-        }));
-        assert!(r.is_err(), "{point} did not fire");
-
-        let (s2, report) = crash_and_recover(&s);
-        assert!(report.runs_repaired > 0, "{point}: nothing repaired");
-        s2.fact.set_extent_threshold_pages(4);
-        drain(&s2);
-        // d's re-queued transaction split the run again and shares its 3
-        // pages through the head.
-        let d2 = s2.nova.open("d").unwrap();
-        assert_eq!(
-            s2.nova.read(d2, 0, 3 * 4096).unwrap(),
-            &data[..3 * 4096],
-            "{point}"
-        );
-        let (_, he) = s2.fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        assert_eq!(he.run_pages, 3, "{point}");
-        assert_consistent(&s2, &data, point);
-    }
-
     /// FNV-1a over the FACT region: the table's persistent image.
     fn fact_image_hash(s: &Stack) -> u64 {
         let layout = *s.nova.layout();
@@ -670,14 +474,15 @@ mod tests {
         })
     }
 
-    /// One fixed trace through every recovery phase — an interrupted run
-    /// promotion, an `in_process` entry, a stale UC, an over-counted RFC and
-    /// a queue of untouched candidates — recovers to exactly what the
-    /// per-entry scans this module used before the survey produced: the
-    /// same report counts, the same DWQ order, and byte for byte the same
-    /// FACT image. The expected values were recorded by running this trace
-    /// at the parent commit (single free list and hand-driven dedup make
-    /// every offset reproducible).
+    /// One fixed trace through every recovery phase — a transaction that
+    /// dies between its count commits, an `in_process` entry, a stale UC, an
+    /// over-counted RFC and a queue of untouched candidates — recovers to
+    /// exactly the report counts, DWQ order and FACT image (byte for byte)
+    /// recorded by running the same trace, with extent promotion off, at
+    /// the commit before extent runs and slot-addressed commits were
+    /// removed — whose image carried a run length of 1 in the bytes now
+    /// reserved, zeroed for the recording (single free list and hand-driven
+    /// dedup make every offset reproducible).
     #[test]
     fn fixed_trace_recovers_to_the_recorded_counts_queue_and_fact_image() {
         let opts = NovaOptions { cpus: 1, ..opts() };
@@ -687,7 +492,6 @@ mod tests {
         let fact = Arc::new(Fact::new(dev.clone(), *nova.layout(), stats.clone()));
         let dwq = Arc::new(Dwq::new(stats));
         nova.set_hooks(Arc::new(DenovaHooks::new(fact.clone(), dwq.clone(), true)));
-        fact.set_extent_threshold_pages(4);
 
         let pages = |ids: &[u8]| -> Vec<u8> { ids.iter().flat_map(|&id| vec![id; 4096]).collect() };
         let run: Vec<u8> = pages(&[1, 2, 3, 4, 5, 6, 7, 8]);
@@ -716,8 +520,10 @@ mod tests {
             nodes[3].entry_off,
             denova_nova::DedupeFlag::InProcess,
         );
-        // b's transaction promotes the run; the machine dies mid-absorb.
-        dev.crash_points().arm("denova::fact::merge::mid_absorb", 2);
+        // b duplicates a page for page; the machine dies after its first
+        // count commit.
+        dev.crash_points()
+            .arm("denova::dedup::mid_commit_counts", 0);
         let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             dedup_entry(&nova, &fact, &nodes[1]).unwrap();
         }));
@@ -729,7 +535,6 @@ mod tests {
             report.resumed,
             report.stale_ucs_discarded,
             report.reorders_repaired,
-            report.runs_repaired,
             report.scrubbed,
         );
         let queue: Vec<(u64, u64)> = s2
@@ -738,35 +543,9 @@ mod tests {
             .iter()
             .map(|n| (n.ino, n.entry_off))
             .collect();
-        assert_eq!(counts, (3, 1, 1, 0, 5, 1));
+        assert_eq!(counts, (3, 3, 1, 0, 1));
         assert_eq!(queue, [(6, 1474560), (7, 1486848), (8, 1503232)]);
-        assert_eq!(fact_image_hash(&s2), 0x8398_03e2_d9e0_482a);
-    }
-
-    #[test]
-    fn scrubber_splits_runs_with_diverged_ownership() {
-        let s = mkfs();
-        s.fact.set_extent_threshold_pages(4);
-        let data = run_data();
-        let a = s.nova.create("a").unwrap();
-        let b = s.nova.create("b").unwrap();
-        s.nova.write(a, 0, &data).unwrap();
-        s.nova.write(b, 0, &data).unwrap();
-        drain(&s);
-        let (idx, e) = s.fact.lookup(&Fingerprint::of(&data[..4096])).unwrap();
-        assert_eq!(e.run_pages, 8);
-        // Simulate a crash-induced over-increment on the run's single RFC:
-        // it now claims 3 owners per block while files hold 2.
-        s.fact.set_rfc(idx, 3);
-        let fixed = scrub(&s.nova, &s.fact).unwrap();
-        assert!(fixed >= 8);
-        // Split and corrected per block.
-        for k in 0..8u64 {
-            let (pidx, pe) = s.fact.resolve_block(e.block + k).unwrap();
-            assert_eq!(pe.run_pages, 1);
-            assert_eq!(s.fact.counters(pidx), (2, 0), "block {k}");
-        }
-        assert_eq!(scrub(&s.nova, &s.fact).unwrap(), 0);
+        assert_eq!(fact_image_hash(&s2), 0xdb59_294f_b0f4_cda6);
     }
 
     #[test]
@@ -810,9 +589,9 @@ mod tests {
         assert!(s.fact.lookup(&Fingerprint::of(&data)).is_some());
         // Simulate an over-increment: bump RFC so unlink's reclaim leaves
         // the entry alive with no referencing file.
-        let (idx, _) = s.fact.lookup(&Fingerprint::of(&data)).unwrap();
+        let (idx, e) = s.fact.lookup(&Fingerprint::of(&data)).unwrap();
         s.fact.inc_uc(idx);
-        s.fact.commit_uc_to_rfc(idx); // RFC = 2, actual refs = 1
+        s.fact.commit_uc_to_rfc(idx, &e); // RFC = 2, actual refs = 1
         s.nova.unlink("a").unwrap(); // dec to 1, entry survives (wrongly)
         assert!(s.fact.lookup(&Fingerprint::of(&data)).is_some());
         let fixed = scrub(&s.nova, &s.fact).unwrap();
@@ -860,11 +639,11 @@ mod tests {
             Fingerprint::from_bytes(bytes)
         };
         for salt in 1..=5 {
-            let (idx, _) = s
+            let (idx, e) = s
                 .fact
                 .reserve_or_insert(&mk(salt), 400 + salt as u64)
                 .unwrap();
-            s.fact.commit_uc_to_rfc(idx);
+            s.fact.commit_uc_to_rfc(idx, &e);
             s.fact.set_rfc(idx, salt as u32 * 3 % 7 + 1);
         }
         s.nova

@@ -44,19 +44,6 @@ pub fn reorder_chain(fact: &Fact, prefix: u64) -> Result<bool> {
     let movable = &chain[2..];
     let mut sorted = movable.to_vec();
     sorted.sort_by_key(|(_, e)| std::cmp::Reverse(e.rfc));
-    // Anchor first (see `fact.rs`): a run anchor keeps its place ahead of a
-    // per-page record with the same fingerprint, whatever their counts.
-    for i in 0..sorted.len() {
-        let a = sorted[i].1;
-        if a.run_pages > 1 {
-            if let Some(j) = sorted[..i]
-                .iter()
-                .position(|(_, p)| p.fp == a.fp && p.run_pages == 1)
-            {
-                sorted[j..=i].rotate_right(1);
-            }
-        }
-    }
     if sorted == movable {
         return Ok(false); // already in order
     }
@@ -192,8 +179,8 @@ mod tests {
         let mut idxs = Vec::new();
         for (i, &rfc) in rfcs.iter().enumerate() {
             let fp = fp_with_prefix(fact, prefix, i as u8 + 1);
-            let (idx, _) = fact.reserve_or_insert(&fp, 100 + i as u64).unwrap();
-            fact.commit_uc_to_rfc(idx);
+            let (idx, e) = fact.reserve_or_insert(&fp, 100 + i as u64).unwrap();
+            fact.commit_uc_to_rfc(idx, &e);
             fact.set_rfc(idx, rfc);
             idxs.push(idx);
         }

@@ -53,10 +53,6 @@ pub struct DedupStats {
     lingering_ns: Mutex<Vec<u64>>,
     // Reordering.
     reorders: Counter,
-    // Extent-granular dedup (run promotion in `fact.rs` / `dedup.rs`).
-    promoted_runs: Counter,
-    run_pages: Counter,
-    demoted_runs: Counter,
 }
 
 impl Default for DedupStats {
@@ -93,9 +89,6 @@ impl DedupStats {
             linger_hist: registry.histogram("dwq.linger_ns"),
             lingering_ns: Mutex::new(Vec::new()),
             reorders: registry.counter("fact.reorders"),
-            promoted_runs: registry.counter("denova.extent.promoted_runs"),
-            run_pages: registry.counter("denova.extent.run_pages"),
-            demoted_runs: registry.counter("denova.extent.demoted_runs"),
         }
     }
 
@@ -138,15 +131,6 @@ impl DedupStats {
 
     pub(crate) fn bump_reorders(&self) {
         self.reorders.inc();
-    }
-
-    pub(crate) fn record_promoted_run(&self, pages: u64) {
-        self.promoted_runs.inc();
-        self.run_pages.add(pages);
-    }
-
-    pub(crate) fn record_demoted_run(&self) {
-        self.demoted_runs.inc();
     }
 
     // -- Dedup outcomes ---------------------------------------------------
@@ -322,23 +306,6 @@ impl DedupStats {
     /// IAA chain reorders performed.
     pub fn reorders(&self) -> u64 {
         self.reorders.get()
-    }
-
-    /// Extent runs promoted (per-page FACT records merged into one run
-    /// record).
-    pub fn promoted_runs(&self) -> u64 {
-        self.promoted_runs.get()
-    }
-
-    /// Total pages covered by promoted runs (cumulative).
-    pub fn promoted_run_pages(&self) -> u64 {
-        self.run_pages.get()
-    }
-
-    /// Extent runs demoted back to per-page records (partial reclaim or
-    /// partial sharing).
-    pub fn demoted_runs(&self) -> u64 {
-        self.demoted_runs.get()
     }
 }
 

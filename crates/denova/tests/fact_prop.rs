@@ -128,8 +128,8 @@ proptest! {
                 }
                 Op::Commit(k) => {
                     if let Some((fp, _)) = model.get(&k).map(|_| h.keys[k as usize]) {
-                        let idx = h.fact.lookup(&fp).map(|(i, _)| i);
-                        let committed = idx.is_some_and(|i| h.fact.commit_uc_to_rfc(i));
+                        let hit = h.fact.lookup(&fp);
+                        let committed = hit.is_some_and(|(i, e)| h.fact.commit_uc_to_rfc(i, &e));
                         let m = model.get_mut(&k).unwrap();
                         if m.1 > 0 {
                             prop_assert!(committed);
@@ -203,11 +203,6 @@ enum Shape {
     Insert(u8),
     /// Drop every owner of key #k's block: the record goes away.
     Remove(u8),
-    /// Promote the records of keys `start .. start + len` (consecutive
-    /// blocks) into one extent run, if they qualify.
-    Merge(u8, u8),
-    /// Split the run covering key #k's block back into per-page records.
-    Demote(u8),
     /// Reorder the chain key #k hashes to.
     Reorder(u8),
 }
@@ -217,8 +212,6 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
         (0u8..12).prop_map(Shape::Insert),
         (0u8..12).prop_map(Shape::Insert),
         (0u8..12).prop_map(Shape::Remove),
-        (0u8..11, 2u8..6).prop_map(|(start, len)| Shape::Merge(start, len)),
-        (0u8..12).prop_map(Shape::Demote),
         (0u8..12).prop_map(Shape::Reorder),
     ]
 }
@@ -234,29 +227,12 @@ proptest! {
             match *op {
                 Shape::Insert(k) => {
                     let (fp, block) = h.keys[k as usize];
-                    // A key absorbed into a run has no record of its own; a
-                    // fresh insert for its block would double-cover it.
-                    if fact.lookup(&fp).is_some() || fact.resolve_block(block).is_none() {
-                        let (idx, _) = fact.reserve_or_insert(&fp, block).unwrap();
-                        fact.commit_uc_to_rfc(idx);
-                    }
+                    let (idx, e) = fact.reserve_or_insert(&fp, block).unwrap();
+                    fact.commit_uc_to_rfc(idx, &e);
                 }
                 Shape::Remove(k) => {
                     let (_, block) = h.keys[k as usize];
                     while fact.release(block, Count::Rfc) == denova::fact::Released::Kept {}
-                }
-                Shape::Merge(start, len) => {
-                    let members: Option<Vec<(u64, FactEntry)>> = (start..(start + len).min(12))
-                        .map(|k| fact.resolve_block(h.keys[k as usize].1))
-                        .collect();
-                    if let Some(members) = members {
-                        fact.merge_run(&members);
-                    }
-                }
-                Shape::Demote(k) => {
-                    if let Some((idx, _)) = fact.resolve_block(h.keys[k as usize].1) {
-                        fact.demote_run(idx).unwrap();
-                    }
                 }
                 Shape::Reorder(k) => {
                     let prefix = h.keys[k as usize].0.prefix(fact.prefix_bits());

@@ -37,11 +37,6 @@ pub struct NovaOptions {
     /// (CLI, service, benches) configures the pool through one options
     /// struct.
     pub dedup_workers: usize,
-    /// Minimum duplicate-run length, in pages, at which the dedup layer
-    /// promotes per-page FACT records into a single extent-run record. 0
-    /// disables promotion (per-block dedup baseline). NOVA itself ignores
-    /// the value (same rationale as `dedup_workers`).
-    pub extent_threshold_pages: u32,
 }
 
 impl Default for NovaOptions {
@@ -52,7 +47,6 @@ impl Default for NovaOptions {
             cpus: 4,
             dedup_enabled: false,
             dedup_workers: 1,
-            extent_threshold_pages: 16,
         }
     }
 }

@@ -7,7 +7,10 @@ use denova_pmem::PmemDevice;
 const MAGIC: u64 = 0x4445_4E4F_5641_4653; // "DENOVAFS"
 /// 2: log-entry checksums read the dedupe flag as zero. A version-1 image
 /// checksummed the flag, so it is refused rather than misread.
-const VERSION: u64 = 2;
+/// 3: every FACT record stands for one block. A version-2 image may hold
+/// extent-run records (a run length in a slot's last 4 bytes), which would
+/// read as records of their first block only, so it is refused too.
+const VERSION: u64 = 3;
 
 // Field offsets within block 0.
 const OFF_MAGIC: u64 = 0;
@@ -115,14 +118,16 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_image_is_refused() {
+    fn images_of_earlier_versions_are_refused() {
         let dev = PmemDevice::new(16 * 1024 * 1024);
         write_superblock(&dev, &test_layout(&dev));
-        dev.write_u64(OFF_VERSION, 1);
-        assert_eq!(
-            read_superblock(&dev),
-            Err(NovaError::Corrupt("unsupported version"))
-        );
+        for old in [1, 2] {
+            dev.write_u64(OFF_VERSION, old);
+            assert_eq!(
+                read_superblock(&dev),
+                Err(NovaError::Corrupt("unsupported version"))
+            );
+        }
     }
 
     #[test]

@@ -317,10 +317,7 @@ fn run() -> Result<(), String> {
             );
             let fact_report = denova_repro::denova::fsck::fsck_fact(fs.nova(), fs.fact())
                 .map_err(|e| e.to_string())?;
-            println!(
-                "fact:  {} per-page records, {} runs covering {} pages",
-                fact_report.per_page_records, fact_report.run_records, fact_report.run_pages
-            );
+            println!("fact:  {} records", fact_report.records);
             let clean = report.is_clean() && fact_report.is_clean();
             for err in &report.errors {
                 println!("  ERROR: {err:?}");

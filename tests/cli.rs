@@ -283,10 +283,10 @@ fn all_zero_put_consumes_no_data_pages() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The extent-dedup counters, the daemon's health numbers (entries it
-/// gave up on, how long stage 2 held the inode write lock) and the server's
-/// dispatch split are exported through `stats --json`; the text form prints
-/// the split with its inline share.
+/// The extent-dedup counter (zero-block holes), the daemon's health numbers
+/// (entries it gave up on, how long stage 2 held the inode write lock) and
+/// the server's dispatch split are exported through `stats --json`; the
+/// text form prints the split with its inline share.
 #[test]
 fn stats_json_exports_extent_counters() {
     let dir = tmpdir();
@@ -294,8 +294,6 @@ fn stats_json_exports_extent_counters() {
     ok(&image, &["mkfs", "--size", "16M"]);
     let json = ok(&image, &["stats", "--json"]);
     for name in [
-        "denova.extent.promoted_runs",
-        "denova.extent.run_pages",
         "denova.extent.zero_holes",
         "denova.dedup.errors",
         "denova.dedup.write_lock_hold",

@@ -234,12 +234,6 @@ fn resident_fingerprint_never_resolves_wrong_under_chain_churn() {
 // optimistic path (no inode lock) however busy the writers and the daemon
 // are on other inodes. The floor is loose: a dedup remap of a read file
 // legitimately diverts the few reads that overlap it.
-//
-// Runs grow but never promote (the threshold is above the longest entry):
-// overwriting a *promoted* shared run is ROADMAP item 1's open defect —
-// with the default threshold this test fails before this change too
-// (double free, `UseAfterFree`, `RunOwnershipMismatch`) — and is not what
-// is under test here.
 #[test]
 fn dedup_stage1_races_foreground_rewrites_of_the_same_inodes() {
     use denova_repro::denova::fsck::fsck_fact;
@@ -258,7 +252,6 @@ fn dedup_stage1_races_foreground_rewrites_of_the_same_inodes() {
             NovaOptions {
                 num_inodes: 64,
                 dedup_workers: 2,
-                extent_threshold_pages: 1024,
                 ..Default::default()
             },
             DedupMode::Immediate,
@@ -267,10 +260,11 @@ fn dedup_stage1_races_foreground_rewrites_of_the_same_inodes() {
     );
     assert_eq!(fs.dedup_workers(), 2);
     // The pool: 64-page segments of distinct non-zero pages, no two of
-    // which share a FACT prefix. With no IAA chain there is no record to
-    // relocate under a reservation — ROADMAP item 1's other open defect,
-    // which leaves `UcResidue` behind in one run out of ten before this change
-    // too — so the audit below can insist on *clean*.
+    // which share a FACT prefix, so no IAA chain forms and no record moves
+    // under a reservation. Commits follow a moved record by block now
+    // (`fact::tests::a_commit_follows_a_record_its_daa_head_promoted`);
+    // the pool keeps its distinct prefixes until this test is shown to
+    // stay clean without them (ROADMAP item 3).
     let pool: Arc<Vec<Vec<u8>>> = {
         let bits = fs.fact().prefix_bits();
         let mut taken = std::collections::HashSet::new();

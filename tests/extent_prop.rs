@@ -1,13 +1,11 @@
-//! Property test: extent-granular dedup is invisible to readers. Two full
-//! DeNova stacks run the same random write/overwrite/truncate interleaving —
-//! one with run promotion enabled (threshold 4 pages), one per-block
-//! (threshold 0) — and every file must come out byte-identical across the
-//! two, matching an in-memory model. Aligned clones written afterwards save
-//! the same bytes on both stacks, tracked by one run record on the promoted
-//! one and by one record per page on the other.
-//! Then the promoted stack is audited: FACT fsck is clean, and the
-//! fingerprints of run-interior pages stay absent from the lookup path
-//! through every later split/demote.
+//! Property test: extent growth is invisible to readers. A DeNova stack runs
+//! a random write/overwrite/truncate interleaving whose pages repeat across
+//! files — the multi-page duplicate sequences the daemon grows by memcmp
+//! instead of hashing — and every file must come out byte-identical to an
+//! in-memory model. Aligned clones written afterwards dedup in full, each
+//! through one shared-extent entry, with FACT holding one record per
+//! canonical block. Then the stack is audited: FACT fsck is clean, and
+//! every record's fingerprint is that of its canonical block's bytes.
 
 use denova_repro::denova::fsck::fsck_fact;
 use denova_repro::prelude::*;
@@ -22,14 +20,14 @@ enum Op {
     /// Write `pages` pages of image content derived from `seed` at `off_pg`.
     /// The same (seed, absolute page) always produces the same bytes, so
     /// replaying a seed in another file creates multi-page duplicate
-    /// sequences — exactly what run promotion feeds on.
+    /// sequences — exactly what extent growth feeds on.
     Image {
         file: u8,
         off_pg: u8,
         pages: u8,
         seed: u8,
     },
-    /// Write all-zero pages: the hole-elision path must also be mode-blind.
+    /// Write all-zero pages: the hole-elision path.
     Zeros {
         file: u8,
         off_pg: u8,
@@ -82,19 +80,17 @@ fn page_bytes(seed: u8, pg: u64) -> Vec<u8> {
         .collect()
 }
 
-fn mk_stack(threshold: u32) -> (Arc<PmemDevice>, Denova) {
+fn mk_stack() -> Denova {
     let dev = Arc::new(PmemDevice::new(48 * 1024 * 1024));
-    let fs = Denova::mkfs(
-        dev.clone(),
+    Denova::mkfs(
+        dev,
         NovaOptions {
             num_inodes: 64,
             ..Default::default()
         },
         DedupMode::Immediate,
     )
-    .unwrap();
-    fs.fact().set_extent_threshold_pages(threshold);
-    (dev, fs)
+    .unwrap()
 }
 
 fn apply(fs: &Denova, model: &mut HashMap<String, Vec<u8>>, op: &Op) {
@@ -158,85 +154,60 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn extent_runs_are_byte_identical_to_per_block(
+    fn extent_growth_is_byte_identical_and_one_record_per_block(
         ops in prop::collection::vec(op_strategy(), 1..40),
     ) {
-        let (_dev_e, extent) = mk_stack(4);
-        let (_dev_p, per_block) = mk_stack(0);
+        let fs = mk_stack();
         let mut model = HashMap::new();
-        let mut shadow = HashMap::new();
-
         for op in &ops {
-            apply(&extent, &mut model, op);
-            apply(&per_block, &mut shadow, op);
+            apply(&fs, &mut model, op);
         }
-        extent.drain();
-        per_block.drain();
-        prop_assert_eq!(&model, &shadow);
+        fs.drain();
 
-        // Byte-identity: both stacks serve the model's bytes exactly.
+        // Byte-identity: the stack serves the model's bytes exactly.
         for (name, expect) in &model {
-            for fs in [&extent, &per_block] {
-                let ino = fs.open(name).unwrap();
-                prop_assert_eq!(fs.file_size(ino).unwrap() as usize, expect.len());
-                let got = fs.read(ino, 0, expect.len()).unwrap();
-                prop_assert_eq!(&got, expect, "{} content mismatch", name);
-            }
+            let ino = fs.open(name).unwrap();
+            prop_assert_eq!(fs.file_size(ino).unwrap() as usize, expect.len());
+            let got = fs.read(ino, 0, expect.len()).unwrap();
+            prop_assert_eq!(&got, expect, "{} content mismatch", name);
         }
 
-        // Same dedup outcome on aligned clones of one template, the shape
-        // VM images take: promotion changes how many FACT records track the
-        // duplicates (one run record instead of one per page), never how
-        // many pages dedup. The template's content
-        // (page_bytes values 64..72) is disjoint from every page the
-        // interleaving wrote. Over the interleaving itself the two outcomes
-        // may differ: a duplicate sequence that starts inside a promoted run
-        // finds no anchor, since run interiors stay out of the lookup path.
+        // Aligned clones of one template, the shape VM images take: the
+        // first registers its 8 pages, the next two dedup in full — each
+        // through one shared-extent entry — and FACT gains one record per
+        // canonical block. The template's content (page_bytes values
+        // 64..72) is disjoint from every page the interleaving wrote.
         let template: Vec<u8> = (0..8).flat_map(|k| page_bytes(0, 64 + k)).collect();
-        let mut outcome = Vec::new();
-        for fs in [&extent, &per_block] {
-            let (saved, records) = (fs.bytes_saved(), fs.fact().occupied_count());
-            for c in 0..3 {
-                let ino = fs.create(&format!("clone{c}")).unwrap();
-                fs.write(ino, 0, &template).unwrap();
-                fs.drain();
-            }
-            outcome.push((
-                fs.bytes_saved() - saved,
-                fs.fact().occupied_count() - records,
-            ));
+        let (saved, records) = (fs.bytes_saved(), fs.fact().occupied_count());
+        for c in 0..3 {
+            let ino = fs.create(&format!("clone{c}")).unwrap();
+            fs.write(ino, 0, &template).unwrap();
+            fs.drain();
+            prop_assert_eq!(fs.read(ino, 0, template.len()).unwrap(), template.clone());
+            let entries: std::collections::HashSet<u64> = fs
+                .nova()
+                .with_inode_read(ino, |mem| {
+                    Ok((0..8).map(|pg| mem.radix.get(pg).unwrap().entry_off).collect())
+                })
+                .unwrap();
+            prop_assert_eq!(entries.len(), 1, "clone{} maps one extent entry", c);
         }
-        let ((e_saved, e_records), (p_saved, p_records)) = (outcome[0], outcome[1]);
-        prop_assert_eq!(e_saved, p_saved);
-        prop_assert_eq!(e_saved, 2 * template.len() as u64);
-        prop_assert_eq!((e_records, p_records), (1, 8), "FACT records, promoted vs per-block");
+        prop_assert_eq!(fs.bytes_saved() - saved, 2 * template.len() as u64);
+        prop_assert_eq!(fs.fact().occupied_count() - records, 8);
 
-        // The promoted stack's dedup metadata is consistent...
-        let report = fsck_fact(extent.nova(), extent.fact()).unwrap();
+        // The dedup metadata is consistent...
+        let report = fsck_fact(fs.nova(), fs.fact()).unwrap();
         prop_assert!(report.is_clean(), "fact fsck: {:?}", report.errors);
 
-        // ...and no run-interior page is reachable through the fingerprint
-        // lookup path, after every overwrite, split and demotion in the
-        // interleaving.
-        let dev = extent.nova().device().clone();
-        let layout = *extent.nova().layout();
-        let fact = extent.fact();
-        let mut interiors = Vec::new();
-        fact.for_each_occupied(|_, e| {
-            if e.run_pages > 1 {
-                interiors.extend((1..e.run_pages as u64).map(|k| (e.block, e.block + k)));
-            }
-        });
-        for (anchor_block, block) in interiors {
-            let fp = dev.with_slice(layout.block_off(block), PG, Fingerprint::of);
-            if let Some((_, found)) = fact.lookup(&fp) {
-                // Equal content may legitimately live elsewhere as its own
-                // record, but never as a per-page alias of this interior.
-                prop_assert_ne!(
-                    found.block, block,
-                    "interior of run at {} leaked into lookup", anchor_block
-                );
-            }
+        // ...and growth never registered bytes it did not compare: every
+        // record's fingerprint is its canonical block's.
+        let dev = fs.nova().device().clone();
+        let layout = *fs.nova().layout();
+        let mut records = Vec::new();
+        fs.fact().for_each_occupied(|_, e| records.push((e.block, e.fp)));
+        for (block, fp) in records {
+            let actual = dev.with_slice(layout.block_off(block), PG, Fingerprint::of);
+            prop_assert_eq!(actual, fp, "record of block {}", block);
         }
     }
 }
