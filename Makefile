@@ -2,11 +2,11 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test e2e-check fmt-check clippy one-conn-path figures serve-smoke repl-smoke clean
+.PHONY: verify build test e2e-check fmt-check clippy one-conn-path figures serve-smoke clean
 
-# The tier-1 gate: what CI runs. The two smokes drive the real CLI across
-# processes (repl SIGKILLs a server); neither writes a tracked file.
-verify: build fmt-check clippy one-conn-path test e2e-check serve-smoke repl-smoke
+# The tier-1 gate: what CI runs. The smoke drives the real CLI across
+# processes and writes no tracked file.
+verify: build fmt-check clippy one-conn-path test e2e-check serve-smoke
 
 build:
 	$(CARGO) build --release
@@ -42,7 +42,7 @@ clippy:
 
 # Source check: one connection state machine. No thread-per-connection
 # server under crates/, and crates/svc spawns threads only for the pool
-# workers and the replication handover.
+# workers.
 one-conn-path:
 	bash scripts/one_conn_path.sh
 
@@ -50,11 +50,6 @@ one-conn-path:
 # put/get/stat/rm round-trip via --remote, clean shutdown, fsck.
 serve-smoke: build
 	bash scripts/serve_smoke.sh
-
-# Failover check: sync-ack primary + standby, SIGKILL the primary, promote
-# the standby over the wire, verify payloads byte-for-byte, fsck the image.
-repl-smoke: build
-	bash scripts/repl_smoke.sh
 
 # Smoke-scale run of every figure/table in the evaluation.
 figures:

@@ -8,7 +8,7 @@
 use crate::nvdedup::{NvDedupTable, NvOutcome};
 use denova_fingerprint::is_zero_page;
 use denova_nova::{
-    DedupeFlag, FsOp, Nova, NovaError, NovaHooks, ReclaimDecision, Result, WriteEntry, BLOCK_SIZE,
+    DedupeFlag, Nova, NovaError, NovaHooks, ReclaimDecision, Result, WriteEntry, BLOCK_SIZE,
     HOLE_BLOCK, ROOT_INO,
 };
 use std::sync::Arc;
@@ -149,16 +149,8 @@ pub fn write_inline_adaptive(
         for block in obsolete {
             ctx.reclaim_block(block);
         }
-        // Replication tap: this alternate commit path must report its
-        // writes too, or a replicated primary in adaptive mode ships only
-        // namespace ops.
-        Ok(nova.emit_op(|| FsOp::Write {
-            ino,
-            offset,
-            data: data.to_vec(),
-        }))
-    })
-    .map(Nova::settle_op)?;
+        Ok(())
+    })?;
     stats.record_other_ops_time(t_start.elapsed());
     Ok(())
 }

@@ -133,8 +133,10 @@ pub struct Daemon {
     threads: Vec<std::thread::JoinHandle<()>>,
     workers: usize,
     dwq: Arc<Dwq>,
-    /// Pool-wide dedup-vs-exclusive-work lock (see [`Daemon::with_quiesced`]).
-    quiesce: Arc<RwLock<()>>,
+    /// Pool-wide dedup-vs-exclusive-work lock: workers hold it shared
+    /// around each batch; the scrub and [`crate::Denova::quiesce`] hold it
+    /// exclusively.
+    pub(crate) quiesce: Arc<RwLock<()>>,
 }
 
 impl Daemon {
@@ -176,15 +178,6 @@ impl Daemon {
             dwq,
             quiesce,
         }
-    }
-
-    /// Run `f` under the pool-wide exclusive quiesce lock: no dedup batch or
-    /// FACT scrub overlaps it on any worker. Used by the replication layer
-    /// to capture crash-consistent device snapshots with no dedup
-    /// transaction in flight.
-    pub fn with_quiesced<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _excl = self.quiesce.write();
-        f()
     }
 
     /// Worker threads actually running (after clamping to the shard count).

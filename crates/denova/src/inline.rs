@@ -15,7 +15,7 @@
 use crate::fact::{Fact, FactEntry};
 use denova_fingerprint::is_zero_page;
 use denova_nova::{
-    DedupeFlag, FsOp, Nova, NovaError, Result, WriteEntry, BLOCK_SIZE, HOLE_BLOCK, ROOT_INO,
+    DedupeFlag, Nova, NovaError, Result, WriteEntry, BLOCK_SIZE, HOLE_BLOCK, ROOT_INO,
 };
 use std::time::Instant;
 
@@ -152,21 +152,12 @@ pub fn write_inline(nova: &Nova, fact: &Fact, ino: u64, offset: u64, data: &[u8]
         for block in obsolete {
             ctx.reclaim_block(block);
         }
-        // Replication tap: inline dedup is an alternate commit path, so it
-        // must report its writes just like the plain path does — a primary
-        // mounted in Inline mode would otherwise ship no file data.
-        Ok(nova.emit_op(|| FsOp::Write {
-            ino,
-            offset,
-            data: data.to_vec(),
-        }))
+        Ok(())
     });
 
     stats.record_fingerprint_time(fp_time);
     stats.record_other_ops_time(t_start.elapsed().saturating_sub(fp_time));
-    let pending = result?;
-    Nova::settle_op(pending);
-    Ok(())
+    result
 }
 
 #[cfg(test)]

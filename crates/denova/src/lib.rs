@@ -344,15 +344,13 @@ impl Denova {
         recovery::scrub(&self.nova, &self.fact)
     }
 
-    /// Run `f` with the dedup worker pool quiesced: no dedup batch or scrub
-    /// is in flight anywhere in the pool while `f` runs. The replication
-    /// layer captures crash-consistent device snapshots under this. No-op
+    /// Run `f` with the dedup worker pool parked: no dedup batch or scrub is
+    /// in flight anywhere in the pool while `f` runs, and work `f` queues
+    /// waits until it returns. Tests use it to build a backlog. No-op
     /// wrapper in modes without a daemon.
     pub fn quiesce<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.daemon {
-            Some(d) => d.with_quiesced(f),
-            None => f(),
-        }
+        let _excl = self.daemon.as_ref().map(|d| d.quiesce.write());
+        f()
     }
 
     /// Bytes of storage the dedup layer has saved so far.

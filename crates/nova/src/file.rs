@@ -19,7 +19,6 @@ use crate::error::{NovaError, Result};
 use crate::fs::{InodeCtx, Nova};
 use crate::layout::{BLOCK_SIZE, HOLE_BLOCK, ROOT_INO};
 use crate::stats::NovaStats;
-use crate::tap::FsOp;
 use denova_fingerprint::is_zero_page;
 
 impl Nova {
@@ -210,17 +209,8 @@ impl Nova {
             for block in obsolete {
                 ctx.reclaim_block(block);
             }
-            // Tap while the inode lock is held: two writes to one file must
-            // reach the replication journal in their commit order. The
-            // (possibly blocking) settle runs after the lock is released.
-            let pending = self.emit_op(|| FsOp::Write {
-                ino,
-                offset,
-                data: data.to_vec(),
-            });
-            Ok((offs.into_iter().zip(entries).collect::<Vec<_>>(), pending))
+            Ok(offs.into_iter().zip(entries).collect::<Vec<_>>())
         })?;
-        let (committed, pending) = committed;
         // Fences have per-thread semantics, so this delta is exactly the
         // commit path's fence count even with concurrent writers.
         NovaStats::add(
@@ -235,7 +225,6 @@ impl Nova {
         for (off, we) in &committed {
             hooks.on_write_committed(ino, *off, we);
         }
-        Nova::settle_op(pending);
         NovaStats::add(&self.stats().writes, 1);
         NovaStats::add(&self.stats().bytes_written, data.len() as u64);
         Ok(())
@@ -326,20 +315,13 @@ impl Nova {
             for block in obsolete {
                 ctx.reclaim_block(block);
             }
-            let pending = self.emit_op(|| FsOp::Write {
-                ino,
-                offset,
-                data: data.to_vec(),
-            });
-            Ok((offs.into_iter().zip(entries).collect::<Vec<_>>(), pending))
+            Ok(offs.into_iter().zip(entries).collect::<Vec<_>>())
         })?;
-        let (committed, pending) = committed;
 
         let hooks = self.current_hooks();
         for (off, we) in &committed {
             hooks.on_write_committed(ino, *off, we);
         }
-        Nova::settle_op(pending);
         NovaStats::add(&self.stats().writes, 1);
         NovaStats::add(&self.stats().bytes_written, data.len() as u64);
         Ok(())
@@ -419,7 +401,7 @@ impl Nova {
         if ino == ROOT_INO {
             return Err(NovaError::BadInode(ino));
         }
-        let pending = self.with_inode_write(ino, |ctx| {
+        self.with_inode_write(ino, |ctx| {
             let txid = ctx.next_txid();
             let attr = crate::entry::AttrEntry { new_size, txid }.encode();
             let off = ctx.append(&[attr], "nova::truncate")?[0];
@@ -440,14 +422,8 @@ impl Nova {
                 }
             }
             ctx.mem.set_size(new_size);
-            ctx.commit_size(new_size)?;
-            Ok(self.emit_op(|| FsOp::Truncate {
-                ino,
-                size: new_size,
-            }))
-        })?;
-        Nova::settle_op(pending);
-        Ok(())
+            ctx.commit_size(new_size)
+        })
     }
 }
 

@@ -13,7 +13,6 @@ use crate::log::{self, LogPosition};
 use crate::recovery::{DedupPending, LogWalk};
 use crate::stats::NovaStats;
 use crate::superblock;
-use crate::tap::{FsOp, OpTap};
 use denova_pmem::PmemDevice;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -368,8 +367,6 @@ pub struct Nova {
     txid: AtomicU64,
     dedup_enabled: AtomicBool,
     hooks: RwLock<Arc<dyn NovaHooks>>,
-    /// Post-commit observer for mutating operations (replication tap).
-    op_tap: RwLock<Option<Arc<dyn OpTap>>>,
     stats: NovaStats,
     /// Pool of 4 KiB staging pages for partial head/tail CoW merges in the
     /// zero-copy write path: only unaligned edges are staged, so the pool
@@ -414,7 +411,6 @@ impl Nova {
             txid: AtomicU64::new(1),
             dedup_enabled: AtomicBool::new(opts.dedup_enabled),
             hooks: RwLock::new(Arc::new(NoHooks)),
-            op_tap: RwLock::new(None),
             stats: NovaStats::new(dev.metrics()),
             scratch: denova_sync::Stack::new(),
             dedup_pending: Mutex::new(DedupPending::default()),
@@ -449,7 +445,6 @@ impl Nova {
             txid: AtomicU64::new(recovered.next_txid),
             dedup_enabled: AtomicBool::new(opts.dedup_enabled),
             hooks: RwLock::new(Arc::new(NoHooks)),
-            op_tap: RwLock::new(None),
             stats: NovaStats::new(dev.metrics()),
             scratch: denova_sync::Stack::new(),
             dedup_pending: Mutex::new(recovered.dedup_pending),
@@ -497,47 +492,6 @@ impl Nova {
     /// Install the dedup layer's hooks.
     pub fn set_hooks(&self, hooks: Arc<dyn NovaHooks>) {
         *self.hooks.write() = hooks;
-    }
-
-    /// Install a post-commit operation tap (see [`crate::tap`]). Replaces
-    /// any previous tap.
-    pub fn set_op_tap(&self, tap: Arc<dyn OpTap>) {
-        *self.op_tap.write() = Some(tap);
-    }
-
-    /// Remove the operation tap.
-    pub fn clear_op_tap(&self) {
-        *self.op_tap.write() = None;
-    }
-
-    /// True while an operation tap is installed: every mutating operation
-    /// then also runs the tap's settle phase, which may wait (a sync-ack
-    /// replication tap waits for the standby).
-    pub fn has_op_tap(&self) -> bool {
-        self.op_tap.read().is_some()
-    }
-
-    /// Emit a committed op to the installed tap, if any. `make` only runs
-    /// when a tap is installed, so untapped mounts pay no payload clone.
-    /// Must be called inside the operation's committing critical section;
-    /// the returned [`PendingOp`] (if any) must be settled after the locks
-    /// are released, before returning to the caller. Public so alternate
-    /// write paths (e.g. the dedup layer's inline write) can report their
-    /// commits too.
-    pub fn emit_op(&self, make: impl FnOnce() -> FsOp) -> Option<crate::tap::PendingOp> {
-        let tap = self.op_tap.read().clone();
-        tap.map(|t| {
-            let ticket = t.op_committed(make());
-            crate::tap::PendingOp::new(t, ticket)
-        })
-    }
-
-    /// Settle an op emitted by [`Nova::emit_op`] — call with every
-    /// committing lock released.
-    pub fn settle_op(pending: Option<crate::tap::PendingOp>) {
-        if let Some(p) = pending {
-            p.settle();
-        }
     }
 
     /// Enable/disable tagging of new write entries as dedup candidates.
@@ -829,15 +783,7 @@ impl Nova {
         self.inode_map
             .insert(ino, InodeSlot::new(InodeMem::default()));
         ns.insert(name.to_string(), ino);
-        // Tap under the namespace lock: replication must see name operations
-        // in their commit order. Settle (which may block on standby acks)
-        // only after the lock is gone.
-        let pending = self.emit_op(|| FsOp::Create {
-            name: name.to_string(),
-            ino,
-        });
         drop(ns);
-        Nova::settle_op(pending);
         NovaStats::add(&self.stats.creates, 1);
         Ok(ino)
     }
@@ -890,13 +836,6 @@ impl Nova {
         let nlink = table.read(ino)?.link_count;
         table.set_link_count(ino, nlink + 1)?;
         ns.insert(new_name.to_string(), ino);
-        let pending = self.emit_op(|| FsOp::Link {
-            existing: existing.to_string(),
-            new_name: new_name.to_string(),
-            ino,
-        });
-        drop(ns);
-        Nova::settle_op(pending);
         Ok(ino)
     }
 
@@ -919,11 +858,7 @@ impl Nova {
         })?;
         ns.remove(name);
         let remaining = ns.values().filter(|&&i| i == ino).count();
-        let pending = self.emit_op(|| FsOp::Unlink {
-            name: name.to_string(),
-        });
         drop(ns);
-        Nova::settle_op(pending);
         self.dev.crash_point("nova::unlink::after_dentry");
 
         let table = self.table();
@@ -994,16 +929,11 @@ impl Nova {
         })?;
         ns.remove(from);
         ns.insert(to.to_string(), ino);
-        let pending = self.emit_op(|| FsOp::Rename {
-            from: from.to_string(),
-            to: to.to_string(),
-        });
         // The clobbered inode loses one name; it is only released when that
         // was its last (it may have other hard links).
         let clobbered_remaining =
             clobbered.map(|old| (old, ns.values().filter(|&&i| i == old).count()));
         drop(ns);
-        Nova::settle_op(pending);
         if let Some((old, remaining)) = clobbered_remaining {
             let table = self.table();
             let nlink = table.read(old)?.link_count;

@@ -36,7 +36,6 @@ pub mod log;
 pub mod recovery;
 pub mod stats;
 pub mod superblock;
-pub mod tap;
 
 pub use alloc::{Allocator, BlockBitmap};
 pub use entry::{AttrEntry, DedupeFlag, DentryEntry, EntryType, LogEntry, WriteEntry};
@@ -49,4 +48,3 @@ pub use layout::{Layout, BLOCK_SIZE, HOLE_BLOCK, LOG_ENTRY_SIZE, ROOT_INO};
 pub use log::{LogIter, LogPosition};
 pub use recovery::{DedupPending, LogWalk, PhaseCost};
 pub use stats::NovaStats;
-pub use tap::{FsOp, NoOpTap, OpTap};

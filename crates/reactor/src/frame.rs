@@ -159,9 +159,8 @@ pub struct Filled {
 ///
 /// Bytes arrive through [`FrameDecoder::fill`] (read off a socket) or
 /// [`FrameDecoder::push`] (handed over as a slice); complete frames are
-/// popped one at a time with [`FrameDecoder::next_frame`] so a consumer can
-/// stop mid-buffer (e.g. on a connection handover) and reclaim the untouched
-/// remainder with [`FrameDecoder::take_residue`].
+/// popped one at a time with [`FrameDecoder::next_frame`]; whatever has not
+/// been popped yet comes back verbatim from [`FrameDecoder::take_residue`].
 ///
 /// ## Layout
 ///
@@ -342,9 +341,8 @@ impl FrameDecoder {
         Ok(Some(frame))
     }
 
-    /// Surrender all undecoded bytes (raw, prefixes included) — used when a
-    /// connection is detached from the reactor and handed to another owner,
-    /// which must see exactly the byte stream the socket would have shown.
+    /// Surrender all undecoded bytes (raw, prefixes included): exactly the
+    /// byte stream the socket showed after the last frame popped.
     pub fn take_residue(&mut self) -> Vec<u8> {
         let mut residue = Vec::new();
         if let Some(body) = self.body.take() {

@@ -13,8 +13,8 @@
 //! The reactor owns *readiness and framing*; the application owns *meaning*.
 //! An application implements [`ConnHandler`]: `on_frame` is called on the
 //! loop thread with each decoded frame and may reply inline, hand work to a
-//! thread pool, pause reads (backpressure), or detach the connection
-//! entirely (protocol handover). Completed work is handed back to the owning
+//! thread pool, pause reads (backpressure), or close the connection.
+//! Completed work is handed back to the owning
 //! loop through a [`ReplyHandle`] — the loop wakes via eventfd, runs
 //! `on_reply` (accounting) on its own thread, and flushes the reply when the
 //! socket is write-ready. Handler state is therefore only ever touched from
@@ -113,9 +113,6 @@ pub enum FrameOutcome {
     /// Stop reading; flush outstanding replies (including replies to work
     /// still in flight), then close.
     Close,
-    /// Deregister the socket and hand it — plus any unconsumed bytes — to
-    /// [`ConnHandler::on_detach`]. Used for protocol handover.
-    Detach,
 }
 
 /// Per-connection application logic. All methods run on the owning loop
@@ -130,14 +127,6 @@ pub trait ConnHandler: Send {
     /// in-flight work and resume paused reads.
     fn on_reply(&mut self, io: &mut ConnIo<'_>, frame: Vec<u8>) {
         io.send(frame);
-    }
-
-    /// The connection was detached ([`FrameOutcome::Detach`]). `residue` is
-    /// every byte read off the socket but not yet consumed as a frame; the
-    /// new owner must process it before reading the socket. The socket has
-    /// been restored to blocking mode.
-    fn on_detach(&mut self, sock: Socket, residue: Vec<u8>) {
-        let _ = (sock, residue);
     }
 
     /// The connection closed (EOF, error, timeout, or drain).
@@ -474,17 +463,16 @@ impl EventLoop {
 
     /// Advance one connection's state machine: decode buffered frames into
     /// the handler, flush the send queue, re-arm epoll interest, and close
-    /// or detach when the connection has run its course.
+    /// when the connection has run its course.
     fn progress_conn(&mut self, token: u64) {
         let draining = self.draining;
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let mut close = false;
-        let mut detach = false;
 
         // Decode: feed complete frames to the handler until it pauses,
-        // closes, detaches, or the buffer runs dry.
+        // closes, or the buffer runs dry.
         while !conn.paused
             && !conn.closing
             && !draining
@@ -505,21 +493,11 @@ impl EventLoop {
                         token,
                         shared: &c.shared,
                     };
-                    match c.handler.on_frame(&mut io, frame) {
-                        FrameOutcome::Continue => {}
-                        FrameOutcome::Close => conn.closing = true,
-                        FrameOutcome::Detach => {
-                            detach = true;
-                            break;
-                        }
+                    if c.handler.on_frame(&mut io, frame) == FrameOutcome::Close {
+                        conn.closing = true;
                     }
                 }
             }
-        }
-
-        if detach {
-            self.detach_conn(token);
-            return;
         }
 
         if !close && !conn.sendq.is_empty() {
@@ -563,15 +541,6 @@ impl EventLoop {
         if let Some(mut conn) = self.conns.remove(&token) {
             let _ = self.epoll.del(conn.fd);
             conn.handler.on_close();
-        }
-    }
-
-    fn detach_conn(&mut self, token: u64) {
-        if let Some(mut conn) = self.conns.remove(&token) {
-            let _ = self.epoll.del(conn.fd);
-            let residue = conn.dec.take_residue();
-            let _ = conn.sock.set_nonblocking(false);
-            conn.handler.on_detach(conn.sock, residue);
         }
     }
 
@@ -785,27 +754,8 @@ mod tests {
         assert_eq!(closed.load(Ordering::Relaxed), 8);
     }
 
-    /// Echoes until a frame says `detach`, then hands the socket over.
-    struct EchoThenDetach {
-        detached: std::sync::mpsc::Sender<(Socket, Vec<u8>)>,
-    }
-
-    impl ConnHandler for EchoThenDetach {
-        fn on_frame(&mut self, io: &mut ConnIo<'_>, frame: Vec<u8>) -> FrameOutcome {
-            if frame == b"detach" {
-                return FrameOutcome::Detach;
-            }
-            io.send(frame);
-            FrameOutcome::Continue
-        }
-
-        fn on_detach(&mut self, sock: Socket, residue: Vec<u8>) {
-            self.detached.send((sock, residue)).unwrap();
-        }
-    }
-
     #[test]
-    fn a_registered_unix_socket_is_served_and_detaches_with_its_residue() {
+    fn a_registered_unix_socket_is_served() {
         let r = Reactor::start(ReactorConfig {
             loops: 1,
             tick: Duration::from_millis(10),
@@ -813,26 +763,19 @@ mod tests {
         })
         .unwrap();
         let (mut peer, served) = UnixStream::pair().unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        r.register(served, Box::new(EchoThenDetach { detached: tx }));
+        let closed = Arc::new(AtomicU64::new(0));
+        r.register(
+            served,
+            Box::new(Echo {
+                closed: closed.clone(),
+            }),
+        );
         peer.write_all(&wire_frame(b"over a socketpair")).unwrap();
-        assert_eq!(read_one_frame(&mut peer), b"over a socketpair");
-        // One write: the handover frame and the bytes behind it.
-        let mut bytes = wire_frame(b"detach");
-        bytes.extend_from_slice(b"after");
-        peer.write_all(&bytes).unwrap();
-        let (sock, residue) = rx.recv().unwrap();
-        assert_eq!(residue, b"after");
-        // The socket comes back blocking and still connected.
-        let Socket::Unix(mut sock) = sock else {
-            panic!("a unix socket went in");
-        };
-        peer.write_all(b"!").unwrap();
-        let mut one = [0u8; 1];
-        sock.read_exact(&mut one).unwrap();
-        assert_eq!(&one, b"!");
+        assert_eq!(read_one_frame(&mut peer), b"OVER A SOCKETPAIR");
+        drop(peer);
         r.drain();
         r.join();
+        assert_eq!(closed.load(Ordering::Relaxed), 1);
     }
 
     /// Off-thread replies through a ReplyHandle, with handler-side inflight

@@ -38,8 +38,8 @@ const PIPELINE_WINDOW: usize = 32;
 /// [`MAX_FRAME`](crate::codec::MAX_FRAME) with headers included.
 const CHUNK: usize = 4 << 20;
 
-/// Re-dials the server, producing a fresh stream. Shared by the client's
-/// automatic reconnect and the replication standby's redial loop.
+/// Re-dials the server, producing a fresh stream for the client's automatic
+/// reconnect.
 pub type Connector = Arc<dyn Fn() -> io::Result<Box<dyn Stream>> + Send + Sync>;
 
 /// Dial `addr` over TCP with the client's socket options applied.
@@ -567,12 +567,6 @@ impl Client {
     /// exits its accept loop.
     pub fn shutdown_server(&mut self) -> Result<(), SvcError> {
         self.expect_empty(&Request::Shutdown)
-    }
-
-    /// Promote a standby replica to primary. Idempotent server-side: a node
-    /// that is already primary acknowledges without effect.
-    pub fn promote(&mut self) -> Result<(), SvcError> {
-        self.expect_empty(&Request::Promote)
     }
 
     /// Store a whole file: create it if missing, overwrite from offset 0, and

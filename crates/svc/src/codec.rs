@@ -289,22 +289,6 @@ pub trait Wire: Sized {
 
     /// Read one value.
     fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
-
-    /// This value alone, as a payload.
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.put(&mut e);
-        e.finish()
-    }
-
-    /// Decode a payload that holds exactly this one value (trailing bytes
-    /// are an error).
-    fn from_bytes(payload: &[u8]) -> Result<Self, DecodeError> {
-        let mut d = Dec::new(payload);
-        let v = Self::take(&mut d)?;
-        d.finish()?;
-        Ok(v)
-    }
 }
 
 macro_rules! wire_ints {
@@ -427,12 +411,14 @@ pub const fn row_of(rows: &[(u8, &str)], name: &str) -> usize {
 ///         3 "label" Label(String),
 ///     }
 /// }
-/// use denova_svc::codec::{Wire, WireEnum};
+/// use denova_svc::codec::{Dec, Enc, Wire, WireEnum};
 /// let line = Shape::Line { len: 7 };
-/// assert_eq!(line.to_bytes(), [2, 7, 0, 0, 0]);
-/// assert_eq!(Shape::from_bytes(&[2, 7, 0, 0, 0]), Ok(line));
+/// let mut e = Enc::new();
+/// line.put(&mut e);
+/// assert_eq!(e.finish(), [2, 7, 0, 0, 0]);
+/// assert_eq!(Shape::take(&mut Dec::new(&[2, 7, 0, 0, 0])), Ok(line));
 /// assert_eq!((Shape::Dot.tag(), Shape::Dot.name()), (1, "dot"));
-/// assert!(Shape::from_bytes(&[9]).is_err());
+/// assert!(Shape::take(&mut Dec::new(&[9])).is_err());
 /// ```
 ///
 /// Each row is `tag "name" Variant`, then nothing (a unit variant), named

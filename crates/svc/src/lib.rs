@@ -32,7 +32,6 @@ pub mod client;
 pub mod codec;
 pub mod pool;
 pub mod proto;
-pub mod repl;
 pub mod server;
 pub mod service;
 pub mod tenant;
@@ -41,8 +40,7 @@ pub mod transport;
 pub use client::{dial_tcp, Backoff, Client, Connector, RetryPolicy};
 pub use pool::ShardedPool;
 pub use proto::{hash_name, Body, RemoteDedupStats, Reply, Request, SvcError};
-pub use repl::{is_repl_frame, ReplMsg, REPL_MAGIC};
-pub use server::{ReplSink, Server, SvcConfig};
-pub use service::{FileService, ReplRole};
+pub use server::{Server, SvcConfig};
+pub use service::FileService;
 pub use tenant::{Tenant, TenantRegistry, DEFAULT_TENANT};
 pub use transport::Stream;

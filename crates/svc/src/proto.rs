@@ -106,12 +106,10 @@ wire_enum! {
         },
         /// Ask the server to drain and shut down (acknowledged before exit).
         15 "shutdown" Shutdown,
-        /// Promote a standby replica to primary (no-op acknowledged on a
-        /// server that is already primary).
-        16 "promote" Promote,
-        // Tags 17-22 carried the retired cluster protocol (map exchange and
-        // two-phase commit). They stay reserved and decode as an unknown
-        // opcode, so a frame carrying one gets a `BAD_REQUEST` reply.
+        // Tag 16 promoted a replication standby, and tags 17-22 carried the
+        // retired cluster protocol (map exchange and two-phase commit). They
+        // stay reserved and decode as an unknown opcode, so a frame carrying
+        // one gets a `BAD_REQUEST` reply.
         /// Declare the connection's tenant for QoS accounting and
         /// weighted-fair scheduling. Connections that never send it run as
         /// the default tenant, so pre-tenant clients keep working unchanged.
@@ -127,24 +125,9 @@ wire_enum! {
 }
 
 impl Request {
-    /// True for requests that modify file-system state. A standby replica
-    /// rejects these with [`SvcError::REPLICA_READ_ONLY`]; everything else
-    /// (reads, stats, fsync, shutdown, promote) is served locally.
-    pub fn is_mutating(&self) -> bool {
-        matches!(
-            self,
-            Request::Create { .. }
-                | Request::Write { .. }
-                | Request::Unlink { .. }
-                | Request::Link { .. }
-                | Request::Rename { .. }
-                | Request::Truncate { .. }
-        )
-    }
-
     /// True for requests the client may transparently re-send after a
     /// transport failure: retrying them cannot duplicate an effect. Mutating
-    /// ops and one-shot control ops (shutdown, promote) are excluded — the
+    /// ops and the one-shot shutdown are excluded — the
     /// first send may have been applied before the connection died.
     pub fn is_idempotent(&self) -> bool {
         matches!(
@@ -187,7 +170,6 @@ impl Request {
             | Request::DedupStats
             | Request::Telemetry { .. }
             | Request::Shutdown
-            | Request::Promote
             | Request::Hello { .. } => 0,
         }
     }
@@ -298,10 +280,9 @@ wire_struct! {
         pub device_bytes: u64,
         /// Dedup worker threads the serving mount runs with.
         pub dedup_workers: u64,
-        /// Nonzero when the serving node's sync-ack replication has been
-        /// degraded at least once (`repl.sync_degraded` latched): some op was
-        /// acknowledged without standby durability. Always 0 without
-        /// replication.
+        /// Reserved: flagged degraded sync-ack replication, which is retired.
+        /// The server always writes 0; the field keeps its 8 bytes so the
+        /// body's layout does not change.
         pub sync_degraded: u64,
     }
 }
@@ -358,11 +339,9 @@ impl SvcError {
     pub const SHUTTING_DOWN: u16 = 103;
     /// The operation panicked server-side; the connection survives.
     pub const INTERNAL: u16 = 104;
-    /// Mutating request sent to a standby replica; retry against the
-    /// primary, or promote this node first.
-    pub const REPLICA_READ_ONLY: u16 = 105;
-    // Code 106 marked a request routed to the wrong cluster shard; it
-    // stays reserved and is never reused.
+    // Code 105 rejected a mutating request sent to a replication standby,
+    // and code 106 marked a request routed to the wrong cluster shard; both
+    // stay reserved and are never reused.
     /// Transport-level failure, client-side only (never on the wire).
     pub const IO: u16 = 110;
     /// No reply within the client's deadline, client-side only. The request
@@ -495,7 +474,6 @@ mod tests {
             Request::DedupStats,
             Request::Telemetry { json: true },
             Request::Shutdown,
-            Request::Promote,
             Request::Hello {
                 tenant: "acme".into(),
                 weight: 4,
@@ -585,26 +563,26 @@ mod tests {
     }
 
     #[test]
-    fn mutating_and_idempotent_are_disjoint() {
-        let mutating: Vec<&'static str> = all_requests()
+    fn only_requests_without_effects_are_idempotent() {
+        let idempotent: Vec<&'static str> = all_requests()
             .iter()
-            .filter(|r| r.is_mutating())
+            .filter(|r| r.is_idempotent())
             .map(|r| r.op_name())
             .collect();
         assert_eq!(
-            mutating,
-            ["create", "write", "unlink", "link", "rename", "truncate"]
+            idempotent,
+            [
+                "ping",
+                "open",
+                "read",
+                "stat",
+                "list",
+                "fsync",
+                "dedup_stats",
+                "telemetry",
+                "hello"
+            ]
         );
-        for req in all_requests() {
-            assert!(
-                !(req.is_mutating() && req.is_idempotent()),
-                "{} cannot be both mutating and retry-safe",
-                req.op_name()
-            );
-        }
-        // One-shot control ops are neither.
-        assert!(!Request::Shutdown.is_idempotent());
-        assert!(!Request::Promote.is_idempotent());
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!    weighted-fair order are unchanged: lanes only hold requests that had
 //!    to wait.
 //! 3. **The stack cannot park it** ([`FileService::never_parks`]) — dedup is
-//!    offline (the inline modes' fingerprint pad may sleep) and no op tap is
-//!    installed (a sync-ack replication tap waits for its standby).
+//!    offline (the inline modes' fingerprint pad may sleep).
 //! 4. **Its inode is not write-locked at that instant** — the inode's
 //!    seqlock is even ([`denova_nova::Nova::inode_write_locked`]); with the
 //!    daemon's stage 2 or another writer inside, the request would park the
@@ -77,29 +76,19 @@
 use crate::codec::MAX_FRAME;
 use crate::pool::ShardedPool;
 use crate::proto::{decode_write_ref, encode_reply, Body, Reply, Request, SvcError, WriteRef};
-use crate::repl::{is_repl_frame, ReplMsg};
-use crate::service::{FileService, ReplRole};
+use crate::service::FileService;
 use crate::tenant::{Tenant, TenantRegistry};
-use crate::transport::Stream;
 use denova::Denova;
 use denova_nova::BLOCK_SIZE;
-use denova_reactor::{
-    ConnHandler, ConnIo, FrameOutcome, HandlerFactory, Reactor, ReactorConfig, Socket,
-};
+use denova_reactor::{ConnHandler, ConnIo, FrameOutcome, HandlerFactory, Reactor, ReactorConfig};
 use denova_telemetry::Counter;
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::io::{self, Read, Write};
+use parking_lot::{Condvar, Mutex};
+use std::io;
 use std::net::TcpListener;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Callback that takes over a connection whose first frame was a
-/// [`ReplMsg::Subscribe`]. Receives the stream (reader direction, clonable
-/// for the ack reader), the standby's `last_seq`, and `want_snapshot`. Owns
-/// the stream until it returns.
-pub type ReplSink = Arc<dyn Fn(Box<dyn Stream>, u64, bool) + Send + Sync>;
 
 /// Server tunables. The defaults match the paper-evaluation setup: 8 shards,
 /// a 32-request inflight window per connection, and timeouts generous enough
@@ -111,9 +100,8 @@ pub struct SvcConfig {
     /// Max queued-or-executing requests per connection before the server
     /// stops pulling frames off the socket.
     pub max_inflight_per_conn: usize,
-    /// How long a connection waits on a silent peer before it looks around:
-    /// the event loops' tick, which paces their stall checks, and the idle
-    /// poll of a connection handed over to the replication sink.
+    /// The event loops' tick: how long a loop waits for readiness before it
+    /// checks its connections for stalls.
     pub read_timeout: Duration,
     /// How long a peer may hold a connection up — stalled mid-frame, or not
     /// taking the bytes sent to it — before the connection is dropped.
@@ -147,10 +135,6 @@ struct ServerInner {
     backpressure_waits: Counter,
     /// Requests [`runs_on_loop`] ran on the event loop.
     inline: Counter,
-    repl_sink: RwLock<Option<ReplSink>>,
-    // Threads running the replication sink over a handed-over connection;
-    // every other connection lives in the reactor's event loops.
-    repl_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     // Shutdown wakeup: `serve` blocks on the condvar — never a sleep loop.
     stop_mx: Mutex<()>,
     stop_cv: Condvar,
@@ -208,8 +192,6 @@ impl Server {
                 rejected: metrics.counter("svc.rejected"),
                 backpressure_waits: metrics.counter("svc.backpressure_waits"),
                 inline: metrics.counter("svc.inline"),
-                repl_sink: RwLock::new(None),
-                repl_threads: Mutex::new(Vec::new()),
                 stop_mx: Mutex::new(()),
                 stop_cv: Condvar::new(),
                 reactor,
@@ -225,19 +207,6 @@ impl Server {
     /// The tenant registry: per-tenant accounting handles and weights.
     pub fn tenants(&self) -> &Arc<TenantRegistry> {
         &self.inner.tenants
-    }
-
-    /// Install the replication sink: connections whose first frame is a
-    /// [`ReplMsg::Subscribe`] are handed to `sink` instead of the request
-    /// loop. With no sink installed, replication frames get `BAD_REQUEST`.
-    pub fn set_repl_sink(&self, sink: Option<ReplSink>) {
-        *self.inner.repl_sink.write() = sink;
-    }
-
-    /// Install (or clear) the service's replication role — see
-    /// [`FileService::set_role`].
-    pub fn set_role(&self, role: Option<Arc<ReplRole>>) {
-        self.inner.service.set_role(role);
     }
 
     /// True once shutdown has been requested.
@@ -288,8 +257,6 @@ impl Server {
                 inner: inner.clone(),
                 tenant: inner.tenants.default_tenant().clone(),
                 inflight: 0,
-                fresh: true,
-                pending_repl: None,
             }) as Box<dyn ConnHandler>
         })
     }
@@ -303,11 +270,6 @@ impl Server {
         // be mid-frame (the Shutdown request itself), and its job must
         // still be accepted and its reply flushed before the socket closes.
         self.inner.reactor.join();
-        // With the loops gone nothing can hand over another connection.
-        let sinks: Vec<_> = self.inner.repl_threads.lock().drain(..).collect();
-        for t in sinks {
-            let _ = t.join();
-        }
         self.inner.pool.stop();
         let fs = self.inner.service.fs().clone();
         fs.drain();
@@ -336,12 +298,6 @@ enum Action {
         req_id: u64,
         key: u64,
         run: Box<dyn FnOnce() -> Vec<u8> + Send>,
-    },
-    /// Replication handover: the sink takes the stream.
-    Repl {
-        sink: ReplSink,
-        last_seq: u64,
-        want_snapshot: bool,
     },
 }
 
@@ -430,31 +386,6 @@ fn place(
 /// Decode one frame into an [`Action`]. `tenant` is the connection's current
 /// tenant and is swapped in place by `Hello`.
 fn classify(inner: &Arc<ServerInner>, tenant: &mut Arc<Tenant>, frame: Vec<u8>) -> Action {
-    if is_repl_frame(&frame) {
-        let sink = inner.repl_sink.read().clone();
-        return match (ReplMsg::decode(&frame), sink) {
-            (
-                Ok(ReplMsg::Subscribe {
-                    last_seq,
-                    want_snapshot,
-                }),
-                Some(sink),
-            ) => Action::Repl {
-                sink,
-                last_seq,
-                want_snapshot,
-            },
-            _ => {
-                inner.bad_requests.inc();
-                let reply: Reply = Err(SvcError::service(
-                    SvcError::BAD_REQUEST,
-                    "replication not enabled on this server",
-                ));
-                Action::Inline(encode_reply(0, &reply))
-            }
-        };
-    }
-
     // Zero-copy fast path: block-aligned whole-block writes skip
     // `Request::decode` (which copies the payload out of the frame) — the
     // request slices the wire buffer directly into the filesystem.
@@ -521,15 +452,10 @@ struct RConn {
     inner: Arc<ServerInner>,
     tenant: Arc<Tenant>,
     inflight: usize,
-    /// No frame has arrived yet: only the first may hand the connection
-    /// over to the replication sink.
-    fresh: bool,
-    pending_repl: Option<(ReplSink, u64, bool)>,
 }
 
 impl ConnHandler for RConn {
     fn on_frame(&mut self, io: &mut ConnIo<'_>, frame: Vec<u8>) -> FrameOutcome {
-        let first = std::mem::replace(&mut self.fresh, false);
         match classify(&self.inner, &mut self.tenant, frame) {
             Action::Inline(reply) => {
                 // A worker lets go of its shard after handing its reply
@@ -541,28 +467,6 @@ impl ConnHandler for RConn {
                 }
                 io.send(reply);
                 FrameOutcome::Continue
-            }
-            Action::Repl {
-                sink,
-                last_seq,
-                want_snapshot,
-            } => {
-                if !first {
-                    // The handover would strand the replies to earlier
-                    // frames — in flight, or already queued because they
-                    // ran on the loop; a sane standby subscribes as its
-                    // first act on a fresh connection, so this is a
-                    // protocol violation.
-                    self.inner.bad_requests.inc();
-                    let reply: Reply = Err(SvcError::service(
-                        SvcError::BAD_REQUEST,
-                        "Subscribe must be the first frame on a connection",
-                    ));
-                    io.send(encode_reply(0, &reply));
-                    return FrameOutcome::Continue;
-                }
-                self.pending_repl = Some((sink, last_seq, want_snapshot));
-                FrameOutcome::Detach
             }
             Action::Job { req_id, key, run } => {
                 self.inflight += 1;
@@ -604,36 +508,6 @@ impl ConnHandler for RConn {
         }
     }
 
-    fn on_detach(&mut self, sock: Socket, residue: Vec<u8>) {
-        let Some((sink, last_seq, want_snapshot)) = self.pending_repl.take() else {
-            return;
-        };
-        let sock: Box<dyn Stream> = match sock {
-            Socket::Tcp(s) => Box::new(s),
-            Socket::Unix(s) => Box::new(s),
-        };
-        let _ = sock.set_stream_timeouts(
-            Some(self.inner.config.read_timeout),
-            Some(self.inner.config.write_timeout),
-        );
-        // Any bytes the reactor read past the Subscribe frame must reach the
-        // sink before fresh socket reads do.
-        let stream: Box<dyn Stream> = if residue.is_empty() {
-            sock
-        } else {
-            Box::new(PrefixedStream::new(residue, sock))
-        };
-        let inner = self.inner.clone();
-        let handle = std::thread::Builder::new()
-            .name("svc-repl-conn".into())
-            .spawn(move || {
-                sink(stream, last_seq, want_snapshot);
-                inner.conns_closed.inc();
-            })
-            .expect("spawn svc replication connection thread");
-        self.inner.repl_threads.lock().push(handle);
-    }
-
     fn on_close(&mut self) {
         self.inner.conns_closed.inc();
     }
@@ -643,85 +517,18 @@ impl ConnHandler for RConn {
     }
 }
 
-/// A [`Stream`] that replays a byte prefix before reading the socket — used
-/// to hand a detached connection (plus the reactor's unconsumed read buffer)
-/// to the replication sink without losing bytes. The prefix cursor is shared
-/// across clones, mirroring socket `try_clone` semantics.
-struct PrefixedStream {
-    prefix: Arc<Mutex<(Vec<u8>, usize)>>,
-    sock: Box<dyn Stream>,
-}
-
-impl PrefixedStream {
-    fn new(prefix: Vec<u8>, sock: Box<dyn Stream>) -> PrefixedStream {
-        PrefixedStream {
-            prefix: Arc::new(Mutex::new((prefix, 0))),
-            sock,
-        }
-    }
-}
-
-impl Read for PrefixedStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        {
-            let mut guard = self.prefix.lock();
-            let (bytes, cursor) = &mut *guard;
-            if *cursor < bytes.len() {
-                let n = (bytes.len() - *cursor).min(buf.len());
-                buf[..n].copy_from_slice(&bytes[*cursor..*cursor + n]);
-                *cursor += n;
-                return Ok(n);
-            }
-        }
-        self.sock.read(buf)
-    }
-}
-
-impl Write for PrefixedStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.sock.write(buf)
-    }
-
-    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        self.sock.write_vectored(bufs)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.sock.flush()
-    }
-}
-
-impl Stream for PrefixedStream {
-    fn try_clone_stream(&self) -> io::Result<Box<dyn Stream>> {
-        Ok(Box::new(PrefixedStream {
-            prefix: self.prefix.clone(),
-            sock: self.sock.try_clone_stream()?,
-        }))
-    }
-
-    fn set_stream_timeouts(
-        &self,
-        read: Option<Duration>,
-        write: Option<Duration>,
-    ) -> io::Result<()> {
-        self.sock.set_stream_timeouts(read, write)
-    }
-
-    fn shutdown_stream(&self) {
-        self.sock.shutdown_stream();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{dial_tcp, Client};
     use crate::codec::{read_frame, write_frame, FrameRead};
     use crate::proto::decode_reply;
+    use crate::transport::Stream;
     use denova::DedupMode;
     use denova_nova::NovaOptions;
     use denova_pmem::PmemDevice;
     use std::collections::HashMap;
+    use std::io::{Read, Write};
     use std::net::SocketAddr;
     use std::sync::mpsc;
     use std::thread::JoinHandle;
@@ -871,69 +678,19 @@ mod tests {
     }
 
     #[test]
-    fn malformed_or_misplaced_frames_get_bad_request_and_connection_survives() {
+    fn malformed_frames_get_bad_request_and_connection_survives() {
         for kind in KINDS {
             let h = serve(kind);
-            let (handed_over, sink_calls) = mpsc::channel();
-            h.srv
-                .set_repl_sink(Some(Arc::new(move |_stream, last_seq, _snapshot| {
-                    handed_over.send(last_seq).unwrap();
-                })));
             let mut end = h.dial();
             // A syntactically valid frame whose payload is garbage.
             write_frame(&mut end, &[1, 2, 3]).unwrap();
             let (id, reply) = decode_reply(&next_frame(&mut end)).unwrap();
             assert_eq!((id, reply.unwrap_err().code), (0, SvcError::BAD_REQUEST));
-            // A Subscribe behind a request still in flight: both frames are
-            // decoded in one pass, before the ping's reply can come back.
-            let subscribe = ReplMsg::Subscribe {
-                last_seq: 7,
-                want_snapshot: false,
-            };
-            end.write_all(&wire(&[&Request::Ping.encode(1), &subscribe.encode()]))
-                .unwrap();
-            let replies: HashMap<u64, Reply> = (0..2)
-                .map(|_| decode_reply(&next_frame(&mut end)).unwrap())
-                .collect();
-            assert_eq!(replies[&1], Ok(Body::Empty));
-            let refused = replies[&0].clone().unwrap_err();
-            assert_eq!(refused.code, SvcError::BAD_REQUEST);
-            assert!(refused.message.contains("first frame"), "{refused:?}");
-            // The connection is still a request connection.
             let mut client = Client::from_stream(end);
             client.ping().unwrap();
-            assert!(sink_calls.try_recv().is_err(), "{kind:?}: handed over");
             let snap = h.srv.service().metrics().snapshot();
-            assert_eq!(snap.counter("svc.bad_requests"), Some(2));
+            assert_eq!(snap.counter("svc.bad_requests"), Some(1));
             drop(client);
-            h.stop();
-        }
-    }
-
-    #[test]
-    fn first_frame_subscribe_hands_the_socket_and_the_bytes_behind_it_to_the_sink() {
-        for kind in KINDS {
-            let h = serve(kind);
-            let (handed_over, sink_calls) = mpsc::channel();
-            h.srv
-                .set_repl_sink(Some(Arc::new(move |mut stream, last_seq, snapshot| {
-                    // Both directions work: echo one frame.
-                    let frame = next_frame(&mut stream);
-                    write_frame(&mut stream, &frame).unwrap();
-                    handed_over.send((last_seq, snapshot)).unwrap();
-                })));
-            let subscribe = ReplMsg::Subscribe {
-                last_seq: 7,
-                want_snapshot: true,
-            };
-            let mut end = h.dial();
-            // The frame behind the Subscribe is already in the reactor's
-            // read buffer at handover: the sink must see it first.
-            end.write_all(&wire(&[&subscribe.encode(), b"read past"]))
-                .unwrap();
-            assert_eq!(next_frame(&mut end), b"read past");
-            assert_eq!(sink_calls.recv().unwrap(), (7, true));
-            drop(end);
             h.stop();
         }
     }
@@ -1026,7 +783,7 @@ mod tests {
             });
             release.send(()).unwrap();
             // Every reply still arrives, in submission order (single shard).
-            let replies = replies_in_order_or_hang(&*end, 64, "pipelined writes");
+            let replies = replies_in_order_or_hang(&mut *end, 64, "pipelined writes");
             for (i, (id, reply)) in replies.into_iter().enumerate() {
                 assert_eq!(id, i as u64);
                 assert_eq!(reply.unwrap(), Body::Written(512));
@@ -1093,32 +850,30 @@ mod tests {
         .encode(req_id)
     }
 
-    /// Read `n` reply frames off `stream` on a helper thread; a hang (the
-    /// event loop parked) fails the test instead of wedging it. The bound
-    /// is a hang detector, not a latency assertion.
-    fn replies_or_hang(stream: &dyn Stream, n: usize, what: &str) -> HashMap<u64, Reply> {
+    /// Read `n` reply frames off `stream`; a hang (the event loop parked)
+    /// fails the test instead of wedging it. The socket's read timeout is a
+    /// hang detector, not a latency assertion.
+    fn replies_or_hang(stream: &mut dyn Stream, n: usize, what: &str) -> HashMap<u64, Reply> {
         replies_in_order_or_hang(stream, n, what)
             .into_iter()
             .collect()
     }
 
     /// [`replies_or_hang`], in arrival order.
-    fn replies_in_order_or_hang(stream: &dyn Stream, n: usize, what: &str) -> Vec<(u64, Reply)> {
-        let mut end = stream.try_clone_stream().unwrap();
-        let (tx, rx) = mpsc::channel();
-        let reader = std::thread::spawn(move || {
-            for _ in 0..n {
-                let _ = tx.send(decode_reply(&next_frame(&mut end)).unwrap());
-            }
-        });
-        let replies = (0..n)
-            .map(|_| {
-                rx.recv_timeout(Duration::from_secs(30))
-                    .unwrap_or_else(|_| panic!("{what}: no reply — the event loop is parked"))
+    fn replies_in_order_or_hang(
+        mut stream: &mut dyn Stream,
+        n: usize,
+        what: &str,
+    ) -> Vec<(u64, Reply)> {
+        stream
+            .set_stream_timeouts(Some(Duration::from_secs(30)), None)
+            .unwrap();
+        (0..n)
+            .map(|_| match read_frame(&mut stream) {
+                Ok(FrameRead::Frame(f)) => decode_reply(&f).unwrap(),
+                other => panic!("{what}: no reply — the event loop is parked ({other:?})"),
             })
-            .collect();
-        reader.join().unwrap();
-        replies
+            .collect()
     }
 
     /// Spin until `done`; like [`replies_or_hang`], the bound only turns a
@@ -1165,7 +920,7 @@ mod tests {
                 &Request::Stat { ino: a }.encode(4),
             ]))
             .unwrap();
-            let replies = replies_or_hang(&*end, 4, "pipelined frames");
+            let replies = replies_or_hang(&mut *end, 4, "pipelined frames");
             assert_eq!(replies[&1], Ok(Body::Written(1 << 20)));
             assert_eq!(replies[&2], Ok(Body::Written(BLOCK_SIZE as u32)));
             assert!(bytes(&replies[&3]).iter().all(|&b| b == 0xBB), "{kind:?}");
@@ -1310,30 +1065,17 @@ mod tests {
 
     #[test]
     fn a_stack_that_can_park_keeps_short_requests_in_the_pool() {
-        // Inline dedup (the fingerprint pad may sleep) and an installed op
-        // tap (a sync-ack tap waits for its standby) both fail clause 3.
-        for tapped in [false, true] {
-            let mode = if tapped {
-                DedupMode::Baseline
-            } else {
-                DedupMode::Inline
-            };
+        // The inline modes' fingerprint pad may sleep: clause 3 fails.
+        for mode in [DedupMode::Inline, DedupMode::InlineAdaptive] {
             let h = serve_with(Kind::Unix, mode, SvcConfig::default());
-            if tapped {
-                h.srv
-                    .service()
-                    .fs()
-                    .nova()
-                    .set_op_tap(Arc::new(denova_nova::tap::NoOpTap));
-            }
             let mut client = h.client();
             let ino = client.create("f").unwrap();
             h.srv.inner.pool.drain();
             let jobs = counter(&h, "svc.pool.jobs");
             client.write_at(ino, 0, &[7; 4096]).unwrap();
             client.ping().unwrap();
-            assert_eq!(counter(&h, "svc.inline"), 0, "tapped={tapped}");
-            assert_eq!(counter(&h, "svc.pool.jobs"), jobs + 2, "tapped={tapped}");
+            assert_eq!(counter(&h, "svc.inline"), 0, "{mode:?}");
+            assert_eq!(counter(&h, "svc.pool.jobs"), jobs + 2, "{mode:?}");
             drop(client);
             h.stop();
         }
@@ -1392,9 +1134,9 @@ mod tests {
         wait_until("the victim lane holds 2", || pool.queued() == 6);
         assert_eq!(counter(&h, "svc.inline"), inline);
         release.send(()).unwrap();
-        let g = replies_or_hang(&*greedy, 4, "greedy");
+        let g = replies_or_hang(&mut *greedy, 4, "greedy");
         assert!(g.values().all(|r| *r == Ok(Body::Written(4096))));
-        let v = replies_or_hang(&*victim, 2, "victim");
+        let v = replies_or_hang(&mut *victim, 2, "victim");
         assert_eq!(v[&1], Ok(Body::Written(4096)));
         assert!(matches!(&v[&2], Ok(Body::Stat(st)) if st.size == 4096));
         assert_eq!(counter(&h, "svc.inline"), inline);
@@ -1448,13 +1190,13 @@ mod tests {
         let mut c2 = h.dial();
         c2.write_all(&wire(&[&Request::Ping.encode(2), &write4k(b, 0, 0xBB, 3)]))
             .unwrap();
-        let r2 = replies_or_hang(&*c2, 2, "ping + write to B behind a locked inode");
+        let r2 = replies_or_hang(&mut *c2, 2, "ping + write to B behind a locked inode");
         assert_eq!(r2[&2], Ok(Body::Empty));
         assert_eq!(r2[&3], Ok(Body::Written(4096)));
         assert!(!holder.is_finished(), "A's lock was held throughout");
         release.send(()).unwrap();
         holder.join().unwrap();
-        let r1 = replies_or_hang(&*c1, 1, "write to A after release");
+        let r1 = replies_or_hang(&mut *c1, 1, "write to A after release");
         assert_eq!(r1[&1], Ok(Body::Written(4096)));
         let page = client.read_at(a, 0, 4096).unwrap();
         assert!(page.iter().all(|&x| x == 0xAA));

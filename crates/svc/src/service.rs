@@ -11,47 +11,8 @@ use crate::proto::{Body, RemoteDedupStats, Reply, Request, SvcError, WriteRef, W
 use denova::{DedupMode, Denova};
 use denova_nova::NovaError;
 use denova_telemetry::{Counter, Histogram, MetricsRegistry};
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The replication role of a serving node.
-///
-/// While `standby` is set, mutating requests are rejected with
-/// [`SvcError::REPLICA_READ_ONLY`]; a [`Request::Promote`] clears the flag
-/// and fires the registered promotion callback (which tells the standby
-/// loop to stop applying and take over). Promote on a node that is already
-/// primary is an acknowledged no-op, so failover scripts can retry it.
-#[derive(Default)]
-pub struct ReplRole {
-    standby: AtomicBool,
-    on_promote: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-}
-
-impl ReplRole {
-    /// A standby role with a promotion callback.
-    pub fn standby(on_promote: impl FnOnce() + Send + 'static) -> Arc<ReplRole> {
-        let role = ReplRole {
-            standby: AtomicBool::new(true),
-            on_promote: Mutex::new(Some(Box::new(on_promote))),
-        };
-        Arc::new(role)
-    }
-
-    /// True while this node is a read-only standby.
-    pub fn is_standby(&self) -> bool {
-        self.standby.load(Ordering::Acquire)
-    }
-
-    /// Flip to primary; runs the callback the first time only.
-    pub fn promote(&self) {
-        self.standby.store(false, Ordering::Release);
-        if let Some(cb) = self.on_promote.lock().take() {
-            cb();
-        }
-    }
-}
 
 /// Executes requests against a mounted file system.
 pub struct FileService {
@@ -62,7 +23,6 @@ pub struct FileService {
     request_ns: Histogram,
     zero_copy_writes: Counter,
     staged_writes: Counter,
-    role: RwLock<Option<Arc<ReplRole>>>,
 }
 
 impl FileService {
@@ -77,24 +37,12 @@ impl FileService {
             staged_writes: metrics.counter("svc.staged_writes"),
             metrics,
             fs,
-            role: RwLock::new(None),
         }
     }
 
     /// The mounted stack.
     pub fn fs(&self) -> &Arc<Denova> {
         &self.fs
-    }
-
-    /// Install (or clear) this node's replication role. With no role, or a
-    /// role that has been promoted, the service behaves as a primary.
-    pub fn set_role(&self, role: Option<Arc<ReplRole>>) {
-        *self.role.write() = role;
-    }
-
-    /// The installed replication role, if any.
-    pub fn role(&self) -> Option<Arc<ReplRole>> {
-        self.role.read().clone()
     }
 
     /// The registry this service records into.
@@ -126,17 +74,15 @@ impl FileService {
         reply
     }
 
-    /// True when nothing stacked around the file system can park a request:
-    /// dedup is offline (the inline modes pace SHA-1 with the `FpThrottle`
-    /// pad, which may sleep) and no op tap is installed (a sync-ack
-    /// replication tap waits up to its `sync_timeout` in `op_settled`). The
-    /// server runs short requests on its event loop only while this
-    /// holds.
+    /// True when the dedup mode cannot park a request: dedup is offline
+    /// (the inline modes pace SHA-1 with the `FpThrottle` pad, which may
+    /// sleep). The server runs short requests on its event loop only while
+    /// this holds.
     pub fn never_parks(&self) -> bool {
         !matches!(
             self.fs.mode(),
             DedupMode::Inline | DedupMode::InlineAdaptive
-        ) && !self.fs.nova().has_op_tap()
+        )
     }
 
     /// True when a [`WriteRef`] at `offset`/`data_len` may bypass
@@ -158,7 +104,6 @@ impl FileService {
     /// [`FileService::zero_copy_eligible`].
     pub fn execute_write_ref(&self, wr: &WriteRef, frame: &[u8]) -> Reply {
         self.timed(WRITE_METRIC, || {
-            self.check_writable()?;
             let data = &frame[wr.data_off..wr.data_off + wr.data_len];
             self.fs.write(wr.ino, wr.offset, data).map_err(wire)?;
             self.zero_copy_writes.inc();
@@ -166,21 +111,7 @@ impl FileService {
         })
     }
 
-    /// [`SvcError::REPLICA_READ_ONLY`] while this node is a standby.
-    fn check_writable(&self) -> Result<(), SvcError> {
-        match self.role() {
-            Some(role) if role.is_standby() => Err(SvcError::service(
-                SvcError::REPLICA_READ_ONLY,
-                "standby replica is read-only; promote it or write to the primary",
-            )),
-            _ => Ok(()),
-        }
-    }
-
     fn dispatch(&self, req: &Request) -> Reply {
-        if req.is_mutating() {
-            self.check_writable()?;
-        }
         let fs = &self.fs;
         match req {
             Request::Ping => Ok(Body::Empty),
@@ -236,10 +167,7 @@ impl FileService {
                     file_count: fs.nova().file_count() as u64,
                     device_bytes: layout.device_size,
                     dedup_workers: fs.dedup_workers() as u64,
-                    // Latched by the replication engine on the first
-                    // sync-ack timeout; read through the shared registry so
-                    // this layer stays decoupled from crates/repl.
-                    sync_degraded: self.metrics.gauge("repl.sync_degraded").get() as u64,
+                    sync_degraded: 0,
                 }))
             }
             Request::Telemetry { json } => {
@@ -254,14 +182,6 @@ impl FileService {
             // flips the server's stopping flag); executing it directly is a
             // no-op ack so loopback tests can drive it through `execute`.
             Request::Shutdown => Ok(Body::Empty),
-            Request::Promote => {
-                if let Some(role) = self.role() {
-                    role.promote();
-                }
-                // Idempotent: promoting a primary (or a node with no
-                // replication role) acknowledges without effect.
-                Ok(Body::Empty)
-            }
             // Hello is connection-scoped and answered by the server's
             // reader thread; executing it directly (e.g. in loopback tests)
             // is a no-op ack.
@@ -396,13 +316,6 @@ mod tests {
         assert_eq!(snap.counter("svc.staged_writes"), Some(1));
         // Both paths record into the same latency histograms.
         assert!(snap.histogram("svc.op.write.ns").unwrap().count >= 2);
-        // A standby rejects the zero-copy path like the staged one.
-        svc.set_role(Some(ReplRole::standby(|| {})));
-        let wr = decode_write_ref(&aligned).unwrap();
-        assert_eq!(
-            svc.execute_write_ref(&wr, &aligned).unwrap_err().code,
-            SvcError::REPLICA_READ_ONLY
-        );
     }
 
     #[test]
@@ -459,30 +372,6 @@ mod tests {
         assert_eq!(snap.histogram("svc.op.ping.ns").unwrap().count, 2);
         assert_eq!(snap.histogram("svc.request.ns").unwrap().count, 2);
         assert_eq!(snap.counter("svc.requests"), Some(2));
-    }
-
-    #[test]
-    fn standby_rejects_mutations_until_promoted() {
-        let svc = service();
-        let promoted = Arc::new(AtomicBool::new(false));
-        let flag = promoted.clone();
-        svc.set_role(Some(ReplRole::standby(move || {
-            flag.store(true, Ordering::SeqCst)
-        })));
-
-        let err = svc
-            .execute(&Request::Create { name: "f".into() })
-            .unwrap_err();
-        assert_eq!(err.code, SvcError::REPLICA_READ_ONLY);
-        // Reads still work on a standby.
-        svc.execute(&Request::Ping).unwrap();
-        svc.execute(&Request::List).unwrap();
-
-        svc.execute(&Request::Promote).unwrap();
-        assert!(promoted.load(Ordering::SeqCst));
-        svc.execute(&Request::Create { name: "f".into() }).unwrap();
-        // Promote again: acknowledged, callback not re-run (it was taken).
-        svc.execute(&Request::Promote).unwrap();
     }
 
     #[test]

@@ -1,25 +1,18 @@
 //! The byte-stream abstraction both transports implement.
 //!
-//! The client, the replication engine and the fault-injecting wrappers are
-//! written against [`Stream`], so they run unchanged over a TCP socket and
-//! over an in-process Unix-domain socket pair (see [`crate::loopback`]). A
-//! `Stream` is a bidirectional byte pipe that can be cloned into
-//! independently-owned read/write halves, carry read/write timeouts, and be
-//! shut down from either half. (The server's own connections are not
-//! `Stream`s: the reactor owns those sockets directly.)
+//! The client is written against [`Stream`], so it runs unchanged over a TCP
+//! socket and over an in-process Unix-domain socket pair (see
+//! [`crate::Server::connect_loopback`]). A `Stream` is a bidirectional byte
+//! pipe that carries read/write timeouts. (The server's own connections are
+//! not `Stream`s: the reactor owns those sockets directly.)
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-/// A cloneable, timeout-capable, shutdown-capable byte stream.
+/// A timeout-capable byte stream.
 pub trait Stream: Read + Write + Send {
-    /// A second handle to the same underlying connection (socket
-    /// `try_clone` semantics: both handles share one socket, timeouts, and
-    /// shutdown state). Used to give a reader thread its own handle.
-    fn try_clone_stream(&self) -> io::Result<Box<dyn Stream>>;
-
     /// Set read/write timeouts. `None` blocks forever. A read timeout makes
     /// [`crate::codec::read_frame`] return [`crate::codec::FrameRead::Idle`]
     /// when no frame starts in time, which a blocking reader uses as its
@@ -29,20 +22,12 @@ pub trait Stream: Read + Write + Send {
         read: Option<Duration>,
         write: Option<Duration>,
     ) -> io::Result<()>;
-
-    /// Tear the connection down in both directions, waking any blocked peer
-    /// or clone. Best-effort; errors are ignored.
-    fn shutdown_stream(&self);
 }
 
 /// Both socket kinds spell these the same way.
 macro_rules! impl_stream_for_socket {
     ($sock:ty) => {
         impl Stream for $sock {
-            fn try_clone_stream(&self) -> io::Result<Box<dyn Stream>> {
-                Ok(Box::new(self.try_clone()?))
-            }
-
             fn set_stream_timeouts(
                 &self,
                 read: Option<Duration>,
@@ -50,10 +35,6 @@ macro_rules! impl_stream_for_socket {
             ) -> io::Result<()> {
                 self.set_read_timeout(read)?;
                 self.set_write_timeout(write)
-            }
-
-            fn shutdown_stream(&self) {
-                let _ = self.shutdown(Shutdown::Both);
             }
         }
     };
@@ -69,7 +50,7 @@ mod tests {
     use std::net::TcpListener;
 
     /// Frames cross, a silent peer reads as `Idle` (not an error or a hang),
-    /// a clone shares the socket, and a peer that went away reads as `Eof`.
+    /// and a peer that went away reads as `Eof`.
     fn frames_idle_and_eof(mut client: impl Stream, mut server: impl Stream + 'static) {
         let (release, held) = std::sync::mpsc::channel::<()>();
         let peer = std::thread::spawn(move || {
@@ -84,8 +65,7 @@ mod tests {
         client
             .set_stream_timeouts(Some(Duration::from_millis(50)), None)
             .unwrap();
-        let mut clone = client.try_clone_stream().unwrap();
-        write_frame(&mut clone, b"echo").unwrap();
+        write_frame(&mut client, b"echo").unwrap();
         // Reply may take a moment; Idle polls until it lands.
         let reply = loop {
             match read_frame(&mut client).unwrap() {
@@ -98,7 +78,7 @@ mod tests {
         assert!(matches!(read_frame(&mut client).unwrap(), FrameRead::Idle));
         drop(release);
         peer.join().unwrap();
-        assert!(matches!(read_frame(&mut clone).unwrap(), FrameRead::Eof));
+        assert!(matches!(read_frame(&mut client).unwrap(), FrameRead::Eof));
     }
 
     #[test]

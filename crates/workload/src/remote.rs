@@ -30,10 +30,6 @@ pub struct RemoteReport {
     pub latencies_ns: Vec<u64>,
     /// Requests (or connections) that failed. Zero on a healthy server.
     pub failures: u64,
-    /// Names of files whose writes were fully acknowledged by the server —
-    /// the ground truth a failover audit checks the promoted standby
-    /// against.
-    pub completed: Vec<String>,
 }
 
 impl RemoteReport {
@@ -82,7 +78,6 @@ where
         io_time: Duration::ZERO,
         latencies_ns: Vec::with_capacity(per_thread * spec.threads),
         failures: 0,
-        completed: Vec::with_capacity(per_thread * spec.threads),
     };
     for r in results {
         report.files += r.files;
@@ -90,7 +85,6 @@ where
         report.io_time += r.io_time;
         report.latencies_ns.extend(r.latencies_ns);
         report.failures += r.failures;
-        report.completed.extend(r.completed);
     }
     report
 }
@@ -106,7 +100,6 @@ struct ThreadResult {
     io_time: Duration,
     latencies_ns: Vec<u64>,
     failures: u64,
-    completed: Vec<String>,
 }
 
 fn run_thread<F>(t: usize, connect: &F, spec: &JobSpec, per_thread: usize) -> ThreadResult
@@ -119,7 +112,6 @@ where
         io_time: Duration::ZERO,
         latencies_ns: Vec::with_capacity(per_thread),
         failures: 0,
-        completed: Vec::new(),
     };
     let mut client = match connect(t) {
         Ok(c) => c,
@@ -148,7 +140,6 @@ where
                 result.bytes += spec.file_size as u64;
                 result.io_time += took;
                 result.latencies_ns.push(took.as_nanos() as u64);
-                result.completed.push(name);
             }
             Err(_) => result.failures += 1,
         }
@@ -191,7 +182,6 @@ mod tests {
         assert_eq!(report.files, 40);
         assert_eq!(report.bytes, 40 * 4096);
         assert_eq!(report.latency_summary().count, 40);
-        assert_eq!(report.completed.len(), 40);
         let fs = srv.shutdown();
         assert_eq!(fs.nova().file_count(), 40);
         // The duplicate ratio survives the wire: ~20 duplicate pages saved.

@@ -3,9 +3,9 @@
 #
 #   * nothing under crates/ defines the thread-per-connection server again
 #     (`handle_conn`, its `Inflight` accounting, the `PipeEnd` it served);
-#   * crates/svc spawns threads in exactly two places outside its tests: the
-#     pool workers and the replication handover. A connection costs no
-#     thread, so any other spawn site is one too many.
+#   * crates/svc spawns threads in exactly one place outside its tests: the
+#     pool workers. A connection costs no thread, so any other spawn site is
+#     one too many.
 #
 # Usage: scripts/one_conn_path.sh   (`make one-conn-path`)
 
@@ -23,10 +23,10 @@ SPAWNS=$(for f in crates/svc/src/*.rs; do
         /thread::(Builder|spawn|scope)/ { n++ }
         END { if (n) print f ":" n }' "$f"
 done | tr '\n' ' ')
-WANT="crates/svc/src/pool.rs:1 crates/svc/src/server.rs:1 "
+WANT="crates/svc/src/pool.rs:1 "
 if [ "$SPAWNS" != "$WANT" ]; then
     echo "error: crates/svc spawns threads at [ $SPAWNS]; want [ $WANT]" >&2
-    echo "       (pool workers and the replication handover only)" >&2
+    echo "       (pool workers only)" >&2
     exit 1
 fi
 echo "one-conn-path: ok"

@@ -8,17 +8,41 @@
 # Usage: scripts/serve_smoke.sh [path-to-denova-cli]
 # (defaults to target/release/denova-cli; `make serve-smoke` builds it first)
 
-. "$(dirname "$0")/lib.sh"
-smoke_init "${1:-}"
+set -euo pipefail
+
+CLI=${1:-target/release/denova-cli}
+SRV=
+
+fail() {
+    echo "error: $*" >&2
+    exit 1
+}
+
+[ -x "$CLI" ] || fail "$CLI not built (run: cargo build --release)"
+WORK=$(mktemp -d)
+# A failing assertion never leaks the server into the CI runner.
+cleanup() {
+    [ -n "$SRV" ] && kill "$SRV" 2>/dev/null || true
+    rm -rf "$WORK"
+}
+trap cleanup EXIT
 
 IMG="$WORK/fs.img"
+LOG="$WORK/serve.log"
 "$CLI" "$IMG" mkfs --size 64M >/dev/null
 
 # Start the server on an ephemeral port and scrape the bound address from
 # its "listening on <addr>" banner.
-start_server "$WORK/serve.log" "$IMG" serve --listen 127.0.0.1:0
-SRV=$SERVER_PID
-ADDR=$(wait_addr "$WORK/serve.log" "$SRV")
+"$CLI" "$IMG" serve --listen 127.0.0.1:0 >"$LOG" 2>&1 &
+SRV=$!
+ADDR=
+for _ in $(seq 1 100); do
+    ADDR=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$LOG")
+    [ -n "$ADDR" ] && break
+    kill -0 "$SRV" 2>/dev/null || fail "server exited before listening: $(cat "$LOG")"
+    sleep 0.1
+done
+[ -n "$ADDR" ] || fail "server never printed its address"
 echo "server up at $ADDR (pid $SRV)"
 
 # Round-trip a payload through the wire protocol, as a named tenant.
@@ -33,14 +57,15 @@ cmp "$WORK/payload" "$WORK/back" || fail "payload corrupted over the wire"
 
 # Clean shutdown over the wire; the server must exit on its own.
 "$CLI" --remote "$ADDR" shutdown
-wait_exit "$SRV" "server"
-grep -q "shutting down" "$WORK/serve.log" || {
-    echo "error: server did not log a clean shutdown:" >&2
-    cat "$WORK/serve.log" >&2
-    exit 1
-}
+for _ in $(seq 1 100); do
+    kill -0 "$SRV" 2>/dev/null || break
+    sleep 0.1
+done
+kill -0 "$SRV" 2>/dev/null && fail "server still running after shutdown"
+SRV=
+grep -q "shutting down" "$LOG" || fail "server did not log a clean shutdown: $(cat "$LOG")"
 
 # The image the server unmounted must be consistent.
-fsck_image "$IMG"
+"$CLI" "$IMG" fsck
 
 echo "serve-smoke OK"

@@ -59,17 +59,10 @@ fn usage() -> ! {
          \x20 stats [--json]                telemetry snapshot (probe locally,\n\
          \x20                               fetch live metrics when --remote)\n\
          \x20 serve [--listen <host:port>] [--shards <n>] [--loops <n>]\n\
-         \x20       [--repl-sync]\n\
-         \x20       [--replica-of <host:port>]\n\
          \x20                               serve the image over TCP (local only).\n\
          \x20                               Connections ride the epoll event loops\n\
          \x20                               (--loops, default one per core).\n\
-         \x20                               With --replica-of, run as a read-only\n\
-         \x20                               standby replicating from the primary;\n\
-         \x20                               --repl-sync makes writes wait for\n\
-         \x20                               standby acks once one attaches.\n\
          \x20 shutdown                      drain and stop a served image (remote only)\n\
-         \x20 promote                       promote a standby to primary (remote only)\n\
          options (any local command, including serve):\n\
          \x20 --dedup-workers <n>           dedup worker threads for the mount (default 1)\n\
          options (any remote command):\n\
@@ -342,8 +335,6 @@ fn run() -> Result<(), String> {
         ("serve", rest) => {
             let mut listen = "127.0.0.1:0".to_string();
             let mut config = SvcConfig::default();
-            let mut replica_of: Option<String> = None;
-            let mut repl_sync = false;
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -356,46 +347,20 @@ fn run() -> Result<(), String> {
                         let n = it.next().cloned().unwrap_or_else(|| usage());
                         config.event_loops = n.parse().map_err(|_| format!("bad --loops '{n}'"))?;
                     }
-                    "--replica-of" => {
-                        replica_of = Some(it.next().cloned().unwrap_or_else(|| usage()));
-                    }
-                    "--repl-sync" => repl_sync = true,
                     _ => usage(),
                 }
             }
             let listener = std::net::TcpListener::bind(&listen)
                 .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
             let addr = listener.local_addr().map_err(|e| e.to_string())?;
-            let repl_cfg = ReplConfig {
-                sync_ack: repl_sync,
-                ..Default::default()
-            };
-            if let Some(primary_addr) = replica_of {
-                return serve_replica(
-                    &image,
-                    &primary_addr,
-                    listener,
-                    config,
-                    repl_cfg,
-                    dedup_workers,
-                );
-            }
             let fs = open_fs(&image, dedup_workers)?;
             // Scraped by scripts driving ephemeral ports — keep the format.
             println!("listening on {addr}");
             let server = Server::new(Arc::new(fs), config);
-            // Every served image accepts standby subscriptions; writes only
-            // wait for acks in --repl-sync mode, and only while a standby
-            // is attached.
-            let engine =
-                ReplPrimary::install(server.service().fs().clone(), Some(&server), repl_cfg);
             server.serve(listener).map_err(|e| format!("serve: {e}"))?;
             // A client sent `shutdown`: drain in-flight work and the dedup
             // pipeline, then persist the image like any other command.
-            engine.stop();
-            server.set_repl_sink(None);
             let fs = server.shutdown();
-            drop(engine);
             let fs = Arc::try_unwrap(fs)
                 .map_err(|_| "connections still hold the file system".to_string())?;
             println!("shutting down");
@@ -497,129 +462,6 @@ fn text_counter(text: &str, name: &str) -> Option<u64> {
     })
 }
 
-/// Run as a standby replica: bootstrap a crash-consistent snapshot from the
-/// primary, serve it read-only, and apply the primary's journal stream until
-/// promoted (keep serving as primary), told to re-bootstrap (fell behind),
-/// or shut down. The local `image` path receives the standby's state on
-/// exit, exactly like a normal serve.
-fn serve_replica(
-    image: &Path,
-    primary_addr: &str,
-    listener: std::net::TcpListener,
-    config: SvcConfig,
-    repl_cfg: ReplConfig,
-    dedup_workers: usize,
-) -> Result<(), String> {
-    use denova_repro::repl::{bootstrap, Standby, StandbyConfig, StandbyExit};
-    use denova_repro::svc::{client::Connector, dial_tcp};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    // Scraped by scripts driving ephemeral ports — keep the format.
-    println!("listening on {addr} (standby of {primary_addr})");
-    let primary = primary_addr.to_string();
-    let connector: Connector = Arc::new(move || dial_tcp(&primary));
-
-    loop {
-        // Fetch a full snapshot; retry while the primary is unreachable so
-        // start order doesn't matter.
-        let boot = loop {
-            match bootstrap(&connector) {
-                Ok(b) => break b,
-                Err(e) => {
-                    eprintln!("standby: snapshot bootstrap failed ({e}); retrying");
-                    std::thread::sleep(std::time::Duration::from_millis(500));
-                }
-            }
-        };
-        let dev = Arc::new(PmemDevice::from_bytes(&boot.image, LatencyProfile::none()));
-        let opts = NovaOptions {
-            dedup_workers,
-            ..Default::default()
-        };
-        // The image is crash-consistent, never cleanly unmounted: mounting
-        // runs the ordinary recovery path.
-        let fs =
-            Arc::new(mount_reporting(dev, opts).map_err(|e| format!("standby mount failed: {e}"))?);
-        let server = Arc::new(Server::new(fs.clone(), config));
-        let promoted = Arc::new(AtomicBool::new(false));
-        let flag = promoted.clone();
-        server.set_role(Some(ReplRole::standby(move || {
-            flag.store(true, Ordering::Release)
-        })));
-        eprintln!(
-            "standby: snapshot mounted ({} bytes, covers seq {})",
-            boot.image.len(),
-            boot.upto_seq
-        );
-
-        let accept_listener = listener.try_clone().map_err(|e| e.to_string())?;
-        let srv = server.clone();
-        let serve_thread = std::thread::spawn(move || srv.serve(accept_listener));
-
-        let mut standby = Standby::new(fs.clone(), boot.upto_seq, StandbyConfig::default());
-        let exit = {
-            let srv = server.clone();
-            standby.run(
-                boot.stream,
-                &connector,
-                || promoted.load(Ordering::Acquire),
-                move || srv.stopping(),
-            )
-        };
-        let standby_seq = standby.last_seq();
-        drop(standby);
-        match exit {
-            StandbyExit::Promoted => {
-                eprintln!(
-                    "standby: promoted to primary (applied through seq {})",
-                    standby_seq
-                );
-                // Full primary from here on: accept writes and standby
-                // subscriptions of our own.
-                server.set_role(None);
-                let engine = ReplPrimary::install(fs.clone(), Some(&server), repl_cfg);
-                drop(fs);
-                serve_thread
-                    .join()
-                    .map_err(|_| "serve thread panicked".to_string())?
-                    .map_err(|e| format!("serve: {e}"))?;
-                engine.stop();
-                server.set_repl_sink(None);
-                let server =
-                    Arc::try_unwrap(server).map_err(|_| "server still referenced".to_string())?;
-                let fs = server.shutdown();
-                drop(engine);
-                let fs = Arc::try_unwrap(fs)
-                    .map_err(|_| "connections still hold the file system".to_string())?;
-                println!("shutting down");
-                return close_fs(fs, image);
-            }
-            StandbyExit::FellBehind => {
-                eprintln!("standby: fell off the primary's journal; re-bootstrapping");
-                server.request_shutdown();
-                let _ = serve_thread.join();
-                let server =
-                    Arc::try_unwrap(server).map_err(|_| "server still referenced".to_string())?;
-                drop(server.shutdown());
-                drop(fs);
-                // Loop: fresh snapshot on the same listening address.
-            }
-            StandbyExit::Stopped => {
-                let _ = serve_thread.join();
-                let server =
-                    Arc::try_unwrap(server).map_err(|_| "server still referenced".to_string())?;
-                let fs_arc = server.shutdown();
-                drop(fs);
-                let fs = Arc::try_unwrap(fs_arc)
-                    .map_err(|_| "connections still hold the file system".to_string())?;
-                println!("shutting down");
-                return close_fs(fs, image);
-            }
-        }
-    }
-}
-
 /// Dispatch one command against a served file system over TCP. The command
 /// surface mirrors the local one; `mkfs`/`fsck`/`scrub`/`serve` stay local
 /// because they operate on the image itself.
@@ -706,12 +548,6 @@ fn run_remote(addr: &str, cmd: &str, rest: &[String], tenant: Option<&str>) -> R
                 s.dedup_index_dram_bytes,
                 s.dedup_workers
             );
-            if s.sync_degraded != 0 {
-                println!(
-                    "repl:   WARNING: sync-ack degraded — a standby missed the \
-                     sync window and writes proceeded without standby durability"
-                );
-            }
             Ok(())
         }
         ("stats", rest) => {
@@ -734,11 +570,6 @@ fn run_remote(addr: &str, cmd: &str, rest: &[String], tenant: Option<&str>) -> R
         ("shutdown", []) => {
             client.shutdown_server().map_err(e)?;
             println!("server at {addr} is shutting down");
-            Ok(())
-        }
-        ("promote", []) => {
-            client.promote().map_err(e)?;
-            println!("standby at {addr} promoted to primary");
             Ok(())
         }
         _ => usage(),

@@ -14,8 +14,6 @@
 //!   pool, TCP and loopback transports;
 //! * [`reactor`] — the event-driven I/O runtime under the TCP service:
 //!   epoll event loops, eventfd wakeups, per-connection frame machines;
-//! * [`repl`] — crash-consistent snapshots and log-shipping replication
-//!   with standby failover;
 //! * [`telemetry`] — the shared metrics registry (counters, histograms,
 //!   spans, events) every layer above records into.
 //!
@@ -41,7 +39,6 @@ pub use denova_fingerprint as fingerprint;
 pub use denova_nova as nova;
 pub use denova_pmem as pmem;
 pub use denova_reactor as reactor;
-pub use denova_repl as repl;
 pub use denova_svc as svc;
 pub use denova_telemetry as telemetry;
 pub use denova_workload as workload;
@@ -55,8 +52,7 @@ pub mod prelude {
     pub use denova_fingerprint::{chunk_pages, sha1, weak_fingerprint, Fingerprint};
     pub use denova_nova::{fsck, DedupeFlag, FileStat, Nova, NovaError, NovaOptions, BLOCK_SIZE};
     pub use denova_pmem::{CrashMode, LatencyProfile, PmemBuilder, PmemDevice, SimulatedCrash};
-    pub use denova_repl::{ReplConfig, ReplPrimary, Standby, StandbyConfig, StandbyExit};
-    pub use denova_svc::{Client, ReplRole, Server, SvcConfig, SvcError};
+    pub use denova_svc::{Client, Server, SvcConfig, SvcError};
     pub use denova_telemetry::{MetricsRegistry, TelemetrySnapshot};
     pub use denova_workload::{DataGenerator, JobSpec, ThinkTime, WriteKind};
 }

@@ -219,12 +219,66 @@ fn resident_fingerprint_never_resolves_wrong_under_chain_churn() {
     assert_eq!(fact.lookup(&resident).unwrap().0, resident_idx);
 }
 
+/// The race below's page `id`: the id's 8 little-endian bytes, then 0xA5.
+fn pool_page(id: u32) -> Vec<u8> {
+    let mut page = vec![0xA5u8; 4096];
+    page[..8].copy_from_slice(&u64::from(id).to_le_bytes());
+    page
+}
+
+/// Prefix width of the FACT on the race's 96 MiB device.
+const HOT_PREFIX_BITS: u32 = 15;
+
+/// The prefixes of pages 1-8, which every pool page shares.
+const HOT_PREFIXES: [u64; 8] = [12572, 23223, 7676, 7444, 722, 24780, 11415, 4651];
+
+/// The first 384 page ids whose fingerprint falls in [`HOT_PREFIXES`],
+/// committed because finding them takes some 1.5 M SHA-1s.
+const POOL_IDS: [u32; 384] = [
+    1, 2, 3, 4, 5, 6, 7, 8, 2397, 2984, 12518, 13425, 22859, 30884, 49574, 51063, 51323, 52652,
+    54747, 54847, 57098, 57566, 57848, 66930, 71124, 71762, 85036, 85087, 90091, 90894, 92104,
+    95515, 97498, 101385, 105611, 109575, 111546, 115961, 117278, 124117, 129747, 130297, 138603,
+    139885, 142870, 145797, 147595, 147866, 161440, 167642, 167684, 183510, 197629, 198293, 201462,
+    204070, 204604, 210447, 217173, 220730, 224338, 228557, 239976, 257258, 262156, 268823, 273281,
+    274356, 283968, 284107, 284752, 285478, 285836, 286472, 286897, 300655, 307140, 308354, 308927,
+    314082, 320592, 326894, 331670, 333911, 335496, 345653, 362432, 362513, 369808, 374334, 374695,
+    376790, 378285, 383428, 391393, 391963, 393353, 404533, 426623, 428709, 428849, 435731, 436946,
+    438513, 438559, 439767, 443012, 443219, 446006, 448443, 449514, 463061, 469969, 471893, 473890,
+    482466, 485689, 491216, 497017, 497104, 507450, 510978, 517697, 518173, 521400, 537749, 546140,
+    547319, 548384, 548818, 551416, 562345, 564251, 583365, 587137, 588559, 601977, 607220, 615634,
+    616445, 617529, 618425, 620001, 629680, 630016, 631826, 635668, 641104, 642515, 643237, 643433,
+    647553, 648010, 656918, 661661, 672616, 677701, 679152, 689757, 696810, 702429, 704738, 718311,
+    726802, 734317, 739480, 742464, 743374, 753227, 755708, 757059, 759652, 760796, 762120, 768682,
+    781706, 785651, 785839, 788231, 790593, 794031, 797679, 798784, 799699, 809790, 811230, 815879,
+    816674, 818519, 821933, 827049, 831292, 835593, 848476, 851272, 855341, 857684, 860290, 862416,
+    862966, 864662, 867770, 870326, 872059, 874318, 875312, 875394, 882087, 884561, 889245, 890503,
+    892318, 893934, 897656, 901953, 905130, 905639, 905648, 906199, 906396, 910151, 912934, 913044,
+    913352, 915292, 917108, 920859, 927960, 933538, 933632, 938926, 940880, 942199, 942882, 943790,
+    946399, 947479, 949975, 951500, 960961, 969736, 972234, 972549, 979083, 981447, 989633, 993967,
+    996749, 998606, 998692, 1006006, 1007119, 1007373, 1008935, 1009473, 1011575, 1011930, 1018434,
+    1019293, 1022788, 1027280, 1029219, 1035601, 1039883, 1049358, 1051507, 1052377, 1053262,
+    1057142, 1058780, 1060754, 1062077, 1065756, 1073682, 1074174, 1078333, 1079965, 1081719,
+    1085481, 1092325, 1092873, 1096317, 1096820, 1100905, 1104635, 1108626, 1109256, 1110126,
+    1116860, 1118823, 1120448, 1120974, 1121595, 1125965, 1126724, 1128187, 1129808, 1130723,
+    1132481, 1132640, 1134336, 1137254, 1139730, 1146193, 1148734, 1152346, 1156997, 1159108,
+    1161409, 1163608, 1164309, 1166672, 1167388, 1169381, 1170611, 1174712, 1177014, 1186607,
+    1187080, 1188810, 1192663, 1200885, 1201514, 1206174, 1208201, 1211883, 1212454, 1231068,
+    1237372, 1238452, 1248574, 1252056, 1254855, 1255967, 1260133, 1264975, 1265591, 1268952,
+    1274356, 1280494, 1281058, 1294317, 1294611, 1299983, 1301289, 1303648, 1304448, 1317972,
+    1320102, 1320801, 1325223, 1328046, 1330237, 1334076, 1336884, 1343361, 1355316, 1356797,
+    1357817, 1363834, 1366693, 1371247, 1372752, 1374102, 1377472, 1384232, 1385735, 1386687,
+    1393701, 1401527, 1403172, 1403636, 1404057, 1418688, 1419861, 1425702, 1443013, 1449138,
+    1457808, 1458462, 1459387, 1459922, 1470049, 1473433,
+];
+
 // Dedup stage 1 vs the foreground, on the same inodes. Four foreground
 // threads overwrite, truncate and unlink-and-recreate the same four files
 // with 64–256-page writes cut from a small content pool (so entries
 // duplicate each other and grow by memcmp), while two dedup workers chase
 // them: stage 1 keeps hashing pages the foreground is freeing and other
-// files are reallocating. A per-file mutex orders each foreground op with
+// files are reallocating. The pool's pages share eight FACT prefixes, so
+// the records they dedup against sit in long IAA chains that unlinks and
+// truncates keep cutting. A per-file mutex orders each foreground op with
 // its model update — the race under test is daemon vs foreground, not
 // foreground vs foreground.
 //
@@ -259,25 +313,24 @@ fn dedup_stage1_races_foreground_rewrites_of_the_same_inodes() {
         .unwrap(),
     );
     assert_eq!(fs.dedup_workers(), 2);
-    // The pool: 64-page segments of distinct non-zero pages, no two of
-    // which share a FACT prefix, so no IAA chain forms and no record moves
-    // under a reservation. Commits follow a moved record by block now
-    // (`fact::tests::a_commit_follows_a_record_its_daa_head_promoted`);
-    // the pool keeps its distinct prefixes until this test is shown to
-    // stay clean without them (ROADMAP item 3).
+    // The pool: 64-page segments of distinct non-zero pages crowded into
+    // eight FACT prefixes, so IAA chains ~48 records long form, and a
+    // DAA removal promotes a chain head that a reservation may hold.
     let pool: Arc<Vec<Vec<u8>>> = {
         let bits = fs.fact().prefix_bits();
-        let mut taken = std::collections::HashSet::new();
-        let mut pages = (1u64..).filter_map(|id| {
-            let mut page = vec![0xA5u8; 4096];
-            page[..8].copy_from_slice(&id.to_le_bytes());
-            taken
-                .insert(Fingerprint::of(&page).prefix(bits))
-                .then_some(page)
-        });
-        let segments =
-            (0..POOL_SEGMENTS).map(|_| pages.by_ref().take(SEGMENT_PAGES).flatten().collect());
-        Arc::new(segments.collect())
+        assert_eq!(bits, HOT_PREFIX_BITS, "the committed ids fit another table");
+        let pages: Vec<Vec<u8>> = POOL_IDS.iter().map(|&id| pool_page(id)).collect();
+        let prefixes: Vec<u64> = pages
+            .iter()
+            .map(|page| Fingerprint::of(page).prefix(bits))
+            .collect();
+        assert!(prefixes.iter().all(|p| HOT_PREFIXES.contains(p)));
+        let colliding = prefixes
+            .iter()
+            .filter(|p| prefixes.iter().filter(|q| q == p).count() > 1)
+            .count();
+        assert!(colliding >= 300, "{colliding} of 384 pages share a prefix");
+        Arc::new(pages.chunks(SEGMENT_PAGES).map(|c| c.concat()).collect())
     };
     // One model per file, `None` while the file does not exist.
     let models: Arc<Vec<Mutex<Option<Vec<u8>>>>> =

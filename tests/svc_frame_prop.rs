@@ -3,17 +3,15 @@
 //! frames glued together, reads that come back short, refused or
 //! interrupted — the reactor's incremental [`FrameDecoder`] must recover
 //! exactly the frames the blocking codec would, byte-identical, for every
-//! message type in the wire protocol, through both of its entry points; and
-//! what it has not yet handed out must come back verbatim as the residue of
-//! a connection handover. And the [`SendQueue`]'s
+//! request type in the wire protocol, through both of its entry points; and
+//! what it has not yet handed out must come back verbatim as its residue.
+//! And the [`SendQueue`]'s
 //! partial-write flushing must emit a byte stream indistinguishable from the
 //! blocking `write_frame`, no matter how stingily the socket accepts bytes.
 
-use denova_repro::nova::FsOp;
 use denova_repro::reactor::frame::{Flush, FrameDecoder, SendQueue};
 use denova_repro::svc::codec::{read_frame, write_frame, FrameRead};
 use denova_repro::svc::proto::{decode_write_ref, Request};
-use denova_repro::svc::repl::ReplMsg;
 use proptest::prelude::*;
 use std::io::{self, Read, Write};
 
@@ -51,7 +49,6 @@ fn sample_requests(ino: u64, text: String, data: Vec<u8>) -> Vec<Request> {
             json: ino.is_multiple_of(2),
         },
         Request::Shutdown,
-        Request::Promote,
         Request::Hello {
             tenant: text,
             weight: (ino % 9) as u32,
@@ -59,53 +56,14 @@ fn sample_requests(ino: u64, text: String, data: Vec<u8>) -> Vec<Request> {
     ]
 }
 
-/// One replication frame of every shape.
-fn sample_repl_msgs(seq: u64, data: Vec<u8>) -> Vec<ReplMsg> {
-    vec![
-        ReplMsg::Subscribe {
-            last_seq: seq,
-            want_snapshot: seq.is_multiple_of(2),
-        },
-        ReplMsg::SnapshotBegin {
-            upto_seq: seq,
-            total_bytes: data.len() as u64,
-            chunk_count: 1,
-        },
-        ReplMsg::SnapshotChunk {
-            index: (seq % 4) as u32,
-            data: data.clone(),
-        },
-        ReplMsg::SnapshotEnd {
-            total_bytes: data.len() as u64,
-        },
-        ReplMsg::Entries {
-            first_seq: seq,
-            ops: vec![
-                FsOp::Write {
-                    ino: seq,
-                    offset: 0,
-                    data,
-                },
-                FsOp::Unlink {
-                    name: "gone".into(),
-                },
-            ],
-        },
-        ReplMsg::Ack { seq },
-        ReplMsg::Heartbeat { head_seq: seq },
-        ReplMsg::FellBehind,
-    ]
-}
-
-/// Frame payloads for one of every message type, plus the wire image the
+/// Frame payloads for one of every request type, plus the wire image the
 /// blocking codec would produce for them back-to-back.
 fn frames_and_wire(ino: u64, text: String, data: Vec<u8>) -> (Vec<Vec<u8>>, Vec<u8>) {
-    let mut payloads: Vec<Vec<u8>> = sample_requests(ino, text, data.clone())
+    let payloads: Vec<Vec<u8>> = sample_requests(ino, text, data)
         .iter()
         .enumerate()
         .map(|(i, r)| r.encode(i as u64))
         .collect();
-    payloads.extend(sample_repl_msgs(ino, data).iter().map(|m| m.encode()));
     let mut wire = Vec::new();
     for p in &payloads {
         write_frame(&mut wire, p).unwrap();
@@ -250,15 +208,11 @@ proptest! {
         prop_assert!(!dec.mid_frame(), "bytes left over after the last frame");
 
         // The recovered bytes are not just equal — they still mean the same
-        // thing: requests first, then the replication frames.
-        let reqs = sample_requests(ino, text, data.clone());
-        for (i, req) in reqs.iter().enumerate() {
+        // requests.
+        for (i, req) in sample_requests(ino, text, data).iter().enumerate() {
             let (id, back) = Request::decode(&got[i]).unwrap();
             prop_assert_eq!(id, i as u64);
             prop_assert_eq!(&back, req);
-        }
-        for (i, msg) in sample_repl_msgs(ino, data).iter().enumerate() {
-            prop_assert_eq!(&ReplMsg::decode(&got[reqs.len() + i]).unwrap(), msg);
         }
     }
 
@@ -335,11 +289,11 @@ proptest! {
         prop_assert!(!dec.mid_frame());
     }
 
-    // Handover: cut the stream anywhere — mid-prefix, mid-frame with part of
+    // Residue: cut the stream anywhere — mid-prefix, mid-frame with part of
     // the payload already in its final `Vec`, between frames — pop any
     // number of the frames that are complete, and the residue is exactly the
     // bytes the socket delivered that no popped frame accounts for, prefixes
-    // included. That is what `Detach` hands a replication sink.
+    // included.
     #[test]
     fn residue_is_the_unconsumed_byte_stream(
         ino in any::<u64>(),
@@ -348,7 +302,7 @@ proptest! {
         script in prop::collection::vec(0usize..40, 0..100),
         read_chunk in 1usize..80,
         cut in any::<u32>(),
-        pops in 0usize..34,
+        pops in 0usize..22,
     ) {
         let text: String = text_bytes.iter().map(|b| (b'a' + b) as char).collect();
         let (payloads, wire) = frames_and_wire_with_an_empty_frame(ino, text, data);

@@ -8,10 +8,9 @@
 //! The samples cover every row of every message table; a unit test below
 //! keeps it that way when a row is added.
 
-use denova_repro::nova::{FileStat, FsOp};
+use denova_repro::nova::FileStat;
 use denova_repro::svc::codec::WireEnum;
 use denova_repro::svc::proto::{decode_reply, encode_reply, Request};
-use denova_repro::svc::repl::ReplMsg;
 use denova_repro::svc::{Body, RemoteDedupStats, Reply, SvcError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -50,7 +49,6 @@ fn sample_requests(ino: u64, text: String, data: Vec<u8>) -> Vec<Request> {
             json: ino.is_multiple_of(2),
         },
         Request::Shutdown,
-        Request::Promote,
         Request::Hello {
             tenant: text,
             weight: data.len() as u32,
@@ -89,61 +87,6 @@ fn sample_replies(n: u64, text: String, data: Vec<u8>) -> Vec<Reply> {
     replies
 }
 
-/// One replication frame of every shape.
-fn sample_repl_msgs(seq: u64, data: Vec<u8>) -> Vec<ReplMsg> {
-    vec![
-        ReplMsg::Subscribe {
-            last_seq: seq,
-            want_snapshot: seq.is_multiple_of(2),
-        },
-        ReplMsg::SnapshotBegin {
-            upto_seq: seq,
-            total_bytes: data.len() as u64,
-            chunk_count: 1,
-        },
-        ReplMsg::SnapshotChunk {
-            index: (seq % 4) as u32,
-            data: data.clone(),
-        },
-        ReplMsg::SnapshotEnd {
-            total_bytes: data.len() as u64,
-        },
-        ReplMsg::Entries {
-            first_seq: seq,
-            ops: vec![
-                FsOp::Create {
-                    name: "new".into(),
-                    ino: seq,
-                },
-                FsOp::Write {
-                    ino: seq,
-                    offset: 0,
-                    data,
-                },
-                FsOp::Unlink {
-                    name: "gone".into(),
-                },
-                FsOp::Link {
-                    existing: "new".into(),
-                    new_name: "alias".into(),
-                    ino: seq,
-                },
-                FsOp::Rename {
-                    from: "alias".into(),
-                    to: "moved".into(),
-                },
-                FsOp::Truncate {
-                    ino: seq,
-                    size: seq >> 1,
-                },
-            ],
-        },
-        ReplMsg::Ack { seq },
-        ReplMsg::Heartbeat { head_seq: seq },
-        ReplMsg::FellBehind,
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -155,7 +98,6 @@ proptest! {
     ) {
         let _ = Request::decode(&payload);
         let _ = decode_reply(&payload);
-        let _ = ReplMsg::decode(&payload);
     }
 
     // Flipping one byte of a valid request encoding must never panic the
@@ -196,22 +138,6 @@ proptest! {
         }
     }
 
-    // Same contract for the replication frame family.
-    #[test]
-    fn repl_msgs_round_trip_and_reject_trailing_garbage(
-        seq in any::<u64>(),
-        data in prop::collection::vec(any::<u8>(), 0..64),
-        garbage in prop::collection::vec(any::<u8>(), 1..32),
-    ) {
-        for msg in sample_repl_msgs(seq, data.clone()) {
-            let bytes = msg.encode();
-            prop_assert_eq!(&ReplMsg::decode(&bytes).unwrap(), &msg);
-            let mut tail = bytes;
-            tail.extend_from_slice(&garbage);
-            prop_assert!(ReplMsg::decode(&tail).is_err(), "{:?} accepted trailing garbage", msg);
-        }
-    }
-
     // Same contract for replies: every body, and an error reply.
     #[test]
     fn replies_round_trip_and_reject_trailing_garbage(
@@ -231,8 +157,8 @@ proptest! {
     }
 
     // Canonical decoding: XOR `bits` into each byte of every valid encoding
-    // in turn; whatever still decodes — request, reply or replication frame
-    // — must re-encode to exactly the mutated bytes.
+    // in turn; whatever still decodes — request or reply — must re-encode
+    // to exactly the mutated bytes.
     #[test]
     fn whatever_decodes_re_encodes_to_the_same_bytes(
         n in any::<u64>(),
@@ -246,17 +172,10 @@ proptest! {
                 }
             }
         }
-        for reply in sample_replies(n, "f".into(), data.clone()) {
+        for reply in sample_replies(n, "f".into(), data) {
             for bytes in mutations(&encode_reply(n, &reply), bits) {
                 if let Ok((id, back)) = decode_reply(&bytes) {
                     prop_assert_eq!(encode_reply(id, &back), bytes, "{:?}", back);
-                }
-            }
-        }
-        for msg in sample_repl_msgs(n, data.clone()) {
-            for bytes in mutations(&msg.encode(), bits) {
-                if let Ok(back) = ReplMsg::decode(&bytes) {
-                    prop_assert_eq!(back.encode(), bytes, "{:?}", back);
                 }
             }
         }
@@ -288,11 +207,4 @@ fn samples_cover_every_row_of_every_table() {
     let bodies: Vec<&Body> = replies.iter().filter_map(|r| r.as_ref().ok()).collect();
     assert_eq!(tags(bodies.iter().copied()), table::<Body>());
     assert!(replies.iter().any(Result::is_err), "no error reply");
-    let msgs = sample_repl_msgs(1, vec![1]);
-    assert_eq!(tags(&msgs), table::<ReplMsg>());
-    let ops = msgs.iter().flat_map(|m| match m {
-        ReplMsg::Entries { ops, .. } => ops.as_slice(),
-        _ => &[],
-    });
-    assert_eq!(tags(ops), table::<FsOp>());
 }

@@ -1,17 +1,17 @@
-//! The wire ABI, pinned byte for byte: every request, reply body and
-//! replication frame (carrying every `FsOp`), encoded from fixed field
-//! values and compared with the hex it has always produced. Journal entries
-//! are shipped to standbys, so a codec change that moves one byte must fail
-//! here, not between a primary and a standby of different versions. The op
-//! names and the `svc.op.<name>.ns` histograms they feed are pinned the same
-//! way, and so is the rejection of the retired tags: request tags 17-22
-//! and reply body tag 8 stay reserved and decode to `BAD_REQUEST`.
+//! The wire ABI, pinned byte for byte: every request and reply body, encoded
+//! from fixed field values and compared with the hex it has always produced,
+//! so a codec change that moves one byte fails here, not between a client
+//! and a server of different versions. The op names and the
+//! `svc.op.<name>.ns` histograms they feed are pinned the same way, and so
+//! is the rejection of what was retired: request tags 16-22, the
+//! replication frame family and reply body tag 8 stay reserved and decode
+//! to `BAD_REQUEST`.
 
-use denova_repro::nova::{FileStat, FsOp};
+use denova_repro::nova::FileStat;
 use denova_repro::prelude::*;
 use denova_repro::svc::codec::{read_frame, write_frame, FrameRead};
 use denova_repro::svc::proto::{decode_reply, encode_reply};
-use denova_repro::svc::{Body, FileService, RemoteDedupStats, ReplMsg, Reply, Request};
+use denova_repro::svc::{Body, FileService, RemoteDedupStats, Reply, Request};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
@@ -52,7 +52,6 @@ fn requests() -> Vec<Request> {
         Request::DedupStats,
         Request::Telemetry { json: true },
         Request::Shutdown,
-        Request::Promote,
         Request::Hello {
             tenant: "acme".into(),
             weight: 4,
@@ -100,59 +99,6 @@ fn replies() -> Vec<Reply> {
     ]
 }
 
-fn fs_ops() -> Vec<FsOp> {
-    vec![
-        FsOp::Create {
-            name: "a".into(),
-            ino: 2,
-        },
-        FsOp::Write {
-            ino: 2,
-            offset: 4096,
-            data: vec![7, 7],
-        },
-        FsOp::Unlink { name: "a".into() },
-        FsOp::Link {
-            existing: "b".into(),
-            new_name: "c".into(),
-            ino: 3,
-        },
-        FsOp::Rename {
-            from: "c".into(),
-            to: "d".into(),
-        },
-        FsOp::Truncate { ino: 2, size: 50 },
-    ]
-}
-
-fn repl_msgs() -> Vec<ReplMsg> {
-    vec![
-        ReplMsg::Subscribe {
-            last_seq: 17,
-            want_snapshot: true,
-        },
-        ReplMsg::SnapshotBegin {
-            upto_seq: 17,
-            total_bytes: 1 << 20,
-            chunk_count: 4,
-        },
-        ReplMsg::SnapshotChunk {
-            index: 3,
-            data: vec![1, 2, 3],
-        },
-        ReplMsg::SnapshotEnd {
-            total_bytes: 1 << 20,
-        },
-        ReplMsg::Entries {
-            first_seq: 18,
-            ops: fs_ops(),
-        },
-        ReplMsg::Ack { seq: 23 },
-        ReplMsg::Heartbeat { head_seq: 24 },
-        ReplMsg::FellBehind,
-    ]
-}
-
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -168,7 +114,6 @@ fn unhex(s: &str) -> Vec<u8> {
 fn encodings() -> Vec<Vec<u8>> {
     let mut out: Vec<Vec<u8>> = requests().iter().map(|r| r.encode(REQ_ID)).collect();
     out.extend(replies().iter().map(|r| encode_reply(REQ_ID, r)));
-    out.extend(repl_msgs().iter().map(ReplMsg::encode));
     out
 }
 
@@ -191,14 +136,11 @@ fn pinned_bytes_decode_to_the_same_values() {
     for reply in replies() {
         assert_eq!(decode_reply(at.next().unwrap()).unwrap(), (REQ_ID, reply));
     }
-    for msg in repl_msgs() {
-        assert_eq!(ReplMsg::decode(at.next().unwrap()).unwrap(), msg);
-    }
     assert!(at.next().is_none());
 }
 
 /// Each request's op name, and the latency histogram executing it feeds.
-const OP_NAMES: [(&str, &str); 17] = [
+const OP_NAMES: [(&str, &str); 16] = [
     ("ping", "svc.op.ping.ns"),
     ("create", "svc.op.create.ns"),
     ("open", "svc.op.open.ns"),
@@ -214,7 +156,6 @@ const OP_NAMES: [(&str, &str); 17] = [
     ("dedup_stats", "svc.op.dedup_stats.ns"),
     ("telemetry", "svc.op.telemetry.ns"),
     ("shutdown", "svc.op.shutdown.ns"),
-    ("promote", "svc.op.promote.ns"),
     ("hello", "svc.op.hello.ns"),
 ];
 
@@ -241,16 +182,33 @@ fn op_names_and_their_histograms_are_pinned() {
     }
 }
 
-/// The bytes the retired request rows 17-22 (`map_get`, `map_push`,
-/// `tx_prepare`, `tx_commit`, `tx_abort`, `tx_status`) encoded to. Their
-/// tags stay reserved: a frame carrying one is an unknown opcode.
-const RETIRED_REQUESTS: [&str; 6] = [
+/// The bytes the retired request rows 16-22 (`promote`, `map_get`,
+/// `map_push`, `tx_prepare`, `tx_commit`, `tx_abort`, `tx_status`) encoded
+/// to. Their tags stay reserved: a frame carrying one is an unknown opcode.
+const RETIRED_REQUESTS: [&str; 7] = [
+    "010203040506070810",
     "010203040506070811",
     "0102030405060708120400000001020304",
     "010203040506070813990000000000000003000000050505",
     "0102030405060708149900000000000000",
     "0102030405060708159a00000000000000",
     "0102030405060708169b00000000000000",
+];
+
+/// The replication frames (`subscribe`, `snapshot_begin`, `snapshot_chunk`,
+/// `snapshot_end`, `entries` carrying one op of each kind, `ack`,
+/// `heartbeat`, `fell_behind`) as they were encoded, each opening with the
+/// family's magic `0xD5E0_4E4F_5641_5250`. A server reads the magic as a
+/// `req_id` and the rest as a request that does not decode.
+const RETIRED_REPL_FRAMES: [&str; 8] = [
+    "505241564f4ee0d501110000000000000001",
+    "505241564f4ee0d5021100000000000000000010000000000004000000",
+    "505241564f4ee0d5030300000003000000010203",
+    "505241564f4ee0d5040000100000000000",
+    "505241564f4ee0d5051200000000000000060000000e00000001010000006102000000000000001700000002020000000000000000100000000000000200000007070600000003010000006113000000040100000062010000006303000000000000000b0000000501000000630100000064110000000602000000000000003200000000000000",
+    "505241564f4ee0d5061700000000000000",
+    "505241564f4ee0d5071800000000000000",
+    "505241564f4ee0d508",
 ];
 
 /// The bytes of the retired reply body tag 8 (a two-phase-commit state,
@@ -287,12 +245,14 @@ fn reserved_request_tags_get_bad_request_and_the_connection_survives() {
     let srv = served();
     let mut conn = srv.connect_loopback();
     for (i, retired) in RETIRED_REQUESTS.iter().enumerate() {
+        assert_eq!(unhex(retired)[8], 16 + i as u8);
+    }
+    for retired in RETIRED_REQUESTS.iter().chain(&RETIRED_REPL_FRAMES) {
         let bytes = unhex(retired);
-        assert_eq!(bytes[8], 17 + i as u8);
-        assert!(Request::decode(&bytes).is_err(), "tag {} decoded", bytes[8]);
+        assert!(Request::decode(&bytes).is_err(), "{retired} decoded");
         write_frame(&mut conn, &bytes).unwrap();
         let (id, reply) = decode_reply(&next_frame(&mut conn)).unwrap();
-        assert_eq!(id, REQ_ID);
+        assert_eq!(id, u64::from_le_bytes(bytes[..8].try_into().unwrap()));
         assert_eq!(reply.unwrap_err().code, SvcError::BAD_REQUEST);
         // The next request on the same connection is served.
         write_frame(&mut conn, &Request::Ping.encode(7)).unwrap();
@@ -352,7 +312,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("request dedup_stats", "01020304050607080d"),
     ("request telemetry", "01020304050607080e01"),
     ("request shutdown", "01020304050607080f"),
-    ("request promote", "010203040506070810"),
     ("request hello", "0102030405060708170400000061636d6504000000"),
     ("reply empty", "0102030405060708000000"),
     ("reply ino", "01020304050607080000012a00000000000000"),
@@ -369,15 +328,4 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
     ("reply text", "010203040506070800000704000000736e6170"),
     ("reply error", "01020304050607086a008877665544332211050000006f776e6572"),
-    ("repl Subscribe", "505241564f4ee0d501110000000000000001"),
-    ("repl SnapshotBegin", "505241564f4ee0d5021100000000000000000010000000000004000000"),
-    ("repl SnapshotChunk", "505241564f4ee0d5030300000003000000010203"),
-    ("repl SnapshotEnd", "505241564f4ee0d5040000100000000000"),
-    (
-        "repl Entries",
-        "505241564f4ee0d5051200000000000000060000000e00000001010000006102000000000000001700000002020000000000000000100000000000000200000007070600000003010000006113000000040100000062010000006303000000000000000b0000000501000000630100000064110000000602000000000000003200000000000000",
-    ),
-    ("repl Ack", "505241564f4ee0d5061700000000000000"),
-    ("repl Heartbeat", "505241564f4ee0d5071800000000000000"),
-    ("repl FellBehind", "505241564f4ee0d508"),
 ];
